@@ -1,0 +1,122 @@
+"""Golden digests of seeded outputs.
+
+Each case pins the sha256 of the exact bytes one seeded run writes.  The
+reproducibility criterion compares runs inside one process, so it cannot
+see a change that moves the random stream for every run alike: a refactor
+that reorders draws, or a numpy upgrade that changes PCG64 or its
+bounded-integer algorithm.  These digests can.  A change that alters
+report bytes on purpose must update them and say why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from nbwalk import contract, encode_key, monte_carlo
+from nbwalk.cli import run
+
+from helpers import k4, theta_graph
+
+
+def _explicit_spec(g) -> str:
+    adjacency = {encode_key(v): [encode_key(w) for w in ns] for v, ns in g.adjacency_dict().items()}
+    return json.dumps({"type": "explicit", "adjacency": adjacency})
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+LATTICE2 = '{"type":"lattice","d":2}'
+LATTICE3 = '{"type":"lattice","d":3}'
+TREE3 = '{"type":"regular_tree","k":3}'
+SUBLATTICE = '{"type":"subdivided_lattice","d":2,"t":1}'
+
+# name: (graph spec, walk, start, horizon, replicas, seed, json sha256, csv sha256)
+DIAGNOSE = {
+    "lattice2_nbrw": (
+        LATTICE2, "nbrw", None, 2000, 8, 11,
+        "6e9d96ead208768089c1479a2df4cf4e3dee6e800c4997878386ecfbdd49e546",
+        "fe15508ea2e741a1b9e94e927c9198fb8a1167791652c548daad792f05351259",
+    ),
+    "lattice3_srw": (
+        LATTICE3, "srw", None, 2000, 8, 12,
+        "f8750ff955ac3883b9f40bdbab93756cc797c15f0ba9be79e3919884f0d8e137",
+        "c685448dd0597ff27364689f7f5c50e6f8bcb9aeceefa8b0bb708f9bf9f3fb77",
+    ),
+    "tree3_srw_root": (
+        TREE3, "srw", None, 2000, 8, 13,
+        "0e3b1336fc9a6ee7dc3a81a6244a5e463f8b57a4c79f30c4cf1229d713e58e40",
+        "32862df9256c7ff0b38ef7efcf1074120a4360d0bde1c19bee0839ecb601467a",
+    ),
+    "k4_srw": (
+        _explicit_spec(k4()), "srw", "0", 2000, 8, 14,
+        "e1331e658efa36abb5ccfd193aa00c5e07450197c95fc1928ced67c301471dcd",
+        "6e0fa39050b544fd4d671311c02243b53bbec5eb12e251ad091dda2b79f2da4c",
+    ),
+    "k4_nbrw": (
+        _explicit_spec(k4()), "nbrw", "0", 2000, 8, 15,
+        "86192f9329830be5135586ae207cb2298de774c8a415764ab2817ecb4e205df0",
+        "a4eb7881512f6c47006aa79770779df2ea18e521a407207bded252ca78384588",
+    ),
+    "sublattice_srw": (
+        SUBLATTICE, "srw", None, 2000, 8, 16,
+        "8cc1856475f38d797cf9a131c2340de7752b91d719abaa032a53740ea1276252",
+        "8e7953b1af94db915f9aedad7085dba3478c43e317f3353732875a3c9c5382f6",
+    ),
+    "theta_wrw": (
+        _explicit_spec(theta_graph()), "wrw", "u", 2000, 8, 17,
+        "5faa8ac9f7585c7f77a8d02d64c533129fac1612c1513711ef324e5487f357d4",
+        "53aa93699949d7850ebe2fc400d2b81842200795d4667ab5f38c6fe8c894e9a8",
+    ),
+}
+
+# name: (graph spec, walk, start, horizon, seed, token file sha256)
+WALK = {
+    "lattice2_srw": (
+        LATTICE2, "srw", None, 2000, 21,
+        "d48bd766ce5d1edb7439d0c2fed405554500d2b39dd8628b1745b4ad9f6c3d97",
+    ),
+    "k4_nbrw": (
+        _explicit_spec(k4()), "nbrw", "0", 2000, 22,
+        "3733f4204b3b64386e0553600b30e6a03f9204d437689ad44ad3f3220f4304c5",
+    ),
+    "theta_wrw": (
+        _explicit_spec(theta_graph()), "wrw", "u", 2000, 23,
+        "c0c99058d7acbb78bc14b5951433c06f21e3c078d6ef935b36a565cd2fa512e6",
+    ),
+}
+
+EDGE_NBRW_CSV = "5ec0d021f3305d65963e3e604c86895596f22f933fb062ee4e15fd96b32dd223"
+
+
+def _start(start):
+    return [] if start is None else ["--start", start]
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSE))
+def test_diagnose_report_bytes(name, tmp_path):
+    spec, walk, start, horizon, replicas, seed, json_sha, csv_sha = DIAGNOSE[name]
+    base = tmp_path / name
+    argv = ["diagnose", "--graph", spec, "--walk", walk, *_start(start), "--horizon", str(horizon),
+            "--replicas", str(replicas), "--seed", str(seed), "--out", str(base)]
+    assert run(argv) == 0
+    assert _sha((tmp_path / f"{name}.json").read_bytes()) == json_sha
+    assert _sha((tmp_path / f"{name}.csv").read_bytes()) == csv_sha
+
+
+@pytest.mark.parametrize("name", sorted(WALK))
+def test_walk_token_bytes(name, tmp_path):
+    spec, walk, start, horizon, seed, tokens_sha = WALK[name]
+    out = tmp_path / "tokens.txt"
+    argv = ["walk", "--graph", spec, "--walk", walk, *_start(start), "--horizon", str(horizon),
+            "--seed", str(seed), "--out", str(out)]
+    assert run(argv) == 0
+    assert _sha(out.read_bytes()) == tokens_sha
+
+
+def test_edge_nbrw_report_bytes():
+    mg, _ = contract(theta_graph())
+    report = monte_carlo("nbrw", mg, "u", 2000, 8, 31)
+    assert _sha(report.csv_text().encode()) == EDGE_NBRW_CSV
