@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,44 +32,13 @@ from .birthdeath import (
 from .contraction import contract, induced_prefix_distribution
 from .erasure import erase_backtracks, erased_prefix_distribution
 from .errors import InvalidParameter, NbwalkError
-from .graph import ExplicitGraph, decode_key, encode_key, graph_from_spec
+from .graph import ExplicitGraph, WeightedMultigraph, decode_key, encode_key, graph_from_spec
 from .stats import monte_carlo, replica_seed, return_statistics, total_variation
 from .walkers import WalkKind, enumerate_prefix_distribution, sample_path
 
 
 class _ConfigError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Diagnose configuration; round-trips through JSON with unknown
-    fields rejected."""
-
-    subcommand: str
-    graph: dict
-    walk: str
-    start: str
-    horizon: int
-    replicas: int
-    seed: int
-    out: str | None = None
-    jobs: int = 1
-
-    _FIELDS = ("subcommand", "graph", "walk", "start", "horizon", "replicas", "seed", "out", "jobs")
-
-    def to_json_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._FIELDS}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        unknown = set(doc) - set(cls._FIELDS)
-        if unknown:
-            raise InvalidParameter(f"unknown config fields {sorted(unknown)}")
-        missing = {f for f in cls._FIELDS if f not in doc and f not in ("out", "jobs")}
-        if missing:
-            raise InvalidParameter(f"missing config fields {sorted(missing)}")
-        return cls(**doc)
 
 
 def _fmt_fraction(x: Fraction) -> str:
@@ -98,9 +66,30 @@ def _config(fn, *args, **kwargs):
 
 
 def _start_vertex(args, graph):
-    if getattr(args, "start", None) is not None:
-        return decode_key(args.start)
-    return graph.default_start()
+    start = graph.default_start() if args.start is None else decode_key(args.start)
+    # looking the vertex up rejects a key the graph does not have
+    if isinstance(graph, WeightedMultigraph):
+        graph.half_edges(start)
+    else:
+        graph.neighbors(start)
+    return start
+
+
+def _int_range(lo, hi=None):
+    """argparse type: an integer n with lo <= n, and n < hi when given."""
+
+    def integer(text):
+        value = int(text)
+        if value < lo or (hi is not None and value >= hi):
+            bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi})"
+            raise argparse.ArgumentTypeError(f"{text} is not an integer {bound}")
+        return value
+
+    return integer
+
+
+_COUNT = _int_range(0)
+_SEED = _int_range(0, 1 << 64)
 
 
 def _rng(seed: int):
@@ -142,7 +131,7 @@ def _cmd_erase(args) -> int:
             raise _ConfigError("sampling a walk to erase requires --seed")
         seq = sample_path(WalkKind.SRW, graph, start, args.horizon, _rng(args.seed))
     else:
-        text = Path(args.tokens[1:]).read_text() if args.tokens else sys.stdin.read()
+        text = _config(Path(args.tokens[1:]).read_text) if args.tokens else sys.stdin.read()
         toks = text.split()
         if not toks:
             raise _ConfigError("no input tokens")
@@ -244,6 +233,8 @@ def _cmd_compare(args) -> int:
     else:
         if args.N is None:
             raise _ConfigError("erased-law comparison needs --N")
+        if args.N <= args.m:
+            raise _ConfigError(f"--N {args.N} must exceed --m {args.m}")
         erased = erased_prefix_distribution(graph, start, args.N, args.m)
         nbrw = enumerate_prefix_distribution(WalkKind.NBRW, graph, start, args.m)
         tv = total_variation(erased, nbrw)
@@ -263,30 +254,17 @@ def _cmd_diagnose(args) -> int:
             raise _ConfigError("wrw diagnostics run on the contraction of an explicit graph")
         graph, _ = _config(contract, graph)
     start = _config(_start_vertex, args, graph)
-    cfg = ExperimentConfig(
-        subcommand="diagnose",
-        graph=spec,
-        walk=kind.value,
-        start=encode_key(start),
-        horizon=args.horizon,
-        replicas=args.replicas,
-        seed=args.seed,
-        out=args.out,
-        jobs=args.jobs,
-    )
-    # the config echo describes the experiment, not the execution vehicle,
-    # so reports stay byte-identical across serial and parallel runs
-    echo = {k: v for k, v in cfg.to_json_dict().items() if k not in ("out", "jobs")}
-    report = monte_carlo(
-        kind,
-        graph,
-        start,
-        args.horizon,
-        args.replicas,
-        args.seed,
-        jobs=args.jobs,
-        config=echo,
-    )
+    # the config echo describes the experiment, not how it was run
+    echo = {
+        "subcommand": "diagnose",
+        "graph": spec,
+        "walk": kind.value,
+        "start": encode_key(start),
+        "horizon": args.horizon,
+        "replicas": args.replicas,
+        "seed": args.seed,
+    }
+    report = monte_carlo(kind, graph, start, args.horizon, args.replicas, args.seed, config=echo)
     if args.out:
         Path(args.out + ".json").write_text(report.json_text())
         Path(args.out + ".csv").write_text(report.csv_text())
@@ -309,8 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walk", help="sample one path and print it with its statistics")
     _add_graph_flags(p)
     p.add_argument("--walk", required=True, choices=[k.value for k in WalkKind])
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--horizon", type=_COUNT, required=True)
+    p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--out", help="write the path tokens to this file")
     p.set_defaults(handler=_cmd_walk)
 
@@ -318,8 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", help="@file with whitespace-separated tokens (default: stdin)")
     p.add_argument("--graph", help="sample a uniform walk on this graph spec instead")
     p.add_argument("--start")
-    p.add_argument("--horizon", type=int, default=100)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--horizon", type=_COUNT, default=100)
+    p.add_argument("--seed", type=_SEED)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_erase)
 
@@ -337,13 +315,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="dump an exact prefix distribution")
     _add_graph_flags(p)
     p.add_argument("--walk", required=True, choices=[k.value for k in WalkKind])
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_COUNT, required=True)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("compare", help="total variation between exact laws")
     _add_graph_flags(p)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_COUNT, required=True)
     p.add_argument("--N", type=int, help="walk horizon for the erased law")
     p.add_argument("--induced", action="store_true", help="induced walk vs contracted kernel")
     p.add_argument("--walk", default="srw", choices=["srw", "nbrw"], help="walk for --induced")
@@ -352,10 +330,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="seeded Monte Carlo recurrence diagnostics")
     _add_graph_flags(p)
     p.add_argument("--walk", required=True, choices=[k.value for k in WalkKind])
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--replicas", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--horizon", type=_COUNT, required=True)
+    p.add_argument("--replicas", type=_int_range(1), required=True)
+    p.add_argument("--seed", type=_SEED, required=True)
+    p.add_argument(
+        "--jobs", type=_int_range(1), default=1,
+        help="accepted for compatibility; replicas run in one thread and the report never depends on it",
+    )
     p.add_argument("--out", help="write <out>.json and <out>.csv")
     p.set_defaults(handler=_cmd_diagnose)
 

@@ -14,17 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     InvalidInput,
     LimitExceeded,
-    NoLegalMove,
     UnsupportedGraph,
     UnsupportedStructure,
 )
 from .graph import ExplicitGraph, WeightedMultigraph, sort_token
-from .walkers import MAX_ENUMERATION_HORIZON, PrefixDistribution, WalkKind
+from .walkers import MAX_ENUMERATION_HORIZON, PrefixDistribution, WalkKind, _branches
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -199,37 +197,6 @@ def check_biregular_shape(mg: WeightedMultigraph, k1: int, k2: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _crossing_probability(length: int) -> Fraction:
-    """Exact chance that a fair walk entering a corridor of the given
-    length reaches the far end before returning to its entrance, solved
-    from the interior harmonic system by elimination."""
-    if length < 1:
-        raise InvalidInput("corridor length must be >= 1")
-    if length == 1:
-        return _ONE
-    m = length - 1
-    aug = []
-    for i in range(m):
-        row = [_ZERO] * (m + 1)
-        row[i] = Fraction(2)
-        if i > 0:
-            row[i - 1] = Fraction(-1)
-        if i < m - 1:
-            row[i + 1] = Fraction(-1)
-        else:
-            row[m] = _ONE
-        aug.append(row)
-    for col in range(m):
-        piv = aug[col][col]
-        aug[col] = [x / piv for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return aug[0][m]
-
-
 def _anchor_step_law(g: ExplicitGraph, cmap: ContractionMap, v) -> dict:
     # one induced step of the uniform walk from anchor v, at vertex level
     law: dict = {}
@@ -239,7 +206,9 @@ def _anchor_step_law(g: ExplicitGraph, cmap: ContractionMap, v) -> dict:
         eid, end = cmap.entrances[(v, n)]
         c = cmap.corridors[eid]
         far = c.b if end == 0 else c.a
-        x = _crossing_probability(c.length)
+        # gambler's ruin: a fair walk one step into a corridor of length L
+        # reaches the far end before returning with probability 1/L
+        x = Fraction(1, c.length)
         law[far] = law.get(far, _ZERO) + share * x
         if x != 1:
             law[v] = law.get(v, _ZERO) + share * (1 - x)
@@ -251,11 +220,11 @@ def induced_prefix_distribution(
 ) -> PrefixDistribution:
     """Exact law of the first horizon+1 anchor visits of a walk on ``g``.
 
-    The uniform walk composes per-anchor first-passage laws (each solved
-    exactly from the corridor harmonics), so bounces inside long
-    corridors are integrated out rather than enumerated.  The
-    non-backtracking walk cannot turn around inside a corridor, so its
-    induced law is a plain finite enumeration."""
+    The uniform walk composes per-anchor first-passage laws (a corridor
+    of length L is crossed with the gambler's-ruin probability 1/L), so
+    bounces inside long corridors are integrated out rather than
+    enumerated.  The non-backtracking walk cannot turn around inside a
+    corridor, so its induced law is a plain finite enumeration."""
     kind = WalkKind(kind)
     if cmap is None:
         _, cmap = contract(g)
@@ -291,31 +260,28 @@ def induced_prefix_distribution(
 
     elif kind is WalkKind.NBRW:
         cap = horizon * cmap.max_length
+        laws = {}
         visits = [start]
 
-        def rec(prev, cur, depth, prob):
+        def rec(state, depth, prob):
             if len(visits) == horizon + 1:
                 add(tuple(visits), prob)
                 return
             if depth == cap:
                 raise LimitExceeded("non-backtracking corridor traversal exceeded its bound")
-            nbrs = g.neighbors(cur)
-            options = nbrs if prev is None else tuple(w for w in nbrs if w != prev)
-            if not options:
-                raise NoLegalMove(f"no continuation at {cur!r}")
-            p = prob / len(options)
-            for w in options:
-                hit = w in cmap.anchors
-                if hit:
-                    visits.append(w)
-                rec(cur, w, depth + 1, p)
-                if hit:
-                    visits.pop()
+            if state not in laws:
+                laws[state] = _branches(WalkKind.NBRW, g, state)
+            for p, successors in laws[state]:
+                q = prob * p
+                for nxt, w in successors:
+                    hit = w in cmap.anchors
+                    if hit:
+                        visits.append(w)
+                    rec(nxt, depth + 1, q)
+                    if hit:
+                        visits.pop()
 
-        if horizon == 0:
-            add((start,), _ONE)
-        else:
-            rec(None, start, 0, _ONE)
+        rec((None, start), 0, _ONE)
 
     else:
         raise InvalidInput("induced laws are defined for srw and nbrw")

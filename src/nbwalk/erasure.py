@@ -19,10 +19,9 @@ from fractions import Fraction
 
 from .errors import InvalidInput, LimitExceeded
 from .graph import Graph
-from .walkers import MAX_ENUMERATION_HORIZON, PrefixDistribution
+from .walkers import MAX_ENUMERATION_HORIZON, PrefixDistribution, WalkKind, _expand
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -63,37 +62,28 @@ def erase_backtracks(seq) -> ErasureResult:
     return ErasureResult(tuple(items), trace, total)
 
 
+def _erase_stack(seq):
+    """Single pass over a nonempty sequence: push each element, or pop the
+    top when the element equals the one underneath it.  Returns the stack
+    and the move record, R per push and L per pop."""
+    st = [seq[0]]
+    moves = []
+    for x in seq[1:]:
+        if len(st) >= 2 and st[-2] == x:
+            st.pop()
+            moves.append("L")
+        else:
+            st.append(x)
+            moves.append("R")
+    return st, moves
+
+
 def erase_backtracks_stack(seq) -> tuple:
     """Single-pass push/pop reformulation; returns only the output."""
     items = list(seq)
     if not items:
         raise InvalidInput("cannot erase an empty sequence")
-    st = [items[0]]
-    for x in items[1:]:
-        if len(st) >= 2 and st[-2] == x:
-            st.pop()
-        else:
-            st.append(x)
-    return tuple(st)
-
-
-def _for_each_path(g: Graph, start, n: int, visit):
-    # exhaustive depth-first expansion of all n-step uniform-neighbor
-    # paths, with exact path probabilities
-    path = [start]
-
-    def rec(prob):
-        if len(path) == n + 1:
-            visit(path, prob)
-            return
-        nbrs = g.neighbors(path[-1])
-        p = prob / len(nbrs)
-        for w in nbrs:
-            path.append(w)
-            rec(p)
-            path.pop()
-
-    rec(_ONE)
+    return tuple(_erase_stack(items)[0])
 
 
 def _check_horizons(big_n: int, m: int):
@@ -116,19 +106,14 @@ def erased_prefix_distribution(g: Graph, start, big_n: int, m: int) -> PrefixDis
 
     def visit(path, prob):
         nonlocal short
-        st = [path[0]]
-        for x in path[1:]:
-            if len(st) >= 2 and st[-2] == x:
-                st.pop()
-            else:
-                st.append(x)
+        st, _ = _erase_stack(path)
         if len(st) >= keep:
             key = tuple(st[:keep])
             entries[key] = entries.get(key, _ZERO) + prob
         else:
             short += prob
 
-    _for_each_path(g, start, big_n, visit)
+    _expand(WalkKind.SRW, g, start, big_n, visit)
     return PrefixDistribution(m, entries, short)
 
 
@@ -144,17 +129,8 @@ def enumerate_move_distribution(g: Graph, start, steps: int) -> dict:
     law: dict = {}
 
     def visit(path, prob):
-        st = [path[0]]
-        mv = []
-        for x in path[1:]:
-            if len(st) >= 2 and st[-2] == x:
-                st.pop()
-                mv.append("L")
-            else:
-                st.append(x)
-                mv.append("R")
-        key = "".join(mv)
+        key = "".join(_erase_stack(path)[1])
         law[key] = law.get(key, _ZERO) + prob
 
-    _for_each_path(g, start, steps, visit)
+    _expand(WalkKind.SRW, g, start, steps, visit)
     return law

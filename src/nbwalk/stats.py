@@ -3,32 +3,22 @@ Monte Carlo harness.
 
 Replica streams are derived from the master seed with a SplitMix64
 finalizer (documented in the README); aggregation is a fold over rows in
-replica order, so serial and parallel runs of the same configuration
-produce byte-identical reports.
+replica order, so a configuration and master seed fix the report bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidInput, InvalidParameter, NoLegalMove
-from .graph import BiregularTree, Lattice, RegularTree, WeightedMultigraph, encode_key
-from .walkers import (
-    HalfEdgeState,
-    PrefixDistribution,
-    WalkKind,
-    nbrw_step,
-    nbrw_step_edge,
-    srw_step,
-    wrw_step,
-)
+from .errors import InsufficientData, InvalidInput, InvalidParameter
+from .graph import BiregularTree, Lattice, RegularTree, encode_key
+from .walkers import PrefixDistribution, WalkKind, _walk
 
 _ZERO = Fraction(0)
 
@@ -173,27 +163,20 @@ def monte_carlo(
     horizon: int,
     replicas: int,
     master_seed: int,
-    jobs: int = 1,
     config: Optional[dict] = None,
 ) -> ExperimentReport:
-    """Independent seeded replicas of one walk experiment.  Replica i
-    draws from a generator seeded by ``replica_seed(master_seed, i)``, so
-    the report does not depend on scheduling or on ``jobs``."""
+    """Independent seeded replicas of one walk experiment, run in order in
+    one thread.  Replica i draws from a generator seeded by
+    ``replica_seed(master_seed, i)``."""
     kind = WalkKind(kind)
     if not isinstance(replicas, int) or replicas < 1:
         raise InvalidParameter("need at least one replica")
     if not isinstance(horizon, int) or horizon < 0:
         raise InvalidParameter("horizon must be a nonnegative integer")
-
-    def one(i: int) -> WalkStatistics:
-        rng = np.random.default_rng(replica_seed(master_seed, i))
-        return _replica(kind, graph, start, horizon, rng)
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = tuple(pool.map(one, range(replicas)))
-    else:
-        rows = tuple(one(i) for i in range(replicas))
+    rows = tuple(
+        _replica(kind, graph, start, horizon, np.random.default_rng(replica_seed(master_seed, i)))
+        for i in range(replicas)
+    )
     if config is None:
         config = {
             "walk": kind.value,
@@ -253,46 +236,10 @@ def _generic_replica(kind, graph, start, horizon, rng) -> WalkStatistics:
     returns = 0
     last = None
     cur = start
-    i = 0
-    try:
-        if kind is WalkKind.WRW:
-            if not isinstance(graph, WeightedMultigraph):
-                raise InvalidInput("wrw needs a weighted multigraph")
-            for i in range(1, horizon + 1):
-                move = wrw_step(graph, cur, rng)
-                cur = graph.endpoint(move.edge_id, move.head_end)
-                if cur == start:
-                    returns += 1
-                    last = i
-        elif kind is WalkKind.NBRW and isinstance(graph, WeightedMultigraph):
-            state = None
-            for i in range(1, horizon + 1):
-                if state is None:
-                    half = graph.half_edges(cur)
-                    if not half:
-                        raise NoLegalMove(f"vertex {cur!r} is isolated")
-                    eid, end = half[int(rng.integers(len(half)))]
-                    state = HalfEdgeState(eid, 1 - end)
-                else:
-                    state = nbrw_step_edge(graph, state, rng)
-                cur = graph.endpoint(state.edge_id, state.head_end)
-                if cur == start:
-                    returns += 1
-                    last = i
-        else:
-            prev = None
-            for i in range(1, horizon + 1):
-                if kind is WalkKind.SRW:
-                    nxt = srw_step(graph, cur, rng)
-                else:
-                    nxt = srw_step(graph, cur, rng) if prev is None else nbrw_step(graph, prev, cur, rng)
-                    prev = cur
-                cur = nxt
-                if cur == start:
-                    returns += 1
-                    last = i
-    except NoLegalMove as exc:
-        raise NoLegalMove(f"step {i}: {exc}") from None
+    for i, cur in enumerate(_walk(kind, graph, start, horizon, rng), 1):
+        if cur == start:
+            returns += 1
+            last = i
     return WalkStatistics(horizon, returns, last, float(graph.displacement(cur, start)))
 
 

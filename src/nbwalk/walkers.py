@@ -171,6 +171,16 @@ def wrw_step(mg: WeightedMultigraph, current, rng) -> WrwMove:
     return WrwMove(eid, end, True)
 
 
+def _first_half_edge(mg: WeightedMultigraph, v, rng) -> HalfEdgeState:
+    """First edge-based non-backtracking step: with no arriving edge to
+    exclude, a uniform half-edge at ``v``."""
+    half = mg.half_edges(v)
+    if not half:
+        raise NoLegalMove(f"vertex {v!r} is isolated")
+    eid, end = half[int(rng.integers(len(half)))]
+    return HalfEdgeState(eid, 1 - end)
+
+
 def _require_kind_graph(kind: WalkKind, graph):
     mg = isinstance(graph, WeightedMultigraph)
     if kind is WalkKind.SRW and mg:
@@ -182,50 +192,50 @@ def _require_kind_graph(kind: WalkKind, graph):
     return mg
 
 
-def sample_path(kind, graph, start, n: int, rng) -> tuple:
-    """Length-(n+1) vertex sequence started at ``start``; each step drawn
-    from the kernel for ``kind``.  The first non-backtracking step uses
-    the uniform rule."""
+def _walk(kind, graph, start, n: int, rng):
+    """Yield the vertices at steps 1..n of one walk from ``start``, each
+    step drawn by the sampler for ``kind``.  The first non-backtracking
+    step has no history and uses the uniform rule."""
     kind = WalkKind(kind)
-    if not isinstance(n, int) or n < 0:
-        raise InvalidInput("path length must be a nonnegative integer")
     mg = _require_kind_graph(kind, graph)
-    path = [start]
     i = 0
     try:
         if kind is WalkKind.SRW:
             cur = start
             for i in range(1, n + 1):
                 cur = srw_step(graph, cur, rng)
-                path.append(cur)
-        elif kind is WalkKind.NBRW and not mg:
-            prev, cur = None, start
-            for i in range(1, n + 1):
-                nxt = srw_step(graph, cur, rng) if prev is None else nbrw_step(graph, prev, cur, rng)
-                prev, cur = cur, nxt
-                path.append(cur)
-        elif kind is WalkKind.NBRW:
-            state, cur = None, start
-            for i in range(1, n + 1):
-                if state is None:
-                    half = graph.half_edges(cur)
-                    if not half:
-                        raise NoLegalMove(f"vertex {cur!r} is isolated")
-                    eid, end = half[int(rng.integers(len(half)))]
-                    state = HalfEdgeState(eid, 1 - end)
-                else:
-                    state = nbrw_step_edge(graph, state, rng)
-                cur = graph.endpoint(state.edge_id, state.head_end)
-                path.append(cur)
-        else:
+                yield cur
+        elif kind is WalkKind.WRW:
             cur = start
             for i in range(1, n + 1):
                 move = wrw_step(graph, cur, rng)
                 cur = graph.endpoint(move.edge_id, move.head_end)
-                path.append(cur)
+                yield cur
+        elif mg:
+            state = None
+            for i in range(1, n + 1):
+                if state is None:
+                    state = _first_half_edge(graph, start, rng)
+                else:
+                    state = nbrw_step_edge(graph, state, rng)
+                yield graph.endpoint(state.edge_id, state.head_end)
+        else:
+            prev, cur = None, start
+            for i in range(1, n + 1):
+                nxt = srw_step(graph, cur, rng) if prev is None else nbrw_step(graph, prev, cur, rng)
+                prev, cur = cur, nxt
+                yield cur
     except NoLegalMove as exc:
         raise NoLegalMove(f"step {i}: {exc}") from None
-    return tuple(path)
+
+
+def sample_path(kind, graph, start, n: int, rng) -> tuple:
+    """Length-(n+1) vertex sequence started at ``start``; each step drawn
+    from the kernel for ``kind``.  The first non-backtracking step uses
+    the uniform rule."""
+    if not isinstance(n, int) or n < 0:
+        raise InvalidInput("path length must be a nonnegative integer")
+    return (start, *_walk(kind, graph, start, n, rng))
 
 
 def step_distribution(kind, graph, state) -> dict:
@@ -281,12 +291,9 @@ def step_distribution(kind, graph, state) -> dict:
         return {HalfEdgeState(eid, 1 - end): p for eid, end in half}
 
     prev, cur = _nbrw_state(state)
-    nbrs = graph.neighbors(cur)
     if prev is None:
-        if not nbrs:
-            raise NoLegalMove(f"vertex {cur!r} is isolated")
-        p = Fraction(1, len(nbrs))
-        return {w: p for w in nbrs}
+        return step_distribution(WalkKind.SRW, graph, cur)
+    nbrs = graph.neighbors(cur)
     if prev not in nbrs:
         raise InvalidState(f"{prev!r} is not adjacent to {cur!r}")
     if len(nbrs) < 2:
@@ -301,106 +308,70 @@ def _nbrw_state(state):
     raise InvalidInput("non-backtracking state is a (prev, current) pair")
 
 
+def _branches(kind, graph, state) -> tuple:
+    """The one-step law from ``state`` as ``(p, successors)`` groups, where
+    each successor is a ``(next state, vertex)`` pair reached with
+    probability p.  Targets that lead to the same successor are merged
+    first; for the weighted walk, moves that land on the same vertex."""
+    merged: dict = {}
+    for target, p in step_distribution(kind, graph, state).items():
+        if kind is WalkKind.WRW:
+            v = graph.endpoint(target.edge_id, target.head_end)
+            succ = (v, v)
+        elif isinstance(target, HalfEdgeState):
+            succ = (target, graph.endpoint(target.edge_id, target.head_end))
+        elif kind is WalkKind.NBRW:
+            succ = ((state[1], target), target)
+        else:
+            succ = (target, target)
+        merged[succ] = merged.get(succ, _ZERO) + p
+    groups: dict = {}
+    for succ, p in merged.items():
+        groups.setdefault(p, []).append(succ)
+    return tuple(groups.items())
+
+
+def _expand(kind, graph, start, n: int, visit):
+    """Depth-first expansion of every n-step walk of ``kind`` from
+    ``start`` under the exact law of ``step_distribution``.  Calls
+    ``visit(path, prob)`` at each leaf; ``path`` is a list of n+1
+    vertices that the expander reuses, so a visitor copies what it keeps.
+    Distinct states can share a vertex path (parallel edges under the
+    edge walk), so visitors sum rather than assign."""
+    kind = WalkKind(kind)
+    _require_kind_graph(kind, graph)
+    laws: dict = {}
+    path = [start]
+
+    def rec(state, prob):
+        if len(path) > n:
+            visit(path, prob)
+            return
+        groups = laws.get(state)
+        if groups is None:
+            groups = laws[state] = _branches(kind, graph, state)
+        for p, successors in groups:
+            q = prob * p
+            for nxt, v in successors:
+                path.append(v)
+                rec(nxt, q)
+                path.pop()
+
+    rec((None, start) if kind is WalkKind.NBRW else start, _ONE)
+
+
 def enumerate_prefix_distribution(kind, graph, start, m: int) -> PrefixDistribution:
     """Exact rational law of the first m+1 vertices, by depth-first
     expansion of the kernel.  Horizons above 14 are refused."""
-    kind = WalkKind(kind)
     if not isinstance(m, int) or m < 0:
         raise InvalidInput("horizon must be a nonnegative integer")
     if m > MAX_ENUMERATION_HORIZON:
         raise LimitExceeded(f"horizon {m} exceeds the enumeration guard {MAX_ENUMERATION_HORIZON}")
-    mg = _require_kind_graph(kind, graph)
     entries: dict = {}
 
-    def add(seq, p):
-        entries[seq] = entries.get(seq, _ZERO) + p
+    def visit(path, prob):
+        seq = tuple(path)
+        entries[seq] = entries.get(seq, _ZERO) + prob
 
-    seq = [start]
-
-    if kind is WalkKind.SRW:
-
-        def rec(cur, depth, prob):
-            if depth == m:
-                add(tuple(seq), prob)
-                return
-            nbrs = graph.neighbors(cur)
-            if not nbrs:
-                raise NoLegalMove(f"vertex {cur!r} is isolated")
-            p = prob / len(nbrs)
-            for w in nbrs:
-                seq.append(w)
-                rec(w, depth + 1, p)
-                seq.pop()
-
-        rec(start, 0, _ONE)
-
-    elif kind is WalkKind.NBRW and not mg:
-
-        def rec(prev, cur, depth, prob):
-            if depth == m:
-                add(tuple(seq), prob)
-                return
-            nbrs = graph.neighbors(cur)
-            options = nbrs if prev is None else tuple(w for w in nbrs if w != prev)
-            if not options:
-                raise NoLegalMove(f"no continuation at {cur!r}")
-            p = prob / len(options)
-            for w in options:
-                seq.append(w)
-                rec(cur, w, depth + 1, p)
-                seq.pop()
-
-        rec(None, start, 0, _ONE)
-
-    elif kind is WalkKind.NBRW:
-
-        def rec(state, depth, prob):
-            if depth == m:
-                add(tuple(seq), prob)
-                return
-            v = graph.endpoint(state.edge_id, state.head_end)
-            half = graph.half_edges(v)
-            options = [h for h in half if h != (state.edge_id, state.head_end)]
-            if not options:
-                raise NoLegalMove(f"no continuation at {v!r}")
-            p = prob / len(options)
-            for eid, end in options:
-                nxt = HalfEdgeState(eid, 1 - end)
-                seq.append(graph.endpoint(eid, 1 - end))
-                rec(nxt, depth + 1, p)
-                seq.pop()
-
-        if m == 0:
-            add((start,), _ONE)
-        else:
-            half = graph.half_edges(start)
-            if not half:
-                raise NoLegalMove(f"vertex {start!r} is isolated")
-            p0 = Fraction(1, len(half))
-            for eid, end in half:
-                st = HalfEdgeState(eid, 1 - end)
-                seq.append(graph.endpoint(eid, 1 - end))
-                rec(st, 1, p0)
-                seq.pop()
-
-    else:
-
-        def vertex_law(v):
-            law: dict = {}
-            for move, p in step_distribution(WalkKind.WRW, graph, v).items():
-                w = graph.endpoint(move.edge_id, move.head_end)
-                law[w] = law.get(w, _ZERO) + p
-            return law
-
-        def rec(cur, depth, prob):
-            if depth == m:
-                add(tuple(seq), prob)
-                return
-            for w, p in vertex_law(cur).items():
-                seq.append(w)
-                rec(w, depth + 1, prob * p)
-                seq.pop()
-
-        rec(start, 0, _ONE)
-
+    _expand(kind, graph, start, m, visit)
     return PrefixDistribution(m, entries)

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from nbwalk import InvalidParameter
-from nbwalk.cli import ExperimentConfig, run
+from nbwalk.cli import run
 
 K4_SPEC = json.dumps({"type": "explicit", "adjacency": {"0": [1, 2, 3], "1": [0, 2, 3], "2": [0, 1, 3], "3": [0, 1, 2]}})
 THETA_SPEC = json.dumps(
@@ -177,25 +176,46 @@ def test_rejected_config_leaves_no_files(tmp_path):
     assert not (tmp_path / "partial.csv").exists()
 
 
+LINE_SPEC = json.dumps({"type": "lattice", "d": 1})
+
+
+# a repeated flag takes its last value, so each case overrides one valid flag
+def _diagnose(*extra):
+    return ["diagnose", "--graph", K4_SPEC, "--walk", "srw", "--horizon", "10", "--replicas", "2", "--seed", "1", *extra]
+
+
+def _walk(*extra):
+    return ["walk", "--graph", LINE_SPEC, "--walk", "nbrw", "--horizon", "5", "--seed", "1", *extra]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _diagnose("--horizon", "-1"),
+        _diagnose("--replicas", "0"),
+        _diagnose("--start", "9"),
+        _diagnose("--jobs", "-3"),
+        _diagnose("--seed", "-1"),
+        _diagnose("--seed", str(2**64)),
+        _walk("--horizon", "-1"),
+        _walk("--seed", str(2**64)),
+        ["compare", "--graph", K4_SPEC, "--start", "0", "--N", "3", "--m", "3"],
+        ["erase", "--tokens", "@no-such-file.tokens"],
+    ],
+    ids=[
+        "diagnose-horizon", "replicas", "start", "jobs", "seed-negative", "seed-2**64",
+        "walk-horizon", "walk-seed", "compare-m-not-below-N", "erase-missing-tokens",
+    ],
+)
+def test_invalid_configuration_exits_2_without_files(argv, tmp_path, capsys):
+    if argv[0] == "compare":
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+    else:
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["diagnose", "--help"]) == 0
-
-
-def test_experiment_config_round_trip():
-    cfg = ExperimentConfig(
-        subcommand="diagnose",
-        graph={"type": "lattice", "d": 2},
-        walk="srw",
-        start="(0,0)",
-        horizon=100,
-        replicas=5,
-        seed=9,
-        out=None,
-        jobs=2,
-    )
-    doc = json.loads(json.dumps(cfg.to_json_dict()))
-    assert ExperimentConfig.from_json_dict(doc) == cfg
-    doc["mystery"] = 1
-    with pytest.raises(InvalidParameter):
-        ExperimentConfig.from_json_dict(doc)

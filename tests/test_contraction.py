@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from nbwalk import (
@@ -19,7 +17,6 @@ from nbwalk import (
     subdivide,
     total_variation,
 )
-from nbwalk.contraction import _crossing_probability
 
 from helpers import complete_bipartite, cycle, k4, rng, theta_graph, two_loop_graph
 
@@ -134,11 +131,6 @@ def test_induced_walk_loop_crossing_not_reflected():
     assert walk.traversals[0][1] is False
     back = induced_walk(g, ("v", "x1", "v"), cmap)
     assert back.traversals[0][1] is True
-
-
-def test_crossing_probability_solver():
-    for length in range(1, 8):
-        assert _crossing_probability(length) == Fraction(1, length)
 
 
 def test_induced_srw_equals_wrw_exactly():

@@ -19,6 +19,8 @@ from nbwalk import (
     total_variation,
 )
 
+from nbwalk.erasure import _erase_stack
+
 from helpers import k4, rng
 
 
@@ -56,25 +58,12 @@ def test_empty_input_rejected():
         erase_backtracks_stack([])
 
 
-def _stack_moves(seq):
-    st_ = [seq[0]]
-    mv = []
-    for x in seq[1:]:
-        if len(st_) >= 2 and st_[-2] == x:
-            st_.pop()
-            mv.append("L")
-        else:
-            st_.append(x)
-            mv.append("R")
-    return tuple(st_), "".join(mv)
-
-
 def _check_invariants(seq):
     res = erase_backtracks(seq)
-    out2, moves2 = _stack_moves(list(seq))
+    out2, moves2 = _erase_stack(list(seq))
     # the two formulations agree, output and move record alike
-    assert res.output == erase_backtracks_stack(seq) == out2
-    assert res.trace.moves == moves2
+    assert res.output == erase_backtracks_stack(seq) == tuple(out2)
+    assert res.trace.moves == "".join(moves2)
     assert is_backtrack_free(res.output)
     assert len(res.output) % 2 == len(seq) % 2
     assert len(res.trace.moves) == res.consumed - 1
