@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameter
+from .walkers import _propagate
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -142,20 +143,11 @@ def chain_move_law(spec: BirthDeathSpec, moves: int) -> dict:
     the chain, as a map from strings like ``"RRLR"`` to rationals."""
     if not isinstance(moves, int) or moves < 0:
         raise InvalidParameter("move count must be a nonnegative integer")
-    law: dict = {}
 
-    def rec(pos, t, prob, word):
-        if t == moves:
-            law[word] = law.get(word, _ZERO) + prob
-            return
-        if pos == 0:
-            rec(1, t + 1, prob, word + "R")
-            return
+    def law(pos):
+        # position 0 reflects: its right probability is 1
         p = spec.right_prob(pos)
-        rec(pos + 1, t + 1, prob * p, word + "R")
-        q = 1 - p
-        if q:
-            rec(pos - 1, t + 1, prob * q, word + "L")
+        right = (p, ((pos + 1, "R"),))
+        return (right,) if p == 1 else (right, (1 - p, ((pos - 1, "L"),)))
 
-    rec(0, 0, _ONE, "")
-    return law
+    return _propagate(law, 0, "", moves, lambda word, move: word + move)

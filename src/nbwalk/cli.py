@@ -131,6 +131,8 @@ def _cmd_erase(args) -> int:
             raise _ConfigError("sampling a walk to erase requires --seed")
         seq = sample_path(WalkKind.SRW, graph, start, args.horizon, _rng(args.seed))
     else:
+        if args.tokens is not None and not args.tokens.startswith("@"):
+            raise _ConfigError(f"--tokens takes @file, got {args.tokens!r}")
         text = _config(Path(args.tokens[1:]).read_text) if args.tokens else sys.stdin.read()
         toks = text.split()
         if not toks:
@@ -225,6 +227,8 @@ def _cmd_compare(args) -> int:
     if args.induced:
         kind = _config(WalkKind, args.walk)
         mg, cmap = contract(graph)
+        if start not in cmap.anchors:
+            raise _ConfigError(f"--start {encode_key(start)} is not an anchor of the contraction")
         induced = induced_prefix_distribution(graph, kind, start, args.m, cmap)
         target_kind = WalkKind.WRW if kind is WalkKind.SRW else WalkKind.NBRW
         target = enumerate_prefix_distribution(target_kind, mg, start, args.m)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     InvalidInput,
@@ -22,10 +23,9 @@ from .errors import (
     UnsupportedStructure,
 )
 from .graph import ExplicitGraph, WeightedMultigraph, sort_token
-from .walkers import MAX_ENUMERATION_HORIZON, PrefixDistribution, WalkKind, _branches
+from .walkers import PrefixDistribution, WalkKind, _branches, _check_horizon, _propagate
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,9 @@ def check_biregular_shape(mg: WeightedMultigraph, k1: int, k2: int) -> bool:
     return True
 
 
-def _anchor_step_law(g: ExplicitGraph, cmap: ContractionMap, v) -> dict:
-    # one induced step of the uniform walk from anchor v, at vertex level
+def _anchor_step_law(g: ExplicitGraph, cmap: ContractionMap, v) -> tuple:
+    # one induced step of the uniform walk from anchor v, at vertex level,
+    # as (p, successors) groups with the anchor as both state and label
     law: dict = {}
     nbrs = g.neighbors(v)
     share = Fraction(1, len(nbrs))
@@ -212,78 +213,53 @@ def _anchor_step_law(g: ExplicitGraph, cmap: ContractionMap, v) -> dict:
         law[far] = law.get(far, _ZERO) + share * x
         if x != 1:
             law[v] = law.get(v, _ZERO) + share * (1 - x)
-    return law
+    return tuple((p, ((w, w),)) for w, p in law.items())
+
+
+def _nbrw_anchor_law(g: ExplicitGraph, cmap: ContractionMap, state) -> tuple:
+    # one induced step of the non-backtracking walk from an anchor: leave
+    # through the kernel's law, then take the corridor's only forward move
+    # until the next anchor; a corridor is at most cmap.max_length long
+    groups = []
+    for p, successors in _branches(WalkKind.NBRW, g, state):
+        ends = []
+        for (prev, cur), _ in successors:
+            for _ in range(cmap.max_length - 1):
+                if cur in cmap.anchors:
+                    break
+                nbrs = g.neighbors(cur)
+                if len(nbrs) != 2:
+                    raise InvalidInput(f"{cur!r} is neither an anchor nor a corridor vertex")
+                prev, cur = cur, (nbrs[1] if nbrs[0] == prev else nbrs[0])
+            if cur not in cmap.anchors:
+                raise LimitExceeded("non-backtracking corridor traversal exceeded its bound")
+            ends.append(((prev, cur), cur))
+        groups.append((p, tuple(ends)))
+    return tuple(groups)
 
 
 def induced_prefix_distribution(
     g: ExplicitGraph, kind, start, horizon: int, cmap: ContractionMap | None = None
 ) -> PrefixDistribution:
-    """Exact law of the first horizon+1 anchor visits of a walk on ``g``.
+    """Exact law of the first horizon+1 anchor visits of a walk on ``g``,
+    propagated over anchor sequences one anchor-to-anchor step at a time.
 
     The uniform walk composes per-anchor first-passage laws (a corridor
     of length L is crossed with the gambler's-ruin probability 1/L), so
     bounces inside long corridors are integrated out rather than
     enumerated.  The non-backtracking walk cannot turn around inside a
-    corridor, so its induced law is a plain finite enumeration."""
+    corridor, so its step runs straight through to the next anchor."""
     kind = WalkKind(kind)
     if cmap is None:
         _, cmap = contract(g)
     if start not in cmap.anchors:
         raise InvalidInput("start must be an anchor")
-    if not isinstance(horizon, int) or horizon < 0:
-        raise InvalidInput("horizon must be a nonnegative integer")
-    if horizon > MAX_ENUMERATION_HORIZON:
-        raise LimitExceeded(
-            f"horizon {horizon} exceeds the enumeration guard {MAX_ENUMERATION_HORIZON}"
-        )
-    entries: dict = {}
-
-    def add(seq, p):
-        entries[seq] = entries.get(seq, _ZERO) + p
-
+    _check_horizon(horizon)
     if kind is WalkKind.SRW:
-        laws: dict = {}
-        seq = [start]
-
-        def rec(v, depth, prob):
-            if depth == horizon:
-                add(tuple(seq), prob)
-                return
-            if v not in laws:
-                laws[v] = _anchor_step_law(g, cmap, v)
-            for w, p in laws[v].items():
-                seq.append(w)
-                rec(w, depth + 1, prob * p)
-                seq.pop()
-
-        rec(start, 0, _ONE)
-
+        law, state = partial(_anchor_step_law, g, cmap), start
     elif kind is WalkKind.NBRW:
-        cap = horizon * cmap.max_length
-        laws = {}
-        visits = [start]
-
-        def rec(state, depth, prob):
-            if len(visits) == horizon + 1:
-                add(tuple(visits), prob)
-                return
-            if depth == cap:
-                raise LimitExceeded("non-backtracking corridor traversal exceeded its bound")
-            if state not in laws:
-                laws[state] = _branches(WalkKind.NBRW, g, state)
-            for p, successors in laws[state]:
-                q = prob * p
-                for nxt, w in successors:
-                    hit = w in cmap.anchors
-                    if hit:
-                        visits.append(w)
-                    rec(nxt, depth + 1, q)
-                    if hit:
-                        visits.pop()
-
-        rec((None, start), 0, _ONE)
-
+        law, state = partial(_nbrw_anchor_law, g, cmap), (None, start)
     else:
         raise InvalidInput("induced laws are defined for srw and nbrw")
-
+    entries = _propagate(law, state, (start,), horizon, lambda seq, v: seq + (v,))
     return PrefixDistribution(horizon, entries)

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .errors import InvalidInput, LimitExceeded
+from .errors import InvalidInput
 from .graph import Graph
-from .walkers import MAX_ENUMERATION_HORIZON, PrefixDistribution, WalkKind, _expand
+from .walkers import PrefixDistribution, WalkKind, _branches, _check_horizon, _propagate, _pushforward
 
 _ZERO = Fraction(0)
 
@@ -86,51 +87,39 @@ def erase_backtracks_stack(seq) -> tuple:
     return tuple(_erase_stack(items)[0])
 
 
-def _check_horizons(big_n: int, m: int):
-    if not isinstance(big_n, int) or not isinstance(m, int) or m < 0 or big_n <= m:
-        raise InvalidInput("need integer horizons with 0 <= m < N")
-    if big_n > MAX_ENUMERATION_HORIZON:
-        raise LimitExceeded(
-            f"walk horizon {big_n} exceeds the enumeration guard {MAX_ENUMERATION_HORIZON}"
-        )
+def _erase_step(stack: tuple, x):
+    """One step of ``_erase_stack`` on an immutable stack, for the exact
+    oracles: returns the new stack and the move."""
+    if len(stack) >= 2 and stack[-2] == x:
+        return stack[:-1], "L"
+    return stack + (x,), "R"
 
 
 def erased_prefix_distribution(g: Graph, start, big_n: int, m: int) -> PrefixDistribution:
-    """Exact law of the first m+1 entries of the erased output over all
-    uniform-neighbor walks of length ``big_n`` from ``start``.  Outputs
-    that come out shorter than m+1 accumulate in ``short_mass``."""
-    _check_horizons(big_n, m)
-    entries: dict = {}
-    short = _ZERO
+    """Exact law of the first m+1 entries of the erased output of a
+    uniform-neighbor walk of length ``big_n`` from ``start``.  The law is
+    propagated over erasure stacks, whose top is the walk's vertex, so
+    walks that reach the same stack are merged.  Outputs that come out
+    shorter than m+1 accumulate in ``short_mass``."""
+    _check_horizon(m)
+    _check_horizon(big_n, m + 1)
+    stacks = _propagate(partial(_branches, WalkKind.SRW, g), start, (start,), big_n, lambda st, v: _erase_step(st, v)[0])
     keep = m + 1
+    law = _pushforward(stacks, lambda st: st[:keep] if len(st) >= keep else None)
+    short = law.pop(None, _ZERO)
+    return PrefixDistribution(m, law, short)
 
-    def visit(path, prob):
-        nonlocal short
-        st, _ = _erase_stack(path)
-        if len(st) >= keep:
-            key = tuple(st[:keep])
-            entries[key] = entries.get(key, _ZERO) + prob
-        else:
-            short += prob
 
-    _expand(WalkKind.SRW, g, start, big_n, visit)
-    return PrefixDistribution(m, entries, short)
+def _erase_move(record, v):
+    stack, moves = record
+    stack, move = _erase_step(stack, v)
+    return stack, moves + move
 
 
 def enumerate_move_distribution(g: Graph, start, steps: int) -> dict:
-    """Exact law of the erasure move string over all uniform-neighbor
-    walks with ``steps`` steps from ``start``."""
-    if not isinstance(steps, int) or steps < 1:
-        raise InvalidInput("need at least one step")
-    if steps > MAX_ENUMERATION_HORIZON:
-        raise LimitExceeded(
-            f"walk horizon {steps} exceeds the enumeration guard {MAX_ENUMERATION_HORIZON}"
-        )
-    law: dict = {}
-
-    def visit(path, prob):
-        key = "".join(_erase_stack(path)[1])
-        law[key] = law.get(key, _ZERO) + prob
-
-    _expand(WalkKind.SRW, g, start, steps, visit)
-    return law
+    """Exact law of the erasure move string of a uniform-neighbor walk
+    with ``steps`` steps from ``start``, propagated over (stack, move
+    string) pairs."""
+    _check_horizon(steps, 1)
+    law = _propagate(partial(_branches, WalkKind.SRW, g), start, ((start,), ""), steps, _erase_move)
+    return _pushforward(law, lambda record: record[1])

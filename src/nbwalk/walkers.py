@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .errors import InvalidInput, InvalidState, LimitExceeded, NoLegalMove
@@ -331,47 +332,63 @@ def _branches(kind, graph, state) -> tuple:
     return tuple(groups.items())
 
 
-def _expand(kind, graph, start, n: int, visit):
-    """Depth-first expansion of every n-step walk of ``kind`` from
-    ``start`` under the exact law of ``step_distribution``.  Calls
-    ``visit(path, prob)`` at each leaf; ``path`` is a list of n+1
-    vertices that the expander reuses, so a visitor copies what it keeps.
-    Distinct states can share a vertex path (parallel edges under the
-    edge walk), so visitors sum rather than assign."""
-    kind = WalkKind(kind)
-    _require_kind_graph(kind, graph)
+def _check_horizon(n, least: int = 0):
+    """Refuse a horizon that is not an integer of at least ``least``, or
+    one above the exhaustive-search guard."""
+    if not isinstance(n, int) or n < least:
+        raise InvalidInput(f"horizon must be an integer >= {least}")
+    if n > MAX_ENUMERATION_HORIZON:
+        raise LimitExceeded(f"horizon {n} exceeds the enumeration guard {MAX_ENUMERATION_HORIZON}")
+
+
+def _pushforward(law: dict, f) -> dict:
+    """The law of ``f(x)`` when x has law ``law``."""
+    out: dict = {}
+    for x, p in law.items():
+        y = f(x)
+        old = out.get(y)
+        out[y] = p if old is None else old + p
+    return out
+
+
+def _propagate(law, start, record, n: int, extend) -> dict:
+    """Exact law of the record after n steps of a chain from ``start``.
+
+    ``law(state)`` gives ``(p, successors)`` groups as ``_branches`` does,
+    each successor a ``(next state, label)`` pair, and is called once per
+    state.  ``extend(record, label)`` is the record after one step.  The
+    law of ``(state, record)`` pairs is carried forward one level per step
+    and equal pairs are summed, so paths whose futures cannot differ are
+    expanded once."""
     laws: dict = {}
-    path = [start]
-
-    def rec(state, prob):
-        if len(path) > n:
-            visit(path, prob)
-            return
-        groups = laws.get(state)
-        if groups is None:
-            groups = laws[state] = _branches(kind, graph, state)
-        for p, successors in groups:
-            q = prob * p
-            for nxt, v in successors:
-                path.append(v)
-                rec(nxt, q)
-                path.pop()
-
-    rec((None, start) if kind is WalkKind.NBRW else start, _ONE)
+    level = {(start, record): _ONE}
+    for _ in range(n):
+        nxt_level: dict = {}
+        for (state, rec), prob in level.items():
+            groups = laws.get(state)
+            if groups is None:
+                groups = laws[state] = law(state)
+            for p, successors in groups:
+                q = prob * p
+                for nxt, label in successors:
+                    key = (nxt, extend(rec, label))
+                    old = nxt_level.get(key)
+                    nxt_level[key] = q if old is None else old + q
+        level = nxt_level
+    return _pushforward(level, lambda key: key[1])
 
 
 def enumerate_prefix_distribution(kind, graph, start, m: int) -> PrefixDistribution:
-    """Exact rational law of the first m+1 vertices, by depth-first
-    expansion of the kernel.  Horizons above 14 are refused."""
-    if not isinstance(m, int) or m < 0:
-        raise InvalidInput("horizon must be a nonnegative integer")
-    if m > MAX_ENUMERATION_HORIZON:
-        raise LimitExceeded(f"horizon {m} exceeds the enumeration guard {MAX_ENUMERATION_HORIZON}")
-    entries: dict = {}
-
-    def visit(path, prob):
-        seq = tuple(path)
-        entries[seq] = entries.get(seq, _ZERO) + prob
-
-    _expand(kind, graph, start, m, visit)
+    """Exact rational law of the first m+1 vertices, by propagating the
+    kernel's law over vertex paths.  Horizons above 14 are refused."""
+    _check_horizon(m)
+    kind = WalkKind(kind)
+    _require_kind_graph(kind, graph)
+    entries = _propagate(
+        partial(_branches, kind, graph),
+        (None, start) if kind is WalkKind.NBRW else start,
+        (start,),
+        m,
+        lambda path, v: path + (v,),
+    )
     return PrefixDistribution(m, entries)

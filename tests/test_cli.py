@@ -200,11 +200,15 @@ def _walk(*extra):
         _walk("--horizon", "-1"),
         _walk("--seed", str(2**64)),
         ["compare", "--graph", K4_SPEC, "--start", "0", "--N", "3", "--m", "3"],
+        ["compare", "--graph", THETA_SPEC, "--start", "p1", "--induced", "--m", "2"],
         ["erase", "--tokens", "@no-such-file.tokens"],
+        # refused even though the value minus its first character names a readable file
+        ["erase", "--tokens", "x" + __file__],
     ],
     ids=[
         "diagnose-horizon", "replicas", "start", "jobs", "seed-negative", "seed-2**64",
-        "walk-horizon", "walk-seed", "compare-m-not-below-N", "erase-missing-tokens",
+        "walk-horizon", "walk-seed", "compare-m-not-below-N", "compare-induced-start-not-anchor",
+        "erase-missing-tokens", "erase-tokens-without-at",
     ],
 )
 def test_invalid_configuration_exits_2_without_files(argv, tmp_path, capsys):

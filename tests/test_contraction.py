@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from nbwalk import (
     InvalidInput,
+    LimitExceeded,
     UnsupportedGraph,
     UnsupportedStructure,
     check_biregular_shape,
@@ -193,3 +196,19 @@ def test_induced_prefix_requires_anchor():
     g = theta_graph()
     with pytest.raises(InvalidInput):
         induced_prefix_distribution(g, "srw", "p1", 2)
+
+
+def test_induced_prefix_guards_caller_input():
+    g = theta_graph()
+    _, cmap = contract(g)
+    for kind in ("srw", "nbrw"):
+        with pytest.raises(LimitExceeded):
+            induced_prefix_distribution(g, kind, "u", 15, cmap)
+    # a map that drops the two longer corridors caps traversals at length 1
+    short = replace(cmap, corridors=cmap.corridors[:1])
+    assert short.max_length == 1
+    with pytest.raises(LimitExceeded):
+        induced_prefix_distribution(g, "nbrw", "u", 2, short)
+    # a map that drops anchor w sends the walk through w as if it had degree 2
+    with pytest.raises(InvalidInput):
+        induced_prefix_distribution(g, "nbrw", "u", 2, replace(cmap, anchors=frozenset({"u"})))

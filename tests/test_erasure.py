@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from nbwalk import (
     InvalidInput,
     LimitExceeded,
+    PrefixDistribution,
     chain_for_regular,
     chain_move_law,
+    counterexample_graph,
     enumerate_move_distribution,
     enumerate_prefix_distribution,
     erase_backtracks,
@@ -19,7 +21,7 @@ from nbwalk import (
     total_variation,
 )
 
-from nbwalk.erasure import _erase_stack
+from nbwalk.erasure import _erase_stack, _erase_step
 
 from helpers import k4, rng
 
@@ -64,6 +66,12 @@ def _check_invariants(seq):
     # the two formulations agree, output and move record alike
     assert res.output == erase_backtracks_stack(seq) == tuple(out2)
     assert res.trace.moves == "".join(moves2)
+    # the immutable step the exact oracles propagate folds to the same result
+    stack, moves3 = (seq[0],), ""
+    for x in seq[1:]:
+        stack, move = _erase_step(stack, x)
+        moves3 += move
+    assert (list(stack), moves3) == (out2, "".join(moves2))
     assert is_backtrack_free(res.output)
     assert len(res.output) % 2 == len(seq) % 2
     assert len(res.trace.moves) == res.consumed - 1
@@ -172,8 +180,6 @@ def test_move_law_not_iid_on_counterexample():
     # of rights is equally likely, so a probability gap inside one count
     # class puts the law at total variation at least gap/2 from every
     # product law
-    from nbwalk import counterexample_graph
-
     law = enumerate_move_distribution(counterexample_graph(), "v", 10)
     by_count = {}
     for word, p in law.items():
@@ -181,3 +187,26 @@ def test_move_law_not_iid_on_counterexample():
     gap = max(max(ps) - min(ps) for ps in by_count.values())
     assert gap > 0
     assert gap / 2 > Fraction(1, 1000)
+
+
+@pytest.mark.parametrize("graph, start", [(k4(), 0), (counterexample_graph(), "v")], ids=["k4", "counterexample"])
+def test_merged_oracles_equal_pushforward_of_srw_paths(graph, start):
+    # the prefix law keeps every path apart, so erasing each path and
+    # summing checks the oracles that merge walks by erasure stack
+    for big_n in range(1, 9):
+        paths = enumerate_prefix_distribution("srw", graph, start, big_n).entries
+        moves: dict = {}
+        for path, p in paths.items():
+            word = "".join(_erase_stack(list(path))[1])
+            moves[word] = moves.get(word, 0) + p
+        assert enumerate_move_distribution(graph, start, big_n) == moves
+        for m in range(big_n):
+            erased: dict = {}
+            short = Fraction(0)
+            for path, p in paths.items():
+                out = erase_backtracks_stack(path)
+                if len(out) > m:
+                    erased[out[: m + 1]] = erased.get(out[: m + 1], 0) + p
+                else:
+                    short += p
+            assert erased_prefix_distribution(graph, start, big_n, m) == PrefixDistribution(m, erased, short)
