@@ -61,7 +61,7 @@ def _load_graph_spec(text: str) -> dict:
 def _config(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (NbwalkError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (NbwalkError, ValueError, KeyError, OSError) as exc:
         raise _ConfigError(str(exc)) from None
 
 
@@ -73,6 +73,24 @@ def _start_vertex(args, graph):
     else:
         graph.neighbors(start)
     return start
+
+
+def _graph(args):
+    """The ``--graph`` spec and the graph it describes."""
+    spec = _config(_load_graph_spec, args.graph)
+    return spec, _config(graph_from_spec, spec)
+
+
+def _walk_graph(args):
+    """Spec, graph, walk kind and start vertex of ``walk``, ``enumerate``
+    and ``diagnose``; a wrw walk runs on the contracted multigraph."""
+    spec, graph = _graph(args)
+    kind = _config(WalkKind, args.walk)
+    if kind is WalkKind.WRW:
+        if not isinstance(graph, ExplicitGraph):
+            raise _ConfigError("wrw walks run on the contraction of an explicit graph")
+        graph, _ = _config(contract, graph)
+    return spec, graph, kind, _config(_start_vertex, args, graph)
 
 
 def _int_range(lo, hi=None):
@@ -97,14 +115,7 @@ def _rng(seed: int):
 
 
 def _cmd_walk(args) -> int:
-    spec = _config(_load_graph_spec, args.graph)
-    graph = _config(graph_from_spec, spec)
-    kind = _config(WalkKind, args.walk)
-    if kind is WalkKind.WRW:
-        if not isinstance(graph, ExplicitGraph):
-            raise _ConfigError("wrw walks run on the contraction of an explicit graph")
-        graph, _ = _config(contract, graph)
-    start = _config(_start_vertex, args, graph)
+    _, graph, kind, start = _walk_graph(args)
     path = sample_path(kind, graph, start, args.horizon, _rng(args.seed))
     stats = return_statistics(path, start, graph)
     tokens = " ".join(encode_key(v) for v in path)
@@ -124,8 +135,7 @@ def _cmd_walk(args) -> int:
 
 def _cmd_erase(args) -> int:
     if args.graph is not None:
-        spec = _config(_load_graph_spec, args.graph)
-        graph = _config(graph_from_spec, spec)
+        _, graph = _graph(args)
         start = _config(_start_vertex, args, graph)
         if args.seed is None:
             raise _ConfigError("sampling a walk to erase requires --seed")
@@ -165,11 +175,9 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_contract(args) -> int:
-    spec = _config(_load_graph_spec, args.graph)
-    graph = _config(graph_from_spec, spec)
-    if not isinstance(graph, ExplicitGraph):
-        raise _ConfigError("contraction needs an explicit graph spec")
-    mg, cmap = contract(graph)
+    _, graph = _graph(args)
+    # contract refuses a graph that is not explicit or has no corridor structure
+    mg, cmap = _config(contract, graph)
     doc = mg.to_json_dict()
     doc["max_corridor_length"] = cmap.max_length
     json_text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -188,14 +196,7 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    spec = _config(_load_graph_spec, args.graph)
-    graph = _config(graph_from_spec, spec)
-    kind = _config(WalkKind, args.walk)
-    if kind is WalkKind.WRW:
-        if not isinstance(graph, ExplicitGraph):
-            raise _ConfigError("wrw laws live on the contraction of an explicit graph")
-        graph, _ = _config(contract, graph)
-    start = _config(_start_vertex, args, graph)
+    _, graph, kind, start = _walk_graph(args)
     dist = enumerate_prefix_distribution(kind, graph, start, args.m)
     doc = {
         "horizon": dist.horizon,
@@ -219,14 +220,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    spec = _config(_load_graph_spec, args.graph)
-    graph = _config(graph_from_spec, spec)
+    _, graph = _graph(args)
     if not isinstance(graph, ExplicitGraph):
         raise _ConfigError("compare needs an explicit graph spec")
     start = _config(_start_vertex, args, graph)
     if args.induced:
         kind = _config(WalkKind, args.walk)
-        mg, cmap = contract(graph)
+        mg, cmap = _config(contract, graph)
         if start not in cmap.anchors:
             raise _ConfigError(f"--start {encode_key(start)} is not an anchor of the contraction")
         induced = induced_prefix_distribution(graph, kind, start, args.m, cmap)
@@ -250,14 +250,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    spec = _config(_load_graph_spec, args.graph)
-    graph = _config(graph_from_spec, spec)
-    kind = _config(WalkKind, args.walk)
-    if kind is WalkKind.WRW:
-        if not isinstance(graph, ExplicitGraph):
-            raise _ConfigError("wrw diagnostics run on the contraction of an explicit graph")
-        graph, _ = _config(contract, graph)
-    start = _config(_start_vertex, args, graph)
+    spec, graph, kind, start = _walk_graph(args)
     # the config echo describes the experiment, not how it was run
     echo = {
         "subcommand": "diagnose",

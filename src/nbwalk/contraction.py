@@ -47,24 +47,17 @@ class ContractionMap:
     """Bookkeeping tying a graph to its contraction.
 
     ``corridors[i]`` is the corridor behind multigraph edge id i;
-    ``edge_of`` sends every original edge (as a sorted pair) to its
-    corridor id; ``corridor_of`` sends every degree-2 vertex to its
-    corridor id; ``entrances`` sends (anchor, first step) to the
-    (corridor id, end) engaged by leaving the anchor that way."""
+    ``anchors`` is the set of vertices kept by the contraction;
+    ``entrances`` sends (anchor, first step) to the (corridor id, end)
+    engaged by leaving the anchor that way."""
 
     corridors: tuple
     anchors: frozenset
-    edge_of: dict
-    corridor_of: dict
     entrances: dict
 
     @property
     def max_length(self) -> int:
         return max(c.length for c in self.corridors)
-
-
-def _edge_pair(u, w):
-    return (u, w) if sort_token(u) <= sort_token(w) else (w, u)
 
 
 def _canonical_corridor(a, b, interior):
@@ -128,21 +121,13 @@ def contract(g: ExplicitGraph):
         sorted(anchors, key=sort_token),
         [(c.a, c.b, c.length) for c in corridors],
     )
-    edge_of: dict = {}
-    corridor_of: dict = {}
     entrances: dict = {}
     for idx, c in enumerate(corridors):
-        chain = (c.a, *c.interior, c.b)
-        for u, w in zip(chain, chain[1:]):
-            edge_of[_edge_pair(u, w)] = idx
-        for x in c.interior:
-            corridor_of[x] = idx
         first_from_a = c.interior[0] if c.interior else c.b
         first_from_b = c.interior[-1] if c.interior else c.a
         entrances[(c.a, first_from_a)] = (idx, 0)
         entrances[(c.b, first_from_b)] = (idx, 1)
-    cmap = ContractionMap(corridors, anchors, edge_of, corridor_of, entrances)
-    return mg, cmap
+    return mg, ContractionMap(corridors, anchors, entrances)
 
 
 @dataclass(frozen=True)

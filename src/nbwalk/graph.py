@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain, cycle
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidParameter, MalformedGraph, UnsupportedGraph
@@ -168,10 +168,6 @@ class Lattice(Graph):
                 out.append(self._out(tuple(w)))
         return tuple(out)
 
-    def degree(self, v):
-        vec = self.coordinates(v)
-        return 2 * self.d if self._off_axis(vec) is None else 2
-
     def displacement(self, v, origin):
         return math.dist(self.coordinates(v), self.coordinates(origin))
 
@@ -189,48 +185,12 @@ def subdivided_lattice(d: int, t: int) -> Lattice:
     return Lattice(d, t)
 
 
-class RegularTree(Graph):
-    """Infinite k-regular tree.  Keys are root paths: ``()`` is the root
-    and a child extends its parent's key by one branch index.  Neighbor
-    order is parent first, then children by index."""
-
-    def __init__(self, k: int):
-        if not isinstance(k, int) or k < 2:
-            raise InvalidParameter(f"tree degree must be an integer >= 2, got {k!r}")
-        self.k = k
-
-    def _check(self, v):
-        if not isinstance(v, tuple):
-            raise InvalidParameter(f"{v!r} is not a tree vertex key")
-        for depth, c in enumerate(v):
-            limit = self.k if depth == 0 else self.k - 1
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < limit:
-                raise InvalidParameter(f"{v!r} is not a vertex of this tree")
-
-    def neighbors(self, v):
-        self._check(v)
-        child_count = self.k if v == () else self.k - 1
-        children = tuple(v + (j,) for j in range(child_count))
-        return children if v == () else (v[:-1],) + children
-
-    def degree(self, v):
-        self._check(v)
-        return self.k
-
-    def displacement(self, v, origin):
-        return float(len(v))
-
-    def default_start(self):
-        return ()
-
-
-def regular_tree(k: int) -> RegularTree:
-    return RegularTree(k)
-
-
 class BiregularTree(Graph):
     """Infinite tree alternating between degree k1 (even depth, root
-    included) and degree k2 (odd depth), with k1 > k2 >= 2."""
+    included) and degree k2 (odd depth), with k1 > k2 >= 2.  Keys are
+    root paths: ``()`` is the root and a child extends its parent's key
+    by one branch index.  Neighbor order is parent first, then children
+    by index."""
 
     def __init__(self, k1: int, k2: int):
         ok = isinstance(k1, int) and isinstance(k2, int)
@@ -239,27 +199,22 @@ class BiregularTree(Graph):
         self.k1 = k1
         self.k2 = k2
 
-    def _deg_at(self, depth: int) -> int:
-        return self.k1 if depth % 2 == 0 else self.k2
-
     def _check(self, v):
         if not isinstance(v, tuple):
             raise InvalidParameter(f"{v!r} is not a tree vertex key")
-        for depth, c in enumerate(v):
-            limit = self.k1 if depth == 0 else self._deg_at(depth) - 1
+        # branch index bounds: k1 at the root, then k2 - 1 at odd depths
+        # and k1 - 1 at even depths
+        limits = chain((self.k1,), cycle((self.k2 - 1, self.k1 - 1)))
+        for c, limit in zip(v, limits):
             if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < limit:
                 raise InvalidParameter(f"{v!r} is not a vertex of this tree")
 
     def neighbors(self, v):
         self._check(v)
-        deg = self._deg_at(len(v))
-        child_count = deg if v == () else deg - 1
-        children = tuple(v + (j,) for j in range(child_count))
-        return children if v == () else (v[:-1],) + children
-
-    def degree(self, v):
-        self._check(v)
-        return self._deg_at(len(v))
+        if v == ():
+            return tuple((j,) for j in range(self.k1))
+        child_count = (self.k2 if len(v) % 2 else self.k1) - 1
+        return (v[:-1],) + tuple(v + (j,) for j in range(child_count))
 
     def displacement(self, v, origin):
         return float(len(v))
@@ -270,6 +225,19 @@ class BiregularTree(Graph):
 
 def biregular_tree(k1: int, k2: int) -> BiregularTree:
     return BiregularTree(k1, k2)
+
+
+class RegularTree(BiregularTree):
+    """Infinite k-regular tree: the biregular tree with k1 = k2 = k."""
+
+    def __init__(self, k: int):
+        if not isinstance(k, int) or k < 2:
+            raise InvalidParameter(f"tree degree must be an integer >= 2, got {k!r}")
+        self.k = self.k1 = self.k2 = k
+
+
+def regular_tree(k: int) -> RegularTree:
+    return RegularTree(k)
 
 
 class ExplicitGraph(Graph):
@@ -367,8 +335,8 @@ def subdivide(g: ExplicitGraph, t: int) -> ExplicitGraph:
             if m in adj:
                 raise MalformedGraph(f"subdivision key collision at {m!r}")
             adj[m] = []
-        chain = [a, *mids, b]
-        for u, w in zip(chain, chain[1:]):
+        path = [a, *mids, b]
+        for u, w in zip(path, path[1:]):
             adj[u].append(w)
             adj[w].append(u)
     return ExplicitGraph(adj)
@@ -449,9 +417,6 @@ class WeightedMultigraph:
 
     def mdegree(self, v) -> int:
         return len(self.half_edges(v))
-
-    def conductance(self, edge_id: int) -> Fraction:
-        return Fraction(1, self._edges[edge_id].resistance)
 
     def displacement(self, v, origin) -> float:
         return 0.0 if v == origin else 1.0

@@ -12,12 +12,13 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import InsufficientData, InvalidInput, InvalidParameter
-from .graph import BiregularTree, Lattice, RegularTree, encode_key
+from .graph import BiregularTree, Lattice, encode_key
 from .walkers import PrefixDistribution, WalkKind, _walk
 
 _ZERO = Fraction(0)
@@ -56,24 +57,24 @@ class WalkStatistics:
 
 
 def return_statistics(path, origin, graph=None) -> WalkStatistics:
-    """Count the indices i >= 1 where the path sits at ``origin``.  The
-    end displacement is graph specific (Euclidean norm on lattices, depth
-    on trees, 0/1 on finite graphs); without a graph it falls back to 0/1."""
-    path = tuple(path)
-    if not path:
-        raise InvalidInput("empty path")
+    """Count the indices i >= 1 where the path sits at ``origin``, in one
+    pass over any iterable of vertices.  The end displacement is graph
+    specific (Euclidean norm on lattices, depth on trees, 0/1 on finite
+    graphs); without a graph it falls back to 0/1."""
+    steps = -1
     returns = 0
     last = None
-    for i in range(1, len(path)):
-        if path[i] == origin:
+    for steps, end in enumerate(path):
+        if end == origin and steps:
             returns += 1
-            last = i
-    end = path[-1]
+            last = steps
+    if steps < 0:
+        raise InvalidInput("empty path")
     if graph is None:
         disp = 0.0 if end == origin else 1.0
     else:
         disp = float(graph.displacement(end, origin))
-    return WalkStatistics(len(path) - 1, returns, last, disp)
+    return WalkStatistics(steps, returns, last, disp)
 
 
 class FrequencyEstimate(NamedTuple):
@@ -191,7 +192,7 @@ def _replica(kind, graph, start, horizon, rng) -> WalkStatistics:
     if isinstance(graph, Lattice) and graph.pitch == 1 and kind in (WalkKind.SRW, WalkKind.NBRW):
         returns, last, disp = _lattice_run(kind, graph, start, horizon, rng)
         return WalkStatistics(horizon, returns, last, disp)
-    if isinstance(graph, (RegularTree, BiregularTree)) and start == () and kind in (
+    if isinstance(graph, BiregularTree) and start == () and kind in (
         WalkKind.SRW,
         WalkKind.NBRW,
     ):
@@ -207,10 +208,7 @@ def _tree_run(kind, tree, horizon, rng) -> WalkStatistics:
     so its statistics are deterministic."""
     if kind is WalkKind.NBRW:
         return WalkStatistics(horizon, 0, None, float(horizon))
-    if isinstance(tree, RegularTree):
-        up = (1.0 / tree.k, 1.0 / tree.k)
-    else:
-        up = (1.0 / tree.k1, 1.0 / tree.k2)
+    up = (1.0 / tree.k1, 1.0 / tree.k2)
     depth = 0
     returns = 0
     last = None
@@ -233,14 +231,7 @@ def _tree_run(kind, tree, horizon, rng) -> WalkStatistics:
 
 
 def _generic_replica(kind, graph, start, horizon, rng) -> WalkStatistics:
-    returns = 0
-    last = None
-    cur = start
-    for i, cur in enumerate(_walk(kind, graph, start, horizon, rng), 1):
-        if cur == start:
-            returns += 1
-            last = i
-    return WalkStatistics(horizon, returns, last, float(graph.displacement(cur, start)))
+    return return_statistics(chain((start,), _walk(kind, graph, start, horizon, rng)), start, graph)
 
 
 _CHUNK = 1 << 15

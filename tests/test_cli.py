@@ -177,6 +177,8 @@ def test_rejected_config_leaves_no_files(tmp_path):
 
 
 LINE_SPEC = json.dumps({"type": "lattice", "d": 1})
+# every vertex has degree 2, so there is no anchor to contract onto
+TRIANGLE_SPEC = json.dumps({"type": "explicit", "adjacency": {"0": [1, 2], "1": [0, 2], "2": [0, 1]}})
 
 
 # a repeated flag takes its last value, so each case overrides one valid flag
@@ -201,6 +203,9 @@ def _walk(*extra):
         _walk("--seed", str(2**64)),
         ["compare", "--graph", K4_SPEC, "--start", "0", "--N", "3", "--m", "3"],
         ["compare", "--graph", THETA_SPEC, "--start", "p1", "--induced", "--m", "2"],
+        ["compare", "--graph", TRIANGLE_SPEC, "--induced", "--m", "2"],
+        ["contract", "--graph", TRIANGLE_SPEC],
+        ["contract", "--graph", LINE_SPEC],
         ["erase", "--tokens", "@no-such-file.tokens"],
         # refused even though the value minus its first character names a readable file
         ["erase", "--tokens", "x" + __file__],
@@ -208,6 +213,7 @@ def _walk(*extra):
     ids=[
         "diagnose-horizon", "replicas", "start", "jobs", "seed-negative", "seed-2**64",
         "walk-horizon", "walk-seed", "compare-m-not-below-N", "compare-induced-start-not-anchor",
+        "compare-induced-no-anchor", "contract-no-anchor", "contract-not-explicit",
         "erase-missing-tokens", "erase-tokens-without-at",
     ],
 )

@@ -18,7 +18,6 @@ from nbwalk import (
     lattice,
     sample_path,
     subdivide,
-    total_variation,
 )
 
 from helpers import complete_bipartite, cycle, k4, rng, theta_graph, two_loop_graph

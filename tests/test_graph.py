@@ -126,6 +126,17 @@ def test_biregular_tree_guard():
         biregular_tree(3, 3)
 
 
+# branch index bounds at depths 0, 1, 2: the root's degree, then one less
+# than the degree at each depth below it
+@pytest.mark.parametrize("g, bounds", [(regular_tree(3), (3, 2, 2)), (biregular_tree(4, 3), (4, 2, 3))])
+def test_tree_branch_index_bounds_below_the_root(g, bounds):
+    for depth, bound in enumerate(bounds):
+        parent = (0,) * depth
+        assert g.neighbors(parent + (bound - 1,))[0] == parent
+        with pytest.raises(InvalidParameter):
+            g.neighbors(parent + (bound,))
+
+
 @pytest.mark.parametrize(
     "make,start",
     [

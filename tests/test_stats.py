@@ -83,6 +83,10 @@ def test_return_statistics_examples():
     assert mono.end_displacement == 50.0
     single = return_statistics([0], 0)
     assert single.returns_to_origin == 0 and single.last_return_time is None
+    path = (0, 1, 0, 1, 0, -1)
+    assert return_statistics((v for v in path), 0, lattice(1)) == return_statistics(path, 0, lattice(1))
+    with pytest.raises(InvalidInput):
+        return_statistics((v for v in ()), 0)
 
 
 def test_replica_seed_mixing():

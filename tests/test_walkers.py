@@ -11,7 +11,6 @@ from nbwalk import (
     NoLegalMove,
     PrefixDistribution,
     WeightedMultigraph,
-    WrwMove,
     contract,
     counterexample_graph,
     enumerate_prefix_distribution,
