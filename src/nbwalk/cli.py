@@ -134,6 +134,10 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_erase(args) -> int:
+    if args.graph is not None and args.tokens is not None:
+        raise _ConfigError("give either --tokens or --graph, not both")
+    if args.graph is None and (args.seed is not None or args.start is not None):
+        raise _ConfigError("--seed and --start select a sampled walk and need --graph")
     if args.graph is not None:
         _, graph = _graph(args)
         start = _config(_start_vertex, args, graph)
@@ -147,7 +151,9 @@ def _cmd_erase(args) -> int:
         toks = text.split()
         if not toks:
             raise _ConfigError("no input tokens")
-        seq = [decode_key(t) for t in toks]
+        # decode each distinct token once; insertion order reports the first malformed one
+        keys = {t: decode_key(t) for t in dict.fromkeys(toks)}
+        seq = [keys[t] for t in toks]
     result = erase_backtracks(seq)
     out = " ".join(encode_key(v) for v in result.output)
     if args.out:

@@ -10,6 +10,8 @@ of what remains.  The stack form consumes the input once, popping the top
 whenever the incoming element equals the element underneath it.  Both
 produce the same output and the same right/left move record; the move
 record is what couples the erasure to a reflected birth-death chain.
+Both are computed by the stack pass, in linear time; the cursor's head
+positions are recovered from the move record.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 
 from .errors import InvalidInput
 from .graph import Graph
@@ -41,26 +44,17 @@ class ErasureResult:
 
 
 def erase_backtracks(seq) -> ErasureResult:
-    """Run the cursor algorithm literally and return the surviving
-    sequence together with its full move trace."""
+    """The cursor algorithm's surviving sequence and full move trace.  The
+    entries up to the head always form the erasure stack and the entries
+    after it an unread suffix of the input, so one stack pass gives the
+    output and the moves, and the head position is the running count of
+    rights minus lefts."""
     items = list(seq)
     if not items:
         raise InvalidInput("cannot erase an empty sequence")
-    total = len(items)
-    moves = []
-    positions = []
-    n = 0
-    while n < len(items) - 1:
-        if n == 0 or items[n - 1] != items[n + 1]:
-            n += 1
-            moves.append("R")
-        else:
-            del items[n : n + 2]
-            n -= 1
-            moves.append("L")
-        positions.append(n)
-    trace = CursorTrace("".join(moves), tuple(positions))
-    return ErasureResult(tuple(items), trace, total)
+    stack, moves = _erase_stack(items)
+    positions = tuple(accumulate(1 if m == "R" else -1 for m in moves))
+    return ErasureResult(tuple(stack), CursorTrace("".join(moves), positions), len(items))
 
 
 def _erase_stack(seq):

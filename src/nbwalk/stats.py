@@ -205,28 +205,40 @@ def _tree_run(kind, tree, horizon, rng) -> WalkStatistics:
     by symmetry the uniform walk's depth is a birth-death chain moving
     toward the root with probability 1/degree, and root visits are depth
     zeros.  A non-backtracking walk on a tree can never revisit a vertex,
-    so its statistics are deterministic."""
+    so its statistics are deterministic.
+
+    Each chunk of draws is resolved with array operations.  The depth
+    parity flips every step, so the chance of a step toward the root at
+    chunk index i is ``up[(depth + i) % 2]``, known before the step; let
+    ``s`` be the walk that takes those steps with no reflection.  Each
+    time ``s`` first reaches -1, -3, -5, ... the walk stood at the root,
+    where its step away is forced, so ``depth = s + 2 * ((1 - low) // 2)``
+    with ``low`` the running minimum of ``s`` capped at 0."""
     if kind is WalkKind.NBRW:
         return WalkStatistics(horizon, 0, None, float(horizon))
-    up = (1.0 / tree.k1, 1.0 / tree.k2)
+    # 1/k1, 1/k2, 1/k1, ...: entry i + depth % 2 is the chance at chunk index i
+    up = np.tile((1.0 / tree.k1, 1.0 / tree.k2), _CHUNK // 2 + 1)
     depth = 0
     returns = 0
     last = None
     done = 0
     while done < horizon:
         n = min(_CHUNK, horizon - done)
-        draws = rng.random(n).tolist()
-        for u in draws:
-            done += 1
-            if depth == 0:
-                depth = 1
-            elif u < up[depth % 2]:
-                depth -= 1
-                if depth == 0:
-                    returns += 1
-                    last = done
-            else:
-                depth += 1
+        toward = rng.random(n) < up[depth % 2 : depth % 2 + n]
+        if depth > n:
+            # too deep to reach the root in this chunk
+            depth += n - 2 * int(np.count_nonzero(toward))
+        else:
+            # depth <= n <= _CHUNK = 2^15 here, so the walk fits in int32
+            s = depth + np.cumsum(1 - 2 * toward.view(np.int8), dtype=np.int32)
+            low = np.minimum(np.minimum.accumulate(s), 0)
+            path = s + 2 * ((1 - low) // 2)
+            zeros = np.flatnonzero(path == 0)
+            if len(zeros):
+                returns += len(zeros)
+                last = done + int(zeros[-1]) + 1
+            depth = int(path[-1])
+        done += n
     return WalkStatistics(horizon, returns, last, float(depth))
 
 
@@ -237,18 +249,42 @@ def _generic_replica(kind, graph, start, horizon, rng) -> WalkStatistics:
 _CHUNK = 1 << 15
 
 
+def _nbrw_chain(u, prev):
+    """Directions of a non-backtracking lattice walk from its raw draws
+    ``u`` in [0, 2d - 1), given the direction ``prev`` taken before
+    ``u[0]``.  Direction t is ``u_t + b_t`` with
+    ``b_t = [u_t >= dir_{t-1} ^ 1]``: the draw skips the reversal of the
+    last direction.  Given ``u_{t-1}`` and ``u_t``, ``b_t`` is constant
+    0, constant 1, ``b_{t-1}`` or its negation, and at t = 0 it is a
+    constant, so each ``b_t`` is the value of the last constant flipped
+    once per negation since."""
+    # b_t when b_{t-1} is 0 and when it is 1
+    lo = np.empty(len(u), dtype=bool)
+    hi = np.empty(len(u), dtype=bool)
+    lo[0] = hi[0] = u[0] >= prev ^ 1
+    np.greater_equal(u[1:], u[:-1] ^ 1, out=lo[1:])
+    np.greater_equal(u[1:], (u[:-1] + 1) ^ 1, out=hi[1:])
+    last = np.maximum.accumulate(np.arange(len(u)) * (lo == hi))
+    flips = np.logical_xor.accumulate(lo > hi)
+    return u + ((lo ^ flips)[last] ^ flips)
+
+
 def _lattice_run(kind, lat, start, horizon, rng, checkpoints=None):
-    """Chunked lattice walk: directions are drawn (and, for the
-    non-backtracking walk, chained in a tight loop), positions and origin
-    hits are then vectorized.  Optionally records cumulative return counts
-    at the given step checkpoints."""
+    """Chunked lattice walk resolved with array operations: each chunk's
+    directions are drawn at once (the non-backtracking chain through
+    ``_nbrw_chain``), then each axis's offsets from the chunk start are a
+    cumulative sum and origin hits are the steps where every axis sits on
+    its target.  Optionally records cumulative return counts at the given
+    step checkpoints."""
     d = lat.d
     two_d = 2 * d
-    lut = np.zeros((two_d, d), dtype=np.int64)
-    for j in range(two_d):
-        lut[j, j // 2] = 1 if j % 2 == 0 else -1
-    origin = np.array(lat.coordinates(start), dtype=np.int64)
-    carry = origin.copy()
+    # the change of axis a under each direction: +e_a is 2a, -e_a is 2a + 1
+    axis_steps = np.zeros((d, two_d), dtype=np.int32)
+    for a in range(d):
+        axis_steps[a, 2 * a] = 1
+        axis_steps[a, 2 * a + 1] = -1
+    origin = lat.coordinates(start)
+    carry = list(origin)
     returns = 0
     last = None
     done = 0
@@ -262,37 +298,31 @@ def _lattice_run(kind, lat, start, horizon, rng, checkpoints=None):
             if kind is WalkKind.SRW:
                 dirs = rng.integers(0, two_d, size=n)
             else:
-                out = np.empty(n, dtype=np.int64)
+                dirs = np.empty(n, dtype=np.int64)
                 i0 = 0
                 if prev < 0:
-                    prev = int(rng.integers(two_d))
-                    out[0] = prev
+                    prev = dirs[0] = int(rng.integers(two_d))
                     i0 = 1
                 if n > i0:
-                    raws = rng.integers(0, two_d - 1, size=n - i0).tolist()
-                    p = prev
-                    buf = []
-                    append = buf.append
-                    for u in raws:
-                        rev = p ^ 1
-                        if u >= rev:
-                            u += 1
-                        append(u)
-                        p = u
-                    out[i0:] = buf
-                    prev = p
-                dirs = out
-            pos = carry + np.cumsum(lut[dirs], axis=0)
-            hits = np.all(pos == origin, axis=1)
-            k = int(hits.sum())
-            if k:
-                returns += k
-                last = done + int(np.flatnonzero(hits)[-1]) + 1
-            carry = pos[-1]
+                    dirs[i0:] = _nbrw_chain(rng.integers(0, two_d - 1, size=n - i0), prev)
+                    prev = int(dirs[-1])
+            # offsets from the chunk start are at most n <= _CHUNK = 2^15
+            # in size, so they fit in int32
+            offsets = [np.cumsum(axis_steps[a][dirs], dtype=np.int32) for a in range(d)]
+            target = [o - c for o, c in zip(origin, carry)]
+            # a target more than n unit steps away is out of reach
+            if sum(map(abs, target)) <= n:
+                hits = np.flatnonzero(offsets[0] == target[0])
+                for a in range(1, d):
+                    hits = hits[offsets[a][hits] == target[a]]
+                if len(hits):
+                    returns += len(hits)
+                    last = done + int(hits[-1]) + 1
+            carry = [c + int(off[-1]) for c, off in zip(carry, offsets)]
             done += n
         if hi in marks:
             marked[hi] = returns
-    disp = float(np.sqrt(((carry - origin) ** 2).sum()))
+    disp = math.sqrt(sum((c - o) ** 2 for c, o in zip(carry, origin)))
     if checkpoints is None:
         return returns, last, disp
     return returns, last, disp, marked
@@ -303,9 +333,12 @@ def lattice_return_counts(kind, d, horizons, replicas, master_seed) -> dict:
     read off at each requested horizon.  Pairing the counts across
     horizons on the same path gives a low-variance growth diagnostic."""
     kind = WalkKind(kind)
-    horizons = sorted(set(int(h) for h in horizons))
-    if not horizons or horizons[0] < 1:
-        raise InvalidParameter("need positive horizons")
+    if not isinstance(replicas, int) or replicas < 1:
+        raise InvalidParameter("need at least one replica")
+    horizons = set(horizons)
+    if not horizons or not all(isinstance(h, int) and h >= 1 for h in horizons):
+        raise InvalidParameter("horizons must be integers >= 1")
+    horizons = sorted(horizons)
     lat = Lattice(d)
     start = lat.default_start()
     out = {h: [] for h in horizons}

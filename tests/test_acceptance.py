@@ -30,12 +30,13 @@ from nbwalk import (
 )
 from nbwalk.cli import run
 
-from helpers import complete_bipartite, k4, rng, theta_graph, truncated_escape
+from helpers import complete_bipartite, cursor_erase, k4, rng, theta_graph, truncated_escape
 
 
 def _check_pair(seq):
     res = erase_backtracks(seq)
     out = erase_backtracks_stack(seq)
+    assert (res.output, res.trace.moves, res.trace.positions) == cursor_erase(seq)
     assert res.output == out
     assert is_backtrack_free(out)
     assert len(out) % 2 == len(seq) % 2

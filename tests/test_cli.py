@@ -209,12 +209,18 @@ def _walk(*extra):
         ["erase", "--tokens", "@no-such-file.tokens"],
         # refused even though the value minus its first character names a readable file
         ["erase", "--tokens", "x" + __file__],
+        # a token file and a sampled walk are two inputs; --seed/--start only select a sample
+        ["erase", "--tokens", "@" + __file__, "--graph", K4_SPEC, "--seed", "1"],
+        ["erase", "--tokens", "@" + __file__, "--seed", "1"],
+        ["erase", "--tokens", "@" + __file__, "--start", "0"],
+        ["erase", "--seed", "1"],
     ],
     ids=[
         "diagnose-horizon", "replicas", "start", "jobs", "seed-negative", "seed-2**64",
         "walk-horizon", "walk-seed", "compare-m-not-below-N", "compare-induced-start-not-anchor",
         "compare-induced-no-anchor", "contract-no-anchor", "contract-not-explicit",
-        "erase-missing-tokens", "erase-tokens-without-at",
+        "erase-missing-tokens", "erase-tokens-without-at", "erase-tokens-and-graph",
+        "erase-tokens-and-seed", "erase-tokens-and-start", "erase-stdin-and-seed",
     ],
 )
 def test_invalid_configuration_exits_2_without_files(argv, tmp_path, capsys):

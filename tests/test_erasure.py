@@ -23,7 +23,7 @@ from nbwalk import (
 
 from nbwalk.erasure import _erase_stack, _erase_step
 
-from helpers import k4, rng
+from helpers import cursor_erase, k4, rng
 
 
 def test_single_backtrack():
@@ -62,6 +62,8 @@ def test_empty_input_rejected():
 
 def _check_invariants(seq):
     res = erase_backtracks(seq)
+    # the literal cursor is the reference for output, moves and head positions
+    assert (res.output, res.trace.moves, res.trace.positions) == cursor_erase(seq)
     out2, moves2 = _erase_stack(list(seq))
     # the two formulations agree, output and move record alike
     assert res.output == erase_backtracks_stack(seq) == tuple(out2)

@@ -6,6 +6,7 @@ import pytest
 from nbwalk import (
     InsufficientData,
     InvalidInput,
+    InvalidParameter,
     PrefixDistribution,
     biregular_tree,
     chain_for_biregular,
@@ -23,10 +24,13 @@ from nbwalk import (
     simulate_chain,
     total_variation,
 )
-from nbwalk.stats import _generic_replica, _replica, replica_seed
+from nbwalk.stats import _CHUNK, _generic_replica, _lattice_run, _replica, _tree_run, replica_seed
 from nbwalk.walkers import WalkKind
 
-from helpers import k4, rng, theta_graph
+from helpers import k4, lattice_run_reference, rng, theta_graph, tree_run_reference
+
+# short walks, one chunk exactly, and walks crossing one and two chunk boundaries
+HORIZONS = (0, 1, 2, 5, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 5)
 
 
 def _dist(horizon, entries, short=0):
@@ -138,6 +142,41 @@ def test_fast_lattice_agrees_with_generic_kernels():
                 fast = _replica(kind, g, start, 3000, rng(seed))
                 slow = _generic_replica(kind, g, start, 3000, rng(seed))
                 assert fast == slow, (d, kind, i)
+    # one walk per kind across a chunk boundary
+    g = lattice(3)
+    for kind in (WalkKind.SRW, WalkKind.NBRW):
+        seed = replica_seed(6, 0)
+        assert _replica(kind, g, (0, 0, 0), _CHUNK + 5, rng(seed)) == _generic_replica(
+            kind, g, (0, 0, 0), _CHUNK + 5, rng(seed)
+        ), kind
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lattice_run_equals_per_step_reference(d):
+    g = lattice(d)
+    away = 3 if d == 1 else (3,) + (-1,) * (d - 1)
+    for kind in (WalkKind.SRW, WalkKind.NBRW):
+        for start in (g.default_start(), away):
+            for h in HORIZONS:
+                seed = replica_seed(d, h)
+                fast = _lattice_run(kind, g, start, h, rng(seed))
+                assert fast == lattice_run_reference(kind, g, start, h, rng(seed)), (kind, start, h)
+        # checkpoints off chunk boundaries and on them
+        marks = [1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 3, 2 * _CHUNK, 2 * _CHUNK + 5]
+        fast = _lattice_run(kind, g, away, 2 * _CHUNK + 5, rng(d), checkpoints=marks)
+        assert fast == lattice_run_reference(kind, g, away, 2 * _CHUNK + 5, rng(d), checkpoints=marks), kind
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [regular_tree(2), regular_tree(3), regular_tree(5), biregular_tree(3, 2), biregular_tree(4, 3), biregular_tree(7, 2)],
+    ids=["k2", "k3", "k5", "k3-2", "k4-3", "k7-2"],
+)
+def test_tree_run_equals_depth_loop_reference(tree):
+    for kind in (WalkKind.SRW, WalkKind.NBRW):
+        for h in HORIZONS:
+            for seed in range(3):
+                assert _tree_run(kind, tree, h, rng(seed)) == tree_run_reference(kind, tree, h, rng(seed)), (kind, h)
 
 
 def test_sampled_path_and_generic_replica_make_the_same_draws():
@@ -170,6 +209,15 @@ def test_lattice_return_counts_monotone_and_seeded():
     assert all(a <= b for a, b in zip(counts[500], counts[2000]))
     again = lattice_return_counts("srw", 2, [500, 2000], 25, 31337)
     assert again == counts
+
+
+@pytest.mark.parametrize(
+    "horizons, replicas",
+    [([10], 0), ([10], -3), ([10], 2.5), ([10.7], 2), ([0, 10], 2), ([], 2), ([10, "20"], 2)],
+)
+def test_lattice_return_counts_rejects_bad_inputs(horizons, replicas):
+    with pytest.raises(InvalidParameter):
+        lattice_return_counts("srw", 2, horizons, replicas, 1)
 
 
 def test_move_frequency_regular_tree_coupling():
