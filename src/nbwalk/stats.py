@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -208,36 +209,33 @@ def _tree_run(kind, tree, horizon, rng) -> WalkStatistics:
     so its statistics are deterministic.
 
     Each chunk of draws is resolved with array operations.  The depth
-    parity flips every step, so the chance of a step toward the root at
-    chunk index i is ``up[(depth + i) % 2]``, known before the step; let
-    ``s`` be the walk that takes those steps with no reflection.  Each
+    parity flips every step and chunks start at even steps, where the
+    depth is even, so the chance of a step toward the root at chunk index
+    i is ``1/k1`` for even i and ``1/k2`` for odd i, known before the
+    step; let ``s`` be the walk that takes those steps with no
+    reflection.  Each
     time ``s`` first reaches -1, -3, -5, ... the walk stood at the root,
     where its step away is forced, so ``depth = s + 2 * ((1 - low) // 2)``
     with ``low`` the running minimum of ``s`` capped at 0."""
     if kind is WalkKind.NBRW:
         return WalkStatistics(horizon, 0, None, float(horizon))
-    # 1/k1, 1/k2, 1/k1, ...: entry i + depth % 2 is the chance at chunk index i
-    up = np.tile((1.0 / tree.k1, 1.0 / tree.k2), _CHUNK // 2 + 1)
+    # 1/k1, 1/k2, 1/k1, ...: entry i is the chance at chunk index i
+    up = np.tile((1.0 / tree.k1, 1.0 / tree.k2), (min(horizon, _CHUNK) + 1) // 2)
     depth = 0
     returns = 0
     last = None
     done = 0
     while done < horizon:
         n = min(_CHUNK, horizon - done)
-        toward = rng.random(n) < up[depth % 2 : depth % 2 + n]
-        if depth > n:
-            # too deep to reach the root in this chunk
-            depth += n - 2 * int(np.count_nonzero(toward))
-        else:
-            # depth <= n <= _CHUNK = 2^15 here, so the walk fits in int32
-            s = depth + np.cumsum(1 - 2 * toward.view(np.int8), dtype=np.int32)
-            low = np.minimum(np.minimum.accumulate(s), 0)
-            path = s + 2 * ((1 - low) // 2)
-            zeros = np.flatnonzero(path == 0)
-            if len(zeros):
-                returns += len(zeros)
-                last = done + int(zeros[-1]) + 1
-            depth = int(path[-1])
+        toward = rng.random(n) < up[:n]
+        s = depth + (1 - 2 * toward).cumsum()
+        low = np.minimum(np.minimum.accumulate(s), 0)
+        path = s + 2 * ((1 - low) // 2)
+        zeros = np.flatnonzero(path == 0)
+        if len(zeros):
+            returns += len(zeros)
+            last = done + int(zeros[-1]) + 1
+        depth = int(path[-1])
         done += n
     return WalkStatistics(horizon, returns, last, float(depth))
 
@@ -310,14 +308,12 @@ def _lattice_run(kind, lat, start, horizon, rng, checkpoints=None):
             # in size, so they fit in int32
             offsets = [np.cumsum(axis_steps[a][dirs], dtype=np.int32) for a in range(d)]
             target = [o - c for o, c in zip(origin, carry)]
-            # a target more than n unit steps away is out of reach
-            if sum(map(abs, target)) <= n:
-                hits = np.flatnonzero(offsets[0] == target[0])
-                for a in range(1, d):
-                    hits = hits[offsets[a][hits] == target[a]]
-                if len(hits):
-                    returns += len(hits)
-                    last = done + int(hits[-1]) + 1
+            hits = np.flatnonzero(offsets[0] == target[0])
+            for a in range(1, d):
+                hits = hits[offsets[a][hits] == target[a]]
+            if len(hits):
+                returns += len(hits)
+                last = done + int(hits[-1]) + 1
             carry = [c + int(off[-1]) for c, off in zip(carry, offsets)]
             done += n
         if hi in marks:
@@ -328,17 +324,23 @@ def _lattice_run(kind, lat, start, horizon, rng, checkpoints=None):
     return returns, last, disp, marked
 
 
+def _is_int(x) -> bool:
+    """Any integer type, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def lattice_return_counts(kind, d, horizons, replicas, master_seed) -> dict:
     """Per-replica cumulative return counts of one growing lattice walk,
     read off at each requested horizon.  Pairing the counts across
     horizons on the same path gives a low-variance growth diagnostic."""
     kind = WalkKind(kind)
-    if not isinstance(replicas, int) or replicas < 1:
+    if not _is_int(replicas) or replicas < 1:
         raise InvalidParameter("need at least one replica")
     horizons = set(horizons)
-    if not horizons or not all(isinstance(h, int) and h >= 1 for h in horizons):
+    if not horizons or not all(_is_int(h) and h >= 1 for h in horizons):
         raise InvalidParameter("horizons must be integers >= 1")
-    horizons = sorted(horizons)
+    replicas = int(replicas)
+    horizons = sorted(int(h) for h in horizons)
     lat = Lattice(d)
     start = lat.default_start()
     out = {h: [] for h in horizons}

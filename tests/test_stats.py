@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nbwalk import (
@@ -213,11 +214,28 @@ def test_lattice_return_counts_monotone_and_seeded():
 
 @pytest.mark.parametrize(
     "horizons, replicas",
-    [([10], 0), ([10], -3), ([10], 2.5), ([10.7], 2), ([0, 10], 2), ([], 2), ([10, "20"], 2)],
+    [
+        ([10], 0),
+        ([10], -3),
+        ([10], 2.5),
+        ([10.7], 2),
+        ([0, 10], 2),
+        ([], 2),
+        ([10, "20"], 2),
+        ([10], True),
+        ([True, 10], 2),
+    ],
 )
 def test_lattice_return_counts_rejects_bad_inputs(horizons, replicas):
     with pytest.raises(InvalidParameter):
         lattice_return_counts("srw", 2, horizons, replicas, 1)
+
+
+def test_lattice_return_counts_takes_numpy_integers():
+    # e.g. horizons from np.geomspace(...).astype(int)
+    counts = lattice_return_counts("srw", 2, np.array([500, 2000]), np.int64(25), 31337)
+    assert counts == lattice_return_counts("srw", 2, [500, 2000], 25, 31337)
+    assert all(type(h) is int for h in counts)
 
 
 def test_move_frequency_regular_tree_coupling():
