@@ -210,6 +210,8 @@ def test_lattice_return_counts_monotone_and_seeded():
     assert all(a <= b for a, b in zip(counts[500], counts[2000]))
     again = lattice_return_counts("srw", 2, [500, 2000], 25, 31337)
     assert again == counts
+    # numpy integers, e.g. horizons from np.geomspace(...).astype(int)
+    assert lattice_return_counts("srw", 2, np.array([500, 2000]), np.int64(25), 31337) == counts
 
 
 @pytest.mark.parametrize(
@@ -229,13 +231,6 @@ def test_lattice_return_counts_monotone_and_seeded():
 def test_lattice_return_counts_rejects_bad_inputs(horizons, replicas):
     with pytest.raises(InvalidParameter):
         lattice_return_counts("srw", 2, horizons, replicas, 1)
-
-
-def test_lattice_return_counts_takes_numpy_integers():
-    # e.g. horizons from np.geomspace(...).astype(int)
-    counts = lattice_return_counts("srw", 2, np.array([500, 2000]), np.int64(25), 31337)
-    assert counts == lattice_return_counts("srw", 2, [500, 2000], 25, 31337)
-    assert all(type(h) is int for h in counts)
 
 
 def test_move_frequency_regular_tree_coupling():
