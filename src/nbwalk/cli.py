@@ -136,14 +136,15 @@ def _cmd_walk(args) -> int:
 def _cmd_erase(args) -> int:
     if args.graph is not None and args.tokens is not None:
         raise _ConfigError("give either --tokens or --graph, not both")
-    if args.graph is None and (args.seed is not None or args.start is not None):
-        raise _ConfigError("--seed and --start select a sampled walk and need --graph")
+    if args.graph is None and (args.seed is not None or args.start is not None or args.horizon is not None):
+        raise _ConfigError("--seed, --start and --horizon select a sampled walk and need --graph")
     if args.graph is not None:
         _, graph = _graph(args)
         start = _config(_start_vertex, args, graph)
         if args.seed is None:
             raise _ConfigError("sampling a walk to erase requires --seed")
-        seq = sample_path(WalkKind.SRW, graph, start, args.horizon, _rng(args.seed))
+        horizon = 100 if args.horizon is None else args.horizon
+        seq = sample_path(WalkKind.SRW, graph, start, horizon, _rng(args.seed))
     else:
         if args.tokens is not None and not args.tokens.startswith("@"):
             raise _ConfigError(f"--tokens takes @file, got {args.tokens!r}")
@@ -299,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", help="@file with whitespace-separated tokens (default: stdin)")
     p.add_argument("--graph", help="sample a uniform walk on this graph spec instead")
     p.add_argument("--start")
-    p.add_argument("--horizon", type=_COUNT, default=100)
+    p.add_argument("--horizon", type=_COUNT, help="steps of the sampled walk (default: 100)")
     p.add_argument("--seed", type=_SEED)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_erase)

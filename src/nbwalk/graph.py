@@ -157,7 +157,12 @@ class Lattice(Graph):
         return vec[0] if self.d == 1 else vec
 
     def neighbors(self, v):
-        vec = self.coordinates(v)
+        self.coordinates(v)
+        return self._adjacent(v)
+
+    def _adjacent(self, v):
+        """``neighbors`` of a key known to be a vertex, unchecked."""
+        vec = (v,) if self.d == 1 else v
         axis = self._off_axis(vec)
         axes = range(self.d) if axis is None else (axis,)
         out = []
@@ -211,12 +216,19 @@ class BiregularTree(Graph):
 
     def neighbors(self, v):
         self._check(v)
+        return self._adjacent(v)
+
+    def _adjacent(self, v):
+        """``neighbors`` of a key known to be a vertex, unchecked."""
         if v == ():
             return tuple((j,) for j in range(self.k1))
         child_count = (self.k2 if len(v) % 2 else self.k1) - 1
         return (v[:-1],) + tuple(v + (j,) for j in range(child_count))
 
     def displacement(self, v, origin):
+        """Depth of ``v`` from the root.  ``origin`` is ignored, so a walk
+        started below the root reports its end depth, not its distance
+        from the start."""
         return float(len(v))
 
     def default_start(self):

@@ -27,6 +27,8 @@ from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InvalidInput, InvalidState, LimitExceeded, NoLegalMove
 from .graph import Graph, WeightedMultigraph
 
@@ -193,12 +195,106 @@ def _require_kind_graph(kind: WalkKind, graph):
     return mg
 
 
+class _Draws:
+    """The scalar draws of a PCG64 ``numpy.random.Generator``, made from its
+    raw 64-bit outputs read ``block`` at a time.  ``integers(k)`` and
+    ``random()`` return what ``rng.integers(k)`` and ``rng.random()`` would,
+    by numpy's rule: ``integers`` takes 32-bit halves, low half first, and
+    keeps the spare high half across calls, ``random()`` included; it maps
+    a half x to ``x * k >> 32`` and draws again while the low 32 bits of
+    ``x * k`` fall below ``2**32 % k`` (Lemire's method), and draws
+    nothing when k is 1.  ``random()`` takes a whole word w as
+    ``(w >> 11) * 2**-53``.  ``close()`` leaves the generator in the state
+    those scalar calls would have left; until then it is ahead of it."""
+
+    def __init__(self, rng, block: int):
+        self._bg = rng.bit_generator
+        self._saved = self._bg.state
+        self._has = self._saved["has_uint32"]
+        self._spare = self._saved["uinteger"]
+        self._block = block
+        self._words = []
+        self._next = 0  # index of the next unused word in _words
+        self._read = 0  # words read before _words
+
+    def _word(self) -> int:
+        i = self._next
+        if i == len(self._words):
+            self._read += i
+            self._words = self._bg.random_raw(self._block).tolist()
+            i = 0
+        self._next = i + 1
+        return self._words[i]
+
+    def integers(self, k: int) -> int:
+        if k == 1:
+            return 0
+        while True:
+            if self._has:
+                self._has = 0
+                x = self._spare
+            else:
+                w = self._word()
+                self._has = 1
+                self._spare = w >> 32
+                x = w & 0xFFFFFFFF
+            m = x * k
+            low = m & 0xFFFFFFFF
+            if low >= k or low >= 0x100000000 % k:
+                return m >> 32
+
+    def random(self) -> float:
+        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
+
+    def close(self):
+        bg = self._bg
+        bg.state = self._saved
+        bg.advance(self._read + self._next)
+        # advance() clears the spare half; numpy keeps the last one even
+        # when it is used up, so both fields are put back
+        state = bg.state
+        state["has_uint32"] = self._has
+        state["uinteger"] = self._spare
+        bg.state = state
+
+
+class _Trusted:
+    """A graph seen through its unchecked neighbor lookup, ``_adjacent``
+    where the graph has one: a walk from a checked start only meets keys
+    that the graph's own lookups built."""
+
+    __slots__ = ("neighbors",)
+
+    def __init__(self, graph):
+        self.neighbors = getattr(graph, "_adjacent", graph.neighbors)
+
+
+# raw words per block: an integer draw takes half a word, so a block of
+# n // 2 + 1 serves most n-step walks whole; the cap bounds its memory
+_MAX_BLOCK = 1 << 12
+
+
 def _walk(kind, graph, start, n: int, rng):
     """Yield the vertices at steps 1..n of one walk from ``start``, each
     step drawn by the sampler for ``kind``.  The first non-backtracking
-    step has no history and uses the uniform rule."""
+    step has no history and uses the uniform rule.
+
+    The start is the only key checked; later steps look up neighbors
+    without a check.  On a PCG64 generator the draws come from ``_Draws``,
+    and the generator reaches the state the scalar calls would leave when
+    the walk ends, is closed or raises; do not draw from ``rng`` while the
+    walk is open."""
     kind = WalkKind(kind)
     mg = _require_kind_graph(kind, graph)
+    if n < 1:
+        return
+    if not mg:
+        graph.neighbors(start)
+        graph = _Trusted(graph)
+    if type(getattr(rng, "bit_generator", None)) is np.random.PCG64:
+        rng = draws = _Draws(rng, min(n // 2 + 1, _MAX_BLOCK))
+    else:
+        draws = None
     i = 0
     try:
         if kind is WalkKind.SRW:
@@ -228,6 +324,9 @@ def _walk(kind, graph, start, n: int, rng):
                 yield cur
     except NoLegalMove as exc:
         raise NoLegalMove(f"step {i}: {exc}") from None
+    finally:
+        if draws is not None:
+            draws.close()
 
 
 def sample_path(kind, graph, start, n: int, rng) -> tuple:

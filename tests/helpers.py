@@ -6,9 +6,17 @@ import math
 
 import numpy as np
 
-from nbwalk import from_adjacency
+from nbwalk import NoLegalMove, from_adjacency
 from nbwalk.stats import _CHUNK, WalkStatistics
-from nbwalk.walkers import WalkKind
+from nbwalk.walkers import (
+    WalkKind,
+    _first_half_edge,
+    _require_kind_graph,
+    nbrw_step,
+    nbrw_step_edge,
+    srw_step,
+    wrw_step,
+)
 
 
 def rng(seed: int):
@@ -173,3 +181,39 @@ def tree_run_reference(kind, tree, horizon, rng):
             else:
                 depth += 1
     return WalkStatistics(horizon, returns, last, float(depth))
+
+
+def walk_reference(kind, graph, start, n, rng):
+    """``walkers._walk`` with scalar generator calls and a checked
+    neighbor lookup on every step: yields the vertices at steps 1..n."""
+    kind = WalkKind(kind)
+    mg = _require_kind_graph(kind, graph)
+    i = 0
+    try:
+        if kind is WalkKind.SRW:
+            cur = start
+            for i in range(1, n + 1):
+                cur = srw_step(graph, cur, rng)
+                yield cur
+        elif kind is WalkKind.WRW:
+            cur = start
+            for i in range(1, n + 1):
+                move = wrw_step(graph, cur, rng)
+                cur = graph.endpoint(move.edge_id, move.head_end)
+                yield cur
+        elif mg:
+            state = None
+            for i in range(1, n + 1):
+                if state is None:
+                    state = _first_half_edge(graph, start, rng)
+                else:
+                    state = nbrw_step_edge(graph, state, rng)
+                yield graph.endpoint(state.edge_id, state.head_end)
+        else:
+            prev, cur = None, start
+            for i in range(1, n + 1):
+                nxt = srw_step(graph, cur, rng) if prev is None else nbrw_step(graph, prev, cur, rng)
+                prev, cur = cur, nxt
+                yield cur
+    except NoLegalMove as exc:
+        raise NoLegalMove(f"step {i}: {exc}") from None

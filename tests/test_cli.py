@@ -69,6 +69,9 @@ def test_erase_sampled_walk(capsys):
     toks = out.split()
     assert len(moves) == 40
     assert all(toks[i - 1] != toks[i + 1] for i in range(1, len(toks) - 1))
+    # without --horizon the sample takes 100 steps
+    assert run(["erase", "--graph", K4_SPEC, "--seed", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()[1]) == 100
 
 
 def test_contract_output(tmp_path, capsys):
@@ -214,6 +217,7 @@ def _walk(*extra):
         ["erase", "--tokens", "@" + __file__, "--seed", "1"],
         ["erase", "--tokens", "@" + __file__, "--start", "0"],
         ["erase", "--seed", "1"],
+        ["erase", "--tokens", "@" + __file__, "--horizon", "5"],
     ],
     ids=[
         "diagnose-horizon", "replicas", "start", "jobs", "seed-negative", "seed-2**64",
@@ -221,6 +225,7 @@ def _walk(*extra):
         "compare-induced-no-anchor", "contract-no-anchor", "contract-not-explicit",
         "erase-missing-tokens", "erase-tokens-without-at", "erase-tokens-and-graph",
         "erase-tokens-and-seed", "erase-tokens-and-start", "erase-stdin-and-seed",
+        "erase-tokens-and-horizon",
     ],
 )
 def test_invalid_configuration_exits_2_without_files(argv, tmp_path, capsys):

@@ -2,6 +2,7 @@ import pytest
 
 from nbwalk import (
     InvalidParameter,
+    Lattice,
     MalformedGraph,
     UnsupportedGraph,
     WeightedMultigraph,
@@ -135,6 +136,17 @@ def test_tree_branch_index_bounds_below_the_root(g, bounds):
         assert g.neighbors(parent + (bound - 1,))[0] == parent
         with pytest.raises(InvalidParameter):
             g.neighbors(parent + (bound,))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Lattice(d, t) for d in (1, 2, 3) for t in (0, 1, 2)]
+    + [regular_tree(2), regular_tree(3), biregular_tree(4, 3), biregular_tree(3, 2)],
+    ids=[f"Z{d}-t{t}" for d in (1, 2, 3) for t in (0, 1, 2)] + ["k2", "k3", "k4-3", "k3-2"],
+)
+def test_adjacent_equals_neighbors_on_vertices(g):
+    for v in _ball(g, g.default_start(), 5):
+        assert g._adjacent(v) == g.neighbors(v)
 
 
 @pytest.mark.parametrize(
@@ -277,5 +289,8 @@ def test_graph_from_spec_rejects_bad_fields():
 def test_displacements():
     assert lattice(2).displacement((3, 4), (0, 0)) == 5.0
     assert regular_tree(3).displacement((0, 1, 0), ()) == 3.0
+    # on trees it is the depth from the root, whatever the origin
+    assert regular_tree(3).displacement((0, 1, 0), (0,)) == 3.0
+    assert biregular_tree(4, 3).displacement((1,), (1,)) == 1.0
     assert k4().displacement(2, 0) == 1.0
     assert k4().displacement(0, 0) == 0.0

@@ -189,6 +189,17 @@ def test_sampled_path_and_generic_replica_make_the_same_draws():
             assert return_statistics(path, start, g) == _generic_replica(kind, g, start, 500, rng(seed))
 
 
+def test_tree_displacement_is_depth_from_the_root():
+    # a walk started below the root reports its end depth, not its
+    # distance from the start
+    g = regular_tree(3)
+    assert _generic_replica(WalkKind.SRW, g, (0, 1), 0, rng(0)).end_displacement == 2.0
+    for seed in range(5):
+        path = sample_path("srw", g, (0,), 40, rng(seed))
+        row = _generic_replica(WalkKind.SRW, g, (0,), 40, rng(seed))
+        assert row.end_displacement == float(len(path[-1]))
+
+
 def test_fast_tree_agrees_with_generic_kernels():
     g = regular_tree(3)
     fast = [_replica(WalkKind.SRW, g, (), 120, rng(replica_seed(7, i))) for i in range(400)]

@@ -1,16 +1,22 @@
 import math
+import random
 from fractions import Fraction
+from itertools import islice
 
+import numpy as np
 import pytest
 
 from nbwalk import (
+    BiregularTree,
     HalfEdgeState,
     InvalidInput,
+    InvalidParameter,
     InvalidState,
     LimitExceeded,
     NoLegalMove,
     PrefixDistribution,
     WeightedMultigraph,
+    biregular_tree,
     contract,
     counterexample_graph,
     enumerate_prefix_distribution,
@@ -24,10 +30,13 @@ from nbwalk import (
     srw_step,
     step_distribution,
     subdivide,
+    subdivided_lattice,
     wrw_step,
 )
+from nbwalk.stats import _generic_replica, return_statistics
+from nbwalk.walkers import _MAX_BLOCK, _Draws, _walk
 
-from helpers import k4, rng, theta_graph
+from helpers import k4, rng, theta_graph, walk_reference
 
 
 def theta_multigraph():
@@ -283,3 +292,147 @@ def test_prefix_distribution_validation():
         PrefixDistribution(1, {(0, 1, 2): Fraction(1)})
     d = PrefixDistribution(1, {(0, 1): Fraction(3, 4)}, Fraction(1, 4))
     assert d.conditioned().prob((0, 1)) == 1
+
+
+def _mixed_calls(seed, n):
+    """n draw requests: small bounds, a bound that rejects about half its
+    draws, random bounds below 2**32 and float draws, interleaved."""
+    pick = random.Random(seed)
+    calls = []
+    for _ in range(n):
+        r = pick.random()
+        if r < 0.5:
+            calls.append(pick.randint(1, 7))
+        elif r < 0.65:
+            calls.append(2**31 + 1)
+        elif r < 0.8:
+            calls.append(pick.randrange(1, 2**32))
+        else:
+            calls.append(None)
+    return calls
+
+
+def test_draw_source_equals_generator_scalar_calls():
+    spare_at_end = set()
+    for seed in range(20):
+        scalar, raw = rng(seed), rng(seed)
+        if seed % 2:
+            # start with a spare half in the generator
+            assert scalar.integers(5) == raw.integers(5)
+        # small blocks so that the calls cross many block boundaries
+        draws = _Draws(raw, 1 + seed % 9 if seed < 10 else 1000)
+        for k in _mixed_calls(seed, 3000):
+            if k is None:
+                assert draws.random() == scalar.random()
+            else:
+                assert draws.integers(k) == scalar.integers(k), (seed, k)
+        draws.close()
+        # the whole state, the spare half and a stale one included
+        assert raw.bit_generator.state == scalar.bit_generator.state
+        spare_at_end.add(raw.bit_generator.state["has_uint32"])
+    assert spare_at_end == {0, 1}
+
+
+def _reference_cases():
+    mg, _ = contract(subdivide(theta_graph(), 1))  # corridors of resistance 2, 3 and 4
+    cases = {
+        "k4": ("srw", "nbrw", k4(), 0),
+        "counterexample": ("srw", "nbrw", counterexample_graph(), "v"),
+        "Z1": ("srw", "nbrw", lattice(1), 0),
+        "Z2": ("srw", "nbrw", lattice(2), (2, -1)),
+        "Z3": ("srw", "nbrw", lattice(3), (0, 0, 0)),
+        "Z2-t1": ("srw", "nbrw", subdivided_lattice(2, 1), (1, 0)),
+        "tree3-root": ("srw", "nbrw", regular_tree(3), ()),
+        "tree3-below": ("srw", "nbrw", regular_tree(3), (2, 1)),
+        "tree4-3-root": ("srw", "nbrw", biregular_tree(4, 3), ()),
+        "tree4-3-below": ("srw", "nbrw", biregular_tree(4, 3), (3,)),
+        "multigraph": ("wrw", "nbrw", mg, mg.default_start()),
+    }
+    return [
+        pytest.param(kind, g, start, id=f"{name}-{kind}")
+        for name, (*kinds, g, start) in cases.items()
+        for kind in kinds
+    ]
+
+
+@pytest.mark.parametrize("kind, g, start", _reference_cases())
+def test_walk_equals_scalar_reference(kind, g, start):
+    # tree keys are root paths, which the reference checks on every step,
+    # so on trees it costs O(depth) a step and stops at 1025 steps; the
+    # longest walk reads a few blocks of raw words
+    horizons = (0, 1, 1023, 1024, 1025)
+    if not isinstance(g, BiregularTree):
+        horizons += (5000, 4 * _MAX_BLOCK + 3)
+    # each generator runs two walks, so the second starts with whatever
+    # spare half the first left
+    for n in horizons:
+        seed = 7 * n + 1
+        fast, ref = rng(seed), rng(seed)
+        path = sample_path(kind, g, start, n, fast)
+        assert path == (start, *walk_reference(kind, g, start, n, ref)), n
+        assert fast.bit_generator.state == ref.bit_generator.state, n
+        row = _generic_replica(kind, g, start, n, fast)
+        assert row == return_statistics((start, *walk_reference(kind, g, start, n, ref)), start, g), n
+        assert fast.bit_generator.state == ref.bit_generator.state, n
+
+
+def test_walk_leaves_the_scalar_state_when_closed_early_or_raising():
+    mg, _ = contract(subdivide(theta_graph(), 1))
+    for kind, g, start in [("srw", k4(), 0), ("nbrw", lattice(2), (0, 0)), ("wrw", mg, mg.default_start())]:
+        for k in (0, 1, 2, 7, 100):
+            fast, ref = rng(k), rng(k)
+            walk = _walk(kind, g, start, 1000, fast)
+            assert list(islice(walk, k)) == list(islice(walk_reference(kind, g, start, 1000, ref), k))
+            walk.close()
+            assert fast.bit_generator.state == ref.bit_generator.state, (kind, k)
+    # NBRW on a path graph runs into the far end after a few steps
+    path = from_adjacency({i: [j for j in (i - 1, i + 1) if 0 <= j < 6] for i in range(6)})
+    for seed in range(6):
+        fast, ref = rng(seed), rng(seed)
+        with pytest.raises(NoLegalMove, match="step") as got:
+            sample_path("nbrw", path, 2, 50, fast)
+        with pytest.raises(NoLegalMove) as want:
+            tuple(walk_reference("nbrw", path, 2, 50, ref))
+        assert str(got.value) == str(want.value)
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+
+def test_walk_on_another_bit_generator_uses_the_scalar_calls():
+    for kind, g, start in [("srw", k4(), 0), ("nbrw", regular_tree(3), (0,))]:
+        fast = np.random.Generator(np.random.MT19937(11))
+        ref = np.random.Generator(np.random.MT19937(11))
+        assert sample_path(kind, g, start, 700, fast) == (start, *walk_reference(kind, g, start, 700, ref))
+        assert fast.bit_generator.state["state"]["pos"] == ref.bit_generator.state["state"]["pos"]
+        assert (fast.bit_generator.state["state"]["key"] == ref.bit_generator.state["state"]["key"]).all()
+
+
+def test_invalid_start_raises_only_when_a_step_is_taken():
+    mg, _ = contract(theta_graph())
+    cases = [
+        ("srw", lattice(2), (1,)),
+        ("nbrw", subdivided_lattice(2, 1), (1, 1)),
+        ("srw", regular_tree(3), (3,)),
+        ("nbrw", biregular_tree(4, 3), (0, 2)),
+        ("srw", k4(), 9),
+        ("wrw", mg, "nowhere"),
+        ("nbrw", mg, "nowhere"),
+    ]
+    for kind, g, start in cases:
+        assert sample_path(kind, g, start, 0, rng(0)) == (start,)
+        with pytest.raises(InvalidParameter):
+            sample_path(kind, g, start, 1, rng(0))
+
+
+@pytest.mark.parametrize("kind", ["srw", "nbrw"])
+def test_walk_below_the_root_checks_the_start_key_once(kind, monkeypatch):
+    calls = []
+    check = BiregularTree._check
+
+    def counted(self, v):
+        calls.append(v)
+        return check(self, v)
+
+    monkeypatch.setattr(BiregularTree, "_check", counted)
+    path = sample_path(kind, regular_tree(3), (0,), 2000, rng(1))
+    assert calls == [(0,)]
+    assert len(path) == 2001
