@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, is_int
 from .walkers import _propagate
 
 _ZERO = Fraction(0)
@@ -58,8 +58,9 @@ class BirthDeathSpec:
 def chain_for_regular(k: int) -> BirthDeathSpec:
     """Constant right probability (k-1)/k, the cursor law induced by
     erasing a uniform walk on a k-regular graph."""
-    if not isinstance(k, int) or k < 2:
+    if not is_int(k) or k < 2:
         raise InvalidParameter(f"degree must be an integer >= 2, got {k!r}")
+    k = int(k)
     return BirthDeathSpec((), (Fraction(k - 1, k),))
 
 
@@ -67,8 +68,9 @@ def chain_for_biregular(k1: int, k2: int) -> BirthDeathSpec:
     """Period-2 right probabilities for the alternating-degree case.  The
     start vertex has degree k1, so even positions carry (k1-1)/k1 and odd
     positions (k2-1)/k2."""
-    if not (isinstance(k1, int) and isinstance(k2, int)) or not k1 > k2 >= 2:
+    if not (is_int(k1) and is_int(k2)) or not k1 > k2 >= 2:
         raise InvalidParameter(f"need k1 > k2 >= 2, got ({k1!r}, {k2!r})")
+    k1, k2 = int(k1), int(k2)
     return BirthDeathSpec((), (Fraction(k1 - 1, k1), Fraction(k2 - 1, k2)))
 
 
@@ -119,8 +121,9 @@ def escape_probability(spec: BirthDeathSpec) -> Fraction:
 def simulate_chain(spec: BirthDeathSpec, n: int, rng) -> list:
     """Trajectory of n moves from 0, reflecting at 0.  Uses float draws;
     exact answers come from the rational routines."""
-    if not isinstance(n, int) or n < 0:
+    if not is_int(n) or n < 0:
         raise InvalidParameter("step count must be a nonnegative integer")
+    n = int(n)
     s = len(spec.prefix)
     length = len(spec.period)
     prefix = [float(p) for p in spec.prefix]
@@ -141,8 +144,9 @@ def simulate_chain(spec: BirthDeathSpec, n: int, rng) -> list:
 def chain_move_law(spec: BirthDeathSpec, moves: int) -> dict:
     """Exact distribution of the first ``moves`` right/left symbols of
     the chain, as a map from strings like ``"RRLR"`` to rationals."""
-    if not isinstance(moves, int) or moves < 0:
+    if not is_int(moves) or moves < 0:
         raise InvalidParameter("move count must be a nonnegative integer")
+    moves = int(moves)
 
     def law(pos):
         # position 0 reflects: its right probability is 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -114,15 +115,41 @@ def _rng(seed: int):
     return np.random.default_rng(replica_seed(seed, 0))
 
 
+def _publish(out, files: dict, shown=None, announce=True) -> None:
+    """Print ``shown`` (default: the texts of ``files`` in order) without
+    ``--out``; else write each text to ``out`` plus its suffix, staged
+    beside its target and renamed into place once all are written.  A
+    failed write removes what it staged and is a configuration error."""
+    if not out:
+        print("".join(files.values()) if shown is None else shown, end="")
+        return
+    staged = []
+    try:
+        for suffix, text in files.items():
+            target = Path(out + suffix)
+            if target.is_dir():
+                # a rename onto it would fail after the other files moved
+                raise _ConfigError(f"cannot write {target}: it is a directory")
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            staged.append((tmp, target))
+            tmp.write_text(text)
+        for tmp, target in staged:
+            tmp.replace(target)
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {target}: {exc.strerror or exc}") from None
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+    if announce:
+        print("wrote " + " and ".join(out + suffix for suffix in files))
+
+
 def _cmd_walk(args) -> int:
     _, graph, kind, start = _walk_graph(args)
     path = sample_path(kind, graph, start, args.horizon, _rng(args.seed))
     stats = return_statistics(path, start, graph)
     tokens = " ".join(encode_key(v) for v in path)
-    if args.out:
-        Path(args.out).write_text(tokens + "\n")
-    else:
-        print(tokens)
+    _publish(args.out, {"": tokens + "\n"}, announce=False)
     doc = {
         "steps": stats.steps,
         "returns": stats.returns_to_origin,
@@ -157,11 +184,7 @@ def _cmd_erase(args) -> int:
         seq = [keys[t] for t in toks]
     result = erase_backtracks(seq)
     out = " ".join(encode_key(v) for v in result.output)
-    if args.out:
-        Path(args.out).write_text(out + "\n" + result.trace.moves + "\n")
-    else:
-        print(out)
-        print(result.trace.moves)
+    _publish(args.out, {"": out + "\n" + result.trace.moves + "\n"}, announce=False)
     return 0
 
 
@@ -192,13 +215,7 @@ def _cmd_contract(args) -> int:
     for c in cmap.corridors:
         csv_lines.append(f"{encode_key(c.a)},{encode_key(c.b)},{c.length}")
     csv_text = "\n".join(csv_lines) + "\n"
-    if args.out:
-        Path(args.out + ".json").write_text(json_text)
-        Path(args.out + ".csv").write_text(csv_text)
-        print(f"wrote {args.out}.json and {args.out}.csv")
-    else:
-        print(json_text, end="")
-        print(csv_text, end="")
+    _publish(args.out, {".json": json_text, ".csv": csv_text})
     return 0
 
 
@@ -217,12 +234,7 @@ def _cmd_enumerate(args) -> int:
             for seq, p in sorted(dist.entries.items())
         ],
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _publish(args.out, {"": json.dumps(doc, sort_keys=True, indent=2) + "\n"})
     return 0
 
 
@@ -269,12 +281,8 @@ def _cmd_diagnose(args) -> int:
         "seed": args.seed,
     }
     report = monte_carlo(kind, graph, start, args.horizon, args.replicas, args.seed, config=echo)
-    if args.out:
-        Path(args.out + ".json").write_text(report.json_text())
-        Path(args.out + ".csv").write_text(report.csv_text())
-        print(f"wrote {args.out}.json and {args.out}.csv")
-    else:
-        print(report.json_text(), end="")
+    json_text = report.json_text()
+    _publish(args.out, {".json": json_text, ".csv": report.csv_text()}, shown=json_text)
     return 0
 
 

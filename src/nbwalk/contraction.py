@@ -21,6 +21,7 @@ from .errors import (
     LimitExceeded,
     UnsupportedGraph,
     UnsupportedStructure,
+    is_int,
 )
 from .graph import ExplicitGraph, WeightedMultigraph, sort_token
 from .walkers import PrefixDistribution, WalkKind, _branches, _check_horizon, _propagate
@@ -169,7 +170,7 @@ def check_biregular_shape(mg: WeightedMultigraph, k1: int, k2: int) -> bool:
     """Alternating two-degree test on a multigraph: every vertex has
     multigraph degree k1 or k2 and every edge joins the two degree
     classes.  Self-loops fail; so does k1 <= k2."""
-    if not (isinstance(k1, int) and isinstance(k2, int)) or not k1 > k2 >= 2:
+    if not (is_int(k1) and is_int(k2)) or not k1 > k2 >= 2:
         return False
     deg = {v: mg.mdegree(v) for v in mg.vertices()}
     if any(d not in (k1, k2) for d in deg.values()):
@@ -186,18 +187,17 @@ def _anchor_step_law(g: ExplicitGraph, cmap: ContractionMap, v) -> tuple:
     # one induced step of the uniform walk from anchor v, at vertex level,
     # as (p, successors) groups with the anchor as both state and label
     law: dict = {}
-    nbrs = g.neighbors(v)
-    share = Fraction(1, len(nbrs))
-    for n in nbrs:
-        eid, end = cmap.entrances[(v, n)]
-        c = cmap.corridors[eid]
-        far = c.b if end == 0 else c.a
-        # gambler's ruin: a fair walk one step into a corridor of length L
-        # reaches the far end before returning with probability 1/L
-        x = Fraction(1, c.length)
-        law[far] = law.get(far, _ZERO) + share * x
-        if x != 1:
-            law[v] = law.get(v, _ZERO) + share * (1 - x)
+    for share, successors in _branches(WalkKind.SRW, g, v):
+        for n, _ in successors:
+            eid, end = cmap.entrances[(v, n)]
+            c = cmap.corridors[eid]
+            far = c.b if end == 0 else c.a
+            # gambler's ruin: a fair walk one step into a corridor of length
+            # L reaches the far end before returning with probability 1/L
+            x = Fraction(1, c.length)
+            law[far] = law.get(far, _ZERO) + share * x
+            if x != 1:
+                law[v] = law.get(v, _ZERO) + share * (1 - x)
     return tuple((p, ((w, w),)) for w, p in law.items())
 
 
@@ -239,7 +239,7 @@ def induced_prefix_distribution(
         _, cmap = contract(g)
     if start not in cmap.anchors:
         raise InvalidInput("start must be an anchor")
-    _check_horizon(horizon)
+    horizon = _check_horizon(horizon)
     if kind is WalkKind.SRW:
         law, state = partial(_anchor_step_law, g, cmap), start
     elif kind is WalkKind.NBRW:

@@ -95,8 +95,8 @@ def erased_prefix_distribution(g: Graph, start, big_n: int, m: int) -> PrefixDis
     propagated over erasure stacks, whose top is the walk's vertex, so
     walks that reach the same stack are merged.  Outputs that come out
     shorter than m+1 accumulate in ``short_mass``."""
-    _check_horizon(m)
-    _check_horizon(big_n, m + 1)
+    m = _check_horizon(m)
+    big_n = _check_horizon(big_n, m + 1)
     stacks = _propagate(partial(_branches, WalkKind.SRW, g), start, (start,), big_n, lambda st, v: _erase_step(st, v)[0])
     keep = m + 1
     law = _pushforward(stacks, lambda st: st[:keep] if len(st) >= keep else None)
@@ -114,6 +114,6 @@ def enumerate_move_distribution(g: Graph, start, steps: int) -> dict:
     """Exact law of the erasure move string of a uniform-neighbor walk
     with ``steps`` steps from ``start``, propagated over (stack, move
     string) pairs."""
-    _check_horizon(steps, 1)
+    steps = _check_horizon(steps, 1)
     law = _propagate(partial(_branches, WalkKind.SRW, g), start, ((start,), ""), steps, _erase_move)
     return _pushforward(law, lambda record: record[1])

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and what counts as an integer."""
+
+import numbers
+
+
+def is_int(x) -> bool:
+    """Any integer type, numpy's included, but not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class NbwalkError(Exception):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain, cycle
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidParameter, MalformedGraph, UnsupportedGraph
+from .errors import InvalidParameter, MalformedGraph, UnsupportedGraph, is_int
 
 _INT_TOKEN = re.compile(r"-?\d+")
 _BAD_STR = re.compile(r"[\s(),]")
@@ -122,28 +122,21 @@ class Lattice(Graph):
     """
 
     def __init__(self, d: int, subdivisions: int = 0):
-        if not isinstance(d, int) or not 1 <= d <= 4:
+        if not is_int(d) or not 1 <= d <= 4:
             raise InvalidParameter(f"lattice dimension must be 1..4, got {d!r}")
-        if not isinstance(subdivisions, int) or subdivisions < 0:
+        if not is_int(subdivisions) or subdivisions < 0:
             raise InvalidParameter("subdivisions must be a nonnegative integer")
-        self.d = d
-        self.pitch = subdivisions + 1
+        self.d = int(d)
+        self.pitch = int(subdivisions) + 1
 
     def coordinates(self, v) -> tuple:
-        if self.d == 1:
-            if isinstance(v, int) and not isinstance(v, bool):
-                vec = (v,)
-            else:
-                raise InvalidParameter(f"{v!r} is not a vertex of this lattice")
-        else:
-            if (
-                isinstance(v, tuple)
-                and len(v) == self.d
-                and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
-            ):
-                vec = v
-            else:
-                raise InvalidParameter(f"{v!r} is not a vertex of this lattice")
+        vec = (v,) if self.d == 1 else v
+        if not (
+            isinstance(vec, tuple)
+            and len(vec) == self.d
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in vec)
+        ):
+            raise InvalidParameter(f"{v!r} is not a vertex of this lattice")
         self._off_axis(vec)
         return vec
 
@@ -198,11 +191,10 @@ class BiregularTree(Graph):
     by index."""
 
     def __init__(self, k1: int, k2: int):
-        ok = isinstance(k1, int) and isinstance(k2, int)
-        if not ok or not k1 > k2 >= 2:
+        if not (is_int(k1) and is_int(k2)) or not k1 > k2 >= 2:
             raise InvalidParameter(f"need k1 > k2 >= 2, got ({k1!r}, {k2!r})")
-        self.k1 = k1
-        self.k2 = k2
+        self.k1 = int(k1)
+        self.k2 = int(k2)
 
     def _check(self, v):
         if not isinstance(v, tuple):
@@ -243,9 +235,9 @@ class RegularTree(BiregularTree):
     """Infinite k-regular tree: the biregular tree with k1 = k2 = k."""
 
     def __init__(self, k: int):
-        if not isinstance(k, int) or k < 2:
+        if not is_int(k) or k < 2:
             raise InvalidParameter(f"tree degree must be an integer >= 2, got {k!r}")
-        self.k = self.k1 = self.k2 = k
+        self.k = self.k1 = self.k2 = int(k)
 
 
 def regular_tree(k: int) -> RegularTree:
@@ -336,8 +328,9 @@ def subdivide(g: ExplicitGraph, t: int) -> ExplicitGraph:
     New vertices are keyed ``(a, b, j)`` for the j-th point on edge (a, b)."""
     if not isinstance(g, ExplicitGraph):
         raise UnsupportedGraph("subdivision needs an explicit finite graph")
-    if not isinstance(t, int) or t < 0:
+    if not is_int(t) or t < 0:
         raise InvalidParameter("subdivision count must be a nonnegative integer")
+    t = int(t)
     if t == 0:
         return ExplicitGraph(g.adjacency_dict())
     adj: dict = {v: [] for v in g.vertices()}
@@ -395,9 +388,9 @@ class WeightedMultigraph:
             a, b = canon_key(a), canon_key(b)
             if a not in vset or b not in vset:
                 raise MalformedGraph(f"edge endpoint {a!r}-{b!r} not among vertices")
-            if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+            if not is_int(r) or r < 1:
                 raise MalformedGraph("resistance must be a positive integer")
-            cooked.append(MultiEdge(a, b, r, eid))
+            cooked.append(MultiEdge(a, b, int(r), eid))
         self._edges = tuple(cooked)
         self._verts = tuple(sorted(vset, key=sort_token))
         half: dict = {v: [] for v in self._verts}
@@ -446,22 +439,31 @@ class WeightedMultigraph:
         }
 
 
-_SPEC_FIELDS = {
-    "lattice": {"type", "d"},
-    "subdivided_lattice": {"type", "d", "t"},
-    "regular_tree": {"type", "k"},
-    "biregular_tree": {"type", "k1", "k2"},
-    "explicit": {"type", "adjacency"},
-    "subdivided": {"type", "base", "t"},
-    "counterexample": {"type"},
+# each family's builder and its spec fields, in the builder's argument order
+_SPECS = {
+    "lattice": (lattice, ("d",)),
+    "subdivided_lattice": (subdivided_lattice, ("d", "t")),
+    "regular_tree": (regular_tree, ("k",)),
+    "biregular_tree": (biregular_tree, ("k1", "k2")),
+    "explicit": (from_adjacency, ("adjacency",)),
+    "subdivided": (subdivide, ("base", "t")),
+    "counterexample": (counterexample_graph, ()),
 }
 
 
-def _spec_int(spec, field):
-    v = spec.get(field)
-    if not isinstance(v, int) or isinstance(v, bool):
+def _spec_field(spec, field):
+    """A field's value: the graph that ``base`` describes, the object
+    ``adjacency``, and an int for every other field."""
+    value = spec[field]
+    if field == "base":
+        return graph_from_spec(value)
+    if field == "adjacency":
+        if not isinstance(value, Mapping):
+            raise InvalidParameter("'adjacency' must be an object")
+        return value
+    if not is_int(value):
         raise InvalidParameter(f"field {field!r} must be an integer")
-    return v
+    return int(value)
 
 
 def graph_from_spec(spec: Mapping) -> Graph:
@@ -472,31 +474,13 @@ def graph_from_spec(spec: Mapping) -> Graph:
     if not isinstance(spec, Mapping) or "type" not in spec:
         raise InvalidParameter("graph spec must be an object with a 'type' field")
     kind = spec["type"]
-    allowed = _SPEC_FIELDS.get(kind)
-    if allowed is None:
+    if not isinstance(kind, str) or kind not in _SPECS:
         raise InvalidParameter(f"unknown graph type {kind!r}")
-    extra = set(spec) - allowed
+    build, fields = _SPECS[kind]
+    extra = set(spec) - {"type", *fields}
     if extra:
         raise InvalidParameter(f"unknown fields {sorted(extra)} in {kind!r} spec")
-    missing = allowed - set(spec)
+    missing = set(fields) - set(spec)
     if missing:
         raise InvalidParameter(f"missing fields {sorted(missing)} in {kind!r} spec")
-    if kind == "lattice":
-        return lattice(_spec_int(spec, "d"))
-    if kind == "subdivided_lattice":
-        return subdivided_lattice(_spec_int(spec, "d"), _spec_int(spec, "t"))
-    if kind == "regular_tree":
-        return regular_tree(_spec_int(spec, "k"))
-    if kind == "biregular_tree":
-        return biregular_tree(_spec_int(spec, "k1"), _spec_int(spec, "k2"))
-    if kind == "explicit":
-        adjacency = spec["adjacency"]
-        if not isinstance(adjacency, Mapping):
-            raise InvalidParameter("'adjacency' must be an object")
-        return from_adjacency(adjacency)
-    if kind == "subdivided":
-        base = graph_from_spec(spec["base"])
-        if not isinstance(base, ExplicitGraph):
-            raise UnsupportedGraph("'subdivided' needs an explicit base graph")
-        return subdivide(base, _spec_int(spec, "t"))
-    return counterexample_graph()
+    return build(*(_spec_field(spec, field) for field in fields))

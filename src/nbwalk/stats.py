@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -18,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidInput, InvalidParameter
+from .errors import InsufficientData, InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
 from .walkers import PrefixDistribution, WalkKind, _walk
 
@@ -171,10 +170,11 @@ def monte_carlo(
     one thread.  Replica i draws from a generator seeded by
     ``replica_seed(master_seed, i)``."""
     kind = WalkKind(kind)
-    if not isinstance(replicas, int) or replicas < 1:
+    if not is_int(replicas) or replicas < 1:
         raise InvalidParameter("need at least one replica")
-    if not isinstance(horizon, int) or horizon < 0:
+    if not is_int(horizon) or horizon < 0:
         raise InvalidParameter("horizon must be a nonnegative integer")
+    replicas, horizon = int(replicas), int(horizon)
     rows = tuple(
         _replica(kind, graph, start, horizon, np.random.default_rng(replica_seed(master_seed, i)))
         for i in range(replicas)
@@ -324,20 +324,17 @@ def _lattice_run(kind, lat, start, horizon, rng, checkpoints=None):
     return returns, last, disp, marked
 
 
-def _is_int(x) -> bool:
-    """Any integer type, numpy's included, but not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 def lattice_return_counts(kind, d, horizons, replicas, master_seed) -> dict:
     """Per-replica cumulative return counts of one growing lattice walk,
     read off at each requested horizon.  Pairing the counts across
     horizons on the same path gives a low-variance growth diagnostic."""
     kind = WalkKind(kind)
-    if not _is_int(replicas) or replicas < 1:
+    if kind not in (WalkKind.SRW, WalkKind.NBRW):
+        raise InvalidParameter("lattice return counts are defined for srw and nbrw")
+    if not is_int(replicas) or replicas < 1:
         raise InvalidParameter("need at least one replica")
     horizons = set(horizons)
-    if not horizons or not all(_is_int(h) and h >= 1 for h in horizons):
+    if not horizons or not all(is_int(h) and h >= 1 for h in horizons):
         raise InvalidParameter("horizons must be integers >= 1")
     replicas = int(replicas)
     horizons = sorted(int(h) for h in horizons)

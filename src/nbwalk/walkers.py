@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidState, LimitExceeded, NoLegalMove
+from .errors import InvalidInput, InvalidState, LimitExceeded, NoLegalMove, is_int
 from .graph import Graph, WeightedMultigraph
 
 MAX_ENUMERATION_HORIZON = 14
@@ -131,7 +131,10 @@ def srw_step(g: Graph, current, rng):
 
 
 def nbrw_step(g: Graph, prev, current, rng):
-    """Uniform choice among neighbors of ``current`` other than ``prev``."""
+    """Uniform choice among neighbors of ``current`` other than ``prev``;
+    the first step, with ``prev`` None, is the uniform step."""
+    if prev is None:
+        return srw_step(g, current, rng)
     nbrs = g.neighbors(current)
     if prev not in nbrs:
         raise InvalidState(f"{prev!r} is not adjacent to {current!r}")
@@ -147,15 +150,24 @@ def nbrw_step_edge(mg: WeightedMultigraph, arrival: HalfEdgeState, rng) -> HalfE
     """Edge-based non-backtracking step: uniform over the half-edges at
     the head vertex, excluding the reversal of the arriving edge instance.
     For a self-loop only the exact arrival end is excluded, so the loop
-    may be re-traversed in the same direction."""
-    v = mg.endpoint(arrival.edge_id, arrival.head_end)
-    half = mg.half_edges(v)
-    if len(half) < 2:
-        raise NoLegalMove(f"vertex {v!r} has multigraph degree 1")
-    forbidden = half.index((arrival.edge_id, arrival.head_end))
-    i = int(rng.integers(len(half) - 1))
-    if i >= forbidden:
-        i += 1
+    may be re-traversed in the same direction.  The first step, from
+    ``(None, v)``, has no arriving edge and excludes nothing."""
+    eid, end = arrival
+    if eid is None:
+        # ``end`` is the start vertex
+        half = mg.half_edges(end)
+        if not half:
+            raise NoLegalMove(f"vertex {end!r} is isolated")
+        i = int(rng.integers(len(half)))
+    else:
+        v = mg.endpoint(eid, end)
+        half = mg.half_edges(v)
+        if len(half) < 2:
+            raise NoLegalMove(f"vertex {v!r} has multigraph degree 1")
+        forbidden = half.index((eid, end))
+        i = int(rng.integers(len(half) - 1))
+        if i >= forbidden:
+            i += 1
     eid, end = half[i]
     return HalfEdgeState(eid, 1 - end)
 
@@ -172,16 +184,6 @@ def wrw_step(mg: WeightedMultigraph, current, rng) -> WrwMove:
     if r == 1 or rng.random() * r < 1.0:
         return WrwMove(eid, 1 - end, False)
     return WrwMove(eid, end, True)
-
-
-def _first_half_edge(mg: WeightedMultigraph, v, rng) -> HalfEdgeState:
-    """First edge-based non-backtracking step: with no arriving edge to
-    exclude, a uniform half-edge at ``v``."""
-    half = mg.half_edges(v)
-    if not half:
-        raise NoLegalMove(f"vertex {v!r} is isolated")
-    eid, end = half[int(rng.integers(len(half)))]
-    return HalfEdgeState(eid, 1 - end)
 
 
 def _require_kind_graph(kind: WalkKind, graph):
@@ -309,18 +311,14 @@ def _walk(kind, graph, start, n: int, rng):
                 cur = graph.endpoint(move.edge_id, move.head_end)
                 yield cur
         elif mg:
-            state = None
+            state = (None, start)
             for i in range(1, n + 1):
-                if state is None:
-                    state = _first_half_edge(graph, start, rng)
-                else:
-                    state = nbrw_step_edge(graph, state, rng)
+                state = nbrw_step_edge(graph, state, rng)
                 yield graph.endpoint(state.edge_id, state.head_end)
         else:
             prev, cur = None, start
             for i in range(1, n + 1):
-                nxt = srw_step(graph, cur, rng) if prev is None else nbrw_step(graph, prev, cur, rng)
-                prev, cur = cur, nxt
+                prev, cur = cur, nbrw_step(graph, prev, cur, rng)
                 yield cur
     except NoLegalMove as exc:
         raise NoLegalMove(f"step {i}: {exc}") from None
@@ -333,9 +331,9 @@ def sample_path(kind, graph, start, n: int, rng) -> tuple:
     """Length-(n+1) vertex sequence started at ``start``; each step drawn
     from the kernel for ``kind``.  The first non-backtracking step uses
     the uniform rule."""
-    if not isinstance(n, int) or n < 0:
+    if not is_int(n) or n < 0:
         raise InvalidInput("path length must be a nonnegative integer")
-    return (start, *_walk(kind, graph, start, n, rng))
+    return (start, *_walk(kind, graph, start, int(n), rng))
 
 
 def step_distribution(kind, graph, state) -> dict:
@@ -431,13 +429,14 @@ def _branches(kind, graph, state) -> tuple:
     return tuple(groups.items())
 
 
-def _check_horizon(n, least: int = 0):
-    """Refuse a horizon that is not an integer of at least ``least``, or
-    one above the exhaustive-search guard."""
-    if not isinstance(n, int) or n < least:
+def _check_horizon(n, least: int = 0) -> int:
+    """``n`` as an int; refuses a horizon that is not an integer of at
+    least ``least``, or one above the exhaustive-search guard."""
+    if not is_int(n) or n < least:
         raise InvalidInput(f"horizon must be an integer >= {least}")
     if n > MAX_ENUMERATION_HORIZON:
         raise LimitExceeded(f"horizon {n} exceeds the enumeration guard {MAX_ENUMERATION_HORIZON}")
+    return int(n)
 
 
 def _pushforward(law: dict, f) -> dict:
@@ -480,7 +479,7 @@ def _propagate(law, start, record, n: int, extend) -> dict:
 def enumerate_prefix_distribution(kind, graph, start, m: int) -> PrefixDistribution:
     """Exact rational law of the first m+1 vertices, by propagating the
     kernel's law over vertex paths.  Horizons above 14 are refused."""
-    _check_horizon(m)
+    m = _check_horizon(m)
     kind = WalkKind(kind)
     _require_kind_graph(kind, graph)
     entries = _propagate(

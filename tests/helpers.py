@@ -7,10 +7,9 @@ import math
 import numpy as np
 
 from nbwalk import NoLegalMove, from_adjacency
-from nbwalk.stats import _CHUNK, WalkStatistics
+from nbwalk.stats import WalkStatistics
 from nbwalk.walkers import (
     WalkKind,
-    _first_half_edge,
     _require_kind_graph,
     nbrw_step,
     nbrw_step_edge,
@@ -108,21 +107,13 @@ def cursor_erase(seq):
     return tuple(items), "".join(moves), tuple(positions)
 
 
-def _chunks(horizon, checkpoints):
-    """Chunk lengths of the fast kernels: at most ``_CHUNK`` steps, ending
-    at every checkpoint."""
-    done = 0
-    for hi in sorted(set(list(checkpoints or ()) + [horizon])):
-        while done < hi:
-            n = min(_CHUNK, hi - done)
-            yield n
-            done += n
-
-
 def lattice_run_reference(kind, lat, start, horizon, rng, checkpoints=None):
-    """``stats._lattice_run`` one step at a time: the same chunked draws,
-    then a Python loop that picks each direction, moves and checks for
-    the origin."""
+    """``stats._lattice_run`` one step at a time: the whole walk's draws in
+    one call (one scalar draw for a non-backtracking walk's first step,
+    whose range has no reversal to skip), then a Python loop that picks
+    each direction, moves and checks for the origin.  numpy makes the
+    same draws for any split of a bulk call, so the kernel's chunks and
+    checkpoints leave no seam here."""
     d = lat.d
     origin = list(lat.coordinates(start))
     pos = list(origin)
@@ -130,27 +121,22 @@ def lattice_run_reference(kind, lat, start, horizon, rng, checkpoints=None):
     last = None
     prev = None
     marked = {}
-    t = 0
-    for n in _chunks(horizon, checkpoints):
-        if kind is WalkKind.SRW:
-            draws = rng.integers(0, 2 * d, size=n).tolist()
-        else:
-            draws = []
-            if prev is None:
-                draws.append(int(rng.integers(2 * d)))
-            if n > len(draws):
-                draws += rng.integers(0, 2 * d - 1, size=n - len(draws)).tolist()
-        for u in draws:
-            if kind is WalkKind.NBRW and prev is not None and u >= prev ^ 1:
-                u += 1
-            prev = u
-            pos[u // 2] += 1 if u % 2 == 0 else -1
-            t += 1
-            if pos == origin:
-                returns += 1
-                last = t
-            if checkpoints and t in checkpoints:
-                marked[t] = returns
+    if kind is WalkKind.SRW:
+        draws = rng.integers(0, 2 * d, size=horizon).tolist()
+    elif horizon:
+        draws = [int(rng.integers(2 * d)), *rng.integers(0, 2 * d - 1, size=horizon - 1).tolist()]
+    else:
+        draws = []
+    for t, u in enumerate(draws, 1):
+        if kind is WalkKind.NBRW and prev is not None and u >= prev ^ 1:
+            u += 1
+        prev = u
+        pos[u // 2] += 1 if u % 2 == 0 else -1
+        if pos == origin:
+            returns += 1
+            last = t
+        if checkpoints and t in checkpoints:
+            marked[t] = returns
     disp = math.sqrt(sum((p - o) ** 2 for p, o in zip(pos, origin)))
     if checkpoints is None:
         return returns, last, disp
@@ -158,28 +144,25 @@ def lattice_run_reference(kind, lat, start, horizon, rng, checkpoints=None):
 
 
 def tree_run_reference(kind, tree, horizon, rng):
-    """``stats._tree_run`` one step at a time: the same chunked draws, and
-    a depth that steps toward the root when the draw is below 1/degree,
-    except at the root, which it always leaves."""
+    """``stats._tree_run`` one step at a time: the whole walk's draws in
+    one call, and a depth that steps toward the root when the draw is
+    below 1/degree, except at the root, which it always leaves."""
     if kind is WalkKind.NBRW:
         return WalkStatistics(horizon, 0, None, float(horizon))
     up = (1.0 / tree.k1, 1.0 / tree.k2)
     depth = 0
     returns = 0
     last = None
-    t = 0
-    for n in _chunks(horizon, None):
-        for u in rng.random(n).tolist():
-            t += 1
+    for t, u in enumerate(rng.random(horizon).tolist(), 1):
+        if depth == 0:
+            depth = 1
+        elif u < up[depth % 2]:
+            depth -= 1
             if depth == 0:
-                depth = 1
-            elif u < up[depth % 2]:
-                depth -= 1
-                if depth == 0:
-                    returns += 1
-                    last = t
-            else:
-                depth += 1
+                returns += 1
+                last = t
+        else:
+            depth += 1
     return WalkStatistics(horizon, returns, last, float(depth))
 
 
@@ -202,18 +185,14 @@ def walk_reference(kind, graph, start, n, rng):
                 cur = graph.endpoint(move.edge_id, move.head_end)
                 yield cur
         elif mg:
-            state = None
+            state = (None, start)
             for i in range(1, n + 1):
-                if state is None:
-                    state = _first_half_edge(graph, start, rng)
-                else:
-                    state = nbrw_step_edge(graph, state, rng)
+                state = nbrw_step_edge(graph, state, rng)
                 yield graph.endpoint(state.edge_id, state.head_end)
         else:
             prev, cur = None, start
             for i in range(1, n + 1):
-                nxt = srw_step(graph, cur, rng) if prev is None else nbrw_step(graph, prev, cur, rng)
-                prev, cur = cur, nxt
+                prev, cur = cur, nbrw_step(graph, prev, cur, rng)
                 yield cur
     except NoLegalMove as exc:
         raise NoLegalMove(f"step {i}: {exc}") from None

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nbwalk import (
@@ -128,6 +129,16 @@ def test_simulate_positions_walk_by_one():
         assert abs(b - a) == 1 and b >= 0
         if a == 0:
             assert b == 1
+
+
+def test_counts_refuse_bools_and_take_numpy_integers():
+    spec = chain_for_regular(3)
+    with pytest.raises(InvalidParameter):
+        chain_move_law(spec, True)
+    with pytest.raises(InvalidParameter):
+        simulate_chain(spec, True, rng(0))
+    assert chain_move_law(spec, np.int64(5)) == chain_move_law(spec, 5)
+    assert simulate_chain(spec, np.int64(50), rng(2)) == simulate_chain(spec, 50, rng(2))
 
 
 def test_chain_move_law_total_and_support():

@@ -237,6 +237,32 @@ def test_invalid_configuration_exits_2_without_files(argv, tmp_path, capsys):
         assert list(tmp_path.iterdir()) == []
 
 
+# every subcommand that takes --out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _walk(),
+        ["erase", "--graph", K4_SPEC, "--seed", "1"],
+        ["contract", "--graph", THETA_SPEC],
+        ["enumerate", "--graph", K4_SPEC, "--walk", "srw", "--m", "2"],
+        _diagnose(),
+    ],
+    ids=["walk", "erase", "contract", "enumerate", "diagnose"],
+)
+def test_out_in_a_missing_directory_exits_2_without_files(argv, tmp_path, capsys):
+    assert run(argv + ["--out", str(tmp_path / "missing" / "r")]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["contract", "--graph", THETA_SPEC], _diagnose()], ids=["contract", "diagnose"])
+def test_csv_target_that_is_a_directory_leaves_no_json(argv, tmp_path, capsys):
+    (tmp_path / "r.csv").mkdir()
+    assert run(argv + ["--out", str(tmp_path / "r")]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+    assert capsys.readouterr().out == ""
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["diagnose", "--help"]) == 0

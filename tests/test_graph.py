@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from nbwalk import (
@@ -47,6 +48,15 @@ def test_lattice_3d_neighbor_structure():
 def test_lattice_dimension_guard(d):
     with pytest.raises(InvalidParameter):
         lattice(d)
+
+
+def test_sizes_refuse_bools_and_take_numpy_integers():
+    for bad in [lambda: Lattice(True), lambda: Lattice(2, True), lambda: regular_tree(True)]:
+        with pytest.raises(InvalidParameter):
+            bad()
+    lat, tree = Lattice(np.int64(2), np.int8(1)), regular_tree(np.int64(3))
+    assert (lat.d, lat.pitch, tree.k) == (2, 2, 3)
+    assert all(type(x) is int for x in (lat.d, lat.pitch, tree.k, tree.k1, tree.k2))
 
 
 def test_subdivided_lattice_degrees():

@@ -131,6 +131,17 @@ def test_monte_carlo_aggregates_recomputable():
     assert len(lines) == n + 1
 
 
+def test_monte_carlo_refuses_bools_and_takes_numpy_integers():
+    for horizon, replicas in [(True, 3), (10, True)]:
+        with pytest.raises(InvalidParameter):
+            monte_carlo("srw", k4(), 0, horizon, replicas, 1)
+    # the generic kernel and both fast paths write the same bytes
+    for g, start in [(k4(), 0), (lattice(2), (0, 0)), (regular_tree(3), ())]:
+        plain = monte_carlo("srw", g, start, 300, 3, 9)
+        wide = monte_carlo("srw", g, start, np.int64(300), np.int64(3), 9)
+        assert (wide.json_text(), wide.csv_text()) == (plain.json_text(), plain.csv_text())
+
+
 def test_fast_lattice_agrees_with_generic_kernels():
     # the lattice fast path makes the same draws as the generic stepper,
     # so the same replica seeds give the same rows
@@ -225,6 +236,16 @@ def test_lattice_return_counts_monotone_and_seeded():
     assert lattice_return_counts("srw", 2, np.array([500, 2000]), np.int64(25), 31337) == counts
 
 
+def test_lattice_return_counts_at_the_top_horizon_equal_the_plain_run():
+    # checkpoints inside the first chunk and past it never change the walk
+    top = _CHUNK + 7
+    for kind in (WalkKind.SRW, WalkKind.NBRW):
+        counts = lattice_return_counts(kind, 2, [3, 100, _CHUNK, top], 4, 99)
+        for i in range(4):
+            returns, _, _ = _lattice_run(kind, lattice(2), (0, 0), top, rng(replica_seed(99, i)))
+            assert counts[top][i] == returns, (kind, i)
+
+
 @pytest.mark.parametrize(
     "horizons, replicas",
     [
@@ -242,6 +263,9 @@ def test_lattice_return_counts_monotone_and_seeded():
 def test_lattice_return_counts_rejects_bad_inputs(horizons, replicas):
     with pytest.raises(InvalidParameter):
         lattice_return_counts("srw", 2, horizons, replicas, 1)
+    # only srw and nbrw have a lattice walk; wrw must not run the nbrw one
+    with pytest.raises(InvalidParameter):
+        lattice_return_counts("wrw", 2, [1000], 3, 5)
 
 
 def test_move_frequency_regular_tree_coupling():

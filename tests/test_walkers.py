@@ -193,6 +193,18 @@ def test_sample_path_error_carries_step_index():
         sample_path("nbrw", g, 1, 5, rng(3))
 
 
+def test_horizons_refuse_bools_and_take_numpy_integers():
+    for n in (True, False):
+        with pytest.raises(InvalidInput):
+            sample_path("srw", k4(), 0, n, rng(0))
+        with pytest.raises(InvalidInput):
+            enumerate_prefix_distribution("srw", k4(), 0, n)
+    assert sample_path("nbrw", k4(), 0, np.int64(20), rng(4)) == sample_path("nbrw", k4(), 0, 20, rng(4))
+    law = enumerate_prefix_distribution("nbrw", k4(), 0, np.int64(3))
+    assert law == enumerate_prefix_distribution("nbrw", k4(), 0, 3)
+    assert type(law.horizon) is int
+
+
 def test_kind_graph_mismatch():
     with pytest.raises(InvalidInput):
         sample_path("wrw", k4(), 0, 2, rng(0))
