@@ -29,6 +29,7 @@ def _sha(data: bytes) -> str:
 
 
 LATTICE2 = '{"type":"lattice","d":2}'
+LATTICE1 = '{"type":"lattice","d":1}'
 LATTICE3 = '{"type":"lattice","d":3}'
 TREE3 = '{"type":"regular_tree","k":3}'
 SUBLATTICE = '{"type":"subdivided_lattice","d":2,"t":1}'
@@ -78,6 +79,14 @@ WALK = {
         LATTICE2, "srw", None, 2000, 21,
         "d48bd766ce5d1edb7439d0c2fed405554500d2b39dd8628b1745b4ad9f6c3d97",
     ),
+    "lattice1_nbrw": (
+        LATTICE1, "nbrw", None, 2000, 24,
+        "37d99d5232c5b54032c3125975cd8a4cbf48292607a320a3dc6ab9015be80a3e",
+    ),
+    "lattice3_nbrw": (
+        LATTICE3, "nbrw", "(1,-2,3)", 2000, 25,
+        "66393d4c6b19eafab738591a785059890b2c22ac1a0a53aeac99bc51ea7d219b",
+    ),
     "k4_nbrw": (
         _explicit_spec(k4()), "nbrw", "0", 2000, 22,
         "3733f4204b3b64386e0553600b30e6a03f9204d437689ad44ad3f3220f4304c5",
@@ -87,6 +96,9 @@ WALK = {
         "c0c99058d7acbb78bc14b5951433c06f21e3c078d6ef935b36a565cd2fa512e6",
     ),
 }
+
+# erase of a sampled Z^2 walk: (graph spec, horizon, seed, output file sha256)
+ERASE_LATTICE2 = (LATTICE2, 5000, 26, "dd49de9e9f0a8f92c383984dd3aa3859fbdad473ca2ad8674120f6a14f1571b4")
 
 EDGE_NBRW_CSV = "5ec0d021f3305d65963e3e604c86895596f22f933fb062ee4e15fd96b32dd223"
 
@@ -114,6 +126,13 @@ def test_walk_token_bytes(name, tmp_path):
             "--seed", str(seed), "--out", str(out)]
     assert run(argv) == 0
     assert _sha(out.read_bytes()) == tokens_sha
+
+
+def test_erase_sampled_lattice_bytes(tmp_path):
+    spec, horizon, seed, out_sha = ERASE_LATTICE2
+    out = tmp_path / "erased.txt"
+    assert run(["erase", "--graph", spec, "--horizon", str(horizon), "--seed", str(seed), "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == out_sha
 
 
 def test_edge_nbrw_report_bytes():
