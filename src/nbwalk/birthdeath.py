@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParameter, is_int
+from .errors import InvalidParameter, is_degree_pair, is_int
 from .walkers import _propagate
 
 _ZERO = Fraction(0)
@@ -68,7 +68,7 @@ def chain_for_biregular(k1: int, k2: int) -> BirthDeathSpec:
     """Period-2 right probabilities for the alternating-degree case.  The
     start vertex has degree k1, so even positions carry (k1-1)/k1 and odd
     positions (k2-1)/k2."""
-    if not (is_int(k1) and is_int(k2)) or not k1 > k2 >= 2:
+    if not is_degree_pair(k1, k2):
         raise InvalidParameter(f"need k1 > k2 >= 2, got ({k1!r}, {k2!r})")
     k1, k2 = int(k1), int(k2)
     return BirthDeathSpec((), (Fraction(k1 - 1, k1), Fraction(k2 - 1, k2)))

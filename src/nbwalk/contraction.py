@@ -21,7 +21,7 @@ from .errors import (
     LimitExceeded,
     UnsupportedGraph,
     UnsupportedStructure,
-    is_int,
+    is_degree_pair,
 )
 from .graph import ExplicitGraph, WeightedMultigraph, sort_token
 from .walkers import PrefixDistribution, WalkKind, _branches, _check_horizon, _propagate
@@ -170,7 +170,7 @@ def check_biregular_shape(mg: WeightedMultigraph, k1: int, k2: int) -> bool:
     """Alternating two-degree test on a multigraph: every vertex has
     multigraph degree k1 or k2 and every edge joins the two degree
     classes.  Self-loops fail; so does k1 <= k2."""
-    if not (is_int(k1) and is_int(k2)) or not k1 > k2 >= 2:
+    if not is_degree_pair(k1, k2):
         return False
     deg = {v: mg.mdegree(v) for v in mg.vertices()}
     if any(d not in (k1, k2) for d in deg.values()):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and what counts as an integer."""
+"""Exception types shared across the package, and the rules for integer arguments."""
 
 import numbers
 
@@ -6,6 +6,11 @@ import numbers
 def is_int(x) -> bool:
     """Any integer type, numpy's included, but not a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_degree_pair(k1, k2) -> bool:
+    """Integers with k1 > k2 >= 2, the degrees of a biregular tree."""
+    return is_int(k1) and is_int(k2) and k1 > k2 >= 2
 
 
 class NbwalkError(Exception):

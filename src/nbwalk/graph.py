@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain, cycle
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidParameter, MalformedGraph, UnsupportedGraph, is_int
+from .errors import InvalidParameter, MalformedGraph, UnsupportedGraph, is_degree_pair, is_int
 
 _INT_TOKEN = re.compile(r"-?\d+")
 _BAD_STR = re.compile(r"[\s(),]")
@@ -191,7 +191,7 @@ class BiregularTree(Graph):
     by index."""
 
     def __init__(self, k1: int, k2: int):
-        if not (is_int(k1) and is_int(k2)) or not k1 > k2 >= 2:
+        if not is_degree_pair(k1, k2):
             raise InvalidParameter(f"need k1 > k2 >= 2, got ({k1!r}, {k2!r})")
         self.k1 = int(k1)
         self.k2 = int(k2)

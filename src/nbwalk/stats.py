@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientData, InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
-from .walkers import PrefixDistribution, WalkKind, _walk
+from .walkers import _CHUNK, PrefixDistribution, WalkKind, _lattice_offsets, _on_lattice_kernel, _walk
 
 _ZERO = Fraction(0)
 
@@ -174,7 +174,9 @@ def monte_carlo(
         raise InvalidParameter("need at least one replica")
     if not is_int(horizon) or horizon < 0:
         raise InvalidParameter("horizon must be a nonnegative integer")
-    replicas, horizon = int(replicas), int(horizon)
+    if not is_int(master_seed) or not 0 <= master_seed <= _MASK64:
+        raise InvalidParameter("master seed must be an integer in [0, 2**64)")
+    replicas, horizon, master_seed = int(replicas), int(horizon), int(master_seed)
     rows = tuple(
         _replica(kind, graph, start, horizon, np.random.default_rng(replica_seed(master_seed, i)))
         for i in range(replicas)
@@ -190,7 +192,7 @@ def monte_carlo(
 
 
 def _replica(kind, graph, start, horizon, rng) -> WalkStatistics:
-    if isinstance(graph, Lattice) and graph.pitch == 1 and kind in (WalkKind.SRW, WalkKind.NBRW):
+    if _on_lattice_kernel(kind, graph):
         returns, last, disp = _lattice_run(kind, graph, start, horizon, rng)
         return WalkStatistics(horizon, returns, last, disp)
     if isinstance(graph, BiregularTree) and start == () and kind in (
@@ -244,80 +246,34 @@ def _generic_replica(kind, graph, start, horizon, rng) -> WalkStatistics:
     return return_statistics(chain((start,), _walk(kind, graph, start, horizon, rng)), start, graph)
 
 
-_CHUNK = 1 << 15
-
-
-def _nbrw_chain(u, prev):
-    """Directions of a non-backtracking lattice walk from its raw draws
-    ``u`` in [0, 2d - 1), given the direction ``prev`` taken before
-    ``u[0]``.  Direction t is ``u_t + b_t`` with
-    ``b_t = [u_t >= dir_{t-1} ^ 1]``: the draw skips the reversal of the
-    last direction.  Given ``u_{t-1}`` and ``u_t``, ``b_t`` is constant
-    0, constant 1, ``b_{t-1}`` or its negation, and at t = 0 it is a
-    constant, so each ``b_t`` is the value of the last constant flipped
-    once per negation since."""
-    # b_t when b_{t-1} is 0 and when it is 1
-    lo = np.empty(len(u), dtype=bool)
-    hi = np.empty(len(u), dtype=bool)
-    lo[0] = hi[0] = u[0] >= prev ^ 1
-    np.greater_equal(u[1:], u[:-1] ^ 1, out=lo[1:])
-    np.greater_equal(u[1:], (u[:-1] + 1) ^ 1, out=hi[1:])
-    last = np.maximum.accumulate(np.arange(len(u)) * (lo == hi))
-    flips = np.logical_xor.accumulate(lo > hi)
-    return u + ((lo ^ flips)[last] ^ flips)
-
-
 def _lattice_run(kind, lat, start, horizon, rng, checkpoints=None):
     """Chunked lattice walk resolved with array operations: each chunk's
-    directions are drawn at once (the non-backtracking chain through
-    ``_nbrw_chain``), then each axis's offsets from the chunk start are a
-    cumulative sum and origin hits are the steps where every axis sits on
-    its target.  Optionally records cumulative return counts at the given
-    step checkpoints."""
+    per-axis offsets come from ``walkers._lattice_offsets``, and origin
+    hits are the steps where every axis sits on its target.  Optionally
+    records cumulative return counts at the given step checkpoints."""
     d = lat.d
-    two_d = 2 * d
-    # the change of axis a under each direction: +e_a is 2a, -e_a is 2a + 1
-    axis_steps = np.zeros((d, two_d), dtype=np.int32)
-    for a in range(d):
-        axis_steps[a, 2 * a] = 1
-        axis_steps[a, 2 * a + 1] = -1
     origin = lat.coordinates(start)
     carry = list(origin)
     returns = 0
     last = None
     done = 0
-    prev = -1
     marks = sorted(checkpoints) if checkpoints else []
     marked = {}
-    boundaries = sorted(set(marks + [horizon]))
-    for hi in boundaries:
-        while done < hi:
-            n = min(_CHUNK, hi - done)
-            if kind is WalkKind.SRW:
-                dirs = rng.integers(0, two_d, size=n)
-            else:
-                dirs = np.empty(n, dtype=np.int64)
-                i0 = 0
-                if prev < 0:
-                    prev = dirs[0] = int(rng.integers(two_d))
-                    i0 = 1
-                if n > i0:
-                    dirs[i0:] = _nbrw_chain(rng.integers(0, two_d - 1, size=n - i0), prev)
-                    prev = int(dirs[-1])
-            # offsets from the chunk start are at most n <= _CHUNK = 2^15
-            # in size, so they fit in int32
-            offsets = [np.cumsum(axis_steps[a][dirs], dtype=np.int32) for a in range(d)]
-            target = [o - c for o, c in zip(origin, carry)]
-            hits = np.flatnonzero(offsets[0] == target[0])
-            for a in range(1, d):
-                hits = hits[offsets[a][hits] == target[a]]
-            if len(hits):
-                returns += len(hits)
-                last = done + int(hits[-1]) + 1
-            carry = [c + int(off[-1]) for c, off in zip(carry, offsets)]
-            done += n
-        if hi in marks:
-            marked[hi] = returns
+    for offsets in _lattice_offsets(kind, d, horizon, rng):
+        n = len(offsets[0])
+        target = [o - c for o, c in zip(origin, carry)]
+        hits = np.flatnonzero(offsets[0] == target[0])
+        for a in range(1, d):
+            hits = hits[offsets[a][hits] == target[a]]
+        for h in marks:
+            if done < h <= done + n:
+                # hit i is step done + i + 1
+                marked[h] = returns + int(np.searchsorted(hits, h - done))
+        if len(hits):
+            returns += len(hits)
+            last = done + int(hits[-1]) + 1
+        carry = [c + int(off[-1]) for c, off in zip(carry, offsets)]
+        done += n
     disp = math.sqrt(sum((c - o) ** 2 for c, o in zip(carry, origin)))
     if checkpoints is None:
         return returns, last, disp

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput, InvalidState, LimitExceeded, NoLegalMove, is_int
-from .graph import Graph, WeightedMultigraph
+from .graph import Graph, Lattice, WeightedMultigraph
 
 MAX_ENUMERATION_HORIZON = 14
 
@@ -330,10 +330,86 @@ def _walk(kind, graph, start, n: int, rng):
 def sample_path(kind, graph, start, n: int, rng) -> tuple:
     """Length-(n+1) vertex sequence started at ``start``; each step drawn
     from the kernel for ``kind``.  The first non-backtracking step uses
-    the uniform rule."""
+    the uniform rule.  On Z^d the path is drawn in bulk by
+    ``_lattice_offsets``, with the scalar samplers' draws and end state."""
     if not is_int(n) or n < 0:
         raise InvalidInput("path length must be a nonnegative integer")
-    return (start, *_walk(kind, graph, start, int(n), rng))
+    kind, n = WalkKind(kind), int(n)
+    if not _on_lattice_kernel(kind, graph):
+        return (start, *_walk(kind, graph, start, n, rng))
+    path = [start]
+    if n:
+        carry = graph.coordinates(start)
+        for offsets in _lattice_offsets(kind, graph.d, n, rng):
+            columns = []
+            for c, off in zip(carry, offsets):
+                lo = int(off.min())
+                # one int object per coordinate value, shared by every key
+                # that has it, as the scalar walk shares unchanged ones
+                values = list(range(c + lo, c + int(off.max()) + 1))
+                columns.append([values[i] for i in (off - lo).tolist()])
+            path.extend(columns[0] if graph.d == 1 else zip(*columns))
+            carry = [col[-1] for col in columns]
+    return tuple(path)
+
+
+def _on_lattice_kernel(kind: WalkKind, graph) -> bool:
+    """Whether ``_lattice_offsets`` runs this walk: srw or nbrw on Z^d."""
+    return kind is not WalkKind.WRW and isinstance(graph, Lattice) and graph.pitch == 1
+
+
+# steps per chunk of the array kernels
+_CHUNK = 1 << 15
+
+
+def _nbrw_chain(u, prev):
+    """Directions of a non-backtracking lattice walk from its raw draws
+    ``u`` in [0, 2d - 1), given the direction ``prev`` taken before
+    ``u[0]``.  Direction t is ``u_t + b_t`` with
+    ``b_t = [u_t >= dir_{t-1} ^ 1]``: the draw skips the reversal of the
+    last direction.  Given ``u_{t-1}`` and ``u_t``, ``b_t`` is constant
+    0, constant 1, ``b_{t-1}`` or its negation, and at t = 0 it is a
+    constant, so each ``b_t`` is the value of the last constant flipped
+    once per negation since."""
+    # b_t when b_{t-1} is 0 and when it is 1
+    lo = np.empty(len(u), dtype=bool)
+    hi = np.empty(len(u), dtype=bool)
+    lo[0] = hi[0] = u[0] >= prev ^ 1
+    np.greater_equal(u[1:], u[:-1] ^ 1, out=lo[1:])
+    np.greater_equal(u[1:], (u[:-1] + 1) ^ 1, out=hi[1:])
+    last = np.maximum.accumulate(np.arange(len(u)) * (lo == hi))
+    flips = np.logical_xor.accumulate(lo > hi)
+    return u + ((lo ^ flips)[last] ^ flips)
+
+
+def _lattice_offsets(kind: WalkKind, d: int, n: int, rng):
+    """Yield an n-step srw or nbrw walk on Z^d in chunks of at most
+    ``_CHUNK`` steps, each chunk as one int32 array per axis of the
+    offsets from the chunk's start.  Direction 2a is +e_a and 2a + 1 is
+    -e_a, the order of ``Lattice.neighbors``, and the draws are those of
+    the scalar samplers: ``integers(2d)`` per simple step; one scalar
+    ``integers(2d)`` for the first non-backtracking step, then
+    ``integers(2d - 1)`` resolved by ``_nbrw_chain``.  numpy makes the
+    same draws for any split of a bulk call, so the chunks leave no seam."""
+    two_d = 2 * d
+    # row a: the change of axis a under each direction
+    axis_steps = np.kron(np.eye(d, dtype=np.int32), np.array([1, -1], dtype=np.int32))
+    prev = -1
+    for done in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - done)
+        if kind is WalkKind.SRW:
+            dirs = rng.integers(0, two_d, size=m)
+        else:
+            dirs = np.empty(m, dtype=np.int64)
+            i0 = 0
+            if prev < 0:
+                prev = dirs[0] = int(rng.integers(two_d))
+                i0 = 1
+            if m > i0:
+                dirs[i0:] = _nbrw_chain(rng.integers(0, two_d - 1, size=m - i0), prev)
+                prev = int(dirs[-1])
+        # offsets are at most m <= _CHUNK = 2^15 in size, so they fit in int32
+        yield [np.cumsum(axis_steps[a][dirs], dtype=np.int32) for a in range(d)]
 
 
 def step_distribution(kind, graph, state) -> dict:

@@ -74,6 +74,19 @@ def test_criterion_2_exact_cursor_move_law():
     )
 
 
+def test_criterion_2_biregular_move_law():
+    # the paper's non-regular extension: from a vertex of degree k1 on a
+    # (k1, k2)-biregular graph the cursor moves as the period-2 chain
+    t0 = time.time()
+    cases = [
+        (complete_bipartite(3, 4), "a0", chain_for_biregular(4, 3)),
+        (subdivide(k4(), 1), 0, chain_for_biregular(3, 2)),
+    ]
+    for g, start, chain in cases:
+        assert enumerate_move_distribution(g, start, 10) == chain_move_law(chain, 10)
+    print(f"criterion 2 (biregular): PASS  K_3,4 and subdivided K4 move laws exact, {time.time() - t0:.1f}s")
+
+
 def test_criterion_3_erased_prefix_convergence():
 
     # Counting the short-output mass as its own outcome, the distance to
@@ -97,6 +110,17 @@ def test_criterion_3_erased_prefix_convergence():
         f"criterion 3: PASS  tv(N=6)={float(tv6):.4f} > tv(N=12)={float(tv12):.4f}; "
         f"conditional tv(N=12)={float(tv12_cond)} < 0.02, {elapsed:.1f}s"
     )
+
+
+def test_criterion_3_biregular_erased_prefix():
+    # conditioned on a full-length prefix, erasure yields the
+    # non-backtracking law on biregular graphs too
+    t0 = time.time()
+    for g, start in [(complete_bipartite(3, 4), "a0"), (subdivide(k4(), 1), 0)]:
+        nbrw = enumerate_prefix_distribution("nbrw", g, start, 3)
+        for n in (6, 10):
+            assert total_variation(erased_prefix_distribution(g, start, n, 3).conditioned(), nbrw) == 0
+    print(f"criterion 3 (biregular): PASS  conditional tv 0 at N=6 and N=10, {time.time() - t0:.1f}s")
 
 
 def test_criterion_4_non_regular_failure():

@@ -1,12 +1,16 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from nbwalk import (
     InvalidInput,
+    InvalidParameter,
     LimitExceeded,
     UnsupportedGraph,
     UnsupportedStructure,
+    biregular_tree,
+    chain_for_biregular,
     check_biregular_shape,
     contract,
     counterexample_graph,
@@ -189,6 +193,18 @@ def test_biregular_shape_check():
     assert not check_biregular_shape(mg4, 3, 2)
     mgl, _ = contract(two_loop_graph())
     assert not check_biregular_shape(mgl, 4, 2)
+
+
+def test_degree_pair_rule_is_shared():
+    mg34, _ = contract(subdivide(complete_bipartite(3, 4), 1))
+    for k1, k2 in [(3, 4), (3, 3), (2, 1), (4, True), (4.0, 3), ("4", 3)]:
+        assert not check_biregular_shape(mg34, k1, k2)
+        for build in (biregular_tree, chain_for_biregular):
+            with pytest.raises(InvalidParameter, match="need k1 > k2 >= 2"):
+                build(k1, k2)
+    assert check_biregular_shape(mg34, np.int64(4), np.int64(3))
+    assert biregular_tree(np.int64(4), np.int64(3)).k1 == 4
+    assert chain_for_biregular(np.int64(4), np.int64(3)) == chain_for_biregular(4, 3)
 
 
 def test_induced_prefix_requires_anchor():

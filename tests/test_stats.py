@@ -135,6 +135,14 @@ def test_monte_carlo_refuses_bools_and_takes_numpy_integers():
     for horizon, replicas in [(True, 3), (10, True)]:
         with pytest.raises(InvalidParameter):
             monte_carlo("srw", k4(), 0, horizon, replicas, 1)
+    for seed in [True, -1, 2**64, 2**70, 1.0]:
+        with pytest.raises(InvalidParameter, match="master seed"):
+            monte_carlo("srw", k4(), 0, 10, 3, seed)
+    plain = monte_carlo("srw", k4(), 0, 300, 3, 5)
+    wide = monte_carlo("srw", k4(), 0, 300, 3, np.int64(5))
+    assert (wide.json_text(), wide.csv_text()) == (plain.json_text(), plain.csv_text())
+    assert type(wide.master_seed) is int
+    assert monte_carlo("srw", k4(), 0, 10, 1, 2**64 - 1).master_seed == 2**64 - 1
     # the generic kernel and both fast paths write the same bytes
     for g, start in [(k4(), 0), (lattice(2), (0, 0)), (regular_tree(3), ())]:
         plain = monte_carlo("srw", g, start, 300, 3, 9)

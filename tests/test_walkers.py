@@ -34,7 +34,7 @@ from nbwalk import (
     wrw_step,
 )
 from nbwalk.stats import _generic_replica, return_statistics
-from nbwalk.walkers import _MAX_BLOCK, _Draws, _walk
+from nbwalk.walkers import _CHUNK, _MAX_BLOCK, _Draws, _walk
 
 from helpers import k4, rng, theta_graph, walk_reference
 
@@ -199,15 +199,18 @@ def test_horizons_refuse_bools_and_take_numpy_integers():
             sample_path("srw", k4(), 0, n, rng(0))
         with pytest.raises(InvalidInput):
             enumerate_prefix_distribution("srw", k4(), 0, n)
-    assert sample_path("nbrw", k4(), 0, np.int64(20), rng(4)) == sample_path("nbrw", k4(), 0, 20, rng(4))
+    for g, start in [(k4(), 0), (lattice(2), (0, 0))]:
+        assert sample_path("nbrw", g, start, np.int64(20), rng(4)) == sample_path("nbrw", g, start, 20, rng(4))
     law = enumerate_prefix_distribution("nbrw", k4(), 0, np.int64(3))
     assert law == enumerate_prefix_distribution("nbrw", k4(), 0, 3)
     assert type(law.horizon) is int
 
 
 def test_kind_graph_mismatch():
-    with pytest.raises(InvalidInput):
-        sample_path("wrw", k4(), 0, 2, rng(0))
+    for n in (0, 2):
+        for g, start in [(k4(), 0), (lattice(2), (0, 0))]:
+            with pytest.raises(InvalidInput):
+                sample_path("wrw", g, start, n, rng(0))
     mg = theta_multigraph()
     with pytest.raises(InvalidInput):
         sample_path("srw", mg, "u", 2, rng(0))
@@ -418,10 +421,42 @@ def test_walk_on_another_bit_generator_uses_the_scalar_calls():
         assert (fast.bit_generator.state["state"]["key"] == ref.bit_generator.state["state"]["key"]).all()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lattice_path_equals_scalar_reference(d, monkeypatch):
+    # a short chunk puts each horizon at a chunk seam cheaply; the scalar
+    # reference costs several microseconds a step
+    chunk = 7
+    monkeypatch.setattr("nbwalk.walkers._CHUNK", chunk)
+    horizons = (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 5)
+    g = lattice(d)
+    for kind in ("srw", "nbrw"):
+        for start in (g.default_start(), -5 if d == 1 else (3, -2, 40, -1)[:d]):
+            for make in (np.random.PCG64, np.random.MT19937):
+                # one generator pair for every horizon, so each walk starts
+                # with whatever spare half the last one left
+                fast, ref = np.random.Generator(make(d)), np.random.Generator(make(d))
+                for n in horizons:
+                    path = sample_path(kind, g, start, n, fast)
+                    assert path == (start, *walk_reference(kind, g, start, n, ref)), (kind, start, n)
+                    np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("kind, d, start", [("srw", 2, (0, 0)), ("nbrw", 4, (3, -2, 40, -1))])
+def test_lattice_path_at_full_chunks_equals_scalar_reference(kind, d, start):
+    g = lattice(d)
+    fast, ref = rng(d), rng(d)
+    assert sample_path(kind, g, start, 2 * _CHUNK + 5, fast) == (
+        start, *walk_reference(kind, g, start, 2 * _CHUNK + 5, ref)
+    )
+    assert fast.bit_generator.state == ref.bit_generator.state
+
+
 def test_invalid_start_raises_only_when_a_step_is_taken():
     mg, _ = contract(theta_graph())
     cases = [
         ("srw", lattice(2), (1,)),
+        ("nbrw", lattice(2), (1,)),
+        ("srw", lattice(1), (0,)),
         ("nbrw", subdivided_lattice(2, 1), (1, 1)),
         ("srw", regular_tree(3), (3,)),
         ("nbrw", biregular_tree(4, 3), (0, 2)),
