@@ -102,6 +102,40 @@ ERASE_LATTICE2 = (LATTICE2, 5000, 26, "dd49de9e9f0a8f92c383984dd3aa3859fbdad473c
 
 EDGE_NBRW_CSV = "5ec0d021f3305d65963e3e604c86895596f22f933fb062ee4e15fd96b32dd223"
 
+# a cubic graph on 10 vertices, drawn once by the configuration model
+# (seed 1) and fixed here so that its bytes never depend on a generator
+CUBIC10 = json.dumps({"type": "explicit", "adjacency": {
+    "0": [5, 6, 8], "1": [3, 8, 9], "2": [4, 5, 6], "3": [1, 7, 9], "4": [2, 7, 8],
+    "5": [0, 2, 7], "6": [0, 2, 9], "7": [3, 4, 5], "8": [0, 1, 4], "9": [1, 3, 6],
+}})
+COUNTEREXAMPLE = '{"type":"counterexample"}'
+
+# exact-oracle stdout: name: (compare argv after the subcommand, stdout sha256)
+COMPARE = {
+    "cubic10_erased": (
+        ["--graph", CUBIC10, "--start", "0", "--N", "10", "--m", "3"],
+        "8c9d3aba0e31de8dddd06c27d4dc386d6511c6d026b48d42e322d5365aff3f7a",
+    ),
+    "counterexample_erased": (
+        ["--graph", COUNTEREXAMPLE, "--start", "v", "--N", "11", "--m", "3"],
+        "e58d203a138ea4408f2008a12b348adcbccca3ad2f7e12de6bd53c93da74183b",
+    ),
+    "theta_induced_srw": (
+        ["--graph", _explicit_spec(theta_graph()), "--start", "u", "--induced", "--walk", "srw", "--m", "8"],
+        "ef96e5cae73a431bdcab0eedbe8c3f273b1547244477a3e3363ccefcac134f8a",
+    ),
+    "theta_induced_nbrw": (
+        ["--graph", _explicit_spec(theta_graph()), "--start", "u", "--induced", "--walk", "nbrw", "--m", "12"],
+        "f7a3b4c892249651ec9680cc30c9dfa673b3da47a333e6b047e4165fdc162357",
+    ),
+}
+
+# the exact WRW law on the contracted theta graph: (argv after the subcommand, file sha256)
+ENUMERATE_WRW = (
+    ["--graph", _explicit_spec(theta_graph()), "--walk", "wrw", "--start", "u", "--m", "6"],
+    "72d9213434dcad96c4ea3735ee425e6557a49344a895d59cd10e100531a83f2c",
+)
+
 
 def _start(start):
     return [] if start is None else ["--start", start]
@@ -139,3 +173,17 @@ def test_edge_nbrw_report_bytes():
     mg, _ = contract(theta_graph())
     report = monte_carlo("nbrw", mg, "u", 2000, 8, 31)
     assert _sha(report.csv_text().encode()) == EDGE_NBRW_CSV
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE))
+def test_compare_stdout_bytes(name, capsys):
+    argv, stdout_sha = COMPARE[name]
+    assert run(["compare", *argv]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == stdout_sha
+
+
+def test_enumerate_wrw_law_bytes(tmp_path):
+    argv, out_sha = ENUMERATE_WRW
+    out = tmp_path / "law.json"
+    assert run(["enumerate", *argv, "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == out_sha
