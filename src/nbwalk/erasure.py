@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
+from operator import itemgetter
 
 from .errors import InvalidInput
 from .graph import Graph
-from .walkers import PrefixDistribution, WalkKind, _branches, _check_horizon, _propagate, _pushforward
+from .walkers import PrefixDistribution, WalkKind, _branches, _check_horizon, _propagate
 
 _ZERO = Fraction(0)
 
@@ -97,9 +98,11 @@ def erased_prefix_distribution(g: Graph, start, big_n: int, m: int) -> PrefixDis
     shorter than m+1 accumulate in ``short_mass``."""
     m = _check_horizon(m)
     big_n = _check_horizon(big_n, m + 1)
-    stacks = _propagate(partial(_branches, WalkKind.SRW, g), start, (start,), big_n, lambda st, v: _erase_step(st, v)[0])
     keep = m + 1
-    law = _pushforward(stacks, lambda st: st[:keep] if len(st) >= keep else None)
+    law = _propagate(
+        partial(_branches, WalkKind.SRW, g), start, (start,), big_n,
+        lambda st, v: _erase_step(st, v)[0], lambda st: st[:keep] if len(st) >= keep else None,
+    )
     short = law.pop(None, _ZERO)
     return PrefixDistribution(m, law, short)
 
@@ -115,5 +118,4 @@ def enumerate_move_distribution(g: Graph, start, steps: int) -> dict:
     with ``steps`` steps from ``start``, propagated over (stack, move
     string) pairs."""
     steps = _check_horizon(steps, 1)
-    law = _propagate(partial(_branches, WalkKind.SRW, g), start, ((start,), ""), steps, _erase_move)
-    return _pushforward(law, lambda record: record[1])
+    return _propagate(partial(_branches, WalkKind.SRW, g), start, ((start,), ""), steps, _erase_move, itemgetter(1))

@@ -21,8 +21,6 @@ from .errors import InsufficientData, InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
 from .walkers import _CHUNK, PrefixDistribution, WalkKind, _lattice_offsets, _on_lattice_kernel, _walk
 
-_ZERO = Fraction(0)
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -37,15 +35,25 @@ def replica_seed(master_seed: int, replica_index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _master_seed(master_seed) -> int:
+    """``master_seed`` as an int; refuses a bool or a value outside [0, 2**64)."""
+    if not is_int(master_seed) or not 0 <= master_seed <= _MASK64:
+        raise InvalidParameter("master seed must be an integer in [0, 2**64)")
+    return int(master_seed)
+
+
 def total_variation(p: PrefixDistribution, q: PrefixDistribution) -> Fraction:
     """Half the L1 gap between two prefix laws on the same horizon, with
     the short-output masses compared as one extra outcome."""
     if p.horizon != q.horizon:
         raise InvalidInput(f"horizon mismatch: {p.horizon} vs {q.horizon}")
-    keys = set(p.entries) | set(q.entries)
-    acc = sum((abs(p.prob(k) - q.prob(k)) for k in keys), _ZERO)
-    acc += abs(p.short_mass - q.short_mass)
-    return acc / 2
+    # |p - q| summed in integers over the lcm of both laws' denominators,
+    # with the short mass keyed None, which no prefix can be
+    outcomes = [(*law.entries.items(), (None, law.short_mass)) for law in (p, q)]
+    den = math.lcm(*{x.denominator for items in outcomes for _, x in items})
+    a, b = ({k: x.numerator * (den // x.denominator) for k, x in items} for items in outcomes)
+    acc = sum(abs(w - b.pop(k, 0)) for k, w in a.items()) + sum(b.values())
+    return Fraction(acc, 2 * den)
 
 
 @dataclass(frozen=True)
@@ -174,9 +182,7 @@ def monte_carlo(
         raise InvalidParameter("need at least one replica")
     if not is_int(horizon) or horizon < 0:
         raise InvalidParameter("horizon must be a nonnegative integer")
-    if not is_int(master_seed) or not 0 <= master_seed <= _MASK64:
-        raise InvalidParameter("master seed must be an integer in [0, 2**64)")
-    replicas, horizon, master_seed = int(replicas), int(horizon), int(master_seed)
+    replicas, horizon, master_seed = int(replicas), int(horizon), _master_seed(master_seed)
     rows = tuple(
         _replica(kind, graph, start, horizon, np.random.default_rng(replica_seed(master_seed, i)))
         for i in range(replicas)
@@ -292,7 +298,7 @@ def lattice_return_counts(kind, d, horizons, replicas, master_seed) -> dict:
     horizons = set(horizons)
     if not horizons or not all(is_int(h) and h >= 1 for h in horizons):
         raise InvalidParameter("horizons must be integers >= 1")
-    replicas = int(replicas)
+    replicas, master_seed = int(replicas), _master_seed(master_seed)
     horizons = sorted(int(h) for h in horizons)
     lat = Lattice(d)
     start = lat.default_start()

@@ -21,10 +21,12 @@ Samplers use double precision draws from a caller-supplied
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +37,6 @@ from .graph import Graph, Lattice, WeightedMultigraph
 MAX_ENUMERATION_HORIZON = 14
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class WalkKind(str, Enum):
@@ -83,18 +84,21 @@ class PrefixDistribution:
     def __post_init__(self):
         ent = {}
         for seq, p in self.entries.items():
-            p = Fraction(p)
-            if p < 0:
+            p = p if isinstance(p, Fraction) else Fraction(p)
+            if p.numerator < 0:
                 raise InvalidInput("negative probability")
-            if p == 0:
+            if not p.numerator:
                 continue
             if not isinstance(seq, tuple) or len(seq) != self.horizon + 1:
                 raise InvalidInput("prefix length does not match horizon")
             ent[seq] = p
-        short = Fraction(self.short_mass)
-        if short < 0:
+        short = self.short_mass if isinstance(self.short_mass, Fraction) else Fraction(self.short_mass)
+        if short.numerator < 0:
             raise InvalidInput("negative short mass")
-        if sum(ent.values(), short) != 1:
+        # the exact test sum == 1, in integers over the lcm of the denominators
+        den = math.lcm(short.denominator, *{p.denominator for p in ent.values()})
+        total = sum(p.numerator * (den // p.denominator) for p in ent.values())
+        if total + short.numerator * (den // short.denominator) != den:
             raise InvalidInput("probabilities must sum to exactly 1")
         object.__setattr__(self, "entries", ent)
         object.__setattr__(self, "short_mass", short)
@@ -515,41 +519,44 @@ def _check_horizon(n, least: int = 0) -> int:
     return int(n)
 
 
-def _pushforward(law: dict, f) -> dict:
-    """The law of ``f(x)`` when x has law ``law``."""
-    out: dict = {}
-    for x, p in law.items():
-        y = f(x)
-        old = out.get(y)
-        out[y] = p if old is None else old + p
-    return out
-
-
-def _propagate(law, start, record, n: int, extend) -> dict:
-    """Exact law of the record after n steps of a chain from ``start``.
+def _propagate(law, start, record, n: int, extend, view=None) -> dict:
+    """Exact law of the record, or of ``view(record)`` when a view is
+    given, after n steps of a chain from ``start``.
 
     ``law(state)`` gives ``(p, successors)`` groups as ``_branches`` does,
     each successor a ``(next state, label)`` pair, and is called once per
     state.  ``extend(record, label)`` is the record after one step.  The
     law of ``(state, record)`` pairs is carried forward one level per step
     and equal pairs are summed, so paths whose futures cannot differ are
-    expanded once."""
+    expanded once.  Weights are ints over one running denominator, which
+    each level multiplies by the lcm of its states' denominators; a
+    Fraction is built only for each output."""
     laws: dict = {}
-    level = {(start, record): _ONE}
+    level = {(start, record): 1}
+    den = 1
     for _ in range(n):
+        states = dict.fromkeys(map(itemgetter(0), level))
+        for state in states:
+            if state not in laws:
+                laws[state] = law(state)
+        lcm = math.lcm(*{p.denominator for state in states for p, _ in laws[state]})
+        scaled = {state: [(p.numerator * (lcm // p.denominator), succ) for p, succ in laws[state]] for state in states}
         nxt_level: dict = {}
-        for (state, rec), prob in level.items():
-            groups = laws.get(state)
-            if groups is None:
-                groups = laws[state] = law(state)
-            for p, successors in groups:
-                q = prob * p
+        for (state, rec), w in level.items():
+            for num, successors in scaled[state]:
+                q = w * num
                 for nxt, label in successors:
                     key = (nxt, extend(rec, label))
                     old = nxt_level.get(key)
                     nxt_level[key] = q if old is None else old + q
         level = nxt_level
-    return _pushforward(level, lambda key: key[1])
+        den *= lcm
+    out: dict = {}
+    for (_, rec), w in level.items():
+        y = rec if view is None else view(rec)
+        old = out.get(y)
+        out[y] = w if old is None else old + w
+    return {y: Fraction(w, den) for y, w in out.items()}
 
 
 def enumerate_prefix_distribution(kind, graph, start, m: int) -> PrefixDistribution:

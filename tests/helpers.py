@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -196,3 +197,27 @@ def walk_reference(kind, graph, start, n, rng):
                 yield cur
     except NoLegalMove as exc:
         raise NoLegalMove(f"step {i}: {exc}") from None
+
+
+def propagate_reference(law, start, record, n, extend, view=None):
+    """``walkers._propagate`` with every weight a Fraction: each step
+    multiplies and adds Fractions, and the law of the records, or of
+    their views, is summed at the end in the order each first appears."""
+    laws = {}
+    level = {(start, record): Fraction(1)}
+    for _ in range(n):
+        nxt_level = {}
+        for (state, rec), prob in level.items():
+            groups = laws.get(state)
+            if groups is None:
+                groups = laws[state] = law(state)
+            for p, successors in groups:
+                for nxt, label in successors:
+                    key = (nxt, extend(rec, label))
+                    nxt_level[key] = nxt_level.get(key, 0) + prob * p
+        level = nxt_level
+    out = {}
+    for (_, rec), p in level.items():
+        y = rec if view is None else view(rec)
+        out[y] = out.get(y, 0) + p
+    return out

@@ -244,6 +244,16 @@ def test_lattice_return_counts_monotone_and_seeded():
     assert lattice_return_counts("srw", 2, np.array([500, 2000]), np.int64(25), 31337) == counts
 
 
+def test_lattice_return_counts_checks_the_master_seed_as_monte_carlo_does():
+    for seed in [True, -1, 2**64, 1.0]:
+        with pytest.raises(InvalidParameter, match="master seed"):
+            lattice_return_counts("srw", 2, [10], 2, seed)
+    plain = lattice_return_counts("srw", 2, [10, 50], 3, 5)
+    assert lattice_return_counts("srw", 2, [10, 50], 3, np.int64(5)) == plain
+    top = lattice_return_counts("nbrw", 2, [10], 1, 2**64 - 1)
+    assert lattice_return_counts("nbrw", 2, [10], 1, np.uint64(2**64 - 1)) == top
+
+
 def test_lattice_return_counts_at_the_top_horizon_equal_the_plain_run():
     # checkpoints inside the first chunk and past it never change the walk
     top = _CHUNK + 7
