@@ -6,6 +6,10 @@ see a change that moves the random stream for every run alike: a refactor
 that reorders draws, or a numpy upgrade that changes PCG64 or its
 bounded-integer algorithm.  These digests can.  A change that alters
 report bytes on purpose must update them and say why in CHANGES.md.
+
+The exact oracles' laws are pinned the same way, as sorted text, since the
+tests against the Fraction propagator hand both propagators the same
+one-step laws and so cannot see a change in those laws themselves.
 """
 
 import hashlib
@@ -13,10 +17,23 @@ import json
 
 import pytest
 
-from nbwalk import contract, encode_key, monte_carlo
+from nbwalk import (
+    PrefixDistribution,
+    chain_for_biregular,
+    chain_move_law,
+    contract,
+    encode_key,
+    enumerate_move_distribution,
+    enumerate_prefix_distribution,
+    erased_prefix_distribution,
+    induced_prefix_distribution,
+    monte_carlo,
+    subdivide,
+)
 from nbwalk.cli import run
+from nbwalk.graph import counterexample_graph
 
-from helpers import k4, theta_graph
+from helpers import complete_bipartite, k4, theta_graph
 
 
 def _explicit_spec(g) -> str:
@@ -187,3 +204,65 @@ def test_enumerate_wrw_law_bytes(tmp_path):
     out = tmp_path / "law.json"
     assert run(["enumerate", *argv, "--out", str(out)]) == 0
     assert _sha(out.read_bytes()) == out_sha
+
+
+# the exact oracles' laws: name: (law, sha256 of ``_law_text``); the induced
+# srw law on subdivided K4 is the contracted wrw law, so their digests agree
+LAWS = {
+    "k34_srw": (
+        lambda: enumerate_prefix_distribution("srw", complete_bipartite(3, 4), "a0", 6),
+        "58c858b0d59a5ea5f6bcae24dc3c3e0d27845b28a838cea77dfc836e1c647899",
+    ),
+    "counterexample_nbrw": (
+        lambda: enumerate_prefix_distribution("nbrw", counterexample_graph(), "v", 8),
+        "14eb01b9ba20705e562e21d212517957d30baa0aeea8470a2d5008acbf49dab2",
+    ),
+    "subdivided_k4_edge_nbrw": (
+        lambda: enumerate_prefix_distribution("nbrw", contract(subdivide(k4(), 1))[0], 0, 6),
+        "31fb107710a6a40100665da1fdb39dc398e7f79b267e29bf0c9ecb0b48774f7c",
+    ),
+    "subdivided_k4_wrw": (
+        lambda: enumerate_prefix_distribution("wrw", contract(subdivide(k4(), 1))[0], 0, 5),
+        "e4e2af1fc9e9c085fb632023b3c6ba7ccc8568301f40c1b16d3afee35bea7676",
+    ),
+    "theta_wrw": (
+        lambda: enumerate_prefix_distribution("wrw", contract(theta_graph())[0], "u", 6),
+        "f3cca8839bb234f79c1685bc8608fd79fa49d0010af27cff5ac7271cb72b356c",
+    ),
+    "counterexample_erased_n12": (
+        lambda: erased_prefix_distribution(counterexample_graph(), "v", 12, 3),
+        "f100478621f191fe09e3ca0effa87487cede5510b4cbf2944781805f15374eb7",
+    ),
+    "k4_move_law_n10": (
+        lambda: enumerate_move_distribution(k4(), 0, 10),
+        "02d35a5e881d3347f07eb52ab907296a47e7fca3043ef0cd7918538fda708739",
+    ),
+    "subdivided_k4_induced_srw": (
+        lambda: induced_prefix_distribution(subdivide(k4(), 1), "srw", 0, 5),
+        "e4e2af1fc9e9c085fb632023b3c6ba7ccc8568301f40c1b16d3afee35bea7676",
+    ),
+    "subdivided_k4_induced_nbrw": (
+        lambda: induced_prefix_distribution(subdivide(k4(), 1), "nbrw", 0, 8),
+        "53f1bcdd6590515029a7d884aff95b96be54b396f9b2da0dcaeab4ff4c1a9ce5",
+    ),
+    "chain43_move_law": (
+        lambda: chain_move_law(chain_for_biregular(4, 3), 10),
+        "462e83a3f62192b8c2b35bdfb33da8083ae0cf303f76a754c99e5a925c30fef7",
+    ),
+}
+
+
+def _law_text(law) -> str:
+    """One line per outcome, sorted, then the horizon and short mass of a
+    prefix law: the same text for the same law, whatever its order."""
+    tail = ""
+    if isinstance(law, PrefixDistribution):
+        tail = f"horizon {law.horizon} short {law.short_mass}\n"
+        law = law.entries
+    return "".join(sorted(f"{k!r} {p}\n" for k, p in law.items())) + tail
+
+
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_exact_law_digest(name):
+    law, law_sha = LAWS[name]
+    assert _sha(_law_text(law()).encode()) == law_sha
