@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .errors import InvalidParameter, is_degree_pair, is_int
 from .walkers import _propagate
@@ -101,19 +103,11 @@ def escape_probability(spec: BirthDeathSpec) -> Fraction:
     if ratio >= 1:
         return _ZERO
     s = len(spec.prefix)
-    length = len(spec.period)
-    head = _ZERO
-    gamma = _ONE
-    for n in range(s + 1):
-        if n > 0:
-            p = spec.right_prob(n)
-            gamma *= (1 - p) / p
-        head += gamma
-    block = _ZERO
-    for n in range(s + 1, s + length + 1):
-        p = spec.right_prob(n)
-        gamma *= (1 - p) / p
-        block += gamma
+    # gammas[n - 1]: the product of left/right odds over positions 1..n
+    odds = ((1 - p) / p for p in map(spec.right_prob, range(1, s + len(spec.period) + 1)))
+    gammas = list(accumulate(odds, mul))
+    head = sum(gammas[:s], _ONE)
+    block = sum(gammas[s:])
     series = head + block / (1 - ratio)
     return 1 / series
 
@@ -151,7 +145,7 @@ def chain_move_law(spec: BirthDeathSpec, moves: int) -> dict:
     def law(pos):
         # position 0 reflects: its right probability is 1
         p = spec.right_prob(pos)
-        right = (p, ((pos + 1, "R"),))
-        return (right,) if p == 1 else (right, (1 - p, ((pos - 1, "L"),)))
+        right = (p, pos + 1, "R")
+        return (right,) if p == 1 else (right, (1 - p, pos - 1, "L"))
 
     return _propagate(law, 0, "", moves, lambda word, move: word + move)

@@ -35,7 +35,7 @@ from .erasure import erase_backtracks, erased_prefix_distribution
 from .errors import InvalidParameter, NbwalkError
 from .graph import ExplicitGraph, WeightedMultigraph, decode_key, encode_key, graph_from_spec
 from .stats import monte_carlo, replica_seed, return_statistics, total_variation
-from .walkers import WalkKind, enumerate_prefix_distribution, sample_path
+from .walkers import MAX_ENUMERATION_HORIZON, WalkKind, enumerate_prefix_distribution, sample_path
 
 
 class _ConfigError(Exception):
@@ -109,6 +109,9 @@ def _int_range(lo, hi=None):
 
 _COUNT = _int_range(0)
 _SEED = _int_range(0, 1 << 64)
+# the exact laws refuse longer horizons, so they are configuration errors
+_HORIZON = _int_range(0, MAX_ENUMERATION_HORIZON + 1)
+_HORIZON_HELP = f"at most {MAX_ENUMERATION_HORIZON}, the enumeration guard"
 
 
 def _rng(seed: int):
@@ -327,14 +330,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="dump an exact prefix distribution")
     _add_graph_flags(p)
     p.add_argument("--walk", required=True, choices=[k.value for k in WalkKind])
-    p.add_argument("--m", type=_COUNT, required=True)
+    p.add_argument("--m", type=_HORIZON, required=True, help=f"prefix horizon, {_HORIZON_HELP}")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("compare", help="total variation between exact laws")
     _add_graph_flags(p)
-    p.add_argument("--m", type=_COUNT, required=True)
-    p.add_argument("--N", type=int, help="walk horizon for the erased law")
+    p.add_argument("--m", type=_HORIZON, required=True, help=f"prefix horizon, {_HORIZON_HELP}")
+    p.add_argument("--N", type=_HORIZON, help=f"walk horizon for the erased law, {_HORIZON_HELP}")
     p.add_argument("--induced", action="store_true", help="induced walk vs contracted kernel")
     p.add_argument("--walk", default="srw", choices=["srw", "nbrw"], help="walk for --induced")
     p.set_defaults(handler=_cmd_compare)

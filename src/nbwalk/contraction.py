@@ -26,8 +26,6 @@ from .errors import (
 from .graph import ExplicitGraph, WeightedMultigraph, sort_token
 from .walkers import PrefixDistribution, WalkKind, _branches, _check_horizon, _propagate
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class Corridor:
@@ -184,43 +182,43 @@ def check_biregular_shape(mg: WeightedMultigraph, k1: int, k2: int) -> bool:
 
 
 def _anchor_step_law(g: ExplicitGraph, cmap: ContractionMap, v) -> tuple:
-    # one induced step of the uniform walk from anchor v, at vertex level,
-    # as (p, successors) groups with the anchor as both state and label
-    law: dict = {}
-    for share, successors in _branches(WalkKind.SRW, g, v):
-        for n, _ in successors:
-            eid, end = cmap.entrances[(v, n)]
-            c = cmap.corridors[eid]
-            far = c.b if end == 0 else c.a
-            # gambler's ruin: a fair walk one step into a corridor of length
-            # L reaches the far end before returning with probability 1/L
-            x = Fraction(1, c.length)
-            law[far] = law.get(far, _ZERO) + share * x
-            if x != 1:
-                law[v] = law.get(v, _ZERO) + share * (1 - x)
-    return tuple((p, ((w, w),)) for w, p in law.items())
+    # one induced step of the uniform walk from anchor v: per corridor entrance,
+    # a crossing to the far anchor and a bounce back to v, as state and label
+    triples = []
+    for share, n, _ in _branches(WalkKind.SRW, g, v):
+        eid, end = cmap.entrances.get((v, n), (-1, 0))
+        if not 0 <= eid < len(cmap.corridors):
+            raise InvalidInput(f"the step {v!r} -> {n!r} enters no corridor of the map")
+        c = cmap.corridors[eid]
+        far = c.b if end == 0 else c.a
+        if far not in cmap.anchors:
+            raise InvalidInput(f"corridor {eid} leads to {far!r}, which is not an anchor")
+        # gambler's ruin: a fair walk one step into a corridor of length
+        # L reaches the far end before returning with probability 1/L
+        x = Fraction(1, c.length)
+        triples.append((share * x, far, far))
+        if x != 1:
+            triples.append((share * (1 - x), v, v))
+    return tuple(triples)
 
 
 def _nbrw_anchor_law(g: ExplicitGraph, cmap: ContractionMap, state) -> tuple:
     # one induced step of the non-backtracking walk from an anchor: leave
     # through the kernel's law, then take the corridor's only forward move
     # until the next anchor; a corridor is at most cmap.max_length long
-    groups = []
-    for p, successors in _branches(WalkKind.NBRW, g, state):
-        ends = []
-        for (prev, cur), _ in successors:
-            for _ in range(cmap.max_length - 1):
-                if cur in cmap.anchors:
-                    break
-                nbrs = g.neighbors(cur)
-                if len(nbrs) != 2:
-                    raise InvalidInput(f"{cur!r} is neither an anchor nor a corridor vertex")
-                prev, cur = cur, (nbrs[1] if nbrs[0] == prev else nbrs[0])
-            if cur not in cmap.anchors:
-                raise LimitExceeded("non-backtracking corridor traversal exceeded its bound")
-            ends.append(((prev, cur), cur))
-        groups.append((p, tuple(ends)))
-    return tuple(groups)
+    triples = []
+    for p, (prev, cur), _ in _branches(WalkKind.NBRW, g, state):
+        for _ in range(cmap.max_length - 1):
+            if cur in cmap.anchors:
+                break
+            nbrs = g.neighbors(cur)
+            if len(nbrs) != 2:
+                raise InvalidInput(f"{cur!r} is neither an anchor nor a corridor vertex")
+            prev, cur = cur, (nbrs[1] if nbrs[0] == prev else nbrs[0])
+        if cur not in cmap.anchors:
+            raise LimitExceeded("non-backtracking corridor traversal exceeded its bound")
+        triples.append((p, (prev, cur), cur))
+    return tuple(triples)
 
 
 def induced_prefix_distribution(

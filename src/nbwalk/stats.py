@@ -95,6 +95,8 @@ def move_frequency(traces, phase: Optional[int] = None) -> FrequencyEstimate:
     """Empirical right-move probability over cursor traces, counting only
     moves made at positions >= 1 (moves at 0 are forced) and optionally
     only at positions of the given parity.  The error is binomial."""
+    if phase is not None and not (is_int(phase) and phase in (0, 1)):
+        raise InvalidParameter(f"phase must be None, 0 or 1, got {phase!r}")
     rights = 0
     total = 0
     for tr in traces:

@@ -448,25 +448,18 @@ def step_distribution(kind, graph, state) -> dict:
         return law
 
     if mg:
+        # the arriving half-edge is excluded; a first step, from (None, v), excludes nothing
         if isinstance(state, HalfEdgeState):
-            v = graph.endpoint(state.edge_id, state.head_end)
-            half = graph.half_edges(v)
-            if len(half) < 2:
-                raise NoLegalMove(f"vertex {v!r} has multigraph degree 1")
-            p = Fraction(1, len(half) - 1)
-            return {
-                HalfEdgeState(eid, 1 - end): p
-                for eid, end in half
-                if (eid, end) != (state.edge_id, state.head_end)
-            }
-        prev, v = _nbrw_state(state)
-        if prev is not None:
-            raise InvalidInput("multigraph nbrw history is a HalfEdgeState")
+            v, excluded = graph.endpoint(state.edge_id, state.head_end), 1
+        else:
+            (prev, v), excluded = _nbrw_state(state), 0
+            if prev is not None:
+                raise InvalidInput("multigraph nbrw history is a HalfEdgeState")
         half = graph.half_edges(v)
-        if not half:
-            raise NoLegalMove(f"vertex {v!r} is isolated")
-        p = Fraction(1, len(half))
-        return {HalfEdgeState(eid, 1 - end): p for eid, end in half}
+        if len(half) <= excluded:
+            raise NoLegalMove(f"vertex {v!r} has multigraph degree 1" if excluded else f"vertex {v!r} is isolated")
+        p = Fraction(1, len(half) - excluded)
+        return {HalfEdgeState(eid, 1 - end): p for eid, end in half if (eid, end) != state}
 
     prev, cur = _nbrw_state(state)
     if prev is None:
@@ -487,26 +480,21 @@ def _nbrw_state(state):
 
 
 def _branches(kind, graph, state) -> tuple:
-    """The one-step law from ``state`` as ``(p, successors)`` groups, where
-    each successor is a ``(next state, vertex)`` pair reached with
-    probability p.  Targets that lead to the same successor are merged
-    first; for the weighted walk, moves that land on the same vertex."""
-    merged: dict = {}
+    """The one-step law from ``state`` as ``(p, next state, vertex)``
+    triples, one per target of ``step_distribution``; ``_propagate`` sums
+    the triples that lead to the same successor."""
+    triples = []
     for target, p in step_distribution(kind, graph, state).items():
-        if kind is WalkKind.WRW:
+        if kind is WalkKind.SRW:
+            triples.append((p, target, target))
+        elif kind is WalkKind.WRW:
             v = graph.endpoint(target.edge_id, target.head_end)
-            succ = (v, v)
+            triples.append((p, v, v))
         elif isinstance(target, HalfEdgeState):
-            succ = (target, graph.endpoint(target.edge_id, target.head_end))
-        elif kind is WalkKind.NBRW:
-            succ = ((state[1], target), target)
+            triples.append((p, target, graph.endpoint(target.edge_id, target.head_end)))
         else:
-            succ = (target, target)
-        merged[succ] = merged.get(succ, _ZERO) + p
-    groups: dict = {}
-    for succ, p in merged.items():
-        groups.setdefault(p, []).append(succ)
-    return tuple(groups.items())
+            triples.append((p, (state[1], target), target))
+    return tuple(triples)
 
 
 def _check_horizon(n, least: int = 0) -> int:
@@ -523,14 +511,15 @@ def _propagate(law, start, record, n: int, extend, view=None) -> dict:
     """Exact law of the record, or of ``view(record)`` when a view is
     given, after n steps of a chain from ``start``.
 
-    ``law(state)`` gives ``(p, successors)`` groups as ``_branches`` does,
-    each successor a ``(next state, label)`` pair, and is called once per
-    state.  ``extend(record, label)`` is the record after one step.  The
-    law of ``(state, record)`` pairs is carried forward one level per step
-    and equal pairs are summed, so paths whose futures cannot differ are
-    expanded once.  Weights are ints over one running denominator, which
-    each level multiplies by the lcm of its states' denominators; a
-    Fraction is built only for each output."""
+    ``law(state)`` gives ``(p, next state, label)`` triples, as
+    ``_branches`` does; it is called once per state, and its triples with
+    the same next state and label are summed then.  ``extend(record,
+    label)`` is the record after one step.  The law of ``(state, record)``
+    pairs is carried forward one level per step and equal pairs are
+    summed, so paths whose futures cannot differ are expanded once.  This
+    is the only place a law is merged.  Weights are ints over one running
+    denominator, which each level multiplies by the lcm of its states'
+    denominators; a Fraction is built only for each output."""
     laws: dict = {}
     level = {(start, record): 1}
     den = 1
@@ -538,17 +527,17 @@ def _propagate(law, start, record, n: int, extend, view=None) -> dict:
         states = dict.fromkeys(map(itemgetter(0), level))
         for state in states:
             if state not in laws:
-                laws[state] = law(state)
-        lcm = math.lcm(*{p.denominator for state in states for p, _ in laws[state]})
-        scaled = {state: [(p.numerator * (lcm // p.denominator), succ) for p, succ in laws[state]] for state in states}
+                merged = laws[state] = {}
+                for p, nxt, label in law(state):
+                    merged[nxt, label] = merged.get((nxt, label), 0) + p
+        lcm = math.lcm(*{p.denominator for s in states for p in laws[s].values()})
+        scaled = {s: [(p.numerator * (lcm // p.denominator), succ) for succ, p in laws[s].items()] for s in states}
         nxt_level: dict = {}
         for (state, rec), w in level.items():
-            for num, successors in scaled[state]:
-                q = w * num
-                for nxt, label in successors:
-                    key = (nxt, extend(rec, label))
-                    old = nxt_level.get(key)
-                    nxt_level[key] = q if old is None else old + q
+            for num, (nxt, label) in scaled[state]:
+                key = (nxt, extend(rec, label))
+                old = nxt_level.get(key)
+                nxt_level[key] = w * num if old is None else old + w * num
         level = nxt_level
         den *= lcm
     out: dict = {}

@@ -208,13 +208,12 @@ def propagate_reference(law, start, record, n, extend, view=None):
     for _ in range(n):
         nxt_level = {}
         for (state, rec), prob in level.items():
-            groups = laws.get(state)
-            if groups is None:
-                groups = laws[state] = law(state)
-            for p, successors in groups:
-                for nxt, label in successors:
-                    key = (nxt, extend(rec, label))
-                    nxt_level[key] = nxt_level.get(key, 0) + prob * p
+            triples = laws.get(state)
+            if triples is None:
+                triples = laws[state] = law(state)
+            for p, nxt, label in triples:
+                key = (nxt, extend(rec, label))
+                nxt_level[key] = nxt_level.get(key, 0) + prob * p
         level = nxt_level
     out = {}
     for (_, rec), p in level.items():

@@ -207,6 +207,10 @@ def _walk(*extra):
         ["compare", "--graph", K4_SPEC, "--start", "0", "--N", "3", "--m", "3"],
         ["compare", "--graph", THETA_SPEC, "--start", "p1", "--induced", "--m", "2"],
         ["compare", "--graph", TRIANGLE_SPEC, "--induced", "--m", "2"],
+        # horizons above the enumeration guard of 14
+        ["enumerate", "--graph", K4_SPEC, "--walk", "srw", "--m", "15"],
+        ["compare", "--graph", K4_SPEC, "--start", "0", "--N", "15", "--m", "3"],
+        ["compare", "--graph", THETA_SPEC, "--start", "u", "--induced", "--m", "15"],
         ["contract", "--graph", TRIANGLE_SPEC],
         ["contract", "--graph", LINE_SPEC],
         ["erase", "--tokens", "@no-such-file.tokens"],
@@ -222,7 +226,8 @@ def _walk(*extra):
     ids=[
         "diagnose-horizon", "replicas", "start", "jobs", "seed-negative", "seed-2**64",
         "walk-horizon", "walk-seed", "compare-m-not-below-N", "compare-induced-start-not-anchor",
-        "compare-induced-no-anchor", "contract-no-anchor", "contract-not-explicit",
+        "compare-induced-no-anchor", "enumerate-m-above-guard", "compare-N-above-guard",
+        "compare-induced-m-above-guard", "contract-no-anchor", "contract-not-explicit",
         "erase-missing-tokens", "erase-tokens-without-at", "erase-tokens-and-graph",
         "erase-tokens-and-seed", "erase-tokens-and-start", "erase-stdin-and-seed",
         "erase-tokens-and-horizon",

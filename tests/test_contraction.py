@@ -219,11 +219,20 @@ def test_induced_prefix_guards_caller_input():
     for kind in ("srw", "nbrw"):
         with pytest.raises(LimitExceeded):
             induced_prefix_distribution(g, kind, "u", 15, cmap)
-    # a map that drops the two longer corridors caps traversals at length 1
+    # a map that drops the two longer corridors caps traversals at length 1,
+    # and its entrances name corridors it no longer has
     short = replace(cmap, corridors=cmap.corridors[:1])
     assert short.max_length == 1
     with pytest.raises(LimitExceeded):
         induced_prefix_distribution(g, "nbrw", "u", 2, short)
+    with pytest.raises(InvalidInput, match="enters no corridor of the map"):
+        induced_prefix_distribution(g, "srw", "u", 2, short)
     # a map that drops anchor w sends the walk through w as if it had degree 2
+    no_w = replace(cmap, anchors=frozenset({"u"}))
     with pytest.raises(InvalidInput):
-        induced_prefix_distribution(g, "nbrw", "u", 2, replace(cmap, anchors=frozenset({"u"})))
+        induced_prefix_distribution(g, "nbrw", "u", 2, no_w)
+    with pytest.raises(InvalidInput, match="which is not an anchor"):
+        induced_prefix_distribution(g, "srw", "u", 2, no_w)
+    # a map without entrances
+    with pytest.raises(InvalidInput, match="enters no corridor of the map"):
+        induced_prefix_distribution(g, "srw", "u", 2, replace(cmap, entrances={}))

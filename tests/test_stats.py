@@ -351,6 +351,15 @@ def test_move_frequency_insufficient_data():
         move_frequency([tr])
 
 
+def test_move_frequency_refuses_a_phase_other_than_0_or_1():
+    tr = erase_backtracks(["a", "b", "c", "b", "d", "e"]).trace
+    for phase in (2, -1, True, False, 0.0, "1"):
+        with pytest.raises(InvalidParameter, match="phase must be None, 0 or 1"):
+            move_frequency([tr], phase=phase)
+    # numpy integers are integers, as everywhere else
+    assert move_frequency([tr], phase=np.int64(1)) == move_frequency([tr], phase=1)
+
+
 def test_tree_transience_diagnostics_consistent():
     # both walks look transient on the 3-regular tree: return fractions
     # bounded away from 1 and stable when the horizon doubles
