@@ -33,9 +33,9 @@ from .birthdeath import (
 from .contraction import contract, induced_prefix_distribution
 from .erasure import erase_backtracks, erased_prefix_distribution
 from .errors import InvalidParameter, NbwalkError
-from .graph import ExplicitGraph, WeightedMultigraph, decode_key, encode_key, graph_from_spec
+from .graph import ExplicitGraph, decode_key, encode_key, graph_from_spec
 from .stats import monte_carlo, replica_seed, return_statistics, total_variation
-from .walkers import MAX_ENUMERATION_HORIZON, WalkKind, enumerate_prefix_distribution, sample_path
+from .walkers import MAX_ENUMERATION_HORIZON, WalkKind, _check_start, enumerate_prefix_distribution, sample_path
 
 
 class _ConfigError(Exception):
@@ -67,13 +67,7 @@ def _config(fn, *args, **kwargs):
 
 
 def _start_vertex(args, graph):
-    start = graph.default_start() if args.start is None else decode_key(args.start)
-    # looking the vertex up rejects a key the graph does not have
-    if isinstance(graph, WeightedMultigraph):
-        graph.half_edges(start)
-    else:
-        graph.neighbors(start)
-    return start
+    return _check_start(graph, graph.default_start() if args.start is None else decode_key(args.start))
 
 
 def _graph(args):

@@ -46,7 +46,7 @@ class InvalidInput(NbwalkError):
 
 
 class LimitExceeded(NbwalkError):
-    """An enumeration horizon is beyond the exhaustive-search guard."""
+    """An exact law's horizon or level size is beyond its guard."""
 
 
 class InsufficientData(NbwalkError):

@@ -246,15 +246,20 @@ def regular_tree(k: int) -> RegularTree:
 
 class ExplicitGraph(Graph):
     """Finite graph built from explicit adjacency lists.  Construction
-    validates symmetry and rejects self-loops and duplicate edges;
-    neighbor lists are stored sorted."""
+    validates symmetry and rejects an empty graph, rows that are not lists
+    or tuples, self-loops and duplicate edges; neighbor lists are stored
+    sorted."""
 
     def __init__(self, adjacency: Mapping):
+        if not adjacency:
+            raise MalformedGraph("a graph needs at least one vertex")
         adj = {}
         for v, ns in adjacency.items():
             cv = canon_key(v)
             if cv in adj:
                 raise MalformedGraph(f"duplicate vertex key {cv!r}")
+            if not isinstance(ns, (list, tuple)):
+                raise MalformedGraph(f"adjacency row of {cv!r} is not a list")
             adj[cv] = [canon_key(w) for w in ns]
         for v, ns in adj.items():
             seen = set()
@@ -295,8 +300,6 @@ class ExplicitGraph(Graph):
         return {v: list(ns) for v, ns in self._adj.items()}
 
     def is_connected(self) -> bool:
-        if not self._verts:
-            return True
         seen = {self._verts[0]}
         frontier = [self._verts[0]]
         while frontier:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import InsufficientData, InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
-from .walkers import _CHUNK, PrefixDistribution, WalkKind, _lattice_offsets, _on_lattice_kernel, _walk
+from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
+from .walkers import _require_kind_graph, _walk
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -33,13 +34,6 @@ def replica_seed(master_seed: int, replica_index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def _master_seed(master_seed) -> int:
-    """``master_seed`` as an int; refuses a bool or a value outside [0, 2**64)."""
-    if not is_int(master_seed) or not 0 <= master_seed <= _MASK64:
-        raise InvalidParameter("master seed must be an integer in [0, 2**64)")
-    return int(master_seed)
 
 
 def total_variation(p: PrefixDistribution, q: PrefixDistribution) -> Fraction:
@@ -184,7 +178,11 @@ def monte_carlo(
         raise InvalidParameter("need at least one replica")
     if not is_int(horizon) or horizon < 0:
         raise InvalidParameter("horizon must be a nonnegative integer")
-    replicas, horizon, master_seed = int(replicas), int(horizon), _master_seed(master_seed)
+    if not is_int(master_seed) or not 0 <= master_seed <= _MASK64:
+        raise InvalidParameter("master seed must be an integer in [0, 2**64)")
+    replicas, horizon, master_seed = int(replicas), int(horizon), int(master_seed)
+    _require_kind_graph(kind, graph)
+    _check_start(graph, start)
     rows = tuple(
         _replica(kind, graph, start, horizon, np.random.default_rng(replica_seed(master_seed, i)))
         for i in range(replicas)
@@ -203,10 +201,8 @@ def _replica(kind, graph, start, horizon, rng) -> WalkStatistics:
     if _on_lattice_kernel(kind, graph):
         returns, last, disp = _lattice_run(kind, graph, start, horizon, rng)
         return WalkStatistics(horizon, returns, last, disp)
-    if isinstance(graph, BiregularTree) and start == () and kind in (
-        WalkKind.SRW,
-        WalkKind.NBRW,
-    ):
+    # monte_carlo has refused wrw on a tree, which is not a multigraph
+    if isinstance(graph, BiregularTree) and start == ():
         return _tree_run(kind, graph, horizon, rng)
     return _generic_replica(kind, graph, start, horizon, rng)
 
@@ -254,61 +250,46 @@ def _generic_replica(kind, graph, start, horizon, rng) -> WalkStatistics:
     return return_statistics(chain((start,), _walk(kind, graph, start, horizon, rng)), start, graph)
 
 
-def _lattice_run(kind, lat, start, horizon, rng, checkpoints=None):
+def _lattice_run(kind, lat, start, horizon, rng):
     """Chunked lattice walk resolved with array operations: each chunk's
     per-axis offsets come from ``walkers._lattice_offsets``, and origin
-    hits are the steps where every axis sits on its target.  Optionally
-    records cumulative return counts at the given step checkpoints."""
+    hits are the steps where every axis sits on its target."""
     d = lat.d
     origin = lat.coordinates(start)
     carry = list(origin)
     returns = 0
     last = None
     done = 0
-    marks = sorted(checkpoints) if checkpoints else []
-    marked = {}
     for offsets in _lattice_offsets(kind, d, horizon, rng):
-        n = len(offsets[0])
         target = [o - c for o, c in zip(origin, carry)]
         hits = np.flatnonzero(offsets[0] == target[0])
         for a in range(1, d):
             hits = hits[offsets[a][hits] == target[a]]
-        for h in marks:
-            if done < h <= done + n:
-                # hit i is step done + i + 1
-                marked[h] = returns + int(np.searchsorted(hits, h - done))
         if len(hits):
             returns += len(hits)
             last = done + int(hits[-1]) + 1
         carry = [c + int(off[-1]) for c, off in zip(carry, offsets)]
-        done += n
+        done += len(offsets[0])
     disp = math.sqrt(sum((c - o) ** 2 for c, o in zip(carry, origin)))
-    if checkpoints is None:
-        return returns, last, disp
-    return returns, last, disp, marked
+    return returns, last, disp
 
 
 def lattice_return_counts(kind, d, horizons, replicas, master_seed) -> dict:
-    """Per-replica cumulative return counts of one growing lattice walk,
-    read off at each requested horizon.  Pairing the counts across
-    horizons on the same path gives a low-variance growth diagnostic."""
+    """Per-replica return counts of the lattice walk from the origin, read
+    off at each requested horizon.  Each horizon is one ``monte_carlo``
+    run; replica i's walk to h is the start of its walk to any longer
+    horizon, since ``_lattice_offsets`` makes the same draws for any split
+    of a bulk call, so the counts pair across horizons on the same path, a
+    low-variance growth diagnostic.  The cost is the sum of the horizons,
+    not the largest: 1% more than one run for ``[10**4, 10**6]``."""
     kind = WalkKind(kind)
     if kind not in (WalkKind.SRW, WalkKind.NBRW):
         raise InvalidParameter("lattice return counts are defined for srw and nbrw")
-    if not is_int(replicas) or replicas < 1:
-        raise InvalidParameter("need at least one replica")
     horizons = set(horizons)
     if not horizons or not all(is_int(h) and h >= 1 for h in horizons):
         raise InvalidParameter("horizons must be integers >= 1")
-    replicas, master_seed = int(replicas), _master_seed(master_seed)
-    horizons = sorted(int(h) for h in horizons)
     lat = Lattice(d)
-    start = lat.default_start()
-    out = {h: [] for h in horizons}
-    top = horizons[-1]
-    for i in range(replicas):
-        rng = np.random.default_rng(replica_seed(master_seed, i))
-        _, _, _, marked = _lattice_run(kind, lat, start, top, rng, checkpoints=horizons)
-        for h in horizons:
-            out[h].append(marked[h])
-    return out
+    return {
+        h: [r.returns_to_origin for r in monte_carlo(kind, lat, lat.default_start(), h, replicas, master_seed).rows]
+        for h in sorted(int(h) for h in horizons)
+    }

@@ -22,6 +22,7 @@ Samplers use double precision draws from a caller-supplied
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -35,6 +36,9 @@ from .errors import InvalidInput, InvalidState, LimitExceeded, NoLegalMove, is_i
 from .graph import Graph, Lattice, WeightedMultigraph
 
 MAX_ENUMERATION_HORIZON = 14
+# the most (state, record) pairs an exact law may carry into one level before
+# equal pairs merge; path records never merge (Z^2 SRW paths pass it at horizon 11)
+MAX_LEVEL_STATES = 1 << 21
 
 _ZERO = Fraction(0)
 
@@ -188,6 +192,12 @@ def wrw_step(mg: WeightedMultigraph, current, rng) -> WrwMove:
     if r == 1 or rng.random() * r < 1.0:
         return WrwMove(eid, 1 - end, False)
     return WrwMove(eid, end, True)
+
+
+def _check_start(graph, start):
+    """``start``, once looking it up has shown that ``graph`` has it."""
+    (graph.half_edges if isinstance(graph, WeightedMultigraph) else graph.neighbors)(start)
+    return start
 
 
 def _require_kind_graph(kind: WalkKind, graph):
@@ -424,77 +434,83 @@ def step_distribution(kind, graph, state) -> dict:
     step); a ``HalfEdgeState`` or ``(None, vertex)`` on a multigraph.
     Targets are vertices for the vertex walks, ``HalfEdgeState`` for the
     edge walk, and ``WrwMove`` for the weighted walk."""
-    kind = WalkKind(kind)
-    mg = _require_kind_graph(kind, graph)
-
-    if kind is WalkKind.SRW:
-        nbrs = graph.neighbors(state)
-        if not nbrs:
-            raise NoLegalMove(f"vertex {state!r} is isolated")
-        p = Fraction(1, len(nbrs))
-        return {w: p for w in nbrs}
-
-    if kind is WalkKind.WRW:
-        half = graph.half_edges(state)
-        if not half:
-            raise NoLegalMove(f"vertex {state!r} is isolated")
-        m = len(half)
-        law = {}
-        for eid, end in half:
-            r = graph.edge(eid).resistance
-            law[WrwMove(eid, 1 - end, False)] = Fraction(1, r * m)
-            if r > 1:
-                law[WrwMove(eid, end, True)] = Fraction(r - 1, r * m)
-        return law
-
-    if mg:
-        # the arriving half-edge is excluded; a first step, from (None, v), excludes nothing
-        if isinstance(state, HalfEdgeState):
-            v, excluded = graph.endpoint(state.edge_id, state.head_end), 1
-        else:
-            (prev, v), excluded = _nbrw_state(state), 0
-            if prev is not None:
-                raise InvalidInput("multigraph nbrw history is a HalfEdgeState")
-        half = graph.half_edges(v)
-        if len(half) <= excluded:
-            raise NoLegalMove(f"vertex {v!r} has multigraph degree 1" if excluded else f"vertex {v!r} is isolated")
-        p = Fraction(1, len(half) - excluded)
-        return {HalfEdgeState(eid, 1 - end): p for eid, end in half if (eid, end) != state}
-
-    prev, cur = _nbrw_state(state)
-    if prev is None:
-        return step_distribution(WalkKind.SRW, graph, cur)
-    nbrs = graph.neighbors(cur)
-    if prev not in nbrs:
-        raise InvalidState(f"{prev!r} is not adjacent to {cur!r}")
-    if len(nbrs) < 2:
-        raise NoLegalMove(f"vertex {cur!r} has degree 1, only move is back")
-    p = Fraction(1, len(nbrs) - 1)
-    return {w: p for w in nbrs if w != prev}
-
-
-def _nbrw_state(state):
-    if isinstance(state, tuple) and len(state) == 2:
-        return state
-    raise InvalidInput("non-backtracking state is a (prev, current) pair")
+    return {target: p for p, target, _, _ in _law(kind, graph)(graph, state)}
 
 
 def _branches(kind, graph, state) -> tuple:
     """The one-step law from ``state`` as ``(p, next state, vertex)``
     triples, one per target of ``step_distribution``; ``_propagate`` sums
     the triples that lead to the same successor."""
-    triples = []
-    for target, p in step_distribution(kind, graph, state).items():
-        if kind is WalkKind.SRW:
-            triples.append((p, target, target))
-        elif kind is WalkKind.WRW:
-            v = graph.endpoint(target.edge_id, target.head_end)
-            triples.append((p, v, v))
-        elif isinstance(target, HalfEdgeState):
-            triples.append((p, target, graph.endpoint(target.edge_id, target.head_end)))
-        else:
-            triples.append((p, (state[1], target), target))
-    return tuple(triples)
+    return tuple((p, nxt, v) for p, _, nxt, v in _law(kind, graph)(graph, state))
+
+
+def _law(kind, graph):
+    """The body of ``kind``'s one-step law on ``graph``: from a state it
+    gives ``(p, target, next state, vertex)`` for each target."""
+    kind = WalkKind(kind)
+    # srw runs only on a plain graph and wrw only on a multigraph
+    if _require_kind_graph(kind, graph):
+        return _wrw_law if kind is WalkKind.WRW else _nbrw_edge_law
+    return _srw_law if kind is WalkKind.SRW else _nbrw_law
+
+
+def _srw_law(graph, v):
+    nbrs = graph.neighbors(v)
+    if not nbrs:
+        raise NoLegalMove(f"vertex {v!r} is isolated")
+    p = Fraction(1, len(nbrs))
+    return [(p, w, w, w) for w in nbrs]
+
+
+def _nbrw_law(graph, state):
+    prev, cur = _nbrw_state(state)
+    if prev is None:
+        return [(p, w, (cur, w), w) for p, w, _, _ in _srw_law(graph, cur)]
+    nbrs = graph.neighbors(cur)
+    if prev not in nbrs:
+        raise InvalidState(f"{prev!r} is not adjacent to {cur!r}")
+    if len(nbrs) < 2:
+        raise NoLegalMove(f"vertex {cur!r} has degree 1, only move is back")
+    p = Fraction(1, len(nbrs) - 1)
+    return [(p, w, (cur, w), w) for w in nbrs if w != prev]
+
+
+def _nbrw_edge_law(mg, state):
+    # the arriving half-edge is excluded; a first step, from (None, v), excludes nothing
+    if isinstance(state, HalfEdgeState):
+        v, excluded = mg.endpoint(state.edge_id, state.head_end), 1
+    else:
+        (prev, v), excluded = _nbrw_state(state), 0
+        if prev is not None:
+            raise InvalidInput("multigraph nbrw history is a HalfEdgeState")
+    half = mg.half_edges(v)
+    if len(half) <= excluded:
+        raise NoLegalMove(f"vertex {v!r} has multigraph degree 1" if excluded else f"vertex {v!r} is isolated")
+    p = Fraction(1, len(half) - excluded)
+    targets = [HalfEdgeState(eid, 1 - end) for eid, end in half if (eid, end) != state]
+    return [(p, t, t, mg.endpoint(*t)) for t in targets]
+
+
+def _wrw_law(mg, v):
+    half = mg.half_edges(v)
+    if not half:
+        raise NoLegalMove(f"vertex {v!r} is isolated")
+    m = len(half)
+    law = []
+    for eid, end in half:
+        r = mg.edge(eid).resistance
+        w = mg.endpoint(eid, 1 - end)
+        law.append((Fraction(1, r * m), WrwMove(eid, 1 - end, False), w, w))
+        if r > 1:
+            w = mg.endpoint(eid, end)
+            law.append((Fraction(r - 1, r * m), WrwMove(eid, end, True), w, w))
+    return law
+
+
+def _nbrw_state(state):
+    if isinstance(state, tuple) and len(state) == 2:
+        return state
+    raise InvalidInput("non-backtracking state is a (prev, current) pair")
 
 
 def _check_horizon(n, least: int = 0) -> int:
@@ -517,19 +533,24 @@ def _propagate(law, start, record, n: int, extend, view=None) -> dict:
     label)`` is the record after one step.  The law of ``(state, record)``
     pairs is carried forward one level per step and equal pairs are
     summed, so paths whose futures cannot differ are expanded once.  This
-    is the only place a law is merged.  Weights are ints over one running
+    is the only place a law is merged.  A level whose pairs could number
+    more than ``MAX_LEVEL_STATES`` before merging raises ``LimitExceeded``
+    before it is built.  Weights are ints over one running
     denominator, which each level multiplies by the lcm of its states'
     denominators; a Fraction is built only for each output."""
     laws: dict = {}
     level = {(start, record): 1}
     den = 1
     for _ in range(n):
-        states = dict.fromkeys(map(itemgetter(0), level))
+        states = Counter(map(itemgetter(0), level))
         for state in states:
             if state not in laws:
                 merged = laws[state] = {}
                 for p, nxt, label in law(state):
                     merged[nxt, label] = merged.get((nxt, label), 0) + p
+        bound = sum(c * len(laws[s]) for s, c in states.items())
+        if bound > MAX_LEVEL_STATES:
+            raise LimitExceeded(f"a level of up to {bound} states exceeds the state budget {MAX_LEVEL_STATES}")
         lcm = math.lcm(*{p.denominator for s in states for p in laws[s].values()})
         scaled = {s: [(p.numerator * (lcm // p.denominator), succ) for succ, p in laws[s].items()] for s in states}
         nxt_level: dict = {}

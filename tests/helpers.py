@@ -108,20 +108,19 @@ def cursor_erase(seq):
     return tuple(items), "".join(moves), tuple(positions)
 
 
-def lattice_run_reference(kind, lat, start, horizon, rng, checkpoints=None):
+def lattice_run_reference(kind, lat, start, horizon, rng):
     """``stats._lattice_run`` one step at a time: the whole walk's draws in
     one call (one scalar draw for a non-backtracking walk's first step,
     whose range has no reversal to skip), then a Python loop that picks
     each direction, moves and checks for the origin.  numpy makes the
-    same draws for any split of a bulk call, so the kernel's chunks and
-    checkpoints leave no seam here."""
+    same draws for any split of a bulk call, so the kernel's chunks leave
+    no seam here."""
     d = lat.d
     origin = list(lat.coordinates(start))
     pos = list(origin)
     returns = 0
     last = None
     prev = None
-    marked = {}
     if kind is WalkKind.SRW:
         draws = rng.integers(0, 2 * d, size=horizon).tolist()
     elif horizon:
@@ -136,12 +135,8 @@ def lattice_run_reference(kind, lat, start, horizon, rng, checkpoints=None):
         if pos == origin:
             returns += 1
             last = t
-        if checkpoints and t in checkpoints:
-            marked[t] = returns
     disp = math.sqrt(sum((p - o) ** 2 for p, o in zip(pos, origin)))
-    if checkpoints is None:
-        return returns, last, disp
-    return returns, last, disp, marked
+    return returns, last, disp
 
 
 def tree_run_reference(kind, tree, horizon, rng):

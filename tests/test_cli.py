@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nbwalk import walkers
 from nbwalk.cli import run
 
 K4_SPEC = json.dumps({"type": "explicit", "adjacency": {"0": [1, 2, 3], "1": [0, 2, 3], "2": [0, 1, 3], "3": [0, 1, 2]}})
@@ -222,6 +223,10 @@ def _walk(*extra):
         ["erase", "--tokens", "@" + __file__, "--start", "0"],
         ["erase", "--seed", "1"],
         ["erase", "--tokens", "@" + __file__, "--horizon", "5"],
+        # malformed explicit specs: no vertices, a null row, a string row
+        _walk("--graph", json.dumps({"type": "explicit", "adjacency": {}})),
+        _walk("--graph", json.dumps({"type": "explicit", "adjacency": {"a": None}})),
+        _walk("--graph", json.dumps({"type": "explicit", "adjacency": {"a": "bc", "b": ["a"], "c": ["a"]}})),
     ],
     ids=[
         "diagnose-horizon", "replicas", "start", "jobs", "seed-negative", "seed-2**64",
@@ -230,7 +235,7 @@ def _walk(*extra):
         "compare-induced-m-above-guard", "contract-no-anchor", "contract-not-explicit",
         "erase-missing-tokens", "erase-tokens-without-at", "erase-tokens-and-graph",
         "erase-tokens-and-seed", "erase-tokens-and-start", "erase-stdin-and-seed",
-        "erase-tokens-and-horizon",
+        "erase-tokens-and-horizon", "explicit-empty", "explicit-null-row", "explicit-string-row",
     ],
 )
 def test_invalid_configuration_exits_2_without_files(argv, tmp_path, capsys):
@@ -271,3 +276,14 @@ def test_csv_target_that_is_a_directory_leaves_no_json(argv, tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["diagnose", "--help"]) == 0
+
+
+def test_exact_law_over_the_state_budget_exits_1_without_files(tmp_path, capsys, monkeypatch):
+    # Z^2 srw paths never merge: horizon 3 carries 4^3 states into its last level
+    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 63)
+    argv = ["enumerate", "--graph", json.dumps({"type": "lattice", "d": 2}), "--walk", "srw", "--m", "3"]
+    assert run(argv + ["--out", str(tmp_path / "law")]) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert "state budget" in capsys.readouterr().err
+    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 64)
+    assert run(argv + ["--out", str(tmp_path / "law")]) == 0

@@ -199,6 +199,12 @@ def test_from_adjacency_validation():
         from_adjacency({0: [1, 1], 1: [0]})
     with pytest.raises(MalformedGraph):
         from_adjacency({0: [1]})
+    # an empty graph has no start; a row must be a list or tuple, so a
+    # string is not read as its characters and None is not a row
+    for adjacency in [{}, {"a": None}, {"a": "bc", "b": ["a"], "c": ["a"]}, {0: {1}, 1: [0]}]:
+        with pytest.raises(MalformedGraph):
+            from_adjacency(adjacency)
+    assert from_adjacency({0: (1,), 1: [0]}).neighbors(0) == (1,)
 
 
 def test_subdivide_k4_census():

@@ -150,6 +150,26 @@ def test_monte_carlo_refuses_bools_and_takes_numpy_integers():
         assert (wide.json_text(), wide.csv_text()) == (plain.json_text(), plain.csv_text())
 
 
+def test_monte_carlo_refuses_a_start_the_graph_does_not_have_at_every_horizon():
+    # the lattice, tree and generic kernels all look the start up first
+    mg, _ = contract(theta_graph())
+    cases = [
+        ("srw", k4(), 99),
+        ("srw", lattice(2), (1,)),
+        ("nbrw", lattice(2), 5),
+        ("srw", regular_tree(3), (9,)),
+        ("nbrw", regular_tree(3), (0, 5)),
+        ("wrw", mg, "nowhere"),
+    ]
+    for kind, g, start in cases:
+        for horizon in (0, 1, 50):
+            with pytest.raises(InvalidParameter):
+                monte_carlo(kind, g, start, horizon, 1, 0)
+    # the kind and graph are checked before the start
+    with pytest.raises(InvalidInput):
+        monte_carlo("wrw", lattice(2), "nowhere", 0, 1, 0)
+
+
 def test_fast_lattice_agrees_with_generic_kernels():
     # the lattice fast path makes the same draws as the generic stepper,
     # so the same replica seeds give the same rows
@@ -181,10 +201,6 @@ def test_lattice_run_equals_per_step_reference(d):
                 seed = replica_seed(d, h)
                 fast = _lattice_run(kind, g, start, h, rng(seed))
                 assert fast == lattice_run_reference(kind, g, start, h, rng(seed)), (kind, start, h)
-        # checkpoints off chunk boundaries and on them
-        marks = [1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 3, 2 * _CHUNK, 2 * _CHUNK + 5]
-        fast = _lattice_run(kind, g, away, 2 * _CHUNK + 5, rng(d), checkpoints=marks)
-        assert fast == lattice_run_reference(kind, g, away, 2 * _CHUNK + 5, rng(d), checkpoints=marks), kind
 
 
 @pytest.mark.parametrize(
@@ -255,13 +271,14 @@ def test_lattice_return_counts_checks_the_master_seed_as_monte_carlo_does():
 
 
 def test_lattice_return_counts_at_the_top_horizon_equal_the_plain_run():
-    # checkpoints inside the first chunk and past it never change the walk
-    top = _CHUNK + 7
+    # horizons off chunk boundaries and on them, each against the per-step walk
+    marks = [1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 3, 2 * _CHUNK, 2 * _CHUNK + 5]
     for kind in (WalkKind.SRW, WalkKind.NBRW):
-        counts = lattice_return_counts(kind, 2, [3, 100, _CHUNK, top], 4, 99)
-        for i in range(4):
-            returns, _, _ = _lattice_run(kind, lattice(2), (0, 0), top, rng(replica_seed(99, i)))
-            assert counts[top][i] == returns, (kind, i)
+        counts = lattice_return_counts(kind, 2, marks, 4, 99)
+        for h in marks:
+            for i in range(4):
+                returns, _, _ = lattice_run_reference(kind, lattice(2), (0, 0), h, rng(replica_seed(99, i)))
+                assert counts[h][i] == returns, (kind, h, i)
 
 
 @pytest.mark.parametrize(

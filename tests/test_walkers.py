@@ -20,6 +20,7 @@ from nbwalk import (
     contract,
     counterexample_graph,
     enumerate_prefix_distribution,
+    erased_prefix_distribution,
     from_adjacency,
     is_backtrack_free,
     lattice,
@@ -34,6 +35,7 @@ from nbwalk import (
     wrw_step,
 )
 from nbwalk.stats import _generic_replica, return_statistics
+from nbwalk import walkers
 from nbwalk.walkers import _CHUNK, _MAX_BLOCK, _Draws, _walk
 
 from helpers import k4, rng, theta_graph, walk_reference
@@ -298,6 +300,22 @@ def test_enumerate_consistency_under_marginalization():
 def test_enumerate_horizon_guard():
     with pytest.raises(LimitExceeded):
         enumerate_prefix_distribution("srw", k4(), 0, 15)
+
+
+def test_exact_laws_refuse_a_level_over_the_state_budget(monkeypatch):
+    # the bound is each state's entries times its successors, before merging:
+    # K4 srw paths from 0 reach 3^3 = 27 records after 3 steps
+    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 27)
+    assert len(enumerate_prefix_distribution("srw", k4(), 0, 3).entries) == 27
+    with pytest.raises(LimitExceeded, match="state budget"):
+        enumerate_prefix_distribution("srw", k4(), 0, 4)
+    # erasure stacks merge: 3 steps leave 12 non-backtracking stacks and 3
+    # of length 2, so the fourth level is bounded by 15 * 3, not 3^4
+    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 44)
+    with pytest.raises(LimitExceeded, match="state budget"):
+        erased_prefix_distribution(k4(), 0, 4, 2)
+    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 45)
+    assert erased_prefix_distribution(k4(), 0, 4, 2).short_mass > 0
 
 
 def test_prefix_distribution_validation():
