@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import NamedTuple, Optional
 
@@ -20,10 +21,12 @@ import numpy as np
 from .errors import InsufficientData, InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
 from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
-from .walkers import _require_kind_graph, _walk
+from .walkers import _move_table, _require_kind_graph, _walk
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# steps per block of draws in the move-table kernel
+_BLOCK = 1 << 12
 
 
 def replica_seed(master_seed: int, replica_index: int) -> int:
@@ -183,10 +186,9 @@ def monte_carlo(
     replicas, horizon, master_seed = int(replicas), int(horizon), int(master_seed)
     _require_kind_graph(kind, graph)
     _check_start(graph, start)
-    rows = tuple(
-        _replica(kind, graph, start, horizon, np.random.default_rng(replica_seed(master_seed, i)))
-        for i in range(replicas)
-    )
+    table = _move_table(kind, graph, start, replicas * horizon)
+    run = partial(_table_run, table, horizon) if table else partial(_replica, kind, graph, start, horizon)
+    rows = tuple(run(np.random.default_rng(replica_seed(master_seed, i))) for i in range(replicas))
     if config is None:
         config = {
             "walk": kind.value,
@@ -205,6 +207,29 @@ def _replica(kind, graph, start, horizon, rng) -> WalkStatistics:
     if isinstance(graph, BiregularTree) and start == ():
         return _tree_run(kind, graph, horizon, rng)
     return _generic_replica(kind, graph, start, horizon, rng)
+
+
+def _table_run(table, horizon, rng) -> WalkStatistics:
+    """A walk through a ``walkers._move_table`` table, with the samplers'
+    draws: one scalar draw for the first step, then bulk draws of the
+    bound, ``_BLOCK`` at a time, which numpy makes as the scalar calls
+    would, leaving the generator in the same state.  The displacement is
+    0 or 1, as on every finite graph."""
+    first, rows, home = table
+    if not horizon:
+        return WalkStatistics(0, 0, None, 0.0)
+    s = first[int(rng.integers(len(first)))]
+    returns = int(home[s])
+    last = 1 if returns else None
+    bound = len(rows[0])
+    for done in range(1, horizon, _BLOCK):
+        draws = rng.integers(0, bound, size=min(_BLOCK, horizon - done)).tolist()
+        path = [s := rows[s][d] for d in draws]
+        hits = np.flatnonzero(home[path])
+        if len(hits):
+            returns += len(hits)
+            last = done + int(hits[-1]) + 1
+    return WalkStatistics(horizon, returns, last, 0.0 if home[s] else 1.0)
 
 
 def _tree_run(kind, tree, horizon, rng) -> WalkStatistics:

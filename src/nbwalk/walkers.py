@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput, InvalidState, LimitExceeded, NoLegalMove, is_int
-from .graph import Graph, Lattice, WeightedMultigraph
+from .graph import ExplicitGraph, Graph, Lattice, WeightedMultigraph
 
 MAX_ENUMERATION_HORIZON = 14
 # the most (state, record) pairs an exact law may carry into one level before
@@ -339,6 +339,45 @@ def _walk(kind, graph, start, n: int, rng):
     finally:
         if draws is not None:
             draws.close()
+
+
+class _Fixed(int):
+    """A generator stand-in whose every integer draw is itself."""
+
+    def integers(self, k):
+        return self
+
+
+def _move_table(kind, graph, start, budget: int):
+    """The moves of an srw or nbrw walk from ``start`` on a finite graph
+    where every state has the same draw bound, as ``(first, rows, home)``
+    over numbered states: draw d takes the first step to ``first[d]`` and
+    state s to ``rows[s][d]``, and ``home[s]`` is whether s sits at
+    ``start``.  Each entry is the sampler's move on draw d.  None for any
+    other walk, for a bound below 1 and for more than ``budget`` entries."""
+    mg = isinstance(graph, WeightedMultigraph)
+    if kind is WalkKind.WRW or not (mg or isinstance(graph, ExplicitGraph)):
+        return None
+    degree = graph.mdegree if mg else graph.degree
+    k = degree(start)
+    srw = kind is WalkKind.SRW
+    bound = k if srw else k - 1
+    vertices = graph.vertices()
+    # a state is a vertex for srw and a dart, one per half-edge, for nbrw
+    if bound < 1 or len(vertices) * (1 if srw else k) * bound > budget or any(degree(v) != k for v in vertices):
+        return None
+    if srw:
+        states, vertex, step, first = vertices, lambda s: s, partial(srw_step, graph), start
+    elif mg:
+        states = [HalfEdgeState(e.edge_id, end) for e in graph.edges() for end in (0, 1)]
+        vertex, step, first = lambda s: graph.endpoint(*s), partial(nbrw_step_edge, graph), (None, start)
+    else:
+        states = [(v, w) for v in vertices for w in graph.neighbors(v)]
+        vertex, step, first = itemgetter(1), lambda s, rng: (s[1], nbrw_step(graph, *s, rng)), (None, start)
+    index = {s: i for i, s in enumerate(states)}
+    first_row = [index[step(first, _Fixed(d))] for d in range(k)]
+    rows = [[index[step(s, _Fixed(d))] for d in range(bound)] for s in states]
+    return first_row, rows, np.array([vertex(s) == start for s in states])
 
 
 def sample_path(kind, graph, start, n: int, rng) -> tuple:

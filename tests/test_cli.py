@@ -166,6 +166,25 @@ def test_runtime_failure_exit_code(capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "adjacency, walk, message",
+    [
+        # K2's non-backtracking bound is 0 and a lone vertex has degree 0:
+        # both miss the move table, and the stepper says where the walk stuck
+        ({"a": ["b"], "b": ["a"]}, "nbrw", "step 2: vertex"),
+        ({"a": []}, "srw", "step 1: vertex 'a' is isolated"),
+        ({"a": []}, "nbrw", "step 1: vertex 'a' is isolated"),
+    ],
+)
+def test_diagnose_stuck_walk_exits_1_with_its_step(adjacency, walk, message, tmp_path, capsys):
+    spec = json.dumps({"type": "explicit", "adjacency": adjacency})
+    argv = ["diagnose", "--graph", spec, "--walk", walk, "--start", "a", "--horizon", "5", "--replicas", "3",
+            "--seed", "1", "--out", str(tmp_path / "report")]
+    assert run(argv) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rejected_config_leaves_no_files(tmp_path):
     base = tmp_path / "partial"
     spec = json.dumps({"type": "lattice", "d": 9})

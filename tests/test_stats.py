@@ -1,5 +1,8 @@
+import json
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -13,8 +16,10 @@ from nbwalk import (
     chain_for_biregular,
     chain_for_regular,
     contract,
+    counterexample_graph,
     enumerate_prefix_distribution,
     erase_backtracks,
+    graph_from_spec,
     lattice,
     lattice_return_counts,
     monte_carlo,
@@ -23,12 +28,25 @@ from nbwalk import (
     return_statistics,
     sample_path,
     simulate_chain,
+    subdivide,
     total_variation,
 )
-from nbwalk.stats import _CHUNK, _generic_replica, _lattice_run, _replica, _tree_run, replica_seed
-from nbwalk.walkers import WalkKind
+from nbwalk import stats, walkers
+from nbwalk.stats import _BLOCK, _CHUNK, _generic_replica, _lattice_run, _replica, _table_run, _tree_run, replica_seed
+from nbwalk.walkers import WalkKind, _move_table
 
-from helpers import k4, lattice_run_reference, rng, theta_graph, tree_run_reference
+from helpers import (
+    complete_bipartite,
+    cycle,
+    k4,
+    lattice_run_reference,
+    rng,
+    theta_graph,
+    tree_run_reference,
+    two_loop_graph,
+    walk_reference,
+)
+from test_golden import CUBIC10
 
 # short walks, one chunk exactly, and walks crossing one and two chunk boundaries
 HORIZONS = (0, 1, 2, 5, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 5)
@@ -248,6 +266,84 @@ def test_fast_tree_agrees_with_generic_kernels():
     assert abs(m1 - m2) < 4.0
     nb = _replica(WalkKind.NBRW, g, (), 50, rng(1))
     assert nb.returns_to_origin == 0 and nb.end_displacement == 50.0
+
+
+def _table_cases():
+    cubic10 = graph_from_spec(json.loads(CUBIC10))
+    theta, _ = contract(theta_graph())
+    loops, _ = contract(two_loop_graph())
+    plain = {"k4": (k4(), 0), "c5": (cycle(5), 0), "k33": (complete_bipartite(3, 3), "a0"), "cubic10": (cubic10, 7)}
+    kinds = (WalkKind.SRW, WalkKind.NBRW)
+    cases = {f"{name}-{kind.value}": (kind, g, s) for name, (g, s) in plain.items() for kind in kinds}
+    cases.update({"theta-edge-nbrw": (WalkKind.NBRW, theta, "u"), "two-loops-edge-nbrw": (WalkKind.NBRW, loops, "v")})
+    return cases
+
+
+TABLE_CASES = _table_cases()
+# short walks, the first block's seams, and a walk across many blocks
+TABLE_HORIZONS = (0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK + 5)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_move_table_run_equals_the_generic_stepper_and_the_scalar_reference(name):
+    # c5's non-backtracking bound is 1, which draws nothing; the two-loop
+    # multigraph has loops and theta parallel edges
+    kind, g, start = TABLE_CASES[name]
+    table = _move_table(kind, g, start, 10**9)
+    assert table is not None
+    for h in TABLE_HORIZONS:
+        for seed in range(3):
+            fast, slow, ref = rng(seed), rng(seed), rng(seed)
+            row = _table_run(table, h, fast)
+            assert row == _generic_replica(kind, g, start, h, slow), (h, seed)
+            assert row == return_statistics(chain((start,), walk_reference(kind, g, start, h, ref)), start, g)
+            assert fast.bit_generator.state == slow.bit_generator.state == ref.bit_generator.state, (h, seed)
+
+
+def test_monte_carlo_takes_the_move_table_on_regular_graphs_only(monkeypatch):
+    calls = Counter()
+
+    def counting(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("srw_step", "nbrw_step", "nbrw_step_edge"):
+        monkeypatch.setattr(walkers, name, counting(getattr(walkers, name), name))
+    monkeypatch.setattr(stats, "_generic_replica", counting(_generic_replica, "generic"))
+    theta, _ = contract(theta_graph())
+    # the table's sampler calls: the first row's k, then states x bound,
+    # whatever the replica count
+    table_cases = [
+        ("srw", k4(), 0, "srw_step", 3 + 4 * 3),
+        ("nbrw", k4(), 0, "nbrw_step", 3 + 12 * 2),
+        ("nbrw", theta, "u", "nbrw_step_edge", 3 + 6 * 2),
+    ]
+    for kind, g, start, sampler, size in table_cases:
+        for replicas in (1, 7):
+            calls.clear()
+            monte_carlo(kind, g, start, 50, replicas, 3)
+            assert calls[sampler] == size and calls["generic"] == 0, (kind, replicas)
+    # non-regular graphs, wrw, and tables over replicas x horizon entries
+    generic_cases = [
+        ("srw", counterexample_graph(), "v", 50, 2),
+        ("nbrw", counterexample_graph(), "v", 50, 2),
+        ("srw", subdivide(k4(), 1), 0, 50, 2),
+        ("nbrw", subdivide(k4(), 1), 0, 50, 2),
+        ("wrw", theta, "u", 50, 2),
+        ("srw", cycle(10_000), 0, 3, 1),
+        ("srw", k4(), 0, 11, 1),
+    ]
+    for kind, g, start, horizon, replicas in generic_cases:
+        calls.clear()
+        assert _move_table(WalkKind(kind), g, start, replicas * horizon) is None
+        monte_carlo(kind, g, start, horizon, replicas, 3)
+        assert calls["generic"] == replicas, (kind, start)
+    calls.clear()
+    monte_carlo("srw", k4(), 0, 12, 1, 3)
+    assert calls["generic"] == 0
 
 
 def test_lattice_return_counts_monotone_and_seeded():
