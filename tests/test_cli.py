@@ -1,7 +1,13 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nbwalk
 from nbwalk import walkers
 from nbwalk.cli import run
 
@@ -200,6 +206,8 @@ def test_rejected_config_leaves_no_files(tmp_path):
 
 
 LINE_SPEC = json.dumps({"type": "lattice", "d": 1})
+PATH3_SPEC = json.dumps({"type": "explicit", "adjacency": {"a": ["b"], "b": ["a", "c"], "c": ["b"]}})
+PATH4_SPEC = json.dumps({"type": "explicit", "adjacency": {"a": ["b"], "b": ["a", "c"], "c": ["b", "d"], "d": ["c"]}})
 # every vertex has degree 2, so there is no anchor to contract onto
 TRIANGLE_SPEC = json.dumps({"type": "explicit", "adjacency": {"0": [1, 2], "1": [0, 2], "2": [0, 1]}})
 
@@ -246,6 +254,14 @@ def _walk(*extra):
         _walk("--graph", json.dumps({"type": "explicit", "adjacency": {}})),
         _walk("--graph", json.dumps({"type": "explicit", "adjacency": {"a": None}})),
         _walk("--graph", json.dumps({"type": "explicit", "adjacency": {"a": "bc", "b": ["a"], "c": ["a"]}})),
+        _walk("--graph", "@no-such-file.json"),
+        _walk("--graph", "[1]"),
+        _walk("--graph", json.dumps({"type": "lattice", "d": 2}), "--walk", "wrw"),
+        ["erase", "--graph", K4_SPEC],
+        ["erase", "--tokens", "@" + os.devnull],
+        ["chain", "--k", "3", "--k1", "4"],
+        ["compare", "--graph", LINE_SPEC, "--N", "4", "--m", "2"],
+        ["compare", "--graph", K4_SPEC, "--m", "2"],
     ],
     ids=[
         "diagnose-horizon", "replicas", "start", "jobs", "seed-negative", "seed-2**64",
@@ -255,10 +271,13 @@ def _walk(*extra):
         "erase-missing-tokens", "erase-tokens-without-at", "erase-tokens-and-graph",
         "erase-tokens-and-seed", "erase-tokens-and-start", "erase-stdin-and-seed",
         "erase-tokens-and-horizon", "explicit-empty", "explicit-null-row", "explicit-string-row",
+        "graph-missing-file", "graph-not-object", "walk-wrw-not-explicit", "erase-graph-without-seed",
+        "erase-empty-tokens", "chain-k-and-k1", "compare-not-explicit", "compare-without-N",
     ],
 )
 def test_invalid_configuration_exits_2_without_files(argv, tmp_path, capsys):
-    if argv[0] == "compare":
+    # chain and compare take no --out
+    if argv[0] in ("chain", "compare"):
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
     else:
@@ -306,3 +325,56 @@ def test_exact_law_over_the_state_budget_exits_1_without_files(tmp_path, capsys,
     assert "state budget" in capsys.readouterr().err
     monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 64)
     assert run(argv + ["--out", str(tmp_path / "law")]) == 0
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_malformed_token_exits_2_without_files(source, tmp_path, capsys, monkeypatch):
+    tokens = tmp_path / "bad.tokens"
+    tokens.write_text("a ( b\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(tokens.read_text()))
+    argv = ["erase", "--tokens", f"@{tokens}"] if source == "file" else ["erase"]
+    assert run(argv + ["--out", str(tmp_path / "erased")]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.tokens"]
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_graph_spec_read_from_a_file(tmp_path, capsys):
+    spec = tmp_path / "k4.json"
+    spec.write_text(K4_SPEC)
+    argv = ["enumerate", "--walk", "srw", "--m", "2", "--graph"]
+    assert run(argv + [f"@{spec}"]) == 0
+    from_file = capsys.readouterr().out
+    assert run(argv + [K4_SPEC]) == 0
+    assert from_file == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "--graph", PATH3_SPEC, "--walk", "nbrw", "--start", "a", "--m", "3"], "'c' has degree 1"),
+        (["compare", "--graph", PATH3_SPEC, "--start", "a", "--N", "6", "--m", "3"], "'c' has degree 1"),
+        # every 4-step walk from the end of the path erases to fewer than 4 vertices
+        (["compare", "--graph", PATH4_SPEC, "--start", "a", "--N", "4", "--m", "3"], "no full-length mass"),
+    ],
+    ids=["enumerate-nbrw-dead-end", "compare-nbrw-dead-end", "compare-no-full-prefix"],
+)
+def test_runtime_failure_exits_1_without_output(argv, message, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["chain", "--k", "3"], 0),
+        (["walk", "--graph", PATH3_SPEC, "--walk", "nbrw", "--start", "a", "--horizon", "5", "--seed", "1"], 1),
+        (["chain"], 2),
+    ],
+    ids=["success", "runtime-failure", "configuration-error"],
+)
+def test_main_passes_the_exit_code_to_the_shell(argv, code):
+    env = {**os.environ, "PYTHONPATH": str(Path(nbwalk.__file__).parents[1])}
+    cmd = [sys.executable, "-c", "from nbwalk.cli import main; main()", *argv]
+    assert subprocess.run(cmd, env=env, capture_output=True, timeout=120).returncode == code
