@@ -8,8 +8,9 @@ multigraph), ``enumerate`` (dump an exact prefix law), ``compare``
 (seeded Monte Carlo report).
 
 Exit codes: 0 on success, 1 on runtime failures such as a walk with no
-legal move, 2 on configuration errors.  All randomness flows from an
-explicit ``--seed``; rejected configurations never produce output files.
+legal move, 2 on configuration errors; ``run`` tells the two failures
+apart by the type of the error.  All randomness flows from an explicit
+``--seed``; rejected configurations never produce output files.
 """
 
 from __future__ import annotations
@@ -32,14 +33,16 @@ from .birthdeath import (
 )
 from .contraction import contract, induced_prefix_distribution
 from .erasure import erase_backtracks, erased_prefix_distribution
-from .errors import InvalidParameter, NbwalkError
+from .errors import InvalidInput, InvalidParameter, MalformedGraph, NbwalkError, UnsupportedGraph, UnsupportedStructure
 from .graph import ExplicitGraph, decode_key, encode_key, graph_from_spec
 from .stats import monte_carlo, replica_seed, return_statistics, total_variation
 from .walkers import MAX_ENUMERATION_HORIZON, WalkKind, _check_start, enumerate_prefix_distribution, sample_path
 
-
-class _ConfigError(Exception):
-    pass
+# errors that refuse the configuration, including its input files (exit
+# 2); every other NbwalkError is a runtime failure (exit 1)
+_CONFIG_ERRORS = (
+    InvalidParameter, InvalidInput, MalformedGraph, UnsupportedGraph, UnsupportedStructure, OSError, UnicodeDecodeError,
+)
 
 
 def _fmt_fraction(x: Fraction) -> str:
@@ -53,17 +56,13 @@ def _fmt_rational(x: Fraction) -> str:
 def _load_graph_spec(text: str) -> dict:
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
-    spec = json.loads(text)
+    try:
+        spec = json.loads(text)
+    except ValueError as exc:  # malformed JSON, or an integer with too many digits
+        raise InvalidParameter(f"cannot read the --graph JSON: {exc}") from None
     if not isinstance(spec, dict):
         raise InvalidParameter("graph spec must be a JSON object")
     return spec
-
-
-def _config(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except (NbwalkError, ValueError, KeyError, OSError) as exc:
-        raise _ConfigError(str(exc)) from None
 
 
 def _start_vertex(args, graph):
@@ -72,20 +71,18 @@ def _start_vertex(args, graph):
 
 def _graph(args):
     """The ``--graph`` spec and the graph it describes."""
-    spec = _config(_load_graph_spec, args.graph)
-    return spec, _config(graph_from_spec, spec)
+    spec = _load_graph_spec(args.graph)
+    return spec, graph_from_spec(spec)
 
 
 def _walk_graph(args):
     """Spec, graph, walk kind and start vertex of ``walk``, ``enumerate``
     and ``diagnose``; a wrw walk runs on the contracted multigraph."""
     spec, graph = _graph(args)
-    kind = _config(WalkKind, args.walk)
+    kind = WalkKind(args.walk)
     if kind is WalkKind.WRW:
-        if not isinstance(graph, ExplicitGraph):
-            raise _ConfigError("wrw walks run on the contraction of an explicit graph")
-        graph, _ = _config(contract, graph)
-    return spec, graph, kind, _config(_start_vertex, args, graph)
+        graph, _ = contract(graph)
+    return spec, graph, kind, _start_vertex(args, graph)
 
 
 def _int_range(lo, hi=None):
@@ -126,14 +123,14 @@ def _publish(out, files: dict, shown=None, announce=True) -> None:
             target = Path(out + suffix)
             if target.is_dir():
                 # a rename onto it would fail after the other files moved
-                raise _ConfigError(f"cannot write {target}: it is a directory")
+                raise InvalidParameter(f"cannot write {target}: it is a directory")
             tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
             staged.append((tmp, target))
             tmp.write_text(text)
         for tmp, target in staged:
             tmp.replace(target)
     except OSError as exc:
-        raise _ConfigError(f"cannot write {target}: {exc.strerror or exc}") from None
+        raise InvalidParameter(f"cannot write {target}: {exc.strerror or exc}") from None
     finally:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
@@ -159,23 +156,21 @@ def _cmd_walk(args) -> int:
 
 def _cmd_erase(args) -> int:
     if args.graph is not None and args.tokens is not None:
-        raise _ConfigError("give either --tokens or --graph, not both")
+        raise InvalidParameter("give either --tokens or --graph, not both")
     if args.graph is None and (args.seed is not None or args.start is not None or args.horizon is not None):
-        raise _ConfigError("--seed, --start and --horizon select a sampled walk and need --graph")
+        raise InvalidParameter("--seed, --start and --horizon select a sampled walk and need --graph")
     if args.graph is not None:
         _, graph = _graph(args)
-        start = _config(_start_vertex, args, graph)
+        start = _start_vertex(args, graph)
         if args.seed is None:
-            raise _ConfigError("sampling a walk to erase requires --seed")
+            raise InvalidParameter("sampling a walk to erase requires --seed")
         horizon = 100 if args.horizon is None else args.horizon
         seq = sample_path(WalkKind.SRW, graph, start, horizon, _rng(args.seed))
     else:
         if args.tokens is not None and not args.tokens.startswith("@"):
-            raise _ConfigError(f"--tokens takes @file, got {args.tokens!r}")
-        text = _config(Path(args.tokens[1:]).read_text) if args.tokens else sys.stdin.read()
+            raise InvalidParameter(f"--tokens takes @file, got {args.tokens!r}")
+        text = Path(args.tokens[1:]).read_text() if args.tokens else sys.stdin.read()
         toks = text.split()
-        if not toks:
-            raise _ConfigError("no input tokens")
         # decode each distinct token once; insertion order reports the first malformed one
         keys = {t: decode_key(t) for t in dict.fromkeys(toks)}
         seq = [keys[t] for t in toks]
@@ -188,12 +183,12 @@ def _cmd_erase(args) -> int:
 def _cmd_chain(args) -> int:
     if args.k is not None:
         if args.k1 is not None or args.k2 is not None:
-            raise _ConfigError("give either --k or --k1/--k2, not both")
-        spec = _config(chain_for_regular, args.k)
+            raise InvalidParameter("give either --k or --k1/--k2, not both")
+        spec = chain_for_regular(args.k)
     elif args.k1 is not None and args.k2 is not None:
-        spec = _config(chain_for_biregular, args.k1, args.k2)
+        spec = chain_for_biregular(args.k1, args.k2)
     else:
-        raise _ConfigError("need --k, or both --k1 and --k2")
+        raise InvalidParameter("need --k, or both --k1 and --k2")
     transient = is_transient(spec)
     print("verdict: " + ("transient" if transient else "recurrent"))
     print(f"period odds product: {_fmt_rational(_period_ratio_product(spec))}")
@@ -204,7 +199,7 @@ def _cmd_chain(args) -> int:
 def _cmd_contract(args) -> int:
     _, graph = _graph(args)
     # contract refuses a graph that is not explicit or has no corridor structure
-    mg, cmap = _config(contract, graph)
+    mg, cmap = contract(graph)
     doc = mg.to_json_dict()
     doc["max_corridor_length"] = cmap.max_length
     json_text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -238,23 +233,25 @@ def _cmd_enumerate(args) -> int:
 def _cmd_compare(args) -> int:
     _, graph = _graph(args)
     if not isinstance(graph, ExplicitGraph):
-        raise _ConfigError("compare needs an explicit graph spec")
-    start = _config(_start_vertex, args, graph)
+        raise InvalidParameter("compare needs an explicit graph spec")
+    start = _start_vertex(args, graph)
     if args.induced:
-        kind = _config(WalkKind, args.walk)
-        mg, cmap = _config(contract, graph)
-        if start not in cmap.anchors:
-            raise _ConfigError(f"--start {encode_key(start)} is not an anchor of the contraction")
+        if args.N is not None:
+            raise InvalidParameter("--N is the erased law's horizon, which --induced does not use")
+        kind = WalkKind(args.walk or "srw")
+        mg, cmap = contract(graph)
         induced = induced_prefix_distribution(graph, kind, start, args.m, cmap)
         target_kind = WalkKind.WRW if kind is WalkKind.SRW else WalkKind.NBRW
         target = enumerate_prefix_distribution(target_kind, mg, start, args.m)
         tv = total_variation(induced, target)
         print(f"tv(induced {kind.value}, contracted {target_kind.value}): {_fmt_rational(tv)}")
     else:
+        if args.walk is not None:
+            raise InvalidParameter("--walk selects the walk of --induced")
         if args.N is None:
-            raise _ConfigError("erased-law comparison needs --N")
+            raise InvalidParameter("erased-law comparison needs --N")
         if args.N <= args.m:
-            raise _ConfigError(f"--N {args.N} must exceed --m {args.m}")
+            raise InvalidParameter(f"--N {args.N} must exceed --m {args.m}")
         erased = erased_prefix_distribution(graph, start, args.N, args.m)
         nbrw = enumerate_prefix_distribution(WalkKind.NBRW, graph, start, args.m)
         tv = total_variation(erased, nbrw)
@@ -333,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_HORIZON, required=True, help=f"prefix horizon, {_HORIZON_HELP}")
     p.add_argument("--N", type=_HORIZON, help=f"walk horizon for the erased law, {_HORIZON_HELP}")
     p.add_argument("--induced", action="store_true", help="induced walk vs contracted kernel")
-    p.add_argument("--walk", default="srw", choices=["srw", "nbrw"], help="walk for --induced")
+    p.add_argument("--walk", choices=["srw", "nbrw"], help="walk for --induced (default: srw)")
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("diagnose", help="seeded Monte Carlo recurrence diagnostics")
@@ -361,7 +358,7 @@ def run(argv=None) -> int:
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
     try:
         return args.handler(args)
-    except _ConfigError as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"nbwalk: configuration error: {exc}", file=sys.stderr)
         return 2
     except NbwalkError as exc:

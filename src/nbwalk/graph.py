@@ -32,7 +32,10 @@ def canon_key(value):
         return value
     if isinstance(value, str):
         if _INT_TOKEN.fullmatch(value):
-            return int(value)
+            try:
+                return int(value)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise MalformedGraph(f"integer key of {len(value)} digits is too long") from None
         if not value or _BAD_STR.search(value):
             raise MalformedGraph(f"unusable string key {value!r}")
         return value
@@ -63,9 +66,12 @@ def encode_key(key) -> str:
 
 def decode_key(text: str):
     """Parse the text form produced by ``encode_key``."""
-    key, rest = _parse_key(text.strip())
-    if rest:
-        raise MalformedGraph(f"trailing text in key {text!r}")
+    try:
+        key, rest = _parse_key(text.strip())
+        if rest:
+            raise MalformedGraph(f"trailing text {rest!r}")
+    except MalformedGraph as exc:
+        raise MalformedGraph(f"cannot parse key text {text!r}: {exc}") from None
     return key
 
 
@@ -83,14 +89,11 @@ def _parse_key(t: str):
                 continue
             if t.startswith(")"):
                 return tuple(items), t[1:]
-            raise MalformedGraph("unbalanced parentheses in key text")
+            raise MalformedGraph("unbalanced parentheses")
     m = re.match(r"[^(),]+", t)
     if not m:
-        raise MalformedGraph(f"cannot parse key text {t!r}")
-    tok, rest = m.group(0), t[m.end():]
-    if _INT_TOKEN.fullmatch(tok):
-        return int(tok), rest
-    return canon_key(tok), rest
+        raise MalformedGraph("a key is missing")
+    return canon_key(m.group(0)), t[m.end():]
 
 
 class Graph:

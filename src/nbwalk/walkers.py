@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidState, LimitExceeded, NoLegalMove, is_int
+from .errors import InsufficientData, InvalidInput, InvalidState, LimitExceeded, NoLegalMove, is_int
 from .graph import ExplicitGraph, Graph, Lattice, WeightedMultigraph
 
 MAX_ENUMERATION_HORIZON = 14
@@ -123,7 +123,7 @@ class PrefixDistribution:
     def conditioned(self) -> "PrefixDistribution":
         """The law given that a full-length prefix was produced."""
         if self.short_mass == 1:
-            raise InvalidInput("no full-length mass to condition on")
+            raise InsufficientData("no full-length mass to condition on")
         if self.short_mass == 0:
             return self
         z = 1 - self.short_mass

@@ -262,6 +262,12 @@ def _walk(*extra):
         ["chain", "--k", "3", "--k1", "4"],
         ["compare", "--graph", LINE_SPEC, "--N", "4", "--m", "2"],
         ["compare", "--graph", K4_SPEC, "--m", "2"],
+        # --N sets only the erased law and --walk only the induced one
+        ["compare", "--graph", K4_SPEC, "--induced", "--N", "4", "--m", "2"],
+        ["compare", "--graph", K4_SPEC, "--walk", "nbrw", "--N", "4", "--m", "2"],
+        # integers beyond Python's digit limit for int(text)
+        _walk("--graph", '{"type": "lattice", "d": ' + "1" * 5000 + "}"),
+        _walk("--start", "1" * 5000),
     ],
     ids=[
         "diagnose-horizon", "replicas", "start", "jobs", "seed-negative", "seed-2**64",
@@ -273,6 +279,7 @@ def _walk(*extra):
         "erase-tokens-and-horizon", "explicit-empty", "explicit-null-row", "explicit-string-row",
         "graph-missing-file", "graph-not-object", "walk-wrw-not-explicit", "erase-graph-without-seed",
         "erase-empty-tokens", "chain-k-and-k1", "compare-not-explicit", "compare-without-N",
+        "compare-induced-with-N", "compare-walk-without-induced", "graph-integer-too-long", "start-integer-too-long",
     ],
 )
 def test_invalid_configuration_exits_2_without_files(argv, tmp_path, capsys):
@@ -328,14 +335,18 @@ def test_exact_law_over_the_state_budget_exits_1_without_files(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])
-def test_malformed_token_exits_2_without_files(source, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "text, message", [("a ( b", "'('"), ("a " + "1" * 5000, "5000 digits is too long")], ids=["paren", "long-integer"]
+)
+def test_malformed_token_exits_2_without_files(source, text, message, tmp_path, capsys, monkeypatch):
     tokens = tmp_path / "bad.tokens"
-    tokens.write_text("a ( b\n")
+    tokens.write_text(text + "\n")
     monkeypatch.setattr("sys.stdin", io.StringIO(tokens.read_text()))
     argv = ["erase", "--tokens", f"@{tokens}"] if source == "file" else ["erase"]
     assert run(argv + ["--out", str(tmp_path / "erased")]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["bad.tokens"]
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
 
 
 def test_graph_spec_read_from_a_file(tmp_path, capsys):

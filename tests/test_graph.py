@@ -257,6 +257,21 @@ def test_key_round_trips():
         assert decode_key(encode_key(key)) == key
 
 
+@pytest.mark.parametrize(
+    "text", ["(", ")", "(0,1", "(0,1)x", "a,b", "x y", "1" * 5000],
+    ids=["open", "close", "unbalanced", "trailing", "comma", "space", "long-integer"],
+)
+def test_key_text_errors_name_the_whole_key(text):
+    with pytest.raises(MalformedGraph) as err:
+        decode_key(text)
+    assert repr(text) in str(err.value)
+
+
+def test_integer_key_with_too_many_digits_is_malformed():
+    with pytest.raises(MalformedGraph, match="5000 digits is too long"):
+        from_adjacency({"1" * 5000: []})
+
+
 def test_key_canonicalization_and_order():
     g = from_adjacency({"0": [1], 1: ["0"]})
     assert g.vertices() == (0, 1)

@@ -9,6 +9,7 @@ import pytest
 from nbwalk import (
     BiregularTree,
     HalfEdgeState,
+    InsufficientData,
     InvalidInput,
     InvalidParameter,
     InvalidState,
@@ -325,6 +326,9 @@ def test_prefix_distribution_validation():
         PrefixDistribution(1, {(0, 1, 2): Fraction(1)})
     d = PrefixDistribution(1, {(0, 1): Fraction(3, 4)}, Fraction(1, 4))
     assert d.conditioned().prob((0, 1)) == 1
+    # no full-length prefix is an outcome of the walk, not a bad argument
+    with pytest.raises(InsufficientData):
+        PrefixDistribution(1, {}, Fraction(1)).conditioned()
 
 
 def _mixed_calls(seed, n):
