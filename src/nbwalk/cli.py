@@ -246,10 +246,8 @@ def _cmd_compare(args) -> int:
         tv = total_variation(induced, target)
         print(f"tv(induced {kind.value}, contracted {target_kind.value}): {_fmt_rational(tv)}")
     else:
-        if args.walk is not None:
-            raise InvalidParameter("--walk selects the walk of --induced")
-        if args.N is None:
-            raise InvalidParameter("erased-law comparison needs --N")
+        if args.N is None or args.walk is not None:
+            raise InvalidParameter("erased-law comparison needs --N and takes no --walk, which is for --induced")
         if args.N <= args.m:
             raise InvalidParameter(f"--N {args.N} must exceed --m {args.m}")
         erased = erased_prefix_distribution(graph, start, args.N, args.m)

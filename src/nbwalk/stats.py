@@ -21,12 +21,10 @@ import numpy as np
 from .errors import InsufficientData, InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
 from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
-from .walkers import _move_table, _require_kind_graph, _walk
+from .walkers import _BLOCK, _move_table, _require_kind_graph, _walk
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# steps per block of draws in the move-table kernel
-_BLOCK = 1 << 12
 
 
 def replica_seed(master_seed: int, replica_index: int) -> int:

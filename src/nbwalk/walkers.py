@@ -225,18 +225,16 @@ class _Draws:
 
     def __init__(self, rng, block: int):
         self._bg = rng.bit_generator
-        self._saved = self._bg.state
-        self._has = self._saved["has_uint32"]
-        self._spare = self._saved["uinteger"]
+        state = self._bg.state
+        self._has = state["has_uint32"]
+        self._spare = state["uinteger"]
         self._block = block
         self._words = []
         self._next = 0  # index of the next unused word in _words
-        self._read = 0  # words read before _words
 
     def _word(self) -> int:
         i = self._next
         if i == len(self._words):
-            self._read += i
             self._words = self._bg.random_raw(self._block).tolist()
             i = 0
         self._next = i + 1
@@ -264,8 +262,9 @@ class _Draws:
 
     def close(self):
         bg = self._bg
-        bg.state = self._saved
-        bg.advance(self._read + self._next)
+        # step back over the words read but not used: PCG64 has period
+        # 2**128, and advance() takes any delta below it
+        bg.advance((self._next - len(self._words)) % (1 << 128))
         # advance() clears the spare half; numpy keeps the last one even
         # when it is used up, so both fields are put back
         state = bg.state
@@ -285,9 +284,11 @@ class _Trusted:
         self.neighbors = getattr(graph, "_adjacent", graph.neighbors)
 
 
-# raw words per block: an integer draw takes half a word, so a block of
-# n // 2 + 1 serves most n-step walks whole; the cap bounds its memory
-_MAX_BLOCK = 1 << 12
+# the cap on draws made at once, which bounds their memory: raw words
+# per _Draws block (an integer draw takes half a word, so n // 2 + 1
+# words serve most n-step walks whole) and steps per bulk draw in
+# stats._table_run
+_BLOCK = 1 << 12
 
 
 def _walk(kind, graph, start, n: int, rng):
@@ -308,7 +309,7 @@ def _walk(kind, graph, start, n: int, rng):
         graph.neighbors(start)
         graph = _Trusted(graph)
     if type(getattr(rng, "bit_generator", None)) is np.random.PCG64:
-        rng = draws = _Draws(rng, min(n // 2 + 1, _MAX_BLOCK))
+        rng = draws = _Draws(rng, min(n // 2 + 1, _BLOCK))
     else:
         draws = None
     i = 0

@@ -37,7 +37,7 @@ from nbwalk import (
 )
 from nbwalk.stats import _generic_replica, return_statistics
 from nbwalk import walkers
-from nbwalk.walkers import _CHUNK, _MAX_BLOCK, _Draws, _walk
+from nbwalk.walkers import _BLOCK, _CHUNK, _Draws, _walk
 
 from helpers import k4, rng, theta_graph, walk_reference
 
@@ -399,7 +399,7 @@ def test_walk_equals_scalar_reference(kind, g, start):
     # longest walk reads a few blocks of raw words
     horizons = (0, 1, 1023, 1024, 1025)
     if not isinstance(g, BiregularTree):
-        horizons += (5000, 4 * _MAX_BLOCK + 3)
+        horizons += (5000, 4 * _BLOCK + 3)
     # each generator runs two walks, so the second starts with whatever
     # spare half the first left
     for n in horizons:
