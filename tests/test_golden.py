@@ -50,6 +50,8 @@ LATTICE1 = '{"type":"lattice","d":1}'
 LATTICE3 = '{"type":"lattice","d":3}'
 TREE3 = '{"type":"regular_tree","k":3}'
 SUBLATTICE = '{"type":"subdivided_lattice","d":2,"t":1}'
+SUBLATTICE2_T2 = '{"type":"subdivided_lattice","d":2,"t":2}'
+SUBLATTICE3 = '{"type":"subdivided_lattice","d":3,"t":1}'
 
 # name: (graph spec, walk, start, horizon, replicas, seed, json sha256, csv sha256)
 DIAGNOSE = {
@@ -83,6 +85,17 @@ DIAGNOSE = {
         "8cc1856475f38d797cf9a131c2340de7752b91d719abaa032a53740ea1276252",
         "8e7953b1af94db915f9aedad7085dba3478c43e317f3353732875a3c9c5382f6",
     ),
+    # pitch 3 does not divide walkers._CHUNK, and 40,000 steps cross a chunk seam
+    "sublattice2_t2_nbrw": (
+        SUBLATTICE2_T2, "nbrw", None, 40000, 3, 18,
+        "7fcdc03e969c9b96a206a28055c2d08bf4aa6609d19677232844317d6e9fa079",
+        "7e7b732ff693e17835c44209cccf8dd16f040f42fbff78397d5ec66ef1f0cc97",
+    ),
+    "sublattice3_srw": (
+        SUBLATTICE3, "srw", None, 2000, 8, 19,
+        "ae8d53b1f8b6c9f96d895c041fd1ca370df7fe2a084e397de52932b608e983f9",
+        "0507a3737d8846f7bbe097c4b580d944a21b8c1160ea0e3f9f8967f8a7cf0f45",
+    ),
     "theta_wrw": (
         _explicit_spec(theta_graph()), "wrw", "u", 2000, 8, 17,
         "5faa8ac9f7585c7f77a8d02d64c533129fac1612c1513711ef324e5487f357d4",
@@ -107,6 +120,14 @@ WALK = {
     "k4_nbrw": (
         _explicit_spec(k4()), "nbrw", "0", 2000, 22,
         "3733f4204b3b64386e0553600b30e6a03f9204d437689ad44ad3f3220f4304c5",
+    ),
+    "sublattice2_srw": (
+        SUBLATTICE, "srw", None, 2000, 27,
+        "ba34072aa9f50330340c507eacaa565103656449d7963d00fd7e29e746221c2f",
+    ),
+    "sublattice2_nbrw": (
+        SUBLATTICE, "nbrw", None, 2000, 28,
+        "c60fdd2a04b86543c2b8a05229cae7e8c6d67a68b4680aca5283ae26e83227dc",
     ),
     "theta_wrw": (
         _explicit_spec(theta_graph()), "wrw", "u", 2000, 23,
