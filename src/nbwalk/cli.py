@@ -58,7 +58,8 @@ def _load_graph_spec(text: str) -> dict:
         text = Path(text[1:]).read_text()
     try:
         spec = json.loads(text)
-    except ValueError as exc:  # malformed JSON, or an integer with too many digits
+    # malformed JSON, an integer with too many digits, or nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise InvalidParameter(f"cannot read the --graph JSON: {exc}") from None
     if not isinstance(spec, dict):
         raise InvalidParameter("graph spec must be a JSON object")

@@ -198,7 +198,7 @@ def monte_carlo(
 
 
 def _replica(kind, graph, start, horizon, rng) -> WalkStatistics:
-    if _on_lattice_kernel(kind, graph):
+    if _on_lattice_kernel(kind, graph, start):
         returns, last, disp = _lattice_run(kind, graph, start, horizon, rng)
         return WalkStatistics(horizon, returns, last, disp)
     # monte_carlo has refused wrw on a tree, which is not a multigraph
@@ -283,7 +283,7 @@ def _lattice_run(kind, lat, start, horizon, rng):
     returns = 0
     last = None
     done = 0
-    for offsets in _lattice_offsets(kind, d, horizon, rng):
+    for offsets in _lattice_offsets(kind, lat, horizon, rng):
         target = [o - c for o, c in zip(origin, carry)]
         hits = np.flatnonzero(offsets[0] == target[0])
         for a in range(1, d):

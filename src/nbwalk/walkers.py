@@ -384,32 +384,40 @@ def _move_table(kind, graph, start, budget: int):
 def sample_path(kind, graph, start, n: int, rng) -> tuple:
     """Length-(n+1) vertex sequence started at ``start``; each step drawn
     from the kernel for ``kind``.  The first non-backtracking step uses
-    the uniform rule.  On Z^d the path is drawn in bulk by
-    ``_lattice_offsets``, with the scalar samplers' draws and end state."""
+    the uniform rule.  Where ``_on_lattice_kernel`` holds, the path is
+    drawn in bulk by ``_lattice_offsets``, with the scalar samplers' draws
+    and end state.  A 0-step path is ``(start,)``, with the start unchecked."""
     if not is_int(n) or n < 0:
         raise InvalidInput("path length must be a nonnegative integer")
     kind, n = WalkKind(kind), int(n)
-    if not _on_lattice_kernel(kind, graph):
+    if not n or not _on_lattice_kernel(kind, graph, start):
         return (start, *_walk(kind, graph, start, n, rng))
     path = [start]
-    if n:
-        carry = graph.coordinates(start)
-        for offsets in _lattice_offsets(kind, graph.d, n, rng):
-            columns = []
-            for c, off in zip(carry, offsets):
-                lo = int(off.min())
-                # one int object per coordinate value, shared by every key
-                # that has it, as the scalar walk shares unchanged ones
-                values = list(range(c + lo, c + int(off.max()) + 1))
-                columns.append([values[i] for i in (off - lo).tolist()])
-            path.extend(columns[0] if graph.d == 1 else zip(*columns))
-            carry = [col[-1] for col in columns]
+    carry = graph.coordinates(start)
+    for offsets in _lattice_offsets(kind, graph, n, rng):
+        columns = []
+        for c, off in zip(carry, offsets):
+            lo = int(off.min())
+            # one int object per coordinate value, shared by every key
+            # that has it, as the scalar walk shares unchanged ones
+            values = list(range(c + lo, c + int(off.max()) + 1))
+            columns.append([values[i] for i in (off - lo).tolist()])
+        path.extend(columns[0] if graph.d == 1 else zip(*columns))
+        carry = [col[-1] for col in columns]
     return tuple(path)
 
 
-def _on_lattice_kernel(kind: WalkKind, graph) -> bool:
-    """Whether ``_lattice_offsets`` runs this walk: srw or nbrw on Z^d."""
-    return kind is not WalkKind.WRW and isinstance(graph, Lattice) and graph.pitch == 1
+def _on_lattice_kernel(kind: WalkKind, graph, start) -> bool:
+    """Whether ``_lattice_offsets`` runs this walk: srw or nbrw on Z^d,
+    nbrw from an anchor of any subdivided lattice, and srw from an anchor
+    of one with pitch 2.  Looking up ``start`` raises as the generic
+    stepper's start check does."""
+    if kind is WalkKind.WRW or not isinstance(graph, Lattice):
+        return False
+    pitch = graph.pitch
+    if pitch == 1:
+        return True
+    return (kind is WalkKind.NBRW or pitch == 2) and not any(c % pitch for c in graph.coordinates(start))
 
 
 # steps per chunk of the array kernels
@@ -436,32 +444,41 @@ def _nbrw_chain(u, prev):
     return u + ((lo ^ flips)[last] ^ flips)
 
 
-def _lattice_offsets(kind: WalkKind, d: int, n: int, rng):
-    """Yield an n-step srw or nbrw walk on Z^d in chunks of at most
-    ``_CHUNK`` steps, each chunk as one int32 array per axis of the
-    offsets from the chunk's start.  Direction 2a is +e_a and 2a + 1 is
-    -e_a, the order of ``Lattice.neighbors``, and the draws are those of
-    the scalar samplers: ``integers(2d)`` per simple step; one scalar
-    ``integers(2d)`` for the first non-backtracking step, then
-    ``integers(2d - 1)`` resolved by ``_nbrw_chain``.  numpy makes the
+def _lattice_offsets(kind: WalkKind, lat: Lattice, n: int, rng):
+    """Yield an n-step srw or nbrw walk from an anchor of ``lat`` in chunks
+    of whole corridors, at most ``_CHUNK`` steps, each chunk as one int32
+    array per axis of the offsets from the chunk's start.  Direction 2a is
+    +e_a and 2a + 1 is -e_a, the order of ``Lattice.neighbors``, and the
+    draws are those of the scalar samplers: ``integers(2d)`` per simple
+    step at an anchor and ``integers(2)`` at a midpoint of pitch 2, whose
+    draw keeps the axis of the step before; one scalar ``integers(2d)``
+    for the first non-backtracking step, then ``integers(2d - 1)`` per
+    anchor, resolved by ``_nbrw_chain``.  A corridor point's one legal
+    move draws ``integers(1)``, which is nothing, so each non-backtracking
+    direction repeats for a corridor's ``pitch`` steps.  numpy makes the
     same draws for any split of a bulk call, so the chunks leave no seam."""
+    d, pitch = lat.d, lat.pitch
     two_d = 2 * d
     # row a: the change of axis a under each direction
     axis_steps = np.kron(np.eye(d, dtype=np.int32), np.array([1, -1], dtype=np.int32))
     prev = -1
-    for done in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - done)
+    chunk = _CHUNK - _CHUNK % pitch
+    for done in range(0, n, chunk):
+        m = min(chunk, n - done)
         if kind is WalkKind.SRW:
-            dirs = rng.integers(0, two_d, size=m)
+            dirs = rng.integers(0, two_d if pitch == 1 else np.tile((two_d, 2), (m + 1) // 2)[:m], size=m)
+            if pitch == 2:
+                dirs[1::2] |= dirs[: m - 1 : 2] & ~1
         else:
-            dirs = np.empty(m, dtype=np.int64)
+            dirs = np.empty(-(-m // pitch), dtype=np.int64)
             i0 = 0
             if prev < 0:
                 prev = dirs[0] = int(rng.integers(two_d))
                 i0 = 1
-            if m > i0:
-                dirs[i0:] = _nbrw_chain(rng.integers(0, two_d - 1, size=m - i0), prev)
+            if len(dirs) > i0:
+                dirs[i0:] = _nbrw_chain(rng.integers(0, two_d - 1, size=len(dirs) - i0), prev)
                 prev = int(dirs[-1])
+            dirs = np.repeat(dirs, pitch)[:m]
         # offsets are at most m <= _CHUNK = 2^15 in size, so they fit in int32
         yield [np.cumsum(axis_steps[a][dirs], dtype=np.int32) for a in range(d)]
 

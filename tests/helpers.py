@@ -139,6 +139,14 @@ def lattice_run_reference(kind, lat, start, horizon, rng):
     return returns, last, disp
 
 
+def subdivided_starts(lat):
+    """Three starts on a subdivided lattice: the origin, an anchor away
+    from it, and a corridor point, which has one off-grid coordinate."""
+    pitch = lat.pitch
+    starts = [(0,) * lat.d, (3 * pitch, -pitch, 2 * pitch, 0)[: lat.d], (1, 0, -pitch, 2 * pitch)[: lat.d]]
+    return [v[0] if lat.d == 1 else v for v in starts]
+
+
 def tree_run_reference(kind, tree, horizon, rng):
     """``stats._tree_run`` one step at a time: the whole walk's draws in
     one call, and a depth that steps toward the root when the draw is

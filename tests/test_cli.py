@@ -160,6 +160,16 @@ def test_bad_graph_json_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_deeply_nested_graph_json_exits_2_without_files(tmp_path, capsys):
+    # json.loads raises RecursionError, not ValueError, on nesting this deep
+    out = tmp_path / "tokens.txt"
+    code = run(["walk", "--graph", "[" * 100_000, "--walk", "srw", "--seed", "1", "--horizon", "3", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "recursion" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_graph_type_is_config_error(capsys):
     spec = json.dumps({"type": "moebius", "d": 2})
     assert run(["walk", "--graph", spec, "--walk", "srw", "--horizon", "5", "--seed", "1"]) == 2

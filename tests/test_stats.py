@@ -29,6 +29,7 @@ from nbwalk import (
     sample_path,
     simulate_chain,
     subdivide,
+    subdivided_lattice,
     total_variation,
 )
 from nbwalk import stats, walkers
@@ -41,6 +42,7 @@ from helpers import (
     k4,
     lattice_run_reference,
     rng,
+    subdivided_starts,
     theta_graph,
     tree_run_reference,
     two_loop_graph,
@@ -219,6 +221,35 @@ def test_lattice_run_equals_per_step_reference(d):
                 seed = replica_seed(d, h)
                 fast = _lattice_run(kind, g, start, h, rng(seed))
                 assert fast == lattice_run_reference(kind, g, start, h, rng(seed)), (kind, start, h)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_subdivided_lattice_replica_equals_generic(d, t, monkeypatch):
+    # chunk 7 is no multiple of the pitch (2, 3 or 4), so the kernel's
+    # chunks shrink to whole corridors and the longer horizons cross seams
+    chunk = 7
+    monkeypatch.setattr("nbwalk.walkers._CHUNK", chunk)
+    g = subdivided_lattice(d, t)
+    pitch = t + 1
+    horizons = (0, 1, 2, 3 * pitch - 1, 3 * pitch, 3 * pitch + 1, 4 * chunk + 1)
+    for kind in (WalkKind.SRW, WalkKind.NBRW):
+        for start in subdivided_starts(g):
+            for make in (np.random.PCG64, np.random.MT19937):
+                fast, slow = np.random.Generator(make(d + 4 * t)), np.random.Generator(make(d + 4 * t))
+                for n in horizons:
+                    row = _replica(kind, g, start, n, fast)
+                    assert row == _generic_replica(kind, g, start, n, slow), (kind, start, n)
+                    np.testing.assert_equal(fast.bit_generator.state, slow.bit_generator.state)
+
+
+@pytest.mark.parametrize("kind, d, t", [(WalkKind.SRW, 3, 1), (WalkKind.NBRW, 2, 2)])
+def test_subdivided_lattice_replica_at_full_chunks_equals_generic(kind, d, t):
+    g = subdivided_lattice(d, t)
+    for start in subdivided_starts(g)[:2]:
+        fast, slow = rng(d), rng(d)
+        assert _replica(kind, g, start, _CHUNK + 5, fast) == _generic_replica(kind, g, start, _CHUNK + 5, slow)
+        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 @pytest.mark.parametrize(

@@ -39,7 +39,7 @@ from nbwalk.stats import _generic_replica, return_statistics
 from nbwalk import walkers
 from nbwalk.walkers import _BLOCK, _CHUNK, _Draws, _walk
 
-from helpers import k4, rng, theta_graph, walk_reference
+from helpers import k4, rng, subdivided_starts, theta_graph, walk_reference
 
 
 def theta_multigraph():
@@ -471,6 +471,54 @@ def test_lattice_path_at_full_chunks_equals_scalar_reference(kind, d, start):
         start, *walk_reference(kind, g, start, 2 * _CHUNK + 5, ref)
     )
     assert fast.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_subdivided_lattice_path_equals_scalar_reference(d, t, monkeypatch):
+    # chunk 7 holds 3 corridors of pitch 2, 2 of pitch 3 or 1 of pitch 4,
+    # so the longer horizons cross chunk seams
+    chunk = 7
+    monkeypatch.setattr("nbwalk.walkers._CHUNK", chunk)
+    g = subdivided_lattice(d, t)
+    pitch = t + 1
+    horizons = (0, 1, 2, 3 * pitch - 1, 3 * pitch, 3 * pitch + 1, 4 * chunk + 1)
+    for kind in ("srw", "nbrw"):
+        for start in subdivided_starts(g):
+            for make in (np.random.PCG64, np.random.MT19937):
+                fast, ref = np.random.Generator(make(d + 4 * t)), np.random.Generator(make(d + 4 * t))
+                for n in horizons:
+                    path = sample_path(kind, g, start, n, fast)
+                    assert path == (start, *walk_reference(kind, g, start, n, ref)), (kind, start, n)
+                    np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("kind, d, t", [("srw", 2, 1), ("nbrw", 3, 2)])
+def test_subdivided_lattice_path_at_full_chunks_equals_scalar_reference(kind, d, t):
+    g = subdivided_lattice(d, t)
+    start = subdivided_starts(g)[1]
+    fast, ref = rng(d), rng(d)
+    assert sample_path(kind, g, start, 2 * _CHUNK + 5, fast) == (
+        start, *walk_reference(kind, g, start, 2 * _CHUNK + 5, ref)
+    )
+    assert fast.bit_generator.state == ref.bit_generator.state
+
+
+def test_lattice_kernel_takes_nbrw_and_pitch_2_srw_from_anchors_only():
+    on = walkers._on_lattice_kernel
+    srw, nbrw, wrw = walkers.WalkKind
+    for t in (0, 1, 2, 3):
+        g = subdivided_lattice(2, t)
+        origin, anchor, corridor = subdivided_starts(g)
+        for start in (origin, anchor):
+            assert on(nbrw, g, start)
+            assert on(srw, g, start) is (t <= 1)
+            assert not on(wrw, g, start)
+        if t:
+            assert not on(srw, g, corridor) and not on(nbrw, g, corridor)
+    mg = theta_multigraph()
+    assert not on(wrw, mg, mg.default_start()) and not on(nbrw, mg, mg.default_start())
+    assert not on(srw, k4(), 0) and not on(nbrw, regular_tree(3), ())
 
 
 def test_invalid_start_raises_only_when_a_step_is_taken():
