@@ -409,15 +409,18 @@ def sample_path(kind, graph, start, n: int, rng) -> tuple:
 
 def _on_lattice_kernel(kind: WalkKind, graph, start) -> bool:
     """Whether ``_lattice_offsets`` runs this walk: srw or nbrw on Z^d,
-    nbrw from an anchor of any subdivided lattice, and srw from an anchor
-    of one with pitch 2.  Looking up ``start`` raises as the generic
-    stepper's start check does."""
+    nbrw from an anchor of a subdivided lattice whose corridors fit in a
+    chunk, and srw from an anchor of one with pitch 2.  Looking up
+    ``start`` raises as the generic stepper's start check does."""
     if kind is WalkKind.WRW or not isinstance(graph, Lattice):
         return False
     pitch = graph.pitch
     if pitch == 1:
         return True
-    return (kind is WalkKind.NBRW or pitch == 2) and not any(c % pitch for c in graph.coordinates(start))
+    # a chunk holds whole corridors and at most _CHUNK steps
+    if pitch > _CHUNK or (kind is WalkKind.SRW and pitch > 2):
+        return False
+    return not any(c % pitch for c in graph.coordinates(start))
 
 
 # steps per chunk of the array kernels
@@ -445,9 +448,10 @@ def _nbrw_chain(u, prev):
 
 
 def _lattice_offsets(kind: WalkKind, lat: Lattice, n: int, rng):
-    """Yield an n-step srw or nbrw walk from an anchor of ``lat`` in chunks
-    of whole corridors, at most ``_CHUNK`` steps, each chunk as one int32
-    array per axis of the offsets from the chunk's start.  Direction 2a is
+    """Yield an n-step srw or nbrw walk from an anchor of ``lat``, whose
+    pitch is at most ``_CHUNK``, in chunks of whole corridors, at most
+    ``_CHUNK`` steps, each chunk as one int32 array per axis of the
+    offsets from the chunk's start.  Direction 2a is
     +e_a and 2a + 1 is -e_a, the order of ``Lattice.neighbors``, and the
     draws are those of the scalar samplers: ``integers(2d)`` per simple
     step at an anchor and ``integers(2)`` at a midpoint of pitch 2, whose

@@ -35,7 +35,7 @@ from nbwalk import (
     subdivided_lattice,
     wrw_step,
 )
-from nbwalk.stats import _generic_replica, return_statistics
+from nbwalk.stats import _generic_replica, _replica, return_statistics
 from nbwalk import walkers
 from nbwalk.walkers import _BLOCK, _CHUNK, _Draws, _walk
 
@@ -519,6 +519,23 @@ def test_lattice_kernel_takes_nbrw_and_pitch_2_srw_from_anchors_only():
     mg = theta_multigraph()
     assert not on(wrw, mg, mg.default_start()) and not on(nbrw, mg, mg.default_start())
     assert not on(srw, k4(), 0) and not on(nbrw, regular_tree(3), ())
+
+
+def test_subdivided_lattice_with_corridors_longer_than_a_chunk_stays_generic(monkeypatch):
+    # a chunk holds whole corridors, so pitch 4 > _CHUNK = 3 has none to hold
+    g = subdivided_lattice(2, 3)
+    srw, nbrw, _ = walkers.WalkKind
+    assert not walkers._on_lattice_kernel(nbrw, subdivided_lattice(2, _CHUNK), (0, 0))
+    monkeypatch.setattr("nbwalk.walkers._CHUNK", 3)
+    for kind in (srw, nbrw):
+        for start in subdivided_starts(g):
+            assert not walkers._on_lattice_kernel(kind, g, start)
+            fast, slow, path, ref = rng(5), rng(5), rng(5), rng(5)
+            for n in (0, 1, 4, 13):
+                assert _replica(kind, g, start, n, fast) == _generic_replica(kind, g, start, n, slow), (kind, start, n)
+                assert sample_path(kind, g, start, n, path) == (start, *walk_reference(kind, g, start, n, ref))
+                assert fast.bit_generator.state == slow.bit_generator.state == path.bit_generator.state
+                assert path.bit_generator.state == ref.bit_generator.state
 
 
 def test_invalid_start_raises_only_when_a_step_is_taken():
