@@ -53,7 +53,9 @@ def _fmt_rational(x: Fraction) -> str:
     return f"{_fmt_fraction(x)} ({float(x):.12g})"
 
 
-def _load_graph_spec(text: str) -> dict:
+def _graph(args):
+    """The ``--graph`` spec and the graph it describes."""
+    text = args.graph
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
     try:
@@ -63,17 +65,14 @@ def _load_graph_spec(text: str) -> dict:
         raise InvalidParameter(f"cannot read the --graph JSON: {exc}") from None
     if not isinstance(spec, dict):
         raise InvalidParameter("graph spec must be a JSON object")
-    return spec
+    try:
+        return spec, graph_from_spec(spec)
+    except RecursionError:  # nesting too deep to build
+        raise InvalidParameter("the --graph spec is nested too deeply to build") from None
 
 
 def _start_vertex(args, graph):
     return _check_start(graph, graph.default_start() if args.start is None else decode_key(args.start))
-
-
-def _graph(args):
-    """The ``--graph`` spec and the graph it describes."""
-    spec = _load_graph_spec(args.graph)
-    return spec, graph_from_spec(spec)
 
 
 def _walk_graph(args):

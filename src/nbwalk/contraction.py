@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import (
-    InvalidInput,
-    LimitExceeded,
-    UnsupportedGraph,
-    UnsupportedStructure,
-    is_degree_pair,
-)
+from .errors import InvalidInput, UnsupportedGraph, UnsupportedStructure, is_degree_pair
 from .graph import ExplicitGraph, WeightedMultigraph, sort_token
 from .walkers import PrefixDistribution, WalkKind, _branches, _check_horizon, _propagate
 
@@ -139,46 +133,63 @@ class InducedWalk:
     traversals: tuple
 
 
+def _crossing(cmap: ContractionMap, v, n) -> tuple:
+    """The corridor that the step from anchor ``v`` to ``n`` enters: its id
+    and its vertices from v to the far anchor.  Refuses a step that the
+    map's entrances send into no corridor, or into one that does not start
+    with v -> n, and a corridor whose far end is not an anchor."""
+    eid, end = cmap.entrances.get((v, n), (-1, 0))
+    if not 0 <= eid < len(cmap.corridors):
+        raise InvalidInput(f"the step {v!r} -> {n!r} enters no corridor of the map")
+    c = cmap.corridors[eid]
+    path = (c.a, *c.interior, c.b)
+    path = path[::-1] if end else path
+    if path[:2] != (v, n):
+        raise InvalidInput(f"corridor {eid} does not start with the step {v!r} -> {n!r}")
+    if path[-1] not in cmap.anchors:
+        raise InvalidInput(f"corridor {eid} leads to {path[-1]!r}, which is not an anchor")
+    return eid, path
+
+
 def induced_walk(g: ExplicitGraph, path, cmap: ContractionMap) -> InducedWalk:
-    """Filter ``path`` down to its anchor visits.  A step that enters a
-    corridor and backs out the same way is recorded as a repeated anchor
-    with the reflected flag set."""
+    """Filter ``path`` down to its anchor visits.  Each step is followed
+    along the corridor it entered: back at the corridor's start is a
+    bounce, recorded as a repeated anchor with the reflected flag set, and
+    at its far end a crossing.  A step off the corridor is refused."""
     path = tuple(path)
     if not path or path[0] not in cmap.anchors:
         raise InvalidInput("induced walk must start at an anchor")
     verts = [path[0]]
     travs = []
-    entry = None
-    try:
-        for j in range(1, len(path)):
-            prev, x = path[j - 1], path[j]
-            if prev in cmap.anchors:
-                entry = cmap.entrances[(prev, x)]
-            if x in cmap.anchors:
-                eid, _ = entry
-                back = cmap.entrances[(x, prev)]
-                travs.append((eid, back == entry))
-                verts.append(x)
-    except KeyError:
-        raise InvalidInput("path does not follow edges of the contracted graph") from None
+    corridor = None
+    for prev, x in zip(path, path[1:]):
+        if corridor is None:
+            eid, corridor = _crossing(cmap, prev, x)
+            i = 1
+        elif x == corridor[i + 1]:
+            i += 1
+        elif x == corridor[i - 1]:
+            i -= 1
+        else:
+            raise InvalidInput(f"the step {prev!r} -> {x!r} leaves corridor {eid}")
+        if i in (0, len(corridor) - 1):
+            travs.append((eid, i == 0))
+            verts.append(x)
+            corridor = None
     return InducedWalk(tuple(verts), tuple(travs))
 
 
 def check_biregular_shape(mg: WeightedMultigraph, k1: int, k2: int) -> bool:
     """Alternating two-degree test on a multigraph: every vertex has
     multigraph degree k1 or k2 and every edge joins the two degree
-    classes.  Self-loops fail; so does k1 <= k2."""
+    classes.  Self-loops fail, as both their ends are in one class; so
+    does k1 <= k2."""
     if not is_degree_pair(k1, k2):
         return False
     deg = {v: mg.mdegree(v) for v in mg.vertices()}
     if any(d not in (k1, k2) for d in deg.values()):
         return False
-    for e in mg.edges():
-        if e.a == e.b:
-            return False
-        if {deg[e.a], deg[e.b]} != {k1, k2}:
-            return False
-    return True
+    return all({deg[e.a], deg[e.b]} == {k1, k2} for e in mg.edges())
 
 
 def _anchor_step_law(g: ExplicitGraph, cmap: ContractionMap, v) -> tuple:
@@ -186,16 +197,11 @@ def _anchor_step_law(g: ExplicitGraph, cmap: ContractionMap, v) -> tuple:
     # a crossing to the far anchor and a bounce back to v, as state and label
     triples = []
     for share, n, _ in _branches(WalkKind.SRW, g, v):
-        eid, end = cmap.entrances.get((v, n), (-1, 0))
-        if not 0 <= eid < len(cmap.corridors):
-            raise InvalidInput(f"the step {v!r} -> {n!r} enters no corridor of the map")
-        c = cmap.corridors[eid]
-        far = c.b if end == 0 else c.a
-        if far not in cmap.anchors:
-            raise InvalidInput(f"corridor {eid} leads to {far!r}, which is not an anchor")
+        _, path = _crossing(cmap, v, n)
+        far = path[-1]
         # gambler's ruin: a fair walk one step into a corridor of length
         # L reaches the far end before returning with probability 1/L
-        x = Fraction(1, c.length)
+        x = Fraction(1, len(path) - 1)
         triples.append((share * x, far, far))
         if x != 1:
             triples.append((share * (1 - x), v, v))
@@ -205,19 +211,11 @@ def _anchor_step_law(g: ExplicitGraph, cmap: ContractionMap, v) -> tuple:
 def _nbrw_anchor_law(g: ExplicitGraph, cmap: ContractionMap, state) -> tuple:
     # one induced step of the non-backtracking walk from an anchor: leave
     # through the kernel's law, then take the corridor's only forward move
-    # until the next anchor; a corridor is at most cmap.max_length long
+    # to its far anchor, so the next state is the corridor's last step
     triples = []
-    for p, (prev, cur), _ in _branches(WalkKind.NBRW, g, state):
-        for _ in range(cmap.max_length - 1):
-            if cur in cmap.anchors:
-                break
-            nbrs = g.neighbors(cur)
-            if len(nbrs) != 2:
-                raise InvalidInput(f"{cur!r} is neither an anchor nor a corridor vertex")
-            prev, cur = cur, (nbrs[1] if nbrs[0] == prev else nbrs[0])
-        if cur not in cmap.anchors:
-            raise LimitExceeded("non-backtracking corridor traversal exceeded its bound")
-        triples.append((p, (prev, cur), cur))
+    for p, (v, n), _ in _branches(WalkKind.NBRW, g, state):
+        _, path = _crossing(cmap, v, n)
+        triples.append((p, path[-2:], path[-1]))
     return tuple(triples)
 
 

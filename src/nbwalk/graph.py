@@ -1,15 +1,17 @@
 """Graph families used by the walk laboratory.
 
-Every graph exposes the same two accessors, ``degree`` and ``neighbors``;
-the infinite families (lattices, trees) generate neighborhoods on demand
-and never enumerate their vertex set.  Vertex keys are plain hashable
-values: integers, short strings, or tuples of keys.  Neighbor order is
-deterministic and documented per family, which keeps seeded sampling
-reproducible.
+Every simple graph exposes the same two accessors, ``degree`` and
+``neighbors``; the weighted multigraph has ``mdegree`` and ``half_edges``
+instead.  The infinite families (lattices, trees) generate neighborhoods
+on demand and never enumerate their vertex set.  Vertex keys are plain
+hashable values: integers, short strings, or tuples of keys.  Neighbor
+order is deterministic and documented per family, which keeps seeded
+sampling reproducible.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -20,6 +22,9 @@ from .errors import InvalidParameter, MalformedGraph, UnsupportedGraph, is_degre
 
 _INT_TOKEN = re.compile(r"-?\d+")
 _BAD_STR = re.compile(r"[\s(),]")
+# an atom of key text, and the JSON array brackets of its parentheses
+_ATOM = re.compile(r"[^(),]+")
+_BRACKETS = str.maketrans("()", "[]")
 
 
 def canon_key(value):
@@ -65,35 +70,16 @@ def encode_key(key) -> str:
 
 
 def decode_key(text: str):
-    """Parse the text form produced by ``encode_key``."""
+    """Parse the text form produced by ``encode_key``: each atom is read as
+    a JSON string and each parenthesized list as a JSON array, and the
+    result goes through ``canon_key``, as every ``--graph`` key does."""
     try:
-        key, rest = _parse_key(text.strip())
-        if rest:
-            raise MalformedGraph(f"trailing text {rest!r}")
-    except MalformedGraph as exc:
-        raise MalformedGraph(f"cannot parse key text {text!r}: {exc}") from None
-    return key
-
-
-def _parse_key(t: str):
-    if t.startswith("("):
-        t = t[1:]
-        if t.startswith(")"):
-            return (), t[1:]
-        items = []
-        while True:
-            item, t = _parse_key(t)
-            items.append(item)
-            if t.startswith(","):
-                t = t[1:]
-                continue
-            if t.startswith(")"):
-                return tuple(items), t[1:]
-            raise MalformedGraph("unbalanced parentheses")
-    m = re.match(r"[^(),]+", t)
-    if not m:
-        raise MalformedGraph("a key is missing")
-    return canon_key(m.group(0)), t[m.end():]
+        quoted = _ATOM.sub(lambda m: json.dumps(m.group()), text.strip())
+        return canon_key(json.loads(quoted.translate(_BRACKETS)))
+    # malformed text, or nesting too deep for the interpreter's recursion limit;
+    # a JSON error's position would count in the quoted text, so it is left out
+    except (ValueError, RecursionError, MalformedGraph) as exc:
+        raise MalformedGraph(f"cannot parse key text {text!r}: {getattr(exc, 'msg', exc)}") from None
 
 
 class Graph:

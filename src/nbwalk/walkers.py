@@ -15,8 +15,8 @@ exactly the law of a plain walk on the uncontracted graph observed at
 anchor visits, which is what the contraction equivalence tests check.
 Conditioned on crossing, the edge choice is proportional to conductance.
 
-Samplers use double precision draws from a caller-supplied
-``numpy.random.Generator``; the enumeration oracle uses exact rationals.
+Samplers draw integers from a caller-supplied ``numpy.random.Generator``,
+and ``wrw_step`` one float as well; the enumeration oracle uses exact rationals.
 """
 
 from __future__ import annotations

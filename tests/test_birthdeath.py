@@ -49,6 +49,8 @@ def test_spec_validation():
         BirthDeathSpec((), (Fraction(0),))
     with pytest.raises(InvalidParameter):
         BirthDeathSpec((Fraction(3, 2),), (Fraction(1, 2),))
+    with pytest.raises(InvalidParameter, match="positions are nonnegative"):
+        chain_for_regular(3).right_prob(-1)
 
 
 def test_transience_by_degree():

@@ -170,6 +170,55 @@ def test_deeply_nested_graph_json_exits_2_without_files(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def _nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _subdivided_spec(depth):
+    spec = {"type": "counterexample"}
+    for _ in range(depth):
+        spec = {"type": "subdivided", "t": 0, "base": spec}
+    return spec
+
+
+# nesting that json decodes but that is too deep for the interpreter's
+# recursion limit in canon_key, graph_from_spec and decode_key
+@pytest.mark.parametrize("case", ["adjacency", "subdivided", "token"])
+def test_input_nested_past_the_recursion_limit_exits_2_without_files(case, tmp_path, capsys):
+    out = tmp_path / "out"
+    if case == "adjacency":
+        spec = {"type": "explicit", "adjacency": {"a": _nested("b", 500), "b": ["a"]}}
+        argv = ["walk", "--graph", json.dumps(spec), "--walk", "srw", "--horizon", "3", "--seed", "1"]
+    elif case == "subdivided":
+        argv = ["contract", "--graph", json.dumps(_subdivided_spec(400))]
+    else:
+        tokens = tmp_path / "deep.tokens"
+        tokens.write_text("(" * 600 + "1" + ")" * 600 + "\n")
+        argv = ["erase", "--tokens", f"@{tokens}"]
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nbwalk: configuration error:") and "Traceback" not in err
+    assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"type": "explicit", "adjacency": [["a"]]}, "'adjacency' must be an object"),
+        ({"type": "lattice", "d": "2"}, "field 'd' must be an integer"),
+        ({"type": "subdivided", "base": [1], "t": 1}, "graph spec must be an object with a 'type' field"),
+    ],
+    ids=["adjacency-not-object", "field-not-integer", "base-not-object"],
+)
+def test_graph_spec_refusals_exit_2_with_their_message(spec, message, tmp_path, capsys):
+    argv = ["walk", "--graph", json.dumps(spec), "--walk", "srw", "--horizon", "3", "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"nbwalk: configuration error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_graph_type_is_config_error(capsys):
     spec = json.dumps({"type": "moebius", "d": 2})
     assert run(["walk", "--graph", spec, "--walk", "srw", "--horizon", "5", "--seed", "1"]) == 2

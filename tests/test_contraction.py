@@ -9,6 +9,7 @@ from nbwalk import (
     LimitExceeded,
     UnsupportedGraph,
     UnsupportedStructure,
+    WeightedMultigraph,
     biregular_tree,
     chain_for_biregular,
     check_biregular_shape,
@@ -129,6 +130,29 @@ def test_induced_walk_requires_anchor_start():
         induced_walk(g, ((0, 1, 1), 0), cmap)
 
 
+def test_induced_walk_refuses_a_step_off_its_corridor():
+    g = theta_graph()
+    _, cmap = contract(g)
+    # p1 lies on the corridor u-p1-w, and p1-q2 is not an edge
+    with pytest.raises(InvalidInput, match="the step 'p1' -> 'q2' leaves corridor"):
+        induced_walk(g, ("u", "p1", "q2", "w"), cmap)
+    with pytest.raises(InvalidInput, match="enters no corridor of the map"):
+        induced_walk(g, ("u", "q2"), cmap)
+
+
+def test_entrance_to_the_wrong_corridor_is_refused():
+    # the step u -> p1 sent into the corridor u-q1-q2-w
+    g = theta_graph()
+    _, cmap = contract(g)
+    wrong = replace(cmap, entrances={**cmap.entrances, ("u", "p1"): cmap.entrances[("u", "q1")]})
+    match = r"does not start with the step 'u' -> 'p1'"
+    for kind in ("srw", "nbrw"):
+        with pytest.raises(InvalidInput, match=match):
+            induced_prefix_distribution(g, kind, "u", 2, wrong)
+    with pytest.raises(InvalidInput, match=match):
+        induced_walk(g, ("u", "p1", "w"), wrong)
+
+
 def test_induced_walk_loop_crossing_not_reflected():
     g = two_loop_graph()
     _, cmap = contract(g)
@@ -193,6 +217,9 @@ def test_biregular_shape_check():
     assert not check_biregular_shape(mg4, 3, 2)
     mgl, _ = contract(two_loop_graph())
     assert not check_biregular_shape(mgl, 4, 2)
+    # degrees 4 and 2, and both a-b edges join the classes; the loop at a does not
+    loop = WeightedMultigraph(["a", "b"], [("a", "a", 1), ("a", "b", 1), ("a", "b", 2)])
+    assert not check_biregular_shape(loop, 4, 2)
 
 
 def test_degree_pair_rule_is_shared():
@@ -213,20 +240,24 @@ def test_induced_prefix_requires_anchor():
         induced_prefix_distribution(g, "srw", "p1", 2)
 
 
+def test_induced_prefix_takes_srw_or_nbrw():
+    with pytest.raises(InvalidInput, match="induced laws are defined for srw and nbrw"):
+        induced_prefix_distribution(theta_graph(), "wrw", "u", 2)
+
+
 def test_induced_prefix_guards_caller_input():
     g = theta_graph()
     _, cmap = contract(g)
     for kind in ("srw", "nbrw"):
         with pytest.raises(LimitExceeded):
             induced_prefix_distribution(g, kind, "u", 15, cmap)
-    # a map that drops the two longer corridors caps traversals at length 1,
-    # and its entrances name corridors it no longer has
+    # a map that drops the two longer corridors: its entrances name
+    # corridors it no longer has
     short = replace(cmap, corridors=cmap.corridors[:1])
     assert short.max_length == 1
-    with pytest.raises(LimitExceeded):
-        induced_prefix_distribution(g, "nbrw", "u", 2, short)
-    with pytest.raises(InvalidInput, match="enters no corridor of the map"):
-        induced_prefix_distribution(g, "srw", "u", 2, short)
+    for kind in ("srw", "nbrw"):
+        with pytest.raises(InvalidInput, match="enters no corridor of the map"):
+            induced_prefix_distribution(g, kind, "u", 2, short)
     # a map that drops anchor w sends the walk through w as if it had degree 2
     no_w = replace(cmap, anchors=frozenset({"u"}))
     with pytest.raises(InvalidInput):

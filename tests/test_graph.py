@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbwalk import (
     InvalidParameter,
@@ -18,7 +22,7 @@ from nbwalk import (
     subdivide,
     subdivided_lattice,
 )
-from nbwalk.graph import sort_token
+from nbwalk.graph import canon_key, sort_token
 
 from helpers import k4, rng, triangle
 
@@ -267,6 +271,37 @@ def test_key_text_errors_name_the_whole_key(text):
     assert repr(text) in str(err.value)
 
 
+def _unusable(s):
+    try:
+        return canon_key(s) != s
+    except MalformedGraph:
+        return True
+
+
+# every int, every string that canon_key keeps as a string, and tuples of keys
+_KEYS = st.recursive(
+    st.integers() | st.text(min_size=1).filter(lambda s: not _unusable(s)),
+    lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None)
+@given(_KEYS)
+def test_decode_inverts_encode(key):
+    assert decode_key(encode_key(key)) == key
+
+
+# any text, and text over the characters that key text gives a meaning to
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(alphabet='(),-01a "\\\t'))
+def test_decode_raises_only_malformed_graph(text):
+    try:
+        decode_key(text)
+    except MalformedGraph as exc:
+        assert repr(text) in str(exc)
+
+
 def test_integer_key_with_too_many_digits_is_malformed():
     with pytest.raises(MalformedGraph, match="5000 digits is too long"):
         from_adjacency({"1" * 5000: []})
@@ -278,6 +313,33 @@ def test_key_canonicalization_and_order():
     keys = [3, -1, "z", "a", (0,), ()]
     ordered = sorted(keys, key=sort_token)
     assert ordered == [-1, 3, "a", "z", (), (0,)]
+
+
+def _colliding_subdivision():
+    # the subdivision point of edge 0-1 is keyed (0, 1, 1), a vertex already
+    return subdivide(from_adjacency({0: [1], 1: [0, (0, 1, 1)], (0, 1, 1): [1]}), 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: canon_key(True), MalformedGraph, "boolean is not a usable vertex key"),
+        (lambda: from_adjacency({0: [1.5]}), MalformedGraph, "unsupported key type float"),
+        (lambda: sort_token(True), MalformedGraph, "boolean is not a usable vertex key"),
+        (lambda: biregular_tree(4, 3).neighbors("x"), InvalidParameter, "'x' is not a tree vertex key"),
+        (lambda: from_adjacency({"1": ["2"], "01": ["2"], "2": ["1", "01"]}), MalformedGraph, "duplicate vertex key 1"),
+        (lambda: subdivide(k4(), -1), InvalidParameter, "subdivision count must be a nonnegative integer"),
+        (_colliding_subdivision, MalformedGraph, "subdivision key collision at (0, 1, 1)"),
+        (lambda: WeightedMultigraph([0, "0"], []), MalformedGraph, "duplicate vertices"),
+    ],
+    ids=[
+        "canon-bool", "canon-float", "sort-bool", "tree-key-not-tuple", "duplicate-key", "subdivide-negative",
+        "subdivide-collision", "multigraph-duplicate-vertices",
+    ],
+)
+def test_graph_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_multigraph_half_edges_and_loops():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -329,6 +330,23 @@ def test_prefix_distribution_validation():
     # no full-length prefix is an outcome of the walk, not a bad argument
     with pytest.raises(InsufficientData):
         PrefixDistribution(1, {}, Fraction(1)).conditioned()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PrefixDistribution(1, {(0, 1): 1}).marginalized(2), InvalidInput, "cannot marginalize horizon 1 to 2"),
+        (lambda: step_distribution("srw", "k4", 0), InvalidInput, "not a graph: 'k4'"),
+        (lambda: step_distribution("srw", from_adjacency({0: []}), 0), NoLegalMove, "vertex 0 is isolated"),
+        (lambda: step_distribution("nbrw", counterexample_graph(), ("a", "v")), InvalidState, "'a' is not adjacent to 'v'"),
+        (lambda: step_distribution("nbrw", theta_multigraph(), ("w", "u")), InvalidInput, "history is a HalfEdgeState"),
+        (lambda: step_distribution("nbrw", k4(), 0), InvalidInput, "state is a (prev, current) pair"),
+    ],
+    ids=["marginalize-up", "not-a-graph", "srw-isolated", "nbrw-prev-not-adjacent", "edge-nbrw-history", "nbrw-not-a-pair"],
+)
+def test_law_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def _mixed_calls(seed, n):
