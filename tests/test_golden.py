@@ -33,7 +33,7 @@ from nbwalk import (
 from nbwalk.cli import run
 from nbwalk.graph import counterexample_graph
 
-from helpers import complete_bipartite, k4, theta_graph
+from helpers import complete_bipartite, k4, theta_graph, two_loop_graph
 
 
 def _explicit_spec(g) -> str:
@@ -52,6 +52,13 @@ TREE3 = '{"type":"regular_tree","k":3}'
 SUBLATTICE = '{"type":"subdivided_lattice","d":2,"t":1}'
 SUBLATTICE2_T2 = '{"type":"subdivided_lattice","d":2,"t":2}'
 SUBLATTICE3 = '{"type":"subdivided_lattice","d":3,"t":1}'
+# K4 with corridors of 0 to 3 interior vertices on its edges, so its
+# contraction has resistances 1 to 4 and every anchor multigraph degree 3
+CORRIDOR_K4 = json.dumps({"type": "explicit", "adjacency": {
+    "0": [1, "a0", "b0"], "1": [0, "c0", "d0"], "2": ["a0", "c2", "e0"], "3": ["b1", "d0", "e1"],
+    "a0": [0, 2], "b0": [0, "b1"], "b1": ["b0", 3], "c0": [1, "c1"], "c1": ["c0", "c2"],
+    "c2": ["c1", 2], "d0": [1, 3], "e0": [2, "e1"], "e1": ["e0", 3],
+}})
 
 # name: (graph spec, walk, start, horizon, replicas, seed, json sha256, csv sha256)
 DIAGNOSE = {
@@ -100,6 +107,18 @@ DIAGNOSE = {
         _explicit_spec(theta_graph()), "wrw", "u", 2000, 8, 17,
         "5faa8ac9f7585c7f77a8d02d64c533129fac1612c1513711ef324e5487f357d4",
         "53aa93699949d7850ebe2fc400d2b81842200795d4667ab5f38c6fe8c894e9a8",
+    ),
+    # 20,000 steps read several blocks of raw words per replica
+    "corridor_k4_wrw": (
+        CORRIDOR_K4, "wrw", "0", 20000, 3, 41,
+        "9d4a0766bdbe60a59a75d3015f3d6139a29a4430208095cbf47885dd78c9b8da",
+        "b755a9057633dab65aaec83a943639e8a7b1245732b1203cb8e31f87400298f3",
+    ),
+    # the contraction is one vertex with two self-loops of resistance 3
+    "two_loops_wrw": (
+        _explicit_spec(two_loop_graph()), "wrw", "v", 2000, 8, 42,
+        "db733a6c6654ba4f4085718dc50ec76041a64bb4b8a50344e73303af7f3124f3",
+        "c08374c1b5fa2b512d705215e15ec0a4bc8ba37efdac494533e44755cdbbd3a2",
     ),
 }
 
