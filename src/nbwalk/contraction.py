@@ -151,7 +151,7 @@ def _crossing(cmap: ContractionMap, v, n) -> tuple:
     return eid, path
 
 
-def induced_walk(g: ExplicitGraph, path, cmap: ContractionMap) -> InducedWalk:
+def induced_walk(path, cmap: ContractionMap) -> InducedWalk:
     """Filter ``path`` down to its anchor visits.  Each step is followed
     along the corridor it entered: back at the corridor's start is a
     bounce, recorded as a repeated anchor with the reflected flag set, and

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InsufficientData, InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
 from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
-from .walkers import _BLOCK, _move_table, _require_kind_graph, _walk
+from .walkers import _BLOCK, _decode_words, _Draws, _move_table, _require_kind_graph, _walk
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -185,7 +185,10 @@ def monte_carlo(
     _require_kind_graph(kind, graph)
     _check_start(graph, start)
     table = _move_table(kind, graph, start, replicas * horizon)
-    run = partial(_table_run, table, horizon) if table else partial(_replica, kind, graph, start, horizon)
+    if table is None:
+        run = partial(_replica, kind, graph, start, horizon)
+    else:
+        run = partial(_wrw_table_run if kind is WalkKind.WRW else _table_run, table, horizon)
     rows = tuple(run(np.random.default_rng(replica_seed(master_seed, i))) for i in range(replicas))
     if config is None:
         config = {
@@ -227,6 +230,66 @@ def _table_run(table, horizon, rng) -> WalkStatistics:
         if len(hits):
             returns += len(hits)
             last = done + int(hits[-1]) + 1
+    return WalkStatistics(horizon, returns, last, 0.0 if home[s] else 1.0)
+
+
+def _wrw_table_run(table, horizon, rng) -> WalkStatistics:
+    """A weighted walk through a ``walkers._move_table`` table on a PCG64
+    generator, with the draws of ``wrw_step``: raw words are read
+    ``_BLOCK`` at a time and decoded by ``_decode_words``, and a plain loop
+    takes a half per integer draw, keeping the spare across steps, and a
+    whole word per float draw, which only a resistance above 1 makes.
+    ``_Draws`` reads the generator's spare half at the start and leaves
+    the generator in the scalar calls' end state at the close."""
+    first, rows, home = table
+    if not horizon:
+        return WalkStatistics(0, 0, None, 0.0)
+    k = len(first)
+    resistances = {r for row in rows for _, _, r in row if r > 1}
+    bg = rng.bit_generator
+
+    def refill(words, hj, spare):
+        # a new block, decoded; the spare half is kept raw when its word goes
+        if hj >= 0:
+            spare = int(words[hj]) >> 32
+        words = bg.random_raw(_BLOCK)
+        return (words, 0, len(words), -1, spare, *_decode_words(words, k, resistances))
+
+    draws = _Draws(rng, _BLOCK)
+    has, spare = draws.has, draws.spare
+    held = _decode_words(np.array([spare], dtype=np.uint64), k, ())[0][0]  # the spare half's draw
+    # words[i] is the next word, and words[hj] the one whose high half is the spare, if it is there
+    words, i, n, hj = (), 0, 0, -1
+    home = home.tolist()
+    returns, last = 0, None
+    row = first
+    # integers(1) draws nothing
+    skip = 0 if k == 1 else -1
+    for t in range(1, horizon + 1):
+        d = skip
+        # until a half is accepted; -1 is a half that Lemire's method rejects
+        while d < 0:
+            if has:
+                has, d = 0, held
+            else:
+                if i == n:
+                    words, i, n, hj, spare, lo, hi, crosses = refill(words, hj, spare)
+                d, held, hj, has = lo[i], hi[i], i, 1
+                i += 1
+        s, bounced, r = row[d]
+        if r > 1:
+            if i == n:
+                words, i, n, hj, spare, lo, hi, crosses = refill(words, hj, spare)
+            if not crosses[r][i]:
+                s = bounced
+            i += 1
+        row = rows[s]
+        if home[s]:
+            returns += 1
+            last = t
+    draws.words, draws.used, draws.has = words, i, has
+    draws.spare = int(words[hj]) >> 32 if hj >= 0 else spare
+    draws.close()
     return WalkStatistics(horizon, returns, last, 0.0 if home[s] else 1.0)
 
 

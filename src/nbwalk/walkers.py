@@ -17,6 +17,9 @@ Conditioned on crossing, the edge choice is proportional to conductance.
 
 Samplers draw integers from a caller-supplied ``numpy.random.Generator``,
 and ``wrw_step`` one float as well; the enumeration oracle uses exact rationals.
+On a finite graph whose vertices all have one degree, ``_move_table``
+tabulates a sampler's move under each draw, so that ``stats.monte_carlo``
+runs srw, nbrw and wrw without calling the sampler per step.
 """
 
 from __future__ import annotations
@@ -221,36 +224,40 @@ class _Draws:
     ``x * k`` fall below ``2**32 % k`` (Lemire's method), and draws
     nothing when k is 1.  ``random()`` takes a whole word w as
     ``(w >> 11) * 2**-53``.  ``close()`` leaves the generator in the state
-    those scalar calls would have left; until then it is ahead of it."""
+    those scalar calls would have left; until then it is ahead of it.
+
+    ``words``, ``used``, ``has`` and ``spare`` are the reader's place: the
+    raw words read, how many of them are used, and the spare half.  A
+    caller that reads raw words itself sets them before ``close()``."""
 
     def __init__(self, rng, block: int):
         self._bg = rng.bit_generator
         state = self._bg.state
-        self._has = state["has_uint32"]
-        self._spare = state["uinteger"]
+        self.has = state["has_uint32"]
+        self.spare = state["uinteger"]
         self._block = block
-        self._words = []
-        self._next = 0  # index of the next unused word in _words
+        self.words = []
+        self.used = 0
 
     def _word(self) -> int:
-        i = self._next
-        if i == len(self._words):
-            self._words = self._bg.random_raw(self._block).tolist()
+        i = self.used
+        if i == len(self.words):
+            self.words = self._bg.random_raw(self._block).tolist()
             i = 0
-        self._next = i + 1
-        return self._words[i]
+        self.used = i + 1
+        return self.words[i]
 
     def integers(self, k: int) -> int:
         if k == 1:
             return 0
         while True:
-            if self._has:
-                self._has = 0
-                x = self._spare
+            if self.has:
+                self.has = 0
+                x = self.spare
             else:
                 w = self._word()
-                self._has = 1
-                self._spare = w >> 32
+                self.has = 1
+                self.spare = w >> 32
                 x = w & 0xFFFFFFFF
             m = x * k
             low = m & 0xFFFFFFFF
@@ -264,13 +271,27 @@ class _Draws:
         bg = self._bg
         # step back over the words read but not used: PCG64 has period
         # 2**128, and advance() takes any delta below it
-        bg.advance((self._next - len(self._words)) % (1 << 128))
+        bg.advance((self.used - len(self.words)) % (1 << 128))
         # advance() clears the spare half; numpy keeps the last one even
         # when it is used up, so both fields are put back
         state = bg.state
-        state["has_uint32"] = self._has
-        state["uinteger"] = self._spare
+        state["has_uint32"] = self.has
+        state["uinteger"] = self.spare
         bg.state = state
+
+
+def _decode_words(words, k: int, resistances):
+    """``_Draws``'s rule on an array of raw words, with numpy: the draw of
+    ``integers(k)`` from each word's low half and from its high half, -1
+    where Lemire's method rejects the half, and for each resistance r
+    whether the word, read as ``random()``, crosses: ``random() * r <
+    1.0``, in the float64 operations of ``wrw_step``."""
+    halves = []
+    for x in (words & 0xFFFFFFFF, words >> 32):
+        m = x * k
+        halves.append(np.where((m & 0xFFFFFFFF) < (1 << 32) % k, -1, (m >> 32).view(np.int64)).tolist())
+    u = (words >> 11) * (1.0 / 9007199254740992.0)
+    return (*halves, {r: (u * r < 1.0).tolist() for r in resistances})
 
 
 class _Trusted:
@@ -343,32 +364,46 @@ def _walk(kind, graph, start, n: int, rng):
 
 
 class _Fixed(int):
-    """A generator stand-in whose every integer draw is itself."""
+    """A generator stand-in whose every integer draw is itself and whose
+    every float draw is ``u``: under 0.0 a weighted step crosses, under
+    1.0 it bounces wherever the resistance is above 1."""
+
+    def __new__(cls, d, u=0.0):
+        self = super().__new__(cls, d)
+        self.u = u
+        return self
 
     def integers(self, k):
         return self
 
+    def random(self):
+        return self.u
+
 
 def _move_table(kind, graph, start, budget: int):
-    """The moves of an srw or nbrw walk from ``start`` on a finite graph
-    where every state has the same draw bound, as ``(first, rows, home)``
-    over numbered states: draw d takes the first step to ``first[d]`` and
+    """The moves of a walk from ``start`` on a finite graph where every
+    state has the same draw bound, as ``(first, rows, home)`` over
+    numbered states: draw d takes the first step to ``first[d]`` and
     state s to ``rows[s][d]``, and ``home[s]`` is whether s sits at
-    ``start``.  Each entry is the sampler's move on draw d.  None for any
-    other walk, for a bound below 1 and for more than ``budget`` entries."""
+    ``start``.  Each entry is the sampler's move on draw d: a state for
+    srw and nbrw, and for wrw ``(crossed, bounced, resistance)``, the
+    states after a float draw of 0.0 and of 1.0.  None on a lattice or a
+    tree, on a graph whose degrees differ, for a bound below 1 and for
+    more than ``budget`` entries."""
     mg = isinstance(graph, WeightedMultigraph)
-    if kind is WalkKind.WRW or not (mg or isinstance(graph, ExplicitGraph)):
+    if not (mg or isinstance(graph, ExplicitGraph)):
         return None
     degree = graph.mdegree if mg else graph.degree
     k = degree(start)
-    srw = kind is WalkKind.SRW
-    bound = k if srw else k - 1
+    nbrw = kind is WalkKind.NBRW
+    bound = k - 1 if nbrw else k
     vertices = graph.vertices()
-    # a state is a vertex for srw and a dart, one per half-edge, for nbrw
-    if bound < 1 or len(vertices) * (1 if srw else k) * bound > budget or any(degree(v) != k for v in vertices):
+    # a state is a vertex for srw and wrw and a dart, one per half-edge, for nbrw
+    if bound < 1 or len(vertices) * (k if nbrw else 1) * bound > budget or any(degree(v) != k for v in vertices):
         return None
-    if srw:
-        states, vertex, step, first = vertices, lambda s: s, partial(srw_step, graph), start
+    if not nbrw:
+        states, vertex, first = vertices, lambda s: s, start
+        step = partial(wrw_step if mg else srw_step, graph)
     elif mg:
         states = [HalfEdgeState(e.edge_id, end) for e in graph.edges() for end in (0, 1)]
         vertex, step, first = lambda s: graph.endpoint(*s), partial(nbrw_step_edge, graph), (None, start)
@@ -376,8 +411,16 @@ def _move_table(kind, graph, start, budget: int):
         states = [(v, w) for v in vertices for w in graph.neighbors(v)]
         vertex, step, first = itemgetter(1), lambda s, rng: (s[1], nbrw_step(graph, *s, rng)), (None, start)
     index = {s: i for i, s in enumerate(states)}
-    first_row = [index[step(first, _Fixed(d))] for d in range(k)]
-    rows = [[index[step(s, _Fixed(d))] for d in range(bound)] for s in states]
+
+    def move(s, d):
+        if kind is not WalkKind.WRW:
+            return index[step(s, _Fixed(d))]
+        crossed, bounced = (step(s, _Fixed(d, u)) for u in (0.0, 1.0))
+        ends = (index[graph.endpoint(m.edge_id, m.head_end)] for m in (crossed, bounced))
+        return (*ends, graph.edge(crossed.edge_id).resistance)
+
+    first_row = [move(first, d) for d in range(k)]
+    rows = [[move(s, d) for d in range(bound)] for s in states]
     return first_row, rows, np.array([vertex(s) == start for s in states])
 
 

@@ -103,7 +103,7 @@ def test_round_trip_recovers_base_graph(t):
 def test_induced_walk_identity_on_anchors():
     g = k4()
     _, cmap = contract(g)
-    walk = induced_walk(g, (0, 1, 2, 0, 3), cmap)
+    walk = induced_walk((0, 1, 2, 0, 3), cmap)
     assert walk.vertices == (0, 1, 2, 0, 3)
     assert all(not reflected for _, reflected in walk.traversals)
 
@@ -112,10 +112,10 @@ def test_induced_walk_crossing_and_reflection():
     g = subdivide(k4(), 1)
     _, cmap = contract(g)
     mid = (0, 1, 1)
-    crossed = induced_walk(g, (0, mid, 1), cmap)
+    crossed = induced_walk((0, mid, 1), cmap)
     assert crossed.vertices == (0, 1)
     assert crossed.traversals[0][1] is False
-    bounced = induced_walk(g, (0, mid, 0), cmap)
+    bounced = induced_walk((0, mid, 0), cmap)
     assert bounced.vertices == (0, 0)
     assert bounced.traversals[0][1] is True
     eid = bounced.traversals[0][0]
@@ -127,7 +127,7 @@ def test_induced_walk_requires_anchor_start():
     g = subdivide(k4(), 1)
     _, cmap = contract(g)
     with pytest.raises(InvalidInput):
-        induced_walk(g, ((0, 1, 1), 0), cmap)
+        induced_walk(((0, 1, 1), 0), cmap)
 
 
 def test_induced_walk_refuses_a_step_off_its_corridor():
@@ -135,9 +135,9 @@ def test_induced_walk_refuses_a_step_off_its_corridor():
     _, cmap = contract(g)
     # p1 lies on the corridor u-p1-w, and p1-q2 is not an edge
     with pytest.raises(InvalidInput, match="the step 'p1' -> 'q2' leaves corridor"):
-        induced_walk(g, ("u", "p1", "q2", "w"), cmap)
+        induced_walk(("u", "p1", "q2", "w"), cmap)
     with pytest.raises(InvalidInput, match="enters no corridor of the map"):
-        induced_walk(g, ("u", "q2"), cmap)
+        induced_walk(("u", "q2"), cmap)
 
 
 def test_entrance_to_the_wrong_corridor_is_refused():
@@ -150,16 +150,16 @@ def test_entrance_to_the_wrong_corridor_is_refused():
         with pytest.raises(InvalidInput, match=match):
             induced_prefix_distribution(g, kind, "u", 2, wrong)
     with pytest.raises(InvalidInput, match=match):
-        induced_walk(g, ("u", "p1", "w"), wrong)
+        induced_walk(("u", "p1", "w"), wrong)
 
 
 def test_induced_walk_loop_crossing_not_reflected():
     g = two_loop_graph()
     _, cmap = contract(g)
-    walk = induced_walk(g, ("v", "x1", "x2", "v"), cmap)
+    walk = induced_walk(("v", "x1", "x2", "v"), cmap)
     assert walk.vertices == ("v", "v")
     assert walk.traversals[0][1] is False
-    back = induced_walk(g, ("v", "x1", "v"), cmap)
+    back = induced_walk(("v", "x1", "v"), cmap)
     assert back.traversals[0][1] is True
 
 
@@ -190,7 +190,7 @@ def test_induced_law_matches_filtered_sampling():
     n = 20000
     for _ in range(n):
         path = sample_path("srw", g, "u", 30, r)
-        obs = induced_walk(g, path, cmap)
+        obs = induced_walk(path, cmap)
         key = obs.vertices[:2]
         assert len(key) == 2
         counts[key] = counts.get(key, 0) + 1
@@ -205,7 +205,7 @@ def test_nbrw_never_reflects_in_corridors():
         r = rng(808)
         for _ in range(300):
             path = sample_path("nbrw", g, start, 24, r)
-            obs = induced_walk(g, path, cmap)
+            obs = induced_walk(path, cmap)
             assert all(not reflected for _, reflected in obs.traversals)
 
 

@@ -33,8 +33,10 @@ from nbwalk import (
     total_variation,
 )
 from nbwalk import stats, walkers
+from nbwalk.graph import WeightedMultigraph
 from nbwalk.stats import _BLOCK, _CHUNK, _generic_replica, _lattice_run, _replica, _table_run, _tree_run, replica_seed
-from nbwalk.walkers import WalkKind, _move_table
+from nbwalk.stats import _wrw_table_run
+from nbwalk.walkers import WalkKind, _decode_words, _move_table
 
 from helpers import (
     complete_bipartite,
@@ -48,7 +50,7 @@ from helpers import (
     two_loop_graph,
     walk_reference,
 )
-from test_golden import CUBIC10
+from test_golden import CORRIDOR_K4, CUBIC10
 
 # short walks, one chunk exactly, and walks crossing one and two chunk boundaries
 HORIZONS = (0, 1, 2, 5, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 5)
@@ -331,6 +333,98 @@ def test_move_table_run_equals_the_generic_stepper_and_the_scalar_reference(name
             assert fast.bit_generator.state == slow.bit_generator.state == ref.bit_generator.state, (h, seed)
 
 
+def _wrw_table_cases():
+    corridor_k4, _ = contract(graph_from_spec(json.loads(CORRIDOR_K4)))
+    theta, _ = contract(theta_graph())
+    loops, _ = contract(two_loop_graph())
+    return {
+        # resistances 1 to 4, every anchor of multigraph degree 3
+        "corridor-k4": (corridor_k4, 0),
+        # parallel edges of resistances 1, 2 and 3
+        "theta": (theta, "u"),
+        # one vertex with two self-loops of resistance 3
+        "two-loops": (loops, "v"),
+        # degree 1, where integers(1) draws nothing, with and without floats
+        "one-edge-r1": (WeightedMultigraph("ab", [("a", "b", 1)]), "a"),
+        "two-edges-r3-r1": (WeightedMultigraph("abcd", [("a", "b", 3), ("c", "d", 1)]), "a"),
+        # degree 5, whose Lemire threshold 2**32 % 5 is 1
+        "five-parallel": (WeightedMultigraph("ab", [("a", "b", r) for r in (1, 2, 3, 4, 5)]), "b"),
+    }
+
+
+WRW_TABLE_CASES = _wrw_table_cases()
+# short walks, then walks that cross one, two and many block seams: a
+# step reads one or two halves and a whole word when it meets a resistance above 1
+WRW_HORIZONS = (0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK)
+
+
+def _with_spare(gen, spare):
+    """``gen`` holding ``spare`` as the high half kept from its last word."""
+    state = gen.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, spare
+    gen.bit_generator.state = state
+    return gen
+
+
+@pytest.mark.parametrize("name", sorted(WRW_TABLE_CASES))
+def test_wrw_table_run_equals_the_generic_stepper_and_the_scalar_reference(name):
+    g, start = WRW_TABLE_CASES[name]
+    table = _move_table(WalkKind.WRW, g, start, 10**9)
+    assert table is not None
+    # a fresh generator, one whose spare half was left by an earlier draw,
+    # and one whose spare half 0 Lemire's method rejects for k = 3 and 5
+    starts = [lambda s: rng(s), lambda s: _with_spare(rng(s), int(rng(s + 10).integers(2**32))), lambda s: _with_spare(rng(s), 0)]
+    for h in WRW_HORIZONS:
+        for seed, make in enumerate(starts):
+            fast, slow, ref = make(seed), make(seed), make(seed)
+            row = _wrw_table_run(table, h, fast)
+            assert row == _generic_replica(WalkKind.WRW, g, start, h, slow), (h, seed)
+            assert row == return_statistics(chain((start,), walk_reference("wrw", g, start, h, ref)), start, g)
+            assert fast.bit_generator.state == slow.bit_generator.state == ref.bit_generator.state, (h, seed)
+            # and the draws after the walk agree
+            assert fast.integers(7, size=5).tolist() == ref.integers(7, size=5).tolist()
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 6, 7, 12, 1000, 2**31 + 1])
+def test_decode_words_rejects_the_halves_that_numpy_rejects(k):
+    # the ends, and x next to multiples of 2**32 / k, where the low 32 bits
+    # of x * k are smallest and fall below 2**32 % k if any x's do
+    threshold = 2**32 % k
+    xs = sorted(x for x in {0, 1, 2**32 - 1, *((j << 32) // k + e for j in range(1, 4) for e in (-1, 0, 1))} if x < 2**32)
+    # each x as a low half beside an accepted high half, and as a high half
+    words = np.array([x | (1 << 32) for x in xs] + [x << 32 | 1 for x in xs], dtype=np.uint64)
+    lo, hi, crosses = _decode_words(words, k, ())
+    assert crosses == {}
+    rejected = 0
+    for x, a, b in zip(xs, lo, hi[len(xs):]):
+        want = -1 if (x * k) % 2**32 < threshold else (x * k) >> 32
+        assert a == b == want, (x, a, b)
+        rejected += want < 0
+        # numpy's own draw from x as the spare half reads a new word when it rejects x
+        gen = _with_spare(rng(0), x)
+        before = gen.bit_generator.state["state"]
+        got = int(gen.integers(k))
+        assert (gen.bit_generator.state["state"] != before) == (want < 0)
+        if want >= 0:
+            assert got == want
+    # a rejection is among the cases wherever one can happen
+    assert rejected or not threshold
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_decode_words_crossing_threshold_at_its_float_boundary(r):
+    # u = m * 2**-53 crosses when u * r < 1.0 in float64; m0 is the first m
+    # that does not, and the 11 low bits of a word never count
+    m0 = next(m for m in range(2**53 // r - 2, 2**53 // r + 3) if m * 2.0**-53 * r >= 1.0)
+    ms = [0, 1, m0 - 2, m0 - 1, m0, m0 + 1, 2**53 - 1]
+    words = np.array([m << 11 | low for m in ms for low in (0, 0x7FF)], dtype=np.uint64)
+    _, _, crosses = _decode_words(words, 3, (r,))
+    want = [m < m0 for m in ms for _ in (0, 1)]
+    assert crosses[r] == want
+    # the scalar rule of walkers._Draws.random() and wrw_step
+    assert want == [(int(w) >> 11) * (1.0 / 9007199254740992.0) * r < 1.0 for w in words]
+
+
 def test_monte_carlo_takes_the_move_table_on_regular_graphs_only(monkeypatch):
     calls = Counter()
 
@@ -341,29 +435,33 @@ def test_monte_carlo_takes_the_move_table_on_regular_graphs_only(monkeypatch):
 
         return wrapper
 
-    for name in ("srw_step", "nbrw_step", "nbrw_step_edge"):
+    for name in ("srw_step", "nbrw_step", "nbrw_step_edge", "wrw_step"):
         monkeypatch.setattr(walkers, name, counting(getattr(walkers, name), name))
     monkeypatch.setattr(stats, "_generic_replica", counting(_generic_replica, "generic"))
     theta, _ = contract(theta_graph())
     # the table's sampler calls: the first row's k, then states x bound,
-    # whatever the replica count
+    # whatever the replica count; wrw calls its sampler twice per entry,
+    # once to cross and once to bounce
     table_cases = [
         ("srw", k4(), 0, "srw_step", 3 + 4 * 3),
         ("nbrw", k4(), 0, "nbrw_step", 3 + 12 * 2),
         ("nbrw", theta, "u", "nbrw_step_edge", 3 + 6 * 2),
+        ("wrw", theta, "u", "wrw_step", 2 * (3 + 2 * 3)),
     ]
     for kind, g, start, sampler, size in table_cases:
         for replicas in (1, 7):
             calls.clear()
             monte_carlo(kind, g, start, 50, replicas, 3)
             assert calls[sampler] == size and calls["generic"] == 0, (kind, replicas)
-    # non-regular graphs, wrw, and tables over replicas x horizon entries
+    # non-regular graphs and multigraphs, and tables over replicas x horizon entries
+    uneven = WeightedMultigraph("uvw", [("u", "v", 1), ("v", "w", 2), ("v", "v", 3)])
     generic_cases = [
         ("srw", counterexample_graph(), "v", 50, 2),
         ("nbrw", counterexample_graph(), "v", 50, 2),
         ("srw", subdivide(k4(), 1), 0, 50, 2),
         ("nbrw", subdivide(k4(), 1), 0, 50, 2),
-        ("wrw", theta, "u", 50, 2),
+        ("wrw", uneven, "v", 50, 2),
+        ("wrw", theta, "u", 2, 2),
         ("srw", cycle(10_000), 0, 3, 1),
         ("srw", k4(), 0, 11, 1),
     ]
