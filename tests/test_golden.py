@@ -19,6 +19,7 @@ import pytest
 
 from nbwalk import (
     PrefixDistribution,
+    WeightedMultigraph,
     chain_for_biregular,
     chain_move_law,
     contract,
@@ -52,6 +53,7 @@ TREE3 = '{"type":"regular_tree","k":3}'
 SUBLATTICE = '{"type":"subdivided_lattice","d":2,"t":1}'
 SUBLATTICE2_T2 = '{"type":"subdivided_lattice","d":2,"t":2}'
 SUBLATTICE3 = '{"type":"subdivided_lattice","d":3,"t":1}'
+COUNTEREXAMPLE = '{"type":"counterexample"}'
 # K4 with corridors of 0 to 3 interior vertices on its edges, so its
 # contraction has resistances 1 to 4 and every anchor multigraph degree 3
 CORRIDOR_K4 = json.dumps({"type": "explicit", "adjacency": {
@@ -114,6 +116,34 @@ DIAGNOSE = {
         "9d4a0766bdbe60a59a75d3015f3d6139a29a4430208095cbf47885dd78c9b8da",
         "b755a9057633dab65aaec83a943639e8a7b1245732b1203cb8e31f87400298f3",
     ),
+    # the generic stepper, which no move table or kernel serves: below the
+    # tree's root, as the benchmark's tree3_below_root job runs it, on a
+    # graph whose degrees differ, and on the subdivided lattice with t = 2
+    "tree3_srw_below_root": (
+        TREE3, "srw", "(0)", 2000, 2, 43,
+        "96542172a3ef91717e4cd9ed73c032acbdf53aac932c982919de0a5bdb113169",
+        "7cea26a050dd69b5e21fc2c75757127bee8192881e6b9fba510030169ee50947",
+    ),
+    "tree3_nbrw_below_root": (
+        TREE3, "nbrw", "(0)", 2000, 2, 44,
+        "5f4014e93aa6caf850d056ef1c495d7754f3949e90185c8a247378f67c4e6cb0",
+        "541c2f300622ac9b280173c5f2e6994897a5ae259c8dc24989e723dca4907009",
+    ),
+    "counterexample_srw": (
+        COUNTEREXAMPLE, "srw", "v", 2000, 8, 45,
+        "cb381389cf902eb799a17f0e7f409d290f3c02b42226485e33d531648dce7896",
+        "f4aa65496727d2c4475ddab09f65334d396ebfcb7f40065decc75a22bf4d9af2",
+    ),
+    "counterexample_nbrw": (
+        COUNTEREXAMPLE, "nbrw", "v", 2000, 8, 46,
+        "55440fe3e3ef39a6797873edc23c37467201341d4658b89f8df442c53d921340",
+        "44be54710a1602524fb91f44872c0304d79e871280022b40a6609cdf8c050362",
+    ),
+    "sublattice2_t2_srw": (
+        SUBLATTICE2_T2, "srw", None, 2000, 8, 47,
+        "d00f84ae03b95b6090658dda373d0baeafccc8c4f60c78c2381c234501b8a049",
+        "270ad65305ab93e9ebb9884b98bd5b80d16d9d4d77aa5e90bb02fe915725fec6",
+    ),
     # the contraction is one vertex with two self-loops of resistance 3
     "two_loops_wrw": (
         _explicit_spec(two_loop_graph()), "wrw", "v", 2000, 8, 42,
@@ -159,13 +189,20 @@ ERASE_LATTICE2 = (LATTICE2, 5000, 26, "dd49de9e9f0a8f92c383984dd3aa3859fbdad473c
 
 EDGE_NBRW_CSV = "5ec0d021f3305d65963e3e604c86895596f22f933fb062ee4e15fd96b32dd223"
 
+# walk: (seed, csv sha256) on a multigraph whose degrees differ, 3 and 5,
+# so that no move table serves it: three parallel edges u-w of resistances
+# 1, 2 and 3, and a loop at w of resistance 3
+UNEVEN_CSV = {
+    "wrw": (48, "12f7abb30278c3fbbb2c9f406fba2d23206f31cea43988dc8f20bf1daaeb5f7a"),
+    "nbrw": (49, "3ee7c938256202d110d12ac6317d9fe2de4669dfedeb63cd88ed611a5036ad88"),
+}
+
 # a cubic graph on 10 vertices, drawn once by the configuration model
 # (seed 1) and fixed here so that its bytes never depend on a generator
 CUBIC10 = json.dumps({"type": "explicit", "adjacency": {
     "0": [5, 6, 8], "1": [3, 8, 9], "2": [4, 5, 6], "3": [1, 7, 9], "4": [2, 7, 8],
     "5": [0, 2, 7], "6": [0, 2, 9], "7": [3, 4, 5], "8": [0, 1, 4], "9": [1, 3, 6],
 }})
-COUNTEREXAMPLE = '{"type":"counterexample"}'
 
 # exact-oracle stdout: name: (compare argv after the subcommand, stdout sha256)
 COMPARE = {
@@ -230,6 +267,13 @@ def test_edge_nbrw_report_bytes():
     mg, _ = contract(theta_graph())
     report = monte_carlo("nbrw", mg, "u", 2000, 8, 31)
     assert _sha(report.csv_text().encode()) == EDGE_NBRW_CSV
+
+
+@pytest.mark.parametrize("walk", sorted(UNEVEN_CSV))
+def test_uneven_multigraph_report_bytes(walk):
+    mg = WeightedMultigraph("uw", [("u", "w", 1), ("u", "w", 2), ("u", "w", 3), ("w", "w", 3)])
+    seed, csv_sha = UNEVEN_CSV[walk]
+    assert _sha(monte_carlo(walk, mg, "u", 2000, 8, seed).csv_text().encode()) == csv_sha
 
 
 @pytest.mark.parametrize("name", sorted(COMPARE))

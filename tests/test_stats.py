@@ -366,15 +366,27 @@ def _with_spare(gen, spare):
     return gen
 
 
-@pytest.mark.parametrize("name", sorted(WRW_TABLE_CASES))
-def test_wrw_table_run_equals_the_generic_stepper_and_the_scalar_reference(name):
+# each case at the default block, then at blocks of 1, 2 and 3 raw words,
+# where every short walk meets block seams at both of the run's refills,
+# with and without a spare half pending
+WRW_BLOCKS = [pytest.param(name, None, id=name) for name in sorted(WRW_TABLE_CASES)] + [
+    pytest.param(name, block, id=f"{name}-block{block}") for block in (1, 2, 3) for name in sorted(WRW_TABLE_CASES)
+]
+
+
+@pytest.mark.parametrize("name, block", WRW_BLOCKS)
+def test_wrw_table_run_equals_the_generic_stepper_and_the_scalar_reference(name, block, monkeypatch):
     g, start = WRW_TABLE_CASES[name]
+    horizons = WRW_HORIZONS
+    if block:
+        monkeypatch.setattr("nbwalk.stats._BLOCK", block)
+        horizons = range(40)
     table = _move_table(WalkKind.WRW, g, start, 10**9)
     assert table is not None
     # a fresh generator, one whose spare half was left by an earlier draw,
     # and one whose spare half 0 Lemire's method rejects for k = 3 and 5
     starts = [lambda s: rng(s), lambda s: _with_spare(rng(s), int(rng(s + 10).integers(2**32))), lambda s: _with_spare(rng(s), 0)]
-    for h in WRW_HORIZONS:
+    for h in horizons:
         for seed, make in enumerate(starts):
             fast, slow, ref = make(seed), make(seed), make(seed)
             row = _wrw_table_run(table, h, fast)
