@@ -278,10 +278,12 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _add_graph_flags(p, start=True):
+def _add_graph_flags(p, start=True, walk=False):
     p.add_argument("--graph", required=True, help="graph spec as JSON, or @file")
     if start:
         p.add_argument("--start", help="start vertex key (default: family origin)")
+    if walk:
+        p.add_argument("--walk", required=True, choices=[k.value for k in WalkKind])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -289,8 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("walk", help="sample one path and print it with its statistics")
-    _add_graph_flags(p)
-    p.add_argument("--walk", required=True, choices=[k.value for k in WalkKind])
+    _add_graph_flags(p, walk=True)
     p.add_argument("--horizon", type=_COUNT, required=True)
     p.add_argument("--seed", type=_SEED, required=True)
     p.add_argument("--out", help="write the path tokens to this file")
@@ -317,8 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_contract)
 
     p = sub.add_parser("enumerate", help="dump an exact prefix distribution")
-    _add_graph_flags(p)
-    p.add_argument("--walk", required=True, choices=[k.value for k in WalkKind])
+    _add_graph_flags(p, walk=True)
     p.add_argument("--m", type=_HORIZON, required=True, help=f"prefix horizon, {_HORIZON_HELP}")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_enumerate)
@@ -332,8 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("diagnose", help="seeded Monte Carlo recurrence diagnostics")
-    _add_graph_flags(p)
-    p.add_argument("--walk", required=True, choices=[k.value for k in WalkKind])
+    _add_graph_flags(p, walk=True)
     p.add_argument("--horizon", type=_COUNT, required=True)
     p.add_argument("--replicas", type=_int_range(1), required=True)
     p.add_argument("--seed", type=_SEED, required=True)

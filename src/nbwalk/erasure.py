@@ -50,21 +50,22 @@ def erase_backtracks(seq) -> ErasureResult:
     after it an unread suffix of the input, so one stack pass gives the
     output and the moves, and the head position is the running count of
     rights minus lefts."""
-    items = list(seq)
-    if not items:
-        raise InvalidInput("cannot erase an empty sequence")
-    stack, moves = _erase_stack(items)
+    stack, moves = _erase_stack(seq)
     positions = tuple(accumulate(1 if m == "R" else -1 for m in moves))
-    return ErasureResult(tuple(stack), CursorTrace("".join(moves), positions), len(items))
+    return ErasureResult(tuple(stack), CursorTrace("".join(moves), positions), len(moves) + 1)
 
 
 def _erase_stack(seq):
-    """Single pass over a nonempty sequence: push each element, or pop the
-    top when the element equals the one underneath it.  Returns the stack
-    and the move record, R per push and L per pop."""
-    st = [seq[0]]
+    """Single pass over any iterable: push each element, or pop the top
+    when the element equals the one underneath it.  Returns the stack and
+    the move record, R per push and L per pop; an empty input is refused."""
+    items = iter(seq)
+    try:
+        st = [next(items)]
+    except StopIteration:
+        raise InvalidInput("cannot erase an empty sequence") from None
     moves = []
-    for x in seq[1:]:
+    for x in items:
         if len(st) >= 2 and st[-2] == x:
             st.pop()
             moves.append("L")
@@ -76,10 +77,7 @@ def _erase_stack(seq):
 
 def erase_backtracks_stack(seq) -> tuple:
     """Single-pass push/pop reformulation; returns only the output."""
-    items = list(seq)
-    if not items:
-        raise InvalidInput("cannot erase an empty sequence")
-    return tuple(_erase_stack(items)[0])
+    return tuple(_erase_stack(seq)[0])
 
 
 def _erase_step(stack: tuple, x):

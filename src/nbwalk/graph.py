@@ -372,11 +372,16 @@ class WeightedMultigraph:
     def __init__(self, vertices: Iterable, edges: Sequence):
         verts = [canon_key(v) for v in vertices]
         vset = set(verts)
+        if not verts:
+            raise MalformedGraph("a multigraph needs at least one vertex")
         if len(verts) != len(vset):
             raise MalformedGraph("duplicate vertices")
         cooked = []
         for eid, spec in enumerate(edges):
-            a, b, r = spec
+            try:
+                a, b, r = spec
+            except (TypeError, ValueError):
+                raise MalformedGraph(f"edge {eid} is not an (a, b, resistance) triple: {spec!r}") from None
             a, b = canon_key(a), canon_key(b)
             if a not in vset or b not in vset:
                 raise MalformedGraph(f"edge endpoint {a!r}-{b!r} not among vertices")

@@ -248,18 +248,16 @@ def _wrw_table_run(table, horizon, rng) -> WalkStatistics:
     resistances = {r for row in rows for _, _, r in row if r > 1}
     bg = rng.bit_generator
 
-    def refill(words, hj, spare):
-        # a new block, decoded; the spare half is kept raw when its word goes
-        if hj >= 0:
-            spare = int(words[hj]) >> 32
-        words = bg.random_raw(_BLOCK)
-        return (words, 0, len(words), -1, spare, *_decode_words(words, k, resistances))
+    def block(head):
+        # a new block headed by the last word an integer draw took
+        words = np.concatenate((head, bg.random_raw(_BLOCK)))
+        return (words, 1, len(words), 0, *_decode_words(words, k, resistances))
 
     draws = _Draws(rng, _BLOCK)
-    has, spare = draws.has, draws.spare
-    held = _decode_words(np.array([spare], dtype=np.uint64), k, ())[0][0]  # the spare half's draw
-    # words[i] is the next word, and words[hj] the one whose high half is the spare, if it is there
-    words, i, n, hj = (), 0, 0, -1
+    has = draws.has
+    # words[i] is the next word and words[hj] the last one an integer draw
+    # took, whose high half is the spare, held as numpy does even when used
+    words, i, n, hj, lo, hi, crosses = block(np.array([draws.spare << 32], dtype=np.uint64))
     home = home.tolist()
     returns, last = 0, None
     row = first
@@ -270,16 +268,16 @@ def _wrw_table_run(table, horizon, rng) -> WalkStatistics:
         # until a half is accepted; -1 is a half that Lemire's method rejects
         while d < 0:
             if has:
-                has, d = 0, held
+                has, d = 0, hi[hj]
             else:
                 if i == n:
-                    words, i, n, hj, spare, lo, hi, crosses = refill(words, hj, spare)
-                d, held, hj, has = lo[i], hi[i], i, 1
+                    words, i, n, hj, lo, hi, crosses = block(words[hj : hj + 1])
+                d, hj, has = lo[i], i, 1
                 i += 1
         s, bounced, r = row[d]
         if r > 1:
             if i == n:
-                words, i, n, hj, spare, lo, hi, crosses = refill(words, hj, spare)
+                words, i, n, hj, lo, hi, crosses = block(words[hj : hj + 1])
             if not crosses[r][i]:
                 s = bounced
             i += 1
@@ -287,8 +285,7 @@ def _wrw_table_run(table, horizon, rng) -> WalkStatistics:
         if home[s]:
             returns += 1
             last = t
-    draws.words, draws.used, draws.has = words, i, has
-    draws.spare = int(words[hj]) >> 32 if hj >= 0 else spare
+    draws.words, draws.used, draws.has, draws.spare = words, i, has, int(words[hj]) >> 32
     draws.close()
     return WalkStatistics(horizon, returns, last, 0.0 if home[s] else 1.0)
 

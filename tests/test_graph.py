@@ -331,10 +331,14 @@ def _colliding_subdivision():
         (lambda: subdivide(k4(), -1), InvalidParameter, "subdivision count must be a nonnegative integer"),
         (_colliding_subdivision, MalformedGraph, "subdivision key collision at (0, 1, 1)"),
         (lambda: WeightedMultigraph([0, "0"], []), MalformedGraph, "duplicate vertices"),
+        (lambda: WeightedMultigraph([0, 1], [(0, 1, 2), (0, 1)]), MalformedGraph, "edge 1 is not an (a, b, resistance)"),
+        (lambda: WeightedMultigraph([0], [7]), MalformedGraph, "edge 0 is not an (a, b, resistance) triple: 7"),
+        (lambda: WeightedMultigraph([], []), MalformedGraph, "a multigraph needs at least one vertex"),
     ],
     ids=[
         "canon-bool", "canon-float", "sort-bool", "tree-key-not-tuple", "duplicate-key", "subdivide-negative",
-        "subdivide-collision", "multigraph-duplicate-vertices",
+        "subdivide-collision", "multigraph-duplicate-vertices", "multigraph-edge-pair", "multigraph-edge-not-iterable",
+        "multigraph-no-vertices",
     ],
 )
 def test_graph_refusals_name_their_cause(call, error, message):
