@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InsufficientData, InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
 from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
-from .walkers import _BLOCK, _decode_words, _Draws, _move_table, _require_kind_graph, _walk
+from .walkers import _BLOCK, _decode_words, _hand_back, _move_table, _require_kind_graph, _walk
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -239,25 +239,24 @@ def _wrw_table_run(table, horizon, rng) -> WalkStatistics:
     ``_BLOCK`` at a time and decoded by ``_decode_words``, and a plain loop
     takes a half per integer draw, keeping the spare across steps, and a
     whole word per float draw, which only a resistance above 1 makes.
-    ``_Draws`` reads the generator's spare half at the start and leaves
-    the generator in the scalar calls' end state at the close."""
+    The spare half is read from the generator's state at the start, and
+    ``_hand_back`` leaves the generator in the scalar calls' end state."""
     first, rows, home = table
     if not horizon:
         return WalkStatistics(0, 0, None, 0.0)
     k = len(first)
-    resistances = {r for row in rows for _, _, r in row if r > 1}
     bg = rng.bit_generator
 
     def block(head):
         # a new block headed by the last word an integer draw took
         words = np.concatenate((head, bg.random_raw(_BLOCK)))
-        return (words, 1, len(words), 0, *_decode_words(words, k, resistances))
+        return (words, 1, len(words), 0, *_decode_words(words, k))
 
-    draws = _Draws(rng, _BLOCK)
-    has = draws.has
+    state = bg.state
+    has = state["has_uint32"]
     # words[i] is the next word and words[hj] the last one an integer draw
     # took, whose high half is the spare, held as numpy does even when used
-    words, i, n, hj, lo, hi, crosses = block(np.array([draws.spare << 32], dtype=np.uint64))
+    words, i, n, hj, lo, hi, u = block(np.array([state["uinteger"] << 32], dtype=np.uint64))
     home = home.tolist()
     returns, last = 0, None
     row = first
@@ -271,22 +270,21 @@ def _wrw_table_run(table, horizon, rng) -> WalkStatistics:
                 has, d = 0, hi[hj]
             else:
                 if i == n:
-                    words, i, n, hj, lo, hi, crosses = block(words[hj : hj + 1])
+                    words, i, n, hj, lo, hi, u = block(words[hj : hj + 1])
                 d, hj, has = lo[i], i, 1
                 i += 1
         s, bounced, r = row[d]
         if r > 1:
             if i == n:
-                words, i, n, hj, lo, hi, crosses = block(words[hj : hj + 1])
-            if not crosses[r][i]:
+                words, i, n, hj, lo, hi, u = block(words[hj : hj + 1])
+            if not u[i] * r < 1.0:
                 s = bounced
             i += 1
         row = rows[s]
         if home[s]:
             returns += 1
             last = t
-    draws.words, draws.used, draws.has, draws.spare = words, i, has, int(words[hj]) >> 32
-    draws.close()
+    _hand_back(bg, n - i, has, int(words[hj]) >> 32)
     return WalkStatistics(horizon, returns, last, 0.0 if home[s] else 1.0)
 
 

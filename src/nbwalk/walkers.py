@@ -224,40 +224,36 @@ class _Draws:
     ``x * k`` fall below ``2**32 % k`` (Lemire's method), and draws
     nothing when k is 1.  ``random()`` takes a whole word w as
     ``(w >> 11) * 2**-53``.  ``close()`` leaves the generator in the state
-    those scalar calls would have left; until then it is ahead of it.
-
-    ``words``, ``used``, ``has`` and ``spare`` are the reader's place: the
-    raw words read, how many of them are used, and the spare half.  A
-    caller that reads raw words itself sets them before ``close()``."""
+    those scalar calls would have left; until then it is ahead of it."""
 
     def __init__(self, rng, block: int):
         self._bg = rng.bit_generator
         state = self._bg.state
-        self.has = state["has_uint32"]
-        self.spare = state["uinteger"]
+        self._has = state["has_uint32"]
+        self._spare = state["uinteger"]
         self._block = block
-        self.words = []
-        self.used = 0
+        self._words = []
+        self._used = 0
 
     def _word(self) -> int:
-        i = self.used
-        if i == len(self.words):
-            self.words = self._bg.random_raw(self._block).tolist()
+        i = self._used
+        if i == len(self._words):
+            self._words = self._bg.random_raw(self._block).tolist()
             i = 0
-        self.used = i + 1
-        return self.words[i]
+        self._used = i + 1
+        return self._words[i]
 
     def integers(self, k: int) -> int:
         if k == 1:
             return 0
         while True:
-            if self.has:
-                self.has = 0
-                x = self.spare
+            if self._has:
+                self._has = 0
+                x = self._spare
             else:
                 w = self._word()
-                self.has = 1
-                self.spare = w >> 32
+                self._has = 1
+                self._spare = w >> 32
                 x = w & 0xFFFFFFFF
             m = x * k
             low = m & 0xFFFFFFFF
@@ -268,30 +264,33 @@ class _Draws:
         return (self._word() >> 11) * (1.0 / 9007199254740992.0)
 
     def close(self):
-        bg = self._bg
-        # step back over the words read but not used: PCG64 has period
-        # 2**128, and advance() takes any delta below it
-        bg.advance((self.used - len(self.words)) % (1 << 128))
-        # advance() clears the spare half; numpy keeps the last one even
-        # when it is used up, so both fields are put back
-        state = bg.state
-        state["has_uint32"] = self.has
-        state["uinteger"] = self.spare
-        bg.state = state
+        _hand_back(self._bg, len(self._words) - self._used, self._has, self._spare)
 
 
-def _decode_words(words, k: int, resistances):
+def _hand_back(bg, unread: int, has, spare):
+    """Put the PCG64 bit generator ``bg`` where scalar draws would leave
+    it: back over the ``unread`` raw words read ahead, with the spare half
+    flag ``has`` and the half ``spare``."""
+    # PCG64 has period 2**128, and advance() takes any delta below it
+    bg.advance(-unread % (1 << 128))
+    # advance() clears the spare half; numpy keeps the last one even
+    # when it is used up, so both fields are put back
+    state = bg.state
+    state["has_uint32"] = has
+    state["uinteger"] = spare
+    bg.state = state
+
+
+def _decode_words(words, k: int):
     """``_Draws``'s rule on an array of raw words, with numpy: the draw of
     ``integers(k)`` from each word's low half and from its high half, -1
-    where Lemire's method rejects the half, and for each resistance r
-    whether the word, read as ``random()``, crosses: ``random() * r <
-    1.0``, in the float64 operations of ``wrw_step``."""
+    where Lemire's method rejects the half, and each word read as
+    ``random()``."""
     halves = []
     for x in (words & 0xFFFFFFFF, words >> 32):
         m = x * k
         halves.append(np.where((m & 0xFFFFFFFF) < (1 << 32) % k, -1, (m >> 32).view(np.int64)).tolist())
-    u = (words >> 11) * (1.0 / 9007199254740992.0)
-    return (*halves, {r: (u * r < 1.0).tolist() for r in resistances})
+    return (*halves, ((words >> 11) * (1.0 / 9007199254740992.0)).tolist())
 
 
 class _Trusted:

@@ -405,8 +405,7 @@ def test_decode_words_rejects_the_halves_that_numpy_rejects(k):
     xs = sorted(x for x in {0, 1, 2**32 - 1, *((j << 32) // k + e for j in range(1, 4) for e in (-1, 0, 1))} if x < 2**32)
     # each x as a low half beside an accepted high half, and as a high half
     words = np.array([x | (1 << 32) for x in xs] + [x << 32 | 1 for x in xs], dtype=np.uint64)
-    lo, hi, crosses = _decode_words(words, k, ())
-    assert crosses == {}
+    lo, hi, _ = _decode_words(words, k)
     rejected = 0
     for x, a, b in zip(xs, lo, hi[len(xs):]):
         want = -1 if (x * k) % 2**32 < threshold else (x * k) >> 32
@@ -430,9 +429,9 @@ def test_decode_words_crossing_threshold_at_its_float_boundary(r):
     m0 = next(m for m in range(2**53 // r - 2, 2**53 // r + 3) if m * 2.0**-53 * r >= 1.0)
     ms = [0, 1, m0 - 2, m0 - 1, m0, m0 + 1, 2**53 - 1]
     words = np.array([m << 11 | low for m in ms for low in (0, 0x7FF)], dtype=np.uint64)
-    _, _, crosses = _decode_words(words, 3, (r,))
+    _, _, u = _decode_words(words, 3)
     want = [m < m0 for m in ms for _ in (0, 1)]
-    assert crosses[r] == want
+    assert [x * r < 1.0 for x in u] == want
     # the scalar rule of walkers._Draws.random() and wrw_step
     assert want == [(int(w) >> 11) * (1.0 / 9007199254740992.0) * r < 1.0 for w in words]
 
