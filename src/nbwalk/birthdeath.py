@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import prod
 from operator import mul
 
 from .errors import InvalidParameter, is_degree_pair, is_int
@@ -76,14 +77,14 @@ def chain_for_biregular(k1: int, k2: int) -> BirthDeathSpec:
     return BirthDeathSpec((), (Fraction(k1 - 1, k1), Fraction(k2 - 1, k2)))
 
 
+def _odds(spec: BirthDeathSpec) -> list:
+    # left/right odds at positions 1..len(prefix) + len(period)
+    return [(1 - p) / p for p in map(spec.right_prob, range(1, len(spec.prefix) + len(spec.period) + 1))]
+
+
 def _period_ratio_product(spec: BirthDeathSpec) -> Fraction:
     # product of left/right odds over one full period past the prefix
-    base = len(spec.prefix)
-    prod = _ONE
-    for j in range(len(spec.period)):
-        p = spec.right_prob(base + 1 + j)
-        prod *= (1 - p) / p
-    return prod
+    return prod(_odds(spec)[len(spec.prefix) :])
 
 
 def is_transient(spec: BirthDeathSpec) -> bool:
@@ -99,12 +100,12 @@ def escape_probability(spec: BirthDeathSpec) -> Fraction:
     left/right odds up to position n; the escape probability is 1/S, and
     the periodic tail makes S a finite geometric sum.  Returns 0 exactly
     when the chain is recurrent."""
-    ratio = _period_ratio_product(spec)
+    s = len(spec.prefix)
+    odds = _odds(spec)
+    ratio = prod(odds[s:])
     if ratio >= 1:
         return _ZERO
-    s = len(spec.prefix)
     # gammas[n - 1]: the product of left/right odds over positions 1..n
-    odds = ((1 - p) / p for p in map(spec.right_prob, range(1, s + len(spec.period) + 1)))
     gammas = list(accumulate(odds, mul))
     head = sum(gammas[:s], _ONE)
     block = sum(gammas[s:])
@@ -120,18 +121,15 @@ def simulate_chain(spec: BirthDeathSpec, n: int, rng) -> list:
     n = int(n)
     s = len(spec.prefix)
     length = len(spec.period)
-    prefix = [float(p) for p in spec.prefix]
+    # position 0 reads 1.0, above every draw, so it reflects
+    head = [1.0, *map(float, spec.prefix)]
     period = [float(p) for p in spec.period]
     out = [0]
     pos = 0
-    if n:
-        for u in rng.random(n).tolist():
-            if pos == 0:
-                pos = 1
-            else:
-                p = prefix[pos - 1] if pos <= s else period[pos % length]
-                pos = pos + 1 if u < p else pos - 1
-            out.append(pos)
+    for u in rng.random(n).tolist():
+        p = head[pos] if pos <= s else period[pos % length]
+        pos = pos + 1 if u < p else pos - 1
+        out.append(pos)
     return out
 
 
