@@ -215,6 +215,8 @@ def test_biregular_shape_check():
     mg4, _ = contract(subdivide(k4(), 1))
     assert not check_biregular_shape(mg4, 4, 3)
     assert not check_biregular_shape(mg4, 3, 2)
+    # every degree is 3, outside the pair
+    assert check_biregular_shape(mg4, 5, 4) is False
     mgl, _ = contract(two_loop_graph())
     assert not check_biregular_shape(mgl, 4, 2)
     # degrees 4 and 2, and both a-b edges join the classes; the loop at a does not

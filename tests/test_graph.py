@@ -191,6 +191,7 @@ def test_from_adjacency_k4():
     g = k4()
     assert len(g) == 4
     assert all(g.degree(v) == 3 for v in g.vertices())
+    assert 0 in g and 9 not in g
     assert g.edges() == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 

@@ -48,6 +48,15 @@ def theta_multigraph():
     return mg
 
 
+def isolated_a():
+    # "a" has no edge; b-c is one
+    return WeightedMultigraph(["a", "b", "c"], [("b", "c", 1)])
+
+
+def one_edge():
+    return WeightedMultigraph(["a", "b"], [("a", "b", 1)])
+
+
 def test_srw_step_distribution_k4():
     law = step_distribution("srw", k4(), 0)
     assert law == {1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)}
@@ -327,6 +336,9 @@ def test_prefix_distribution_validation():
         PrefixDistribution(1, {(0, 1, 2): Fraction(1)})
     d = PrefixDistribution(1, {(0, 1): Fraction(3, 4)}, Fraction(1, 4))
     assert d.conditioned().prob((0, 1)) == 1
+    # with no short mass there is nothing to condition away
+    d = PrefixDistribution(1, {(0, 1): Fraction(1)})
+    assert d.conditioned() is d
     # no full-length prefix is an outcome of the walk, not a bad argument
     with pytest.raises(InsufficientData):
         PrefixDistribution(1, {}, Fraction(1)).conditioned()
@@ -341,8 +353,27 @@ def test_prefix_distribution_validation():
         (lambda: step_distribution("nbrw", counterexample_graph(), ("a", "v")), InvalidState, "'a' is not adjacent to 'v'"),
         (lambda: step_distribution("nbrw", theta_multigraph(), ("w", "u")), InvalidInput, "history is a HalfEdgeState"),
         (lambda: step_distribution("nbrw", k4(), 0), InvalidInput, "state is a (prev, current) pair"),
+        (lambda: nbrw_step_edge(isolated_a(), (None, "a"), rng(0)), NoLegalMove, "vertex 'a' is isolated"),
+        (lambda: wrw_step(isolated_a(), "a", rng(0)), NoLegalMove, "vertex 'a' is isolated"),
+        (lambda: step_distribution("nbrw", isolated_a(), (None, "a")), NoLegalMove, "vertex 'a' is isolated"),
+        (lambda: step_distribution("wrw", isolated_a(), "a"), NoLegalMove, "vertex 'a' is isolated"),
+        (lambda: nbrw_step_edge(one_edge(), HalfEdgeState(0, 1), rng(0)), NoLegalMove, "vertex 'b' has multigraph degree 1"),
+        (lambda: step_distribution("nbrw", one_edge(), HalfEdgeState(0, 1)), NoLegalMove, "vertex 'b' has multigraph degree 1"),
     ],
-    ids=["marginalize-up", "not-a-graph", "srw-isolated", "nbrw-prev-not-adjacent", "edge-nbrw-history", "nbrw-not-a-pair"],
+    ids=[
+        "marginalize-up",
+        "not-a-graph",
+        "srw-isolated",
+        "nbrw-prev-not-adjacent",
+        "edge-nbrw-history",
+        "nbrw-not-a-pair",
+        "edge-nbrw-step-isolated",
+        "wrw-step-isolated",
+        "edge-nbrw-law-isolated",
+        "wrw-law-isolated",
+        "edge-nbrw-step-degree-1",
+        "edge-nbrw-law-degree-1",
+    ],
 )
 def test_law_refusals_name_their_cause(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
