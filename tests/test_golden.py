@@ -15,6 +15,7 @@ one-step laws and so cannot see a change in those laws themselves.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from nbwalk import (
@@ -29,6 +30,7 @@ from nbwalk import (
     erased_prefix_distribution,
     induced_prefix_distribution,
     monte_carlo,
+    sample_path,
     subdivide,
 )
 from nbwalk.cli import run
@@ -60,6 +62,13 @@ CORRIDOR_K4 = json.dumps({"type": "explicit", "adjacency": {
     "0": [1, "a0", "b0"], "1": [0, "c0", "d0"], "2": ["a0", "c2", "e0"], "3": ["b1", "d0", "e1"],
     "a0": [0, 2], "b0": [0, "b1"], "b1": ["b0", 3], "c0": [1, "c1"], "c1": ["c0", "c2"],
     "c2": ["c1", 2], "d0": [1, 3], "e0": [2, "e1"], "e1": ["e0", 3],
+}})
+
+# a cubic graph on 10 vertices, drawn once by the configuration model
+# (seed 1) and fixed here so that its bytes never depend on a generator
+CUBIC10 = json.dumps({"type": "explicit", "adjacency": {
+    "0": [5, 6, 8], "1": [3, 8, 9], "2": [4, 5, 6], "3": [1, 7, 9], "4": [2, 7, 8],
+    "5": [0, 2, 7], "6": [0, 2, 9], "7": [3, 4, 5], "8": [0, 1, 4], "9": [1, 3, 6],
 }})
 
 # name: (graph spec, walk, start, horizon, replicas, seed, json sha256, csv sha256)
@@ -178,6 +187,11 @@ WALK = {
         SUBLATTICE, "nbrw", None, 2000, 28,
         "c60fdd2a04b86543c2b8a05229cae7e8c6d67a68b4680aca5283ae26e83227dc",
     ),
+    # a regular graph whose walk the move table can serve
+    "cubic10_srw": (
+        CUBIC10, "srw", None, 2000, 33,
+        "c91b0d862811b1b37202b07957eee33f4401455be521c33be6d9d7f7b6c20b81",
+    ),
     "theta_wrw": (
         _explicit_spec(theta_graph()), "wrw", "u", 2000, 23,
         "c0c99058d7acbb78bc14b5951433c06f21e3c078d6ef935b36a565cd2fa512e6",
@@ -186,6 +200,18 @@ WALK = {
 
 # erase of a sampled Z^2 walk: (graph spec, horizon, seed, output file sha256)
 ERASE_LATTICE2 = (LATTICE2, 5000, 26, "dd49de9e9f0a8f92c383984dd3aa3859fbdad473ca2ad8674120f6a14f1571b4")
+
+# erase of sampled walks on regular graphs from their default starts:
+# name: (graph spec, horizon, seed, output file sha256)
+ERASE_REGULAR = {
+    "k4": (_explicit_spec(k4()), 5000, 31, "c6152e5754adadfdd2191a81fce96a901f6aa8903344ed27c79bf8a9d59f1acb"),
+    "cubic10": (CUBIC10, 5000, 32, "86242027d4066d295c8c82bb9c302d8cb297d5ca566a9d63b5a82b5cd8d9c1e6"),
+}
+
+# edge nbrw on the contracted theta graph, whose two vertices both have
+# multigraph degree 3: (start, horizon, seed, sha256 of the path tokens
+# and the generator's next three draws)
+THETA_EDGE_NBRW_PATH = ("u", 5000, 34, "ebe8ebb5f33a0f2d9227c95f540cb377c8904af6c0e76023e6f4300b63bf6004")
 
 EDGE_NBRW_CSV = "5ec0d021f3305d65963e3e604c86895596f22f933fb062ee4e15fd96b32dd223"
 
@@ -196,13 +222,6 @@ UNEVEN_CSV = {
     "wrw": (48, "12f7abb30278c3fbbb2c9f406fba2d23206f31cea43988dc8f20bf1daaeb5f7a"),
     "nbrw": (49, "3ee7c938256202d110d12ac6317d9fe2de4669dfedeb63cd88ed611a5036ad88"),
 }
-
-# a cubic graph on 10 vertices, drawn once by the configuration model
-# (seed 1) and fixed here so that its bytes never depend on a generator
-CUBIC10 = json.dumps({"type": "explicit", "adjacency": {
-    "0": [5, 6, 8], "1": [3, 8, 9], "2": [4, 5, 6], "3": [1, 7, 9], "4": [2, 7, 8],
-    "5": [0, 2, 7], "6": [0, 2, 9], "7": [3, 4, 5], "8": [0, 1, 4], "9": [1, 3, 6],
-}})
 
 # exact-oracle stdout: name: (compare argv after the subcommand, stdout sha256)
 COMPARE = {
@@ -261,6 +280,23 @@ def test_erase_sampled_lattice_bytes(tmp_path):
     out = tmp_path / "erased.txt"
     assert run(["erase", "--graph", spec, "--horizon", str(horizon), "--seed", str(seed), "--out", str(out)]) == 0
     assert _sha(out.read_bytes()) == out_sha
+
+
+@pytest.mark.parametrize("name", sorted(ERASE_REGULAR))
+def test_erase_sampled_regular_graph_bytes(name, tmp_path):
+    spec, horizon, seed, out_sha = ERASE_REGULAR[name]
+    out = tmp_path / "erased.txt"
+    assert run(["erase", "--graph", spec, "--horizon", str(horizon), "--seed", str(seed), "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == out_sha
+
+
+def test_edge_nbrw_path_bytes():
+    start, horizon, seed, path_sha = THETA_EDGE_NBRW_PATH
+    mg, _ = contract(theta_graph())
+    gen = np.random.default_rng(seed)
+    path = sample_path("nbrw", mg, start, horizon, gen)
+    text = " ".join(map(encode_key, path)) + "\n" + " ".join(map(str, gen.integers(2**32, size=3).tolist())) + "\n"
+    assert _sha(text.encode()) == path_sha
 
 
 def test_edge_nbrw_report_bytes():
