@@ -138,12 +138,18 @@ def _publish(out, files: dict, shown=None, announce=True) -> None:
         print("wrote " + " and ".join(out + suffix for suffix in files))
 
 
+def _each_once(fn, items) -> list:
+    """``[fn(x) for x in items]`` with one call per distinct item, made in
+    order of first appearance, so that a refusal names the first bad one."""
+    values = {x: fn(x) for x in dict.fromkeys(items)}
+    return [values[x] for x in items]
+
+
 def _cmd_walk(args) -> int:
     _, graph, kind, start = _walk_graph(args)
     path = sample_path(kind, graph, start, args.horizon, _rng(args.seed))
     stats = return_statistics(path, start, graph)
-    tokens = " ".join(encode_key(v) for v in path)
-    _publish(args.out, {"": tokens + "\n"}, announce=False)
+    _publish(args.out, {"": " ".join(_each_once(encode_key, path)) + "\n"}, announce=False)
     doc = {
         "steps": stats.steps,
         "returns": stats.returns_to_origin,
@@ -170,12 +176,9 @@ def _cmd_erase(args) -> int:
         if args.tokens is not None and not args.tokens.startswith("@"):
             raise InvalidParameter(f"--tokens takes @file, got {args.tokens!r}")
         text = Path(args.tokens[1:]).read_text() if args.tokens else sys.stdin.read()
-        toks = text.split()
-        # decode each distinct token once; insertion order reports the first malformed one
-        keys = {t: decode_key(t) for t in dict.fromkeys(toks)}
-        seq = [keys[t] for t in toks]
+        seq = _each_once(decode_key, text.split())
     result = erase_backtracks(seq)
-    out = " ".join(encode_key(v) for v in result.output)
+    out = " ".join(_each_once(encode_key, result.output))
     _publish(args.out, {"": out + "\n" + result.trace.moves + "\n"}, announce=False)
     return 0
 

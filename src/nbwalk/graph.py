@@ -66,7 +66,7 @@ def encode_key(key) -> str:
         return str(key)
     if isinstance(key, str):
         return key
-    return "(" + ",".join(encode_key(x) for x in key) + ")"
+    return "(" + ",".join(map(encode_key, key)) + ")"
 
 
 def decode_key(text: str):

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InsufficientData, InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
 from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
-from .walkers import _BLOCK, _decode_words, _hand_back, _move_table, _require_kind_graph, _walk
+from .walkers import _BLOCK, _decode_words, _hand_back, _move_table, _require_kind_graph, _table_walk, _walk
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -211,26 +211,20 @@ def _replica(kind, graph, start, horizon, rng) -> WalkStatistics:
 
 
 def _table_run(table, horizon, rng) -> WalkStatistics:
-    """A walk through a ``walkers._move_table`` table, with the samplers'
-    draws: one scalar draw for the first step, then bulk draws of the
-    bound, ``_BLOCK`` at a time, which numpy makes as the scalar calls
-    would, leaving the generator in the same state.  The displacement is
-    0 or 1, as on every finite graph."""
-    first, rows, home = table
+    """A walk through a ``walkers._move_table`` table, drawn by
+    ``walkers._table_walk``, with each block's home hits counted at once.
+    The displacement is 0 or 1, as on every finite graph."""
+    home = table[3]
     if not horizon:
         return WalkStatistics(0, 0, None, 0.0)
-    s = first[int(rng.integers(len(first)))]
-    returns = int(home[s])
-    last = 1 if returns else None
-    bound = len(rows[0])
-    for done in range(1, horizon, _BLOCK):
-        draws = rng.integers(0, bound, size=min(_BLOCK, horizon - done)).tolist()
-        path = [s := rows[s][d] for d in draws]
-        hits = np.flatnonzero(home[path])
+    returns, last, done = 0, None, 0
+    for block in _table_walk(table, horizon, rng):
+        hits = np.flatnonzero(home[block])
         if len(hits):
             returns += len(hits)
             last = done + int(hits[-1]) + 1
-    return WalkStatistics(horizon, returns, last, 0.0 if home[s] else 1.0)
+        done += len(block)
+    return WalkStatistics(horizon, returns, last, 0.0 if home[block[-1]] else 1.0)
 
 
 def _wrw_table_run(table, horizon, rng) -> WalkStatistics:
@@ -241,7 +235,7 @@ def _wrw_table_run(table, horizon, rng) -> WalkStatistics:
     whole word per float draw, which only a resistance above 1 makes.
     The spare half is read from the generator's state at the start, and
     ``_hand_back`` leaves the generator in the scalar calls' end state."""
-    first, rows, home = table
+    first, rows, _, home = table
     if not horizon:
         return WalkStatistics(0, 0, None, 0.0)
     k = len(first)

@@ -19,7 +19,7 @@ Samplers draw integers from a caller-supplied ``numpy.random.Generator``,
 and ``wrw_step`` one float as well; the enumeration oracle uses exact rationals.
 On a finite graph whose vertices all have one degree, ``_move_table``
 tabulates a sampler's move under each draw, so that ``stats.monte_carlo``
-runs srw, nbrw and wrw without calling the sampler per step.
+and ``sample_path`` run walks without calling the sampler per step.
 """
 
 from __future__ import annotations
@@ -205,9 +205,9 @@ def _check_start(graph, start):
 
 def _require_kind_graph(kind: WalkKind, graph):
     mg = isinstance(graph, WeightedMultigraph)
-    if kind is WalkKind.SRW and mg:
+    if mg and kind is WalkKind.SRW:
         raise InvalidInput("srw runs on a plain graph, not a multigraph")
-    if kind is WalkKind.WRW and not mg:
+    if not mg and kind is WalkKind.WRW:
         raise InvalidInput("wrw needs a weighted multigraph")
     if not mg and not isinstance(graph, Graph):
         raise InvalidInput(f"not a graph: {graph!r}")
@@ -304,10 +304,9 @@ class _Trusted:
         self.neighbors = getattr(graph, "_adjacent", graph.neighbors)
 
 
-# the cap on draws made at once, which bounds their memory: raw words
-# per _Draws block (an integer draw takes half a word, so n // 2 + 1
-# words serve most n-step walks whole) and steps per bulk draw in
-# stats._table_run
+# the cap on draws made at once, which bounds their memory: raw words per
+# _Draws block (an integer draw takes half a word, so n // 2 + 1 words
+# serve most n-step walks whole) and steps per bulk draw in _table_walk
 _BLOCK = 1 << 12
 
 
@@ -381,34 +380,35 @@ class _Fixed(int):
 
 def _move_table(kind, graph, start, budget: int):
     """The moves of a walk from ``start`` on a finite graph where every
-    state has the same draw bound, as ``(first, rows, home)`` over
-    numbered states: draw d takes the first step to ``first[d]`` and
-    state s to ``rows[s][d]``, and ``home[s]`` is whether s sits at
-    ``start``.  Each entry is the sampler's move on draw d: a state for
+    state has the same draw bound, as ``(first, rows, vertex, home)`` over
+    numbered states: draw d takes the first step to ``first[d]`` and state
+    s to ``rows[s][d]``; s sits at ``vertex[s]``, which ``home[s]`` says
+    is ``start``.  Each entry is the sampler's move on draw d: a state for
     srw and nbrw, and for wrw ``(crossed, bounced, resistance)``, the
-    states after a float draw of 0.0 and of 1.0.  None on a lattice or a
-    tree, on a graph whose degrees differ, for a bound below 1 and for
-    more than ``budget`` entries."""
-    mg = isinstance(graph, WeightedMultigraph)
+    states after a float draw of 0.0 and of 1.0.  Refuses a kind and
+    graph that do not match, as ``_walk`` does; then None, with ``start``
+    not looked up, on a lattice or a tree, on a graph whose degrees
+    differ, for a bound below 1 and for more than ``budget`` entries."""
+    mg = _require_kind_graph(kind, graph)
     if not (mg or isinstance(graph, ExplicitGraph)):
         return None
     degree = graph.mdegree if mg else graph.degree
-    k = degree(start)
+    vertices = graph.vertices()
+    k = degree(vertices[0])
     nbrw = kind is WalkKind.NBRW
     bound = k - 1 if nbrw else k
-    vertices = graph.vertices()
     # a state is a vertex for srw and wrw and a dart, one per half-edge, for nbrw
     if bound < 1 or len(vertices) * (k if nbrw else 1) * bound > budget or any(degree(v) != k for v in vertices):
         return None
     if not nbrw:
-        states, vertex, first = vertices, lambda s: s, start
-        step = partial(wrw_step if mg else srw_step, graph)
+        states = vertex = vertices
+        step, first = partial(wrw_step if mg else srw_step, graph), start
     elif mg:
         states = [HalfEdgeState(e.edge_id, end) for e in graph.edges() for end in (0, 1)]
-        vertex, step, first = lambda s: graph.endpoint(*s), partial(nbrw_step_edge, graph), (None, start)
+        vertex, step, first = [graph.endpoint(*s) for s in states], partial(nbrw_step_edge, graph), (None, start)
     else:
         states = [(v, w) for v in vertices for w in graph.neighbors(v)]
-        vertex, step, first = itemgetter(1), lambda s, rng: (s[1], nbrw_step(graph, *s, rng)), (None, start)
+        vertex, step, first = [w for _, w in states], lambda s, rng: (s[1], nbrw_step(graph, *s, rng)), (None, start)
     index = {s: i for i, s in enumerate(states)}
 
     def move(s, d):
@@ -420,20 +420,39 @@ def _move_table(kind, graph, start, budget: int):
 
     first_row = [move(first, d) for d in range(k)]
     rows = [[move(s, d) for d in range(bound)] for s in states]
-    return first_row, rows, np.array([vertex(s) == start for s in states])
+    return first_row, rows, vertex, np.array([v == start for v in vertex])
+
+
+def _table_walk(table, n: int, rng):
+    """Yield the states at steps 1..n of a srw or nbrw ``_move_table`` walk
+    in lists: the first step by a scalar ``rng.integers(k)``, then blocks
+    of up to ``_BLOCK`` steps by bulk draws, which numpy makes as the
+    scalar calls would, leaving the generator in the same state."""
+    first, rows = table[:2]
+    s = first[int(rng.integers(len(first)))]
+    yield [s]
+    for done in range(1, n, _BLOCK):
+        draws = rng.integers(0, len(rows[0]), size=min(_BLOCK, n - done)).tolist()
+        yield [s := rows[s][d] for d in draws]
 
 
 def sample_path(kind, graph, start, n: int, rng) -> tuple:
     """Length-(n+1) vertex sequence started at ``start``; each step drawn
     from the kernel for ``kind``.  The first non-backtracking step uses
     the uniform rule.  Where ``_on_lattice_kernel`` holds, the path is
-    drawn in bulk by ``_lattice_offsets``, with the scalar samplers' draws
-    and end state.  A 0-step path is ``(start,)``, with the start unchecked."""
+    drawn in bulk by ``_lattice_offsets``, and srw or nbrw reads it off
+    ``_table_walk`` where ``_move_table`` builds a table within n // 8
+    entries, a small share of the walk's cost, with the scalar samplers'
+    draws and end state.  A 0-step path is ``(start,)``, start unchecked."""
     if not is_int(n) or n < 0:
         raise InvalidInput("path length must be a nonnegative integer")
     kind, n = WalkKind(kind), int(n)
     if not n or not _on_lattice_kernel(kind, graph, start):
-        return (start, *_walk(kind, graph, start, n, rng))
+        table = None if kind is WalkKind.WRW else _move_table(kind, graph, start, n // 8)
+        if table is None:
+            return (start, *_walk(kind, graph, start, n, rng))
+        vertex = table[2]
+        return (start, *[vertex[s] for block in _table_walk(table, n, rng) for s in block])
     path = [start]
     carry = graph.coordinates(start)
     for offsets in _lattice_offsets(kind, graph, n, rng):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -24,6 +25,7 @@ from nbwalk import (
     enumerate_prefix_distribution,
     erased_prefix_distribution,
     from_adjacency,
+    graph_from_spec,
     is_backtrack_free,
     lattice,
     nbrw_step,
@@ -41,6 +43,8 @@ from nbwalk import walkers
 from nbwalk.walkers import _BLOCK, _CHUNK, _Draws, _walk
 
 from helpers import k4, rng, subdivided_starts, theta_graph, walk_reference
+from test_golden import CUBIC10
+from test_stats import _with_spare
 
 
 def theta_multigraph():
@@ -619,3 +623,132 @@ def test_walk_below_the_root_checks_the_start_key_once(kind, monkeypatch):
     path = sample_path(kind, regular_tree(3), (0,), 2000, rng(1))
     assert calls == [(0,)]
     assert len(path) == 2001
+
+
+def _table_path_cases():
+    cubic10 = graph_from_spec(json.loads(CUBIC10))
+    cases = {f"{name}-{kind}": (kind, g, s) for name, g, s in [("k4", k4(), 0), ("cubic10", cubic10, 7)]
+             for kind in ("srw", "nbrw")}
+    # both vertices of the contracted theta graph have multigraph degree 3
+    cases["theta-edge-nbrw"] = ("nbrw", theta_multigraph(), "u")
+    return cases
+
+
+TABLE_PATH_CASES = _table_path_cases()
+# a fresh PCG64, one with a spare half pending, and a generator whose bit
+# generator has no raw-word reader
+TABLE_PATH_GENERATORS = {
+    "pcg64": rng,
+    "pcg64-spare": lambda seed: _with_spare(rng(seed), int(rng(seed + 10).integers(2**32))),
+    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
+}
+
+
+def _recording_move_table(monkeypatch, budget=None):
+    """Patch ``walkers._move_table`` to record ``(budget, built)`` per call,
+    building with ``budget`` in place of the caller's when one is given."""
+    calls = []
+    move_table = walkers._move_table
+
+    def recording(kind, graph, start, asked):
+        table = move_table(kind, graph, start, asked if budget is None else budget)
+        calls.append((asked, table is not None))
+        return table
+
+    monkeypatch.setattr(walkers, "_move_table", recording)
+    return calls
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, None])
+@pytest.mark.parametrize("name", sorted(TABLE_PATH_CASES))
+def test_table_path_equals_the_generic_stepper(name, block, monkeypatch):
+    kind, g, start = TABLE_PATH_CASES[name]
+    if block:
+        # every short walk meets block seams; the table is built whatever its size
+        monkeypatch.setattr(walkers, "_BLOCK", block)
+        calls = _recording_move_table(monkeypatch, budget=10**9)
+        horizons = range(1, 41)
+    else:
+        # the first block's seams and two blocks, each table within n // 8 entries
+        calls = _recording_move_table(monkeypatch)
+        horizons = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 9000)
+    for n in horizons:
+        for gen, make in TABLE_PATH_GENERATORS.items():
+            fast, ref = make(n), make(n)
+            calls.clear()
+            path = sample_path(kind, g, start, n, fast)
+            assert calls == [(n // 8, True)], (n, gen)
+            assert path == (start, *_walk(kind, g, start, n, ref)), (n, gen)
+            np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
+            assert fast.integers(2**32, size=3).tolist() == ref.integers(2**32, size=3).tolist(), (n, gen)
+
+
+def test_sample_path_takes_the_generic_stepper_without_a_table(monkeypatch):
+    calls = _recording_move_table(monkeypatch)
+    stepped = []
+    walk = walkers._walk
+
+    def counting(*args):
+        stepped.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(walkers, "_walk", counting)
+    mg, _ = contract(subdivide(theta_graph(), 1))
+    # (kind, graph, start, steps, the (budget, built) of each _move_table call)
+    cases = [
+        # 30 steps afford 3 entries, and K4's srw table has 12
+        ("srw", k4(), 0, 30, [(3, False)]),
+        ("srw", k4(), 0, 95, [(11, False)]),
+        ("srw", k4(), 0, 96, [(12, True)]),
+        ("nbrw", k4(), 0, 191, [(23, False)]),
+        ("nbrw", k4(), 0, 192, [(24, True)]),
+        # degrees 2 and 3
+        ("srw", counterexample_graph(), "v", 5000, [(625, False)]),
+        ("nbrw", counterexample_graph(), "v", 5000, [(625, False)]),
+        # K2's srw draws integers(1), which draws nothing
+        ("srw", from_adjacency({0: [1], 1: [0]}), 0, 5000, [(625, True)]),
+        # wrw, lattices and trees call no table
+        ("wrw", mg, mg.default_start(), 5000, []),
+        ("srw", subdivided_lattice(2, 2), (1, 0), 5000, [(625, False)]),
+        ("srw", regular_tree(3), (0,), 5000, [(625, False)]),
+    ]
+    for kind, g, start, n, want in cases:
+        calls.clear()
+        stepped.clear()
+        fast, ref = rng(n), rng(n)
+        assert sample_path(kind, g, start, n, fast) == (start, *walk(kind, g, start, n, ref)), (kind, start)
+        assert fast.bit_generator.state == ref.bit_generator.state
+        assert calls == want, (kind, start)
+        assert stepped == ([] if want and want[0][1] else [kind]), (kind, start)
+
+
+def _k2():
+    return from_adjacency({0: [1], 1: [0]})
+
+
+@pytest.mark.parametrize(
+    "kind, graph, start, error, message",
+    [
+        ("srw", k4, 9, InvalidParameter, "unknown vertex 9"),
+        ("nbrw", k4, 9, InvalidParameter, "unknown vertex 9"),
+        ("nbrw", theta_multigraph, "nowhere", InvalidParameter, "unknown vertex 'nowhere'"),
+        ("srw", theta_multigraph, "u", InvalidInput, "srw runs on a plain graph, not a multigraph"),
+        # the kind is refused before the start is looked up
+        ("srw", theta_multigraph, "nowhere", InvalidInput, "srw runs on a plain graph, not a multigraph"),
+        ("nbrw", _k2, 0, NoLegalMove, "step 2: vertex 1 has degree 1, only move is back"),
+        ("nbrw", counterexample_graph, "nowhere", InvalidParameter, "unknown vertex 'nowhere'"),
+        ("srw", k4, [0], TypeError, "unhashable type: 'list'"),
+    ],
+    ids=["srw-start", "nbrw-start", "edge-nbrw-start", "srw-multigraph", "srw-multigraph-start", "k2-nbrw",
+         "counterexample-start", "unhashable-start"],
+)
+@pytest.mark.parametrize("n", [30, 5000])
+def test_sample_path_refuses_as_the_generic_stepper(kind, graph, start, error, message, n):
+    g = graph()
+    fast, ref = rng(n), rng(n)
+    with pytest.raises(error) as got:
+        sample_path(kind, g, start, n, fast)
+    with pytest.raises(error) as want:
+        tuple(_walk(kind, g, start, n, ref))
+    assert str(got.value) == str(want.value) == message
+    assert fast.bit_generator.state == ref.bit_generator.state
