@@ -635,8 +635,8 @@ def _table_path_cases():
 
 
 TABLE_PATH_CASES = _table_path_cases()
-# a fresh PCG64, one with a spare half pending, and a generator whose bit
-# generator has no raw-word reader
+# a fresh PCG64, one with a spare half pending, and an MT19937, on which
+# _walk makes the scalar calls
 TABLE_PATH_GENERATORS = {
     "pcg64": rng,
     "pcg64-spare": lambda seed: _with_spare(rng(seed), int(rng(seed + 10).integers(2**32))),
