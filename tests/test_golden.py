@@ -196,6 +196,12 @@ WALK = {
         _explicit_spec(theta_graph()), "wrw", "u", 2000, 23,
         "c0c99058d7acbb78bc14b5951433c06f21e3c078d6ef935b36a565cd2fa512e6",
     ),
+    # resistances 1 to 4 over 10,000 steps, which cross several blocks of
+    # raw words with float draws pending
+    "corridor_k4_wrw": (
+        CORRIDOR_K4, "wrw", "0", 10000, 35,
+        "2f25a6bb13d787d4e82f444fc22479cd65be64a1b69728159a1dd04fe889c1ca",
+    ),
 }
 
 # erase of a sampled Z^2 walk: (graph spec, horizon, seed, output file sha256)
