@@ -70,8 +70,6 @@ def find_corridors(g: ExplicitGraph) -> list:
     if not isinstance(g, ExplicitGraph):
         raise UnsupportedGraph("corridor discovery needs an explicit finite graph")
     verts = g.vertices()
-    if not verts:
-        raise UnsupportedStructure("empty graph")
     for v in verts:
         if g.degree(v) < 2:
             raise UnsupportedStructure(f"vertex {v!r} has degree < 2")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate
 from operator import itemgetter
 
@@ -31,10 +31,14 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class CursorTrace:
-    """Right/left move record with the head position after each move."""
+    """Right/left move record; ``positions``, built on first use, holds the
+    head position after each move: the running count of rights minus lefts."""
 
     moves: str
-    positions: tuple
+
+    @cached_property
+    def positions(self) -> tuple:
+        return tuple(accumulate(1 if m == "R" else -1 for m in self.moves))
 
 
 @dataclass(frozen=True)
@@ -48,11 +52,9 @@ def erase_backtracks(seq) -> ErasureResult:
     """The cursor algorithm's surviving sequence and full move trace.  The
     entries up to the head always form the erasure stack and the entries
     after it an unread suffix of the input, so one stack pass gives the
-    output and the moves, and the head position is the running count of
-    rights minus lefts."""
+    output and the moves, and the head positions follow from the moves."""
     stack, moves = _erase_stack(seq)
-    positions = tuple(accumulate(1 if m == "R" else -1 for m in moves))
-    return ErasureResult(tuple(stack), CursorTrace("".join(moves), positions), len(moves) + 1)
+    return ErasureResult(tuple(stack), CursorTrace("".join(moves)), len(moves) + 1)
 
 
 def _erase_stack(seq):

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InsufficientData, InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
 from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
-from .walkers import _BLOCK, _decode_words, _hand_back, _move_table, _require_kind_graph, _table_walk, _walk
+from .walkers import _move_table, _require_kind_graph, _table_walk, _walk
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -188,7 +188,7 @@ def monte_carlo(
     if table is None:
         run = partial(_replica, kind, graph, start, horizon)
     else:
-        run = partial(_wrw_table_run if kind is WalkKind.WRW else _table_run, table, horizon)
+        run = partial(_table_run, table, horizon)
     rows = tuple(run(np.random.default_rng(replica_seed(master_seed, i))) for i in range(replicas))
     if config is None:
         config = {
@@ -219,67 +219,12 @@ def _table_run(table, horizon, rng) -> WalkStatistics:
         return WalkStatistics(0, 0, None, 0.0)
     returns, last, done = 0, None, 0
     for block in _table_walk(table, horizon, rng):
-        hits = np.flatnonzero(home[block])
+        hits = np.flatnonzero(home[np.fromiter(block, np.intp, len(block))])
         if len(hits):
             returns += len(hits)
             last = done + int(hits[-1]) + 1
         done += len(block)
     return WalkStatistics(horizon, returns, last, 0.0 if home[block[-1]] else 1.0)
-
-
-def _wrw_table_run(table, horizon, rng) -> WalkStatistics:
-    """A weighted walk through a ``walkers._move_table`` table on a PCG64
-    generator, with the draws of ``wrw_step``: raw words are read
-    ``_BLOCK`` at a time and decoded by ``_decode_words``, and a plain loop
-    takes a half per integer draw, keeping the spare across steps, and a
-    whole word per float draw, which only a resistance above 1 makes.
-    The spare half is read from the generator's state at the start, and
-    ``_hand_back`` leaves the generator in the scalar calls' end state."""
-    first, rows, _, home = table
-    if not horizon:
-        return WalkStatistics(0, 0, None, 0.0)
-    k = len(first)
-    bg = rng.bit_generator
-
-    def block(head):
-        # a new block headed by the last word an integer draw took
-        words = np.concatenate((head, bg.random_raw(_BLOCK)))
-        return (words, 1, len(words), 0, *_decode_words(words, k))
-
-    state = bg.state
-    has = state["has_uint32"]
-    # words[i] is the next word and words[hj] the last one an integer draw
-    # took, whose high half is the spare, held as numpy does even when used
-    words, i, n, hj, lo, hi, u = block(np.array([state["uinteger"] << 32], dtype=np.uint64))
-    home = home.tolist()
-    returns, last = 0, None
-    row = first
-    # integers(1) draws nothing
-    skip = 0 if k == 1 else -1
-    for t in range(1, horizon + 1):
-        d = skip
-        # until a half is accepted; -1 is a half that Lemire's method rejects
-        while d < 0:
-            if has:
-                has, d = 0, hi[hj]
-            else:
-                if i == n:
-                    words, i, n, hj, lo, hi, u = block(words[hj : hj + 1])
-                d, hj, has = lo[i], i, 1
-                i += 1
-        s, bounced, r = row[d]
-        if r > 1:
-            if i == n:
-                words, i, n, hj, lo, hi, u = block(words[hj : hj + 1])
-            if not u[i] * r < 1.0:
-                s = bounced
-            i += 1
-        row = rows[s]
-        if home[s]:
-            returns += 1
-            last = t
-    _hand_back(bg, n - i, has, int(words[hj]) >> 32)
-    return WalkStatistics(horizon, returns, last, 0.0 if home[s] else 1.0)
 
 
 def _tree_run(kind, tree, horizon, rng) -> WalkStatistics:

@@ -310,6 +310,11 @@ class _Trusted:
 _BLOCK = 1 << 12
 
 
+def _on_pcg64(rng) -> bool:
+    """Whether ``rng`` draws from PCG64, whose raw words this module reads."""
+    return type(getattr(rng, "bit_generator", None)) is np.random.PCG64
+
+
 def _walk(kind, graph, start, n: int, rng):
     """Yield the vertices at steps 1..n of one walk from ``start``, each
     step drawn by the sampler for ``kind``.  The first non-backtracking
@@ -327,7 +332,7 @@ def _walk(kind, graph, start, n: int, rng):
     if not mg:
         graph.neighbors(start)
         graph = _Trusted(graph)
-    if type(getattr(rng, "bit_generator", None)) is np.random.PCG64:
+    if _on_pcg64(rng):
         rng = draws = _Draws(rng, min(n // 2 + 1, _BLOCK))
     else:
         draws = None
@@ -424,11 +429,15 @@ def _move_table(kind, graph, start, budget: int):
 
 
 def _table_walk(table, n: int, rng):
-    """Yield the states at steps 1..n of a srw or nbrw ``_move_table`` walk
-    in lists: the first step by a scalar ``rng.integers(k)``, then blocks
-    of up to ``_BLOCK`` steps by bulk draws, which numpy makes as the
-    scalar calls would, leaving the generator in the same state."""
+    """Yield the states at steps 1..n of a ``_move_table`` walk in lists:
+    the first step by a scalar ``rng.integers(k)``, then blocks of up to
+    ``_BLOCK`` steps by bulk draws, which numpy makes as the scalar calls
+    would, leaving the generator in the same state.  A wrw table, whose
+    entries are tuples, goes to ``_wrw_table_walk`` (PCG64 only)."""
     first, rows = table[:2]
+    if isinstance(first[0], tuple):
+        yield from _wrw_table_walk(first, rows, n, rng.bit_generator)
+        return
     s = first[int(rng.integers(len(first)))]
     yield [s]
     for done in range(1, n, _BLOCK):
@@ -436,19 +445,69 @@ def _table_walk(table, n: int, rng):
         yield [s := rows[s][d] for d in draws]
 
 
+def _wrw_table_walk(first, rows, n: int, bg):
+    """Yield the states at steps 1..n of a wrw ``_move_table`` walk in
+    lists of up to ``_BLOCK``, with the draws of ``wrw_step`` on the PCG64
+    bit generator ``bg``: raw words are read ``_BLOCK`` at a time and
+    decoded by ``_decode_words``, and a plain loop takes a half per integer
+    draw, keeping the spare across steps, and a whole word per float draw,
+    which only a resistance above 1 makes.  The spare half is read from
+    the generator's state at the start, and ``_hand_back`` leaves the
+    generator in the scalar calls' end state once the walk is exhausted."""
+    k = len(first)
+
+    def block(head):
+        # a new block headed by the last word an integer draw took
+        words = np.concatenate((head, bg.random_raw(_BLOCK)))
+        return (words, 1, len(words), 0, *_decode_words(words, k))
+
+    state = bg.state
+    has = state["has_uint32"]
+    # words[i] is the next word and words[hj] the last one an integer draw
+    # took, whose high half is the spare, held as numpy does even when used
+    words, i, m, hj, lo, hi, u = block(np.array([state["uinteger"] << 32], dtype=np.uint64))
+    row = first
+    # integers(1) draws nothing
+    skip = 0 if k == 1 else -1
+    for done in range(0, n, _BLOCK):
+        states = []
+        for _ in range(min(_BLOCK, n - done)):
+            d = skip
+            # until a half is accepted; -1 is a half that Lemire's method rejects
+            while d < 0:
+                if has:
+                    has, d = 0, hi[hj]
+                else:
+                    if i == m:
+                        words, i, m, hj, lo, hi, u = block(words[hj : hj + 1])
+                    d, hj, has = lo[i], i, 1
+                    i += 1
+            s, bounced, r = row[d]
+            if r > 1:
+                if i == m:
+                    words, i, m, hj, lo, hi, u = block(words[hj : hj + 1])
+                if not u[i] * r < 1.0:
+                    s = bounced
+                i += 1
+            row = rows[s]
+            states.append(s)
+        yield states
+    _hand_back(bg, m - i, has, int(words[hj]) >> 32)
+
+
 def sample_path(kind, graph, start, n: int, rng) -> tuple:
     """Length-(n+1) vertex sequence started at ``start``; each step drawn
     from the kernel for ``kind``.  The first non-backtracking step uses
     the uniform rule.  Where ``_on_lattice_kernel`` holds, the path is
-    drawn in bulk by ``_lattice_offsets``, and srw or nbrw reads it off
-    ``_table_walk`` where ``_move_table`` builds a table within n // 8
-    entries, a small share of the walk's cost, with the scalar samplers'
-    draws and end state.  A 0-step path is ``(start,)``, start unchecked."""
+    drawn in bulk by ``_lattice_offsets``, and it is read off ``_table_walk``
+    where ``_move_table`` builds a table within n // 8 entries (for wrw,
+    on PCG64 only), with the scalar samplers' draws and end state.  A
+    0-step path is ``(start,)``, start unchecked."""
     if not is_int(n) or n < 0:
         raise InvalidInput("path length must be a nonnegative integer")
     kind, n = WalkKind(kind), int(n)
     if not n or not _on_lattice_kernel(kind, graph, start):
-        table = None if kind is WalkKind.WRW else _move_table(kind, graph, start, n // 8)
+        table = _move_table(kind, graph, start, n // 8) if kind is not WalkKind.WRW or _on_pcg64(rng) else None
         if table is None:
             return (start, *_walk(kind, graph, start, n, rng))
         vertex = table[2]

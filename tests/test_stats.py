@@ -34,9 +34,8 @@ from nbwalk import (
 )
 from nbwalk import stats, walkers
 from nbwalk.graph import WeightedMultigraph
-from nbwalk.stats import _BLOCK, _CHUNK, _generic_replica, _lattice_run, _replica, _table_run, _tree_run, replica_seed
-from nbwalk.stats import _wrw_table_run
-from nbwalk.walkers import WalkKind, _decode_words, _move_table
+from nbwalk.stats import _CHUNK, _generic_replica, _lattice_run, _replica, _table_run, _tree_run, replica_seed
+from nbwalk.walkers import _BLOCK, WalkKind, _decode_words, _move_table
 
 from helpers import (
     complete_bipartite,
@@ -379,7 +378,7 @@ def test_wrw_table_run_equals_the_generic_stepper_and_the_scalar_reference(name,
     g, start = WRW_TABLE_CASES[name]
     horizons = WRW_HORIZONS
     if block:
-        monkeypatch.setattr("nbwalk.stats._BLOCK", block)
+        monkeypatch.setattr("nbwalk.walkers._BLOCK", block)
         horizons = range(40)
     table = _move_table(WalkKind.WRW, g, start, 10**9)
     assert table is not None
@@ -389,7 +388,7 @@ def test_wrw_table_run_equals_the_generic_stepper_and_the_scalar_reference(name,
     for h in horizons:
         for seed, make in enumerate(starts):
             fast, slow, ref = make(seed), make(seed), make(seed)
-            row = _wrw_table_run(table, h, fast)
+            row = _table_run(table, h, fast)
             assert row == _generic_replica(WalkKind.WRW, g, start, h, slow), (h, seed)
             assert row == return_statistics(chain((start,), walk_reference("wrw", g, start, h, ref)), start, g)
             assert fast.bit_generator.state == slow.bit_generator.state == ref.bit_generator.state, (h, seed)

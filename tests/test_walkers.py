@@ -44,7 +44,7 @@ from nbwalk.walkers import _BLOCK, _CHUNK, _Draws, _walk
 
 from helpers import k4, rng, subdivided_starts, theta_graph, walk_reference
 from test_golden import CUBIC10
-from test_stats import _with_spare
+from test_stats import WRW_TABLE_CASES, _with_spare
 
 
 def theta_multigraph():
@@ -631,6 +631,9 @@ def _table_path_cases():
              for kind in ("srw", "nbrw")}
     # both vertices of the contracted theta graph have multigraph degree 3
     cases["theta-edge-nbrw"] = ("nbrw", theta_multigraph(), "u")
+    # resistances 1 to 4, parallel edges, self-loops, and degree 5
+    for name in ("corridor-k4", "theta", "two-loops", "five-parallel"):
+        cases[f"{name}-wrw"] = ("wrw", *WRW_TABLE_CASES[name])
     return cases
 
 
@@ -677,7 +680,8 @@ def test_table_path_equals_the_generic_stepper(name, block, monkeypatch):
             fast, ref = make(n), make(n)
             calls.clear()
             path = sample_path(kind, g, start, n, fast)
-            assert calls == [(n // 8, True)], (n, gen)
+            # a wrw walk reads its table only on PCG64
+            assert calls == ([] if kind == "wrw" and gen == "mt19937" else [(n // 8, True)]), (n, gen)
             assert path == (start, *_walk(kind, g, start, n, ref)), (n, gen)
             np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
             assert fast.integers(2**32, size=3).tolist() == ref.integers(2**32, size=3).tolist(), (n, gen)
@@ -707,8 +711,8 @@ def test_sample_path_takes_the_generic_stepper_without_a_table(monkeypatch):
         ("nbrw", counterexample_graph(), "v", 5000, [(625, False)]),
         # K2's srw draws integers(1), which draws nothing
         ("srw", from_adjacency({0: [1], 1: [0]}), 0, 5000, [(625, True)]),
-        # wrw, lattices and trees call no table
-        ("wrw", mg, mg.default_start(), 5000, []),
+        # a wrw walk on a regular multigraph reads a table; lattices and trees get none
+        ("wrw", mg, mg.default_start(), 5000, [(625, True)]),
         ("srw", subdivided_lattice(2, 2), (1, 0), 5000, [(625, False)]),
         ("srw", regular_tree(3), (0,), 5000, [(625, False)]),
     ]
@@ -738,9 +742,11 @@ def _k2():
         ("nbrw", _k2, 0, NoLegalMove, "step 2: vertex 1 has degree 1, only move is back"),
         ("nbrw", counterexample_graph, "nowhere", InvalidParameter, "unknown vertex 'nowhere'"),
         ("srw", k4, [0], TypeError, "unhashable type: 'list'"),
+        ("wrw", theta_multigraph, "nowhere", InvalidParameter, "unknown vertex 'nowhere'"),
+        ("wrw", k4, 0, InvalidInput, "wrw needs a weighted multigraph"),
     ],
     ids=["srw-start", "nbrw-start", "edge-nbrw-start", "srw-multigraph", "srw-multigraph-start", "k2-nbrw",
-         "counterexample-start", "unhashable-start"],
+         "counterexample-start", "unhashable-start", "wrw-start", "wrw-plain-graph"],
 )
 @pytest.mark.parametrize("n", [30, 5000])
 def test_sample_path_refuses_as_the_generic_stepper(kind, graph, start, error, message, n):
