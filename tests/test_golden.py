@@ -125,6 +125,13 @@ DIAGNOSE = {
         "9d4a0766bdbe60a59a75d3015f3d6139a29a4430208095cbf47885dd78c9b8da",
         "b755a9057633dab65aaec83a943639e8a7b1245732b1203cb8e31f87400298f3",
     ),
+    # every resistance of the contraction is 1, so its wrw draws are srw's
+    # on CUBIC10 whatever the rule for resistances above 1
+    "cubic10_wrw": (
+        CUBIC10, "wrw", "0", 20000, 3, 51,
+        "a2a215b2ce41978ad18028af6fcb5aeda80dff5cc6b84236e496902c47cc8f1a",
+        "bb9d8faa0bbc3e4b8093bbc55a4ba03770a94a9cfa7b2d37333321ea62cdd14e",
+    ),
     # the generic stepper, which no move table or kernel serves: below the
     # tree's root, as the benchmark's tree3_below_root job runs it, on a
     # graph whose degrees differ, and on the subdivided lattice with t = 2

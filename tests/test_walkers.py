@@ -687,6 +687,41 @@ def test_table_path_equals_the_generic_stepper(name, block, monkeypatch):
             assert fast.integers(2**32, size=3).tolist() == ref.integers(2**32, size=3).tolist(), (n, gen)
 
 
+def _two_k4s():
+    """Two K4s joined by the edges 0-4 and 1-5: degrees 3 and 4."""
+    adjacency = {v: [w for w in range(8) if w != v and w // 4 == v // 4] for v in range(8)}
+    for a, b in ((0, 4), (1, 5)):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return from_adjacency(adjacency)
+
+
+@pytest.mark.parametrize("gen", ["pcg64", "mt19937"])
+@pytest.mark.parametrize("name", ["k4", "cubic10", "two-k4s"])
+def test_contraction_without_corridors_is_the_identity_pathwise(name, gen):
+    # every vertex has degree 3 or more, so every vertex is an anchor and
+    # every resistance is 1: srw on g is wrw on contract(g) draw for draw,
+    # and vertex nbrw on g is edge nbrw on contract(g)
+    g = {"k4": k4, "cubic10": lambda: graph_from_spec(json.loads(CUBIC10)), "two-k4s": _two_k4s}[name]()
+    mg, _ = contract(g)
+    assert mg.vertices() == g.vertices() and {e.resistance for e in mg.edges()} == {1}
+    make = TABLE_PATH_GENERATORS[gen]
+
+    def stepped(kind, graph, start, n, rng):
+        return (start, *_walk(kind, graph, start, n, rng))
+
+    for plain, weighted in (("srw", "wrw"), ("nbrw", "nbrw")):
+        for n in (1, 50, 5000):
+            a, b = make(n), make(n)
+            # at 5,000 steps sample_path reads a move table on the regular
+            # graphs; _walk steps the samplers.  Each generator runs both
+            # walks, so the second starts with the spare half the first left
+            for walk in (sample_path, stepped):
+                assert walk(plain, g, 0, n, a) == walk(weighted, mg, 0, n, b), (plain, n)
+                np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+            assert a.integers(2**32, size=3).tolist() == b.integers(2**32, size=3).tolist(), (plain, n)
+
+
 def test_sample_path_takes_the_generic_stepper_without_a_table(monkeypatch):
     calls = _recording_move_table(monkeypatch)
     stepped = []
