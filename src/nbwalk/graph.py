@@ -367,7 +367,8 @@ class MultiEdge:
 class WeightedMultigraph:
     """Finite multigraph with positive integer edge resistances; parallel
     edges and self-loops are allowed.  A loop contributes two half-edges
-    at its vertex and therefore counts twice in the multigraph degree."""
+    at its vertex and therefore counts twice in the multigraph degree.
+    ``resistance_lcm`` is the lcm of the resistances, 1 with no edges."""
 
     def __init__(self, vertices: Iterable, edges: Sequence):
         verts = [canon_key(v) for v in vertices]
@@ -389,6 +390,7 @@ class WeightedMultigraph:
                 raise MalformedGraph("resistance must be a positive integer")
             cooked.append(MultiEdge(a, b, int(r), eid))
         self._edges = tuple(cooked)
+        self.resistance_lcm = math.lcm(*(e.resistance for e in cooked))
         self._verts = tuple(sorted(vset, key=sort_token))
         half: dict = {v: [] for v in self._verts}
         for e in cooked:

@@ -1,5 +1,6 @@
 """Transition kernels, samplers, and the exact finite-horizon enumeration
-oracle for the three walk types.
+oracle for the four walk kinds: simple, non-backtracking on vertices and
+on multigraph edges, and weighted.
 
 The simple walk picks a uniform neighbor.  The non-backtracking walk
 picks a uniform neighbor other than the one it just left (its first step,
@@ -15,11 +16,13 @@ exactly the law of a plain walk on the uncontracted graph observed at
 anchor visits, which is what the contraction equivalence tests check.
 Conditioned on crossing, the edge choice is proportional to conductance.
 
-Samplers draw integers from a caller-supplied ``numpy.random.Generator``,
-and ``wrw_step`` one float as well; the enumeration oracle uses exact rationals.
-On a finite graph whose vertices all have one degree, ``_move_table``
-tabulates a sampler's move under each draw, so that ``stats.monte_carlo``
-and ``sample_path`` run walks without calling the sampler per step.
+Every sampler makes one bounded integer draw per step from a
+caller-supplied ``numpy.random.Generator``; the weighted walk's draw
+picks the half-edge and the crossing at once.  The enumeration oracle
+uses exact rationals.  On a finite graph whose vertices all have one
+degree, ``_move_table`` tabulates a sampler's move under each draw, so
+that ``stats.monte_carlo`` and ``sample_path`` run walks without calling
+the sampler per step.
 """
 
 from __future__ import annotations
@@ -183,16 +186,28 @@ def nbrw_step_edge(mg: WeightedMultigraph, arrival: HalfEdgeState, rng) -> HalfE
     return HalfEdgeState(eid, 1 - end)
 
 
+# the largest bound that numpy draws from one 32-bit half, as _Draws does
+_MAX_DRAW_BOUND = 1 << 32
+
+
 def wrw_step(mg: WeightedMultigraph, current, rng) -> WrwMove:
     """Weighted-walk step: pick a half-edge at ``current`` uniformly, then
     cross it with probability equal to its conductance (1/resistance),
-    otherwise stay put and report the bounce."""
+    otherwise stay put and report the bounce.  One draw d below
+    ``mdegree * L``, L the lcm of the resistances, makes both choices:
+    the half-edge is ``d // L``, and an edge of resistance r is crossed
+    when ``(d % L) * r < L``, for exactly L / r of its L draws.  A bound
+    above 2**32, past numpy's 32-bit rule, is refused before any draw."""
     half = mg.half_edges(current)
     if not half:
         raise NoLegalMove(f"vertex {current!r} is isolated")
-    eid, end = half[int(rng.integers(len(half)))]
-    r = mg.edge(eid).resistance
-    if r == 1 or rng.random() * r < 1.0:
+    lcm = mg.resistance_lcm
+    bound = len(half) * lcm
+    if bound > _MAX_DRAW_BOUND:
+        raise LimitExceeded(f"wrw draw bound {bound} at {current!r} exceeds the budget 2**32")
+    i, rest = divmod(int(rng.integers(bound)), lcm)
+    eid, end = half[i]
+    if rest * mg.edge(eid).resistance < lcm:
         return WrwMove(eid, 1 - end, False)
     return WrwMove(eid, end, True)
 
@@ -216,15 +231,14 @@ def _require_kind_graph(kind: WalkKind, graph):
 
 class _Draws:
     """The scalar draws of a PCG64 ``numpy.random.Generator``, made from its
-    raw 64-bit outputs read ``block`` at a time.  ``integers(k)`` and
-    ``random()`` return what ``rng.integers(k)`` and ``rng.random()`` would,
-    by numpy's rule: ``integers`` takes 32-bit halves, low half first, and
-    keeps the spare high half across calls, ``random()`` included; it maps
-    a half x to ``x * k >> 32`` and draws again while the low 32 bits of
-    ``x * k`` fall below ``2**32 % k`` (Lemire's method), and draws
-    nothing when k is 1.  ``random()`` takes a whole word w as
-    ``(w >> 11) * 2**-53``.  ``close()`` leaves the generator in the state
-    those scalar calls would have left; until then it is ahead of it."""
+    raw 64-bit outputs read ``block`` at a time.  ``integers(k)``, for k
+    up to 2**32, returns what ``rng.integers(k)`` would, by numpy's rule:
+    it takes 32-bit halves, low half first, and keeps the spare high half
+    across calls; it maps a half x to ``x * k >> 32`` and draws again while
+    the low 32 bits of ``x * k`` fall below ``2**32 % k`` (Lemire's
+    method), and draws nothing when k is 1.  ``close()`` leaves the
+    generator in the state those scalar calls would have left; until then
+    it is ahead of it."""
 
     def __init__(self, rng, block: int):
         self._bg = rng.bit_generator
@@ -260,37 +274,16 @@ class _Draws:
             if low >= k or low >= 0x100000000 % k:
                 return m >> 32
 
-    def random(self) -> float:
-        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
-
     def close(self):
-        _hand_back(self._bg, len(self._words) - self._used, self._has, self._spare)
-
-
-def _hand_back(bg, unread: int, has, spare):
-    """Put the PCG64 bit generator ``bg`` where scalar draws would leave
-    it: back over the ``unread`` raw words read ahead, with the spare half
-    flag ``has`` and the half ``spare``."""
-    # PCG64 has period 2**128, and advance() takes any delta below it
-    bg.advance(-unread % (1 << 128))
-    # advance() clears the spare half; numpy keeps the last one even
-    # when it is used up, so both fields are put back
-    state = bg.state
-    state["has_uint32"] = has
-    state["uinteger"] = spare
-    bg.state = state
-
-
-def _decode_words(words, k: int):
-    """``_Draws``'s rule on an array of raw words, with numpy: the draw of
-    ``integers(k)`` from each word's low half and from its high half, -1
-    where Lemire's method rejects the half, and each word read as
-    ``random()``."""
-    halves = []
-    for x in (words & 0xFFFFFFFF, words >> 32):
-        m = x * k
-        halves.append(np.where((m & 0xFFFFFFFF) < (1 << 32) % k, -1, (m >> 32).view(np.int64)).tolist())
-    return (*halves, ((words >> 11) * (1.0 / 9007199254740992.0)).tolist())
+        # back over the raw words read ahead; PCG64 has period 2**128, and
+        # advance() takes any delta below it
+        self._bg.advance(-(len(self._words) - self._used) % (1 << 128))
+        # advance() clears the spare half; numpy keeps the last one even
+        # when it is used up, so both fields are put back
+        state = self._bg.state
+        state["has_uint32"] = self._has
+        state["uinteger"] = self._spare
+        self._bg.state = state
 
 
 class _Trusted:
@@ -310,11 +303,6 @@ class _Trusted:
 _BLOCK = 1 << 12
 
 
-def _on_pcg64(rng) -> bool:
-    """Whether ``rng`` draws from PCG64, whose raw words this module reads."""
-    return type(getattr(rng, "bit_generator", None)) is np.random.PCG64
-
-
 def _walk(kind, graph, start, n: int, rng):
     """Yield the vertices at steps 1..n of one walk from ``start``, each
     step drawn by the sampler for ``kind``.  The first non-backtracking
@@ -332,7 +320,7 @@ def _walk(kind, graph, start, n: int, rng):
     if not mg:
         graph.neighbors(start)
         graph = _Trusted(graph)
-    if _on_pcg64(rng):
+    if type(getattr(rng, "bit_generator", None)) is np.random.PCG64:
         rng = draws = _Draws(rng, min(n // 2 + 1, _BLOCK))
     else:
         draws = None
@@ -367,33 +355,23 @@ def _walk(kind, graph, start, n: int, rng):
 
 
 class _Fixed(int):
-    """A generator stand-in whose every integer draw is itself and whose
-    every float draw is ``u``: under 0.0 a weighted step crosses, under
-    1.0 it bounces wherever the resistance is above 1."""
-
-    def __new__(cls, d, u=0.0):
-        self = super().__new__(cls, d)
-        self.u = u
-        return self
+    """A generator stand-in whose every draw is itself."""
 
     def integers(self, k):
         return self
-
-    def random(self):
-        return self.u
 
 
 def _move_table(kind, graph, start, budget: int):
     """The moves of a walk from ``start`` on a finite graph where every
     state has the same draw bound, as ``(first, rows, vertex, home)`` over
     numbered states: draw d takes the first step to ``first[d]`` and state
-    s to ``rows[s][d]``; s sits at ``vertex[s]``, which ``home[s]`` says
-    is ``start``.  Each entry is the sampler's move on draw d: a state for
-    srw and nbrw, and for wrw ``(crossed, bounced, resistance)``, the
-    states after a float draw of 0.0 and of 1.0.  Refuses a kind and
-    graph that do not match, as ``_walk`` does; then None, with ``start``
-    not looked up, on a lattice or a tree, on a graph whose degrees
-    differ, for a bound below 1 and for more than ``budget`` entries."""
+    s to ``rows[s][d]``, the state the sampler moves to on draw d; s sits
+    at ``vertex[s]``, which ``home[s]`` says is ``start``.  The bound is
+    the degree for srw, one less for nbrw after its first step, and
+    ``mdegree * L`` for wrw.  Refuses a kind and graph that do not match,
+    as ``_walk`` does; then None, with ``start`` not looked up, on a
+    lattice or a tree, on a graph whose degrees differ, for a bound below
+    1 and for more than ``budget`` entries."""
     mg = _require_kind_graph(kind, graph)
     if not (mg or isinstance(graph, ExplicitGraph)):
         return None
@@ -401,13 +379,17 @@ def _move_table(kind, graph, start, budget: int):
     vertices = graph.vertices()
     k = degree(vertices[0])
     nbrw = kind is WalkKind.NBRW
-    bound = k - 1 if nbrw else k
+    # the first step's bound; nbrw's later steps exclude the arriving half-edge
+    width = k * graph.resistance_lcm if kind is WalkKind.WRW else k
+    bound = k - 1 if nbrw else width
     # a state is a vertex for srw and wrw and a dart, one per half-edge, for nbrw
     if bound < 1 or len(vertices) * (k if nbrw else 1) * bound > budget or any(degree(v) != k for v in vertices):
         return None
     if not nbrw:
         states = vertex = vertices
-        step, first = partial(wrw_step if mg else srw_step, graph), start
+        # a wrw move leaves the walker at its half-edge's end head_end
+        step = (lambda v, rng: graph.endpoint(*wrw_step(graph, v, rng)[:2])) if mg else partial(srw_step, graph)
+        first = start
     elif mg:
         states = [HalfEdgeState(e.edge_id, end) for e in graph.edges() for end in (0, 1)]
         vertex, step, first = [graph.endpoint(*s) for s in states], partial(nbrw_step_edge, graph), (None, start)
@@ -415,16 +397,8 @@ def _move_table(kind, graph, start, budget: int):
         states = [(v, w) for v in vertices for w in graph.neighbors(v)]
         vertex, step, first = [w for _, w in states], lambda s, rng: (s[1], nbrw_step(graph, *s, rng)), (None, start)
     index = {s: i for i, s in enumerate(states)}
-
-    def move(s, d):
-        if kind is not WalkKind.WRW:
-            return index[step(s, _Fixed(d))]
-        crossed, bounced = (step(s, _Fixed(d, u)) for u in (0.0, 1.0))
-        ends = (index[graph.endpoint(m.edge_id, m.head_end)] for m in (crossed, bounced))
-        return (*ends, graph.edge(crossed.edge_id).resistance)
-
-    first_row = [move(first, d) for d in range(k)]
-    rows = [[move(s, d) for d in range(bound)] for s in states]
+    first_row = [index[step(first, _Fixed(d))] for d in range(width)]
+    rows = [[index[step(s, _Fixed(d))] for d in range(bound)] for s in states]
     return first_row, rows, vertex, np.array([v == start for v in vertex])
 
 
@@ -432,12 +406,9 @@ def _table_walk(table, n: int, rng):
     """Yield the states at steps 1..n of a ``_move_table`` walk in lists:
     the first step by a scalar ``rng.integers(k)``, then blocks of up to
     ``_BLOCK`` steps by bulk draws, which numpy makes as the scalar calls
-    would, leaving the generator in the same state.  A wrw table, whose
-    entries are tuples, goes to ``_wrw_table_walk`` (PCG64 only)."""
+    would, leaving the generator in the same state.  This is the one table
+    loop for every walk kind, on any bit generator."""
     first, rows = table[:2]
-    if isinstance(first[0], tuple):
-        yield from _wrw_table_walk(first, rows, n, rng.bit_generator)
-        return
     s = first[int(rng.integers(len(first)))]
     yield [s]
     for done in range(1, n, _BLOCK):
@@ -445,69 +416,19 @@ def _table_walk(table, n: int, rng):
         yield [s := rows[s][d] for d in draws]
 
 
-def _wrw_table_walk(first, rows, n: int, bg):
-    """Yield the states at steps 1..n of a wrw ``_move_table`` walk in
-    lists of up to ``_BLOCK``, with the draws of ``wrw_step`` on the PCG64
-    bit generator ``bg``: raw words are read ``_BLOCK`` at a time and
-    decoded by ``_decode_words``, and a plain loop takes a half per integer
-    draw, keeping the spare across steps, and a whole word per float draw,
-    which only a resistance above 1 makes.  The spare half is read from
-    the generator's state at the start, and ``_hand_back`` leaves the
-    generator in the scalar calls' end state once the walk is exhausted."""
-    k = len(first)
-
-    def block(head):
-        # a new block headed by the last word an integer draw took
-        words = np.concatenate((head, bg.random_raw(_BLOCK)))
-        return (words, 1, len(words), 0, *_decode_words(words, k))
-
-    state = bg.state
-    has = state["has_uint32"]
-    # words[i] is the next word and words[hj] the last one an integer draw
-    # took, whose high half is the spare, held as numpy does even when used
-    words, i, m, hj, lo, hi, u = block(np.array([state["uinteger"] << 32], dtype=np.uint64))
-    row = first
-    # integers(1) draws nothing
-    skip = 0 if k == 1 else -1
-    for done in range(0, n, _BLOCK):
-        states = []
-        for _ in range(min(_BLOCK, n - done)):
-            d = skip
-            # until a half is accepted; -1 is a half that Lemire's method rejects
-            while d < 0:
-                if has:
-                    has, d = 0, hi[hj]
-                else:
-                    if i == m:
-                        words, i, m, hj, lo, hi, u = block(words[hj : hj + 1])
-                    d, hj, has = lo[i], i, 1
-                    i += 1
-            s, bounced, r = row[d]
-            if r > 1:
-                if i == m:
-                    words, i, m, hj, lo, hi, u = block(words[hj : hj + 1])
-                if not u[i] * r < 1.0:
-                    s = bounced
-                i += 1
-            row = rows[s]
-            states.append(s)
-        yield states
-    _hand_back(bg, m - i, has, int(words[hj]) >> 32)
-
-
 def sample_path(kind, graph, start, n: int, rng) -> tuple:
     """Length-(n+1) vertex sequence started at ``start``; each step drawn
     from the kernel for ``kind``.  The first non-backtracking step uses
     the uniform rule.  Where ``_on_lattice_kernel`` holds, the path is
     drawn in bulk by ``_lattice_offsets``, and it is read off ``_table_walk``
-    where ``_move_table`` builds a table within n // 8 entries (for wrw,
-    on PCG64 only), with the scalar samplers' draws and end state.  A
-    0-step path is ``(start,)``, start unchecked."""
+    where ``_move_table`` builds a table within n // 8 entries, with the
+    scalar samplers' draws and end state.  A 0-step path is ``(start,)``,
+    start unchecked."""
     if not is_int(n) or n < 0:
         raise InvalidInput("path length must be a nonnegative integer")
     kind, n = WalkKind(kind), int(n)
     if not n or not _on_lattice_kernel(kind, graph, start):
-        table = _move_table(kind, graph, start, n // 8) if kind is not WalkKind.WRW or _on_pcg64(rng) else None
+        table = _move_table(kind, graph, start, n // 8)
         if table is None:
             return (start, *_walk(kind, graph, start, n, rng))
         vertex = table[2]

@@ -393,6 +393,25 @@ def test_exact_law_over_the_state_budget_exits_1_without_files(tmp_path, capsys,
     assert run(argv + ["--out", str(tmp_path / "law")]) == 0
 
 
+def test_wrw_over_the_draw_budget_exits_1_without_files(tmp_path, capsys):
+    # u and w joined by corridors of 1 to 23 edges: a wrw draw bound of 23 * lcm(1..23), above 2**32
+    adjacency = {"u": ["w"], "w": ["u"]}
+    for length in range(2, 24):
+        path = ["u", *(f"c{length}_{i}" for i in range(length - 1)), "w"]
+        for a, b in zip(path, path[1:]):
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+    spec = json.dumps({"type": "explicit", "adjacency": adjacency})
+    common = ["--graph", spec, "--walk", "wrw", "--start", "u"]
+    for argv in (["walk", *common, "--horizon", "5000", "--seed", "1", "--out", str(tmp_path / "tokens")],
+                 ["diagnose", *common, "--horizon", "5", "--replicas", "2", "--seed", "1", "--out", str(tmp_path / "r")]):
+        assert run(argv) == 1
+        assert "exceeds the budget 2**32" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+    # the exact law takes the same multigraph
+    assert run(["enumerate", *common, "--m", "1"]) == 0
+
+
 @pytest.mark.parametrize("source", ["file", "stdin"])
 @pytest.mark.parametrize(
     "text, message", [("a ( b", "'('"), ("a " + "1" * 5000, "5000 digits is too long")], ids=["paren", "long-integer"]

@@ -116,14 +116,14 @@ DIAGNOSE = {
     ),
     "theta_wrw": (
         _explicit_spec(theta_graph()), "wrw", "u", 2000, 8, 17,
-        "5faa8ac9f7585c7f77a8d02d64c533129fac1612c1513711ef324e5487f357d4",
-        "53aa93699949d7850ebe2fc400d2b81842200795d4667ab5f38c6fe8c894e9a8",
+        "90342f6f7f5f017d8dce602c9e750de1c24e4c4cd5d4a13ef12693761cf5933c",
+        "c7810262e6c4bfe617e8c37634c7dff97048825f2f36511baff8f7e9924be70d",
     ),
-    # 20,000 steps read several blocks of raw words per replica
+    # 20,000 steps cross several move-table blocks per replica
     "corridor_k4_wrw": (
         CORRIDOR_K4, "wrw", "0", 20000, 3, 41,
-        "9d4a0766bdbe60a59a75d3015f3d6139a29a4430208095cbf47885dd78c9b8da",
-        "b755a9057633dab65aaec83a943639e8a7b1245732b1203cb8e31f87400298f3",
+        "cfdb460ca89ea1a1554acb2e7e5cc8e58403ea2e63c9a08dcf1d334835c9c389",
+        "f4669e47325eff04b8a6a55bf910306b4a728e0a9f831cd0ef18b418b5636390",
     ),
     # every resistance of the contraction is 1, so its wrw draws are srw's
     # on CUBIC10 whatever the rule for resistances above 1
@@ -201,13 +201,12 @@ WALK = {
     ),
     "theta_wrw": (
         _explicit_spec(theta_graph()), "wrw", "u", 2000, 23,
-        "c0c99058d7acbb78bc14b5951433c06f21e3c078d6ef935b36a565cd2fa512e6",
+        "3d01d70389f4a8f28b3f3f7e63da5747d1753fb322cc185541ab65b4aa69f2d4",
     ),
-    # resistances 1 to 4 over 10,000 steps, which cross several blocks of
-    # raw words with float draws pending
+    # resistances 1 to 4 over 10,000 steps, which cross two move-table blocks
     "corridor_k4_wrw": (
         CORRIDOR_K4, "wrw", "0", 10000, 35,
-        "2f25a6bb13d787d4e82f444fc22479cd65be64a1b69728159a1dd04fe889c1ca",
+        "f22567452284fb254f132fa143bf0cae3ca30898c9fe02e5867167edfa06e7e0",
     ),
 }
 
@@ -232,7 +231,7 @@ EDGE_NBRW_CSV = "5ec0d021f3305d65963e3e604c86895596f22f933fb062ee4e15fd96b32dd22
 # so that no move table serves it: three parallel edges u-w of resistances
 # 1, 2 and 3, and a loop at w of resistance 3
 UNEVEN_CSV = {
-    "wrw": (48, "12f7abb30278c3fbbb2c9f406fba2d23206f31cea43988dc8f20bf1daaeb5f7a"),
+    "wrw": (48, "86b7b5949ab7f1036fe6907f834ae313c9e3739261d69d6ab0f16a315e62c1f9"),
     "nbrw": (49, "3ee7c938256202d110d12ac6317d9fe2de4669dfedeb63cd88ed611a5036ad88"),
 }
 

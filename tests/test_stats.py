@@ -35,7 +35,7 @@ from nbwalk import (
 from nbwalk import stats, walkers
 from nbwalk.graph import WeightedMultigraph
 from nbwalk.stats import _CHUNK, _generic_replica, _lattice_run, _replica, _table_run, _tree_run, replica_seed
-from nbwalk.walkers import _BLOCK, WalkKind, _decode_words, _move_table
+from nbwalk.walkers import _BLOCK, WalkKind, _move_table
 
 from helpers import (
     complete_bipartite,
@@ -336,24 +336,25 @@ def _wrw_table_cases():
     corridor_k4, _ = contract(graph_from_spec(json.loads(CORRIDOR_K4)))
     theta, _ = contract(theta_graph())
     loops, _ = contract(two_loop_graph())
+    # the draw bound mdegree * L, L the lcm of the resistances, is given for each
     return {
-        # resistances 1 to 4, every anchor of multigraph degree 3
+        # resistances 1 to 4, every anchor of multigraph degree 3: bound 36
         "corridor-k4": (corridor_k4, 0),
-        # parallel edges of resistances 1, 2 and 3
+        # parallel edges of resistances 1, 2 and 3: bound 18
         "theta": (theta, "u"),
-        # one vertex with two self-loops of resistance 3
+        # one vertex with two self-loops of resistance 3: bound 12
         "two-loops": (loops, "v"),
-        # degree 1, where integers(1) draws nothing, with and without floats
+        # degree 1: bound 1, where integers(1) draws nothing, and bound 3
         "one-edge-r1": (WeightedMultigraph("ab", [("a", "b", 1)]), "a"),
         "two-edges-r3-r1": (WeightedMultigraph("abcd", [("a", "b", 3), ("c", "d", 1)]), "a"),
-        # degree 5, whose Lemire threshold 2**32 % 5 is 1
+        # degree 5: bound 300, whose Lemire threshold 2**32 % 300 is 96
         "five-parallel": (WeightedMultigraph("ab", [("a", "b", r) for r in (1, 2, 3, 4, 5)]), "b"),
     }
 
 
 WRW_TABLE_CASES = _wrw_table_cases()
-# short walks, then walks that cross one, two and many block seams: a
-# step reads one or two halves and a whole word when it meets a resistance above 1
+# short walks, then walks that cross one, two and many block seams; a
+# step reads one half, or two when Lemire's method rejects the first
 WRW_HORIZONS = (0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK)
 
 
@@ -365,9 +366,9 @@ def _with_spare(gen, spare):
     return gen
 
 
-# each case at the default block, then at blocks of 1, 2 and 3 raw words,
-# where every short walk meets block seams at both of the run's refills,
-# with and without a spare half pending
+# each case at the default block, then at blocks of 1, 2 and 3, raw words
+# for the stepper and steps for the table, where every short walk meets
+# block seams, with and without a spare half pending
 WRW_BLOCKS = [pytest.param(name, None, id=name) for name in sorted(WRW_TABLE_CASES)] + [
     pytest.param(name, block, id=f"{name}-block{block}") for block in (1, 2, 3) for name in sorted(WRW_TABLE_CASES)
 ]
@@ -383,7 +384,7 @@ def test_wrw_table_run_equals_the_generic_stepper_and_the_scalar_reference(name,
     table = _move_table(WalkKind.WRW, g, start, 10**9)
     assert table is not None
     # a fresh generator, one whose spare half was left by an earlier draw,
-    # and one whose spare half 0 Lemire's method rejects for k = 3 and 5
+    # and one whose spare half 0 Lemire's method rejects for every bound above 1
     starts = [lambda s: rng(s), lambda s: _with_spare(rng(s), int(rng(s + 10).integers(2**32))), lambda s: _with_spare(rng(s), 0)]
     for h in horizons:
         for seed, make in enumerate(starts):
@@ -394,45 +395,6 @@ def test_wrw_table_run_equals_the_generic_stepper_and_the_scalar_reference(name,
             assert fast.bit_generator.state == slow.bit_generator.state == ref.bit_generator.state, (h, seed)
             # and the draws after the walk agree
             assert fast.integers(7, size=5).tolist() == ref.integers(7, size=5).tolist()
-
-
-@pytest.mark.parametrize("k", [2, 3, 5, 6, 7, 12, 1000, 2**31 + 1])
-def test_decode_words_rejects_the_halves_that_numpy_rejects(k):
-    # the ends, and x next to multiples of 2**32 / k, where the low 32 bits
-    # of x * k are smallest and fall below 2**32 % k if any x's do
-    threshold = 2**32 % k
-    xs = sorted(x for x in {0, 1, 2**32 - 1, *((j << 32) // k + e for j in range(1, 4) for e in (-1, 0, 1))} if x < 2**32)
-    # each x as a low half beside an accepted high half, and as a high half
-    words = np.array([x | (1 << 32) for x in xs] + [x << 32 | 1 for x in xs], dtype=np.uint64)
-    lo, hi, _ = _decode_words(words, k)
-    rejected = 0
-    for x, a, b in zip(xs, lo, hi[len(xs):]):
-        want = -1 if (x * k) % 2**32 < threshold else (x * k) >> 32
-        assert a == b == want, (x, a, b)
-        rejected += want < 0
-        # numpy's own draw from x as the spare half reads a new word when it rejects x
-        gen = _with_spare(rng(0), x)
-        before = gen.bit_generator.state["state"]
-        got = int(gen.integers(k))
-        assert (gen.bit_generator.state["state"] != before) == (want < 0)
-        if want >= 0:
-            assert got == want
-    # a rejection is among the cases wherever one can happen
-    assert rejected or not threshold
-
-
-@pytest.mark.parametrize("r", [2, 3, 4])
-def test_decode_words_crossing_threshold_at_its_float_boundary(r):
-    # u = m * 2**-53 crosses when u * r < 1.0 in float64; m0 is the first m
-    # that does not, and the 11 low bits of a word never count
-    m0 = next(m for m in range(2**53 // r - 2, 2**53 // r + 3) if m * 2.0**-53 * r >= 1.0)
-    ms = [0, 1, m0 - 2, m0 - 1, m0, m0 + 1, 2**53 - 1]
-    words = np.array([m << 11 | low for m in ms for low in (0, 0x7FF)], dtype=np.uint64)
-    _, _, u = _decode_words(words, 3)
-    want = [m < m0 for m in ms for _ in (0, 1)]
-    assert [x * r < 1.0 for x in u] == want
-    # the scalar rule of walkers._Draws.random() and wrw_step
-    assert want == [(int(w) >> 11) * (1.0 / 9007199254740992.0) * r < 1.0 for w in words]
 
 
 def test_monte_carlo_takes_the_move_table_on_regular_graphs_only(monkeypatch):
@@ -450,13 +412,13 @@ def test_monte_carlo_takes_the_move_table_on_regular_graphs_only(monkeypatch):
     monkeypatch.setattr(stats, "_generic_replica", counting(_generic_replica, "generic"))
     theta, _ = contract(theta_graph())
     # the table's sampler calls: the first row's k, then states x bound,
-    # whatever the replica count; wrw calls its sampler twice per entry,
-    # once to cross and once to bounce
+    # whatever the replica count; wrw's k and bound are mdegree * L, here
+    # 3 * lcm(1, 2, 3) = 18
     table_cases = [
         ("srw", k4(), 0, "srw_step", 3 + 4 * 3),
         ("nbrw", k4(), 0, "nbrw_step", 3 + 12 * 2),
         ("nbrw", theta, "u", "nbrw_step_edge", 3 + 6 * 2),
-        ("wrw", theta, "u", "wrw_step", 2 * (3 + 2 * 3)),
+        ("wrw", theta, "u", "wrw_step", 18 + 2 * 18),
     ]
     for kind, g, start, sampler, size in table_cases:
         for replicas in (1, 7):

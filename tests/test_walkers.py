@@ -2,7 +2,9 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -42,8 +44,8 @@ from nbwalk.stats import _generic_replica, _replica, return_statistics
 from nbwalk import walkers
 from nbwalk.walkers import _BLOCK, _CHUNK, _Draws, _walk
 
-from helpers import k4, rng, subdivided_starts, theta_graph, walk_reference
-from test_golden import CUBIC10
+from helpers import k4, rng, subdivided_starts, theta_graph, two_loop_graph, walk_reference
+from test_golden import CORRIDOR_K4, CUBIC10
 from test_stats import WRW_TABLE_CASES, _with_spare
 
 
@@ -183,6 +185,91 @@ def test_wrw_step_sampling_matches_law():
         f = counts[mv] / n
         se = math.sqrt(float(p) * (1 - float(p)) / n)
         assert abs(f - float(p)) < 4 * se + 1e-9
+
+
+def _exact_sampler_graphs():
+    corridor_k4, _ = contract(graph_from_spec(json.loads(CORRIDOR_K4)))
+    loops, _ = contract(two_loop_graph())
+    return {
+        "k4": k4(),
+        "cubic10": graph_from_spec(json.loads(CUBIC10)),
+        "counterexample": counterexample_graph(),
+        # resistances 1 to 4: L = 12
+        "corridor-k4": corridor_k4,
+        # K4 with resistances 1, 2, 3, 4, 5 and 7: L = 420
+        "k4-l420": WeightedMultigraph(range(4), [(0, 1, 1), (0, 2, 3), (0, 3, 4), (1, 2, 5), (1, 3, 7), (2, 3, 2)]),
+        # degrees 3 and 5: parallel edges of resistances 1, 2 and 3, and a loop of resistance 3
+        "uneven": WeightedMultigraph("uw", [("u", "w", 1), ("u", "w", 2), ("u", "w", 3), ("w", "w", 3)]),
+        # one vertex with two self-loops of resistance 3
+        "two-loops": loops,
+    }
+
+
+EXACT_SAMPLER_GRAPHS = _exact_sampler_graphs()
+
+
+def _samplers(g):
+    """``(kind, state, sampler, bound)`` for every state of each kind that
+    runs on ``g``: the sampler takes the generator, and its draw is below
+    the bound."""
+    if isinstance(g, WeightedMultigraph):
+        lcm = math.lcm(*(e.resistance for e in g.edges()))
+        assert g.resistance_lcm == lcm
+        for v in g.vertices():
+            yield "wrw", v, partial(wrw_step, g, v), g.mdegree(v) * lcm
+            yield "nbrw", (None, v), partial(nbrw_step_edge, g, (None, v)), g.mdegree(v)
+        for state in (HalfEdgeState(e.edge_id, end) for e in g.edges() for end in (0, 1)):
+            yield "nbrw", state, partial(nbrw_step_edge, g, state), g.mdegree(g.endpoint(*state)) - 1
+    else:
+        for v in g.vertices():
+            yield "srw", v, partial(srw_step, g, v), g.degree(v)
+            yield "nbrw", (None, v), partial(nbrw_step, g, None, v), g.degree(v)
+            for u in g.neighbors(v):
+                yield "nbrw", (u, v), partial(nbrw_step, g, u, v), g.degree(v) - 1
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SAMPLER_GRAPHS))
+def test_each_sampler_over_all_its_draws_is_its_exact_law(name):
+    # every target comes up p * bound times among the draws 0..bound-1
+    g = EXACT_SAMPLER_GRAPHS[name]
+    for kind, state, sampler, bound in _samplers(g):
+        counts = Counter(sampler(walkers._Fixed(d)) for d in range(bound))
+        want = {target: p * bound for p, target, _, _ in walkers._law(kind, g)(g, state)}
+        assert all(c.denominator == 1 for c in want.values()), (kind, state)
+        assert counts == want, (kind, state)
+
+
+def test_wrw_refuses_a_draw_bound_above_2_32_before_any_draw():
+    # parallel edges of resistances 1 to 23: a bound of 23 * lcm(1..23), about 1.2e11
+    mg = WeightedMultigraph("ab", [("a", "b", r) for r in range(1, 24)])
+    message = re.escape(f"wrw draw bound {23 * math.lcm(*range(1, 24))} at 'a' exceeds the budget 2**32")
+    gen = rng(3)
+    before = gen.bit_generator.state
+    with pytest.raises(LimitExceeded, match=message):
+        wrw_step(mg, "a", gen)
+    assert gen.bit_generator.state == before
+    # sample_path on PCG64, through _Draws, and on MT19937, through the scalar calls
+    for make in (TABLE_PATH_GENERATORS["pcg64"], TABLE_PATH_GENERATORS["mt19937"]):
+        for n in (1, 30, 5000):
+            gen = make(n)
+            before = gen.bit_generator.state
+            with pytest.raises(LimitExceeded, match=message):
+                sample_path("wrw", mg, "a", n, gen)
+            np.testing.assert_equal(gen.bit_generator.state, before)
+    # the exact law takes it: a crossing and a bounce per edge but the first
+    law = step_distribution("wrw", mg, "a")
+    assert len(law) == 45 and sum(law.values()) == 1
+    # a bound of 2**32 is drawn, from a 32-bit half whole, and one of 2**32 + 2 is not
+    for r, refused in ((2**31, False), (2**31 + 1, True)):
+        mg = WeightedMultigraph("ab", [("a", "b", 1), ("a", "b", r)])
+        for make in TABLE_PATH_GENERATORS.values():
+            fast, ref = make(r), make(r)
+            if refused:
+                with pytest.raises(LimitExceeded, match=re.escape(f"wrw draw bound {2**32 + 2} at 'a'")):
+                    sample_path("wrw", mg, "a", 200, fast)
+            else:
+                assert sample_path("wrw", mg, "a", 200, fast) == ("a", *walk_reference("wrw", mg, "a", 200, ref))
+            np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
 
 
 def test_sample_path_trivial():
@@ -385,8 +472,9 @@ def test_law_refusals_name_their_cause(call, error, message):
 
 
 def _mixed_calls(seed, n):
-    """n draw requests: small bounds, a bound that rejects about half its
-    draws, random bounds below 2**32 and float draws, interleaved."""
+    """n draw bounds: small ones, one that rejects about half its draws,
+    random ones below 2**32 and 2**32 itself, which takes a half whole,
+    interleaved."""
     pick = random.Random(seed)
     calls = []
     for _ in range(n):
@@ -398,7 +486,7 @@ def _mixed_calls(seed, n):
         elif r < 0.8:
             calls.append(pick.randrange(1, 2**32))
         else:
-            calls.append(None)
+            calls.append(2**32)
     return calls
 
 
@@ -412,10 +500,7 @@ def test_draw_source_equals_generator_scalar_calls():
         # small blocks so that the calls cross many block boundaries
         draws = _Draws(raw, 1 + seed % 9 if seed < 10 else 1000)
         for k in _mixed_calls(seed, 3000):
-            if k is None:
-                assert draws.random() == scalar.random()
-            else:
-                assert draws.integers(k) == scalar.integers(k), (seed, k)
+            assert draws.integers(k) == scalar.integers(k), (seed, k)
         draws.close()
         # the whole state, the spare half and a stale one included
         assert raw.bit_generator.state == scalar.bit_generator.state
@@ -639,7 +724,7 @@ def _table_path_cases():
 
 TABLE_PATH_CASES = _table_path_cases()
 # a fresh PCG64, one with a spare half pending, and an MT19937, on which
-# _walk makes the scalar calls
+# _walk makes the scalar calls and the table its bulk calls
 TABLE_PATH_GENERATORS = {
     "pcg64": rng,
     "pcg64-spare": lambda seed: _with_spare(rng(seed), int(rng(seed + 10).integers(2**32))),
@@ -666,6 +751,8 @@ def _recording_move_table(monkeypatch, budget=None):
 @pytest.mark.parametrize("name", sorted(TABLE_PATH_CASES))
 def test_table_path_equals_the_generic_stepper(name, block, monkeypatch):
     kind, g, start = TABLE_PATH_CASES[name]
+    rows = walkers._move_table(walkers.WalkKind(kind), g, start, 10**9)[1]
+    entries = len(rows) * len(rows[0])
     if block:
         # every short walk meets block seams; the table is built whatever its size
         monkeypatch.setattr(walkers, "_BLOCK", block)
@@ -680,8 +767,8 @@ def test_table_path_equals_the_generic_stepper(name, block, monkeypatch):
             fast, ref = make(n), make(n)
             calls.clear()
             path = sample_path(kind, g, start, n, fast)
-            # a wrw walk reads its table only on PCG64
-            assert calls == ([] if kind == "wrw" and gen == "mt19937" else [(n // 8, True)]), (n, gen)
+            # every kind reads its table on every generator, once it fits
+            assert calls == [(n // 8, entries <= (10**9 if block else n // 8))], (n, gen)
             assert path == (start, *_walk(kind, g, start, n, ref)), (n, gen)
             np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
             assert fast.integers(2**32, size=3).tolist() == ref.integers(2**32, size=3).tolist(), (n, gen)
