@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InsufficientData, InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
 from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
-from .walkers import _move_table, _require_kind_graph, _table_walk, _walk
+from .walkers import _move_table, _require_kind_graph, _table_walk, _tree_counts, _walk
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -267,6 +267,11 @@ def _tree_run(kind, tree, horizon, rng) -> WalkStatistics:
 
 
 def _generic_replica(kind, graph, start, horizon, rng) -> WalkStatistics:
+    """A walk that no table or array kernel serves; on a tree, one started
+    below the root, by ``walkers._tree_counts``."""
+    if isinstance(graph, BiregularTree):
+        returns, last, depth = _tree_counts(kind, graph, start, horizon, rng)
+        return WalkStatistics(horizon, returns, last, float(depth))
     return return_statistics(chain((start,), _walk(kind, graph, start, horizon, rng)), start, graph)
 
 

@@ -218,7 +218,8 @@ def _check_start(graph, start):
     return start
 
 
-def _require_kind_graph(kind: WalkKind, graph):
+def _require_kind_graph(kind, graph):
+    kind = WalkKind(kind)
     mg = isinstance(graph, WeightedMultigraph)
     if mg and kind is WalkKind.SRW:
         raise InvalidInput("srw runs on a plain graph, not a multigraph")
@@ -303,16 +304,26 @@ class _Trusted:
 _BLOCK = 1 << 12
 
 
+def _draw_source(rng, n: int):
+    """``(source, close)`` for an n-step walk: a ``_Draws`` on a PCG64
+    generator and its ``close``, which leaves the generator in the scalar
+    calls' state, or ``rng`` itself and a no-op on any other."""
+    if type(getattr(rng, "bit_generator", None)) is not np.random.PCG64:
+        return rng, lambda: None
+    draws = _Draws(rng, min(n // 2 + 1, _BLOCK))
+    return draws, draws.close
+
+
 def _walk(kind, graph, start, n: int, rng):
     """Yield the vertices at steps 1..n of one walk from ``start``, each
     step drawn by the sampler for ``kind``.  The first non-backtracking
     step has no history and uses the uniform rule.
 
     The start is the only key checked; later steps look up neighbors
-    without a check.  On a PCG64 generator the draws come from ``_Draws``,
-    and the generator reaches the state the scalar calls would leave when
-    the walk ends, is closed or raises; do not draw from ``rng`` while the
-    walk is open."""
+    without a check.  On a PCG64 generator the draws come from
+    ``_draw_source``, and the generator reaches the state the scalar
+    calls would leave when the walk ends, is closed or raises; do not draw
+    from ``rng`` while the walk is open."""
     kind = WalkKind(kind)
     mg = _require_kind_graph(kind, graph)
     if n < 1:
@@ -320,10 +331,7 @@ def _walk(kind, graph, start, n: int, rng):
     if not mg:
         graph.neighbors(start)
         graph = _Trusted(graph)
-    if type(getattr(rng, "bit_generator", None)) is np.random.PCG64:
-        rng = draws = _Draws(rng, min(n // 2 + 1, _BLOCK))
-    else:
-        draws = None
+    rng, close = _draw_source(rng, n)
     i = 0
     try:
         if kind is WalkKind.SRW:
@@ -350,8 +358,56 @@ def _walk(kind, graph, start, n: int, rng):
     except NoLegalMove as exc:
         raise NoLegalMove(f"step {i}: {exc}") from None
     finally:
-        if draws is not None:
-            draws.close()
+        close()
+
+
+def _tree_counts(kind, tree, start, n: int, rng):
+    """``(returns, last, depth)`` of an n-step srw or nbrw walk on a
+    ``BiregularTree`` from the vertex ``start``: the steps 1..n at
+    ``start``, the last of them (None if none) and the end depth.  The
+    draws and the generator's end state are ``_walk``'s, but no key is
+    built, so a step costs O(1) at any depth.  The walk keeps its depth,
+    ``shared``, the number of leading branch indices its key shares with
+    ``start``, and for nbrw ``came``, the neighbor index of the vertex it
+    just left; it is at ``start`` when depth and ``shared`` are both
+    ``len(start)``.  In neighbor order (parent first, then children),
+    draw d takes the root to child d and any other vertex up for d = 0
+    and to child d - 1 otherwise.  nbrw never steps back, so it goes up
+    only along ``start``'s ancestors."""
+    nbrw = WalkKind(kind) is WalkKind.NBRW
+    home = depth = shared = len(start)
+    # the draw bound: k1 at even depths, the root included, k2 at odd ones
+    bounds = (tree.k1, tree.k2)
+    came = None
+    returns, last = 0, None
+    source, close = _draw_source(rng, n)
+    integers = source.integers
+    try:
+        for i in range(1, n + 1):
+            if came is None:
+                d = integers(bounds[depth & 1])
+            else:
+                d = integers(bounds[depth & 1] - 1)
+                d += d >= came
+            if depth and not d:
+                depth -= 1
+                if shared > depth:
+                    shared = depth
+                if nbrw:
+                    # the child left is start's ancestor, after the parent unless at the root
+                    came = start[depth] + (depth > 0)
+            else:
+                if shared == depth < home and d - (depth > 0) == start[depth]:
+                    shared += 1
+                depth += 1
+                if nbrw:
+                    came = 0
+            if depth == shared == home:
+                returns += 1
+                last = i
+    finally:
+        close()
+    return returns, last, depth
 
 
 class _Fixed(int):
@@ -372,6 +428,7 @@ def _move_table(kind, graph, start, budget: int):
     as ``_walk`` does; then None, with ``start`` not looked up, on a
     lattice or a tree, on a graph whose degrees differ, for a bound below
     1 and for more than ``budget`` entries."""
+    kind = WalkKind(kind)
     mg = _require_kind_graph(kind, graph)
     if not (mg or isinstance(graph, ExplicitGraph)):
         return None

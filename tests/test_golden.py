@@ -132,9 +132,10 @@ DIAGNOSE = {
         "a2a215b2ce41978ad18028af6fcb5aeda80dff5cc6b84236e496902c47cc8f1a",
         "bb9d8faa0bbc3e4b8093bbc55a4ba03770a94a9cfa7b2d37333321ea62cdd14e",
     ),
-    # the generic stepper, which no move table or kernel serves: below the
-    # tree's root, as the benchmark's tree3_below_root job runs it, on a
-    # graph whose degrees differ, and on the subdivided lattice with t = 2
+    # walks that no move table or array kernel serves: below the tree's
+    # root, as the benchmark's tree3_below_root job runs it, by the tree
+    # walker (walkers._tree_counts), and by the generic stepper on a graph
+    # whose degrees differ and on the subdivided lattice with t = 2
     "tree3_srw_below_root": (
         TREE3, "srw", "(0)", 2000, 2, 43,
         "96542172a3ef91717e4cd9ed73c032acbdf53aac932c982919de0a5bdb113169",

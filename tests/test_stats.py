@@ -253,16 +253,67 @@ def test_subdivided_lattice_replica_at_full_chunks_equals_generic(kind, d, t):
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
-@pytest.mark.parametrize(
+# every tree shape: k = 2, regular, and biregular with k2 = 2 and k2 > 2
+ON_TREES = pytest.mark.parametrize(
     "tree",
     [regular_tree(2), regular_tree(3), regular_tree(5), biregular_tree(3, 2), biregular_tree(4, 3), biregular_tree(7, 2)],
     ids=["k2", "k3", "k5", "k3-2", "k4-3", "k7-2"],
 )
+
+
+@ON_TREES
 def test_tree_run_equals_depth_loop_reference(tree):
     for kind in (WalkKind.SRW, WalkKind.NBRW):
         for h in HORIZONS:
             for seed in range(3):
                 assert _tree_run(kind, tree, h, rng(seed)) == tree_run_reference(kind, tree, h, rng(seed)), (kind, h)
+
+
+def _tree_starts(tree):
+    """The root and one key at each depth 1..6, off the first branch."""
+    limits = (tree.k1, *[tree.k2 - 1 if j % 2 else tree.k1 - 1 for j in range(1, 6)])
+    key = tuple((2 * j + 1) % limit for j, limit in enumerate(limits))
+    return [key[:depth] for depth in range(7)]
+
+
+@ON_TREES
+def test_tree_walk_below_the_root_equals_the_scalar_reference(tree):
+    # _generic_replica sends every tree walk to walkers._tree_counts, which
+    # counts depth and the start's shared prefix where the reference builds
+    # root-path keys; on PCG64 it draws through _Draws, whose block size
+    # depends on n, on MT19937 by scalar calls.  The reference makes scalar
+    # calls, so one walk of the longest horizon, with the generator's state
+    # taken after each horizon's last step, serves every horizon
+    horizons = (0, 1, 2, 1023, 1024, 1025)
+    generators = {"pcg64": rng, "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed))}
+    for start in _tree_starts(tree):
+        for kind in (WalkKind.SRW, WalkKind.NBRW):
+            for gen, make in generators.items():
+                ref = make(len(start))
+                path, states = [start], {0: ref.bit_generator.state}
+                for v in walk_reference(kind, tree, start, horizons[-1], ref):
+                    path.append(v)
+                    if len(path) - 1 in horizons:
+                        states[len(path) - 1] = ref.bit_generator.state
+                for n in horizons:
+                    want = return_statistics(path[: n + 1], start, tree)
+                    for as_given in (kind, kind.value):
+                        fast = make(len(start))
+                        assert _generic_replica(as_given, tree, start, n, fast) == want, (start, as_given, gen, n)
+                        np.testing.assert_equal(fast.bit_generator.state, states[n])
+
+
+def test_long_tree_walk_below_the_root_equals_the_scalar_reference():
+    # across many blocks of raw words; on the 2-regular tree the walk stays
+    # shallow, so the reference's O(depth) keys stay cheap, and it comes
+    # back to its start often
+    tree = regular_tree(2)
+    start = _tree_starts(tree)[3]
+    fast, ref = rng(11), rng(11)
+    want = return_statistics((start, *walk_reference("srw", tree, start, 20_000, ref)), start, tree)
+    assert want.returns_to_origin > 10
+    assert _generic_replica("srw", tree, start, 20_000, fast) == want
+    np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
 
 
 def test_sampled_path_and_generic_replica_make_the_same_draws():

@@ -320,6 +320,23 @@ def test_kind_graph_mismatch():
         sample_path("srw", mg, "u", 2, rng(0))
 
 
+def test_private_kind_checks_read_a_string_kind_as_its_walk_kind():
+    mg = theta_multigraph()
+    for kind in ("srw", walkers.WalkKind.SRW):
+        with pytest.raises(InvalidInput, match="srw runs on a plain graph"):
+            walkers._require_kind_graph(kind, mg)
+    with pytest.raises(InvalidInput, match="wrw needs a weighted multigraph"):
+        walkers._require_kind_graph("wrw", k4())
+    # nbrw's first step draws below the degree 3, its later steps below 2
+    for kind in ("nbrw", walkers.WalkKind.NBRW):
+        first, rows = walkers._move_table(kind, k4(), 0, 10**6)[:2]
+        assert len(first) == 3 and {len(row) for row in rows} == {2}
+    # wrw draws below mdegree * lcm(1..5) = 5 * 60
+    five_parallel = WRW_TABLE_CASES["five-parallel"][0]
+    for kind in ("wrw", walkers.WalkKind.WRW):
+        assert len(walkers._move_table(kind, five_parallel, "b", 10**9)[0]) == 300
+
+
 def test_nbrw_paths_backtrack_free():
     g = k4()
     t = regular_tree(3)
@@ -532,8 +549,9 @@ def _reference_cases():
 
 @pytest.mark.parametrize("kind, g, start", _reference_cases())
 def test_walk_equals_scalar_reference(kind, g, start):
-    # tree keys are root paths, which the reference checks on every step,
-    # so on trees it costs O(depth) a step and stops at 1025 steps; the
+    # tree keys are root paths, which sample_path builds and the reference
+    # checks on every step, so on trees both cost O(depth) a step and stop
+    # at 1025 steps (_generic_replica's tree walker builds no key); the
     # longest walk reads a few blocks of raw words
     horizons = (0, 1, 1023, 1024, 1025)
     if not isinstance(g, BiregularTree):
