@@ -62,13 +62,11 @@ from .birthdeath import (
     chain_move_law,
     escape_probability,
     is_transient,
-    simulate_chain,
 )
 from .contraction import (
     ContractionMap,
     Corridor,
     InducedWalk,
-    check_biregular_shape,
     contract,
     find_corridors,
     induced_prefix_distribution,
@@ -76,11 +74,9 @@ from .contraction import (
 )
 from .stats import (
     ExperimentReport,
-    FrequencyEstimate,
     WalkStatistics,
     lattice_return_counts,
     monte_carlo,
-    move_frequency,
     replica_seed,
     return_statistics,
     total_variation,

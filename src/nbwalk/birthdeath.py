@@ -113,26 +113,6 @@ def escape_probability(spec: BirthDeathSpec) -> Fraction:
     return 1 / series
 
 
-def simulate_chain(spec: BirthDeathSpec, n: int, rng) -> list:
-    """Trajectory of n moves from 0, reflecting at 0.  Uses float draws;
-    exact answers come from the rational routines."""
-    if not is_int(n) or n < 0:
-        raise InvalidParameter("step count must be a nonnegative integer")
-    n = int(n)
-    s = len(spec.prefix)
-    length = len(spec.period)
-    # position 0 reads 1.0, above every draw, so it reflects
-    head = [1.0, *map(float, spec.prefix)]
-    period = [float(p) for p in spec.period]
-    out = [0]
-    pos = 0
-    for u in rng.random(n).tolist():
-        p = head[pos] if pos <= s else period[pos % length]
-        pos = pos + 1 if u < p else pos - 1
-        out.append(pos)
-    return out
-
-
 def chain_move_law(spec: BirthDeathSpec, moves: int) -> dict:
     """Exact distribution of the first ``moves`` right/left symbols of
     the chain, as a map from strings like ``"RRLR"`` to rationals."""

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,7 @@ def _add_graph_flags(p, start=True, walk=False):
         p.add_argument("--walk", required=True, choices=[k.value for k in WalkKind])
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nbwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)

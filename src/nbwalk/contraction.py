@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import InvalidInput, UnsupportedGraph, UnsupportedStructure, is_degree_pair
+from .errors import InvalidInput, UnsupportedGraph, UnsupportedStructure
 from .graph import ExplicitGraph, WeightedMultigraph, sort_token
 from .walkers import PrefixDistribution, WalkKind, _branches, _check_horizon, _propagate
 
@@ -175,19 +175,6 @@ def induced_walk(path, cmap: ContractionMap) -> InducedWalk:
             verts.append(x)
             corridor = None
     return InducedWalk(tuple(verts), tuple(travs))
-
-
-def check_biregular_shape(mg: WeightedMultigraph, k1: int, k2: int) -> bool:
-    """Alternating two-degree test on a multigraph: every vertex has
-    multigraph degree k1 or k2 and every edge joins the two degree
-    classes.  Self-loops fail, as both their ends are in one class; so
-    does k1 <= k2."""
-    if not is_degree_pair(k1, k2):
-        return False
-    deg = {v: mg.mdegree(v) for v in mg.vertices()}
-    if any(d not in (k1, k2) for d in deg.values()):
-        return False
-    return all({deg[e.a], deg[e.b]} == {k1, k2} for e in mg.edges())
 
 
 def _anchor_step_law(g: ExplicitGraph, cmap: ContractionMap, v) -> tuple:

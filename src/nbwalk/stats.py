@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidInput, InvalidParameter, is_int
+from .errors import InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
 from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
-from .walkers import _move_table, _require_kind_graph, _table_walk, _tree_counts, _walk
+from .walkers import _move_table, _pack, _require_kind_graph, _table_walk, _tree_counts, _unpack, _walk
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -78,39 +78,6 @@ def return_statistics(path, origin, graph=None) -> WalkStatistics:
     else:
         disp = float(graph.displacement(end, origin))
     return WalkStatistics(steps, returns, last, disp)
-
-
-class FrequencyEstimate(NamedTuple):
-    right_fraction: float
-    std_error: float
-    moves: int
-
-
-def move_frequency(traces, phase: Optional[int] = None) -> FrequencyEstimate:
-    """Empirical right-move probability over cursor traces, counting only
-    moves made at positions >= 1 (moves at 0 are forced) and optionally
-    only at positions of the given parity.  The error is binomial."""
-    if phase is not None and not (is_int(phase) and phase in (0, 1)):
-        raise InvalidParameter(f"phase must be None, 0 or 1, got {phase!r}")
-    rights = 0
-    total = 0
-    for tr in traces:
-        pos = 0
-        for mv, after in zip(tr.moves, tr.positions):
-            made_at = pos
-            pos = after
-            if made_at < 1:
-                continue
-            if phase is not None and made_at % 2 != phase:
-                continue
-            total += 1
-            if mv == "R":
-                rights += 1
-    if total == 0:
-        raise InsufficientData("no moves at qualifying positions")
-    f = rights / total
-    se = math.sqrt(f * (1.0 - f) / total)
-    return FrequencyEstimate(f, se, total)
 
 
 @dataclass(frozen=True)
@@ -276,25 +243,29 @@ def _generic_replica(kind, graph, start, horizon, rng) -> WalkStatistics:
 
 
 def _lattice_run(kind, lat, start, horizon, rng):
-    """Chunked lattice walk resolved with array operations: each chunk's
-    per-axis offsets come from ``walkers._lattice_offsets``, and origin
-    hits are the steps where every axis sits on its target."""
+    """Chunked lattice walk resolved with array operations: each chunk is
+    one array of ``walkers._pack``ed offsets from ``walkers._lattice_offsets``,
+    and origin hits are the steps whose packed offset is the packed
+    target, found by one compare.  A chunk of m steps stays within m of
+    its start on every axis, so a farther target, which could alias a
+    packed offset, has no hit and is not compared.  Only each chunk's last
+    offset is unpacked, to move the carry."""
     d = lat.d
     origin = lat.coordinates(start)
-    carry = list(origin)
+    carry = origin
     returns = 0
     last = None
     done = 0
-    for offsets in _lattice_offsets(kind, lat, horizon, rng):
+    for packed in _lattice_offsets(kind, lat, horizon, rng):
+        m = len(packed)
         target = [o - c for o, c in zip(origin, carry)]
-        hits = np.flatnonzero(offsets[0] == target[0])
-        for a in range(1, d):
-            hits = hits[offsets[a][hits] == target[a]]
-        if len(hits):
-            returns += len(hits)
-            last = done + int(hits[-1]) + 1
-        carry = [c + int(off[-1]) for c, off in zip(carry, offsets)]
-        done += len(offsets[0])
+        if max(map(abs, target)) <= m:
+            hits = np.flatnonzero(packed == _pack(target))
+            if len(hits):
+                returns += len(hits)
+                last = done + int(hits[-1]) + 1
+        carry = [c + off for c, off in zip(carry, _unpack(int(packed[-1]), d))]
+        done += m
     disp = math.sqrt(sum((c - o) ** 2 for c, o in zip(carry, origin)))
     return returns, last, disp
 
@@ -305,7 +276,9 @@ def lattice_return_counts(kind, d, horizons, replicas, master_seed) -> dict:
     run; replica i's walk to h is the start of its walk to any longer
     horizon, since ``_lattice_offsets`` makes the same draws for any split
     of a bulk call, so the counts pair across horizons on the same path, a
-    low-variance growth diagnostic.  The cost is the sum of the horizons,
+    low-variance growth diagnostic.  Each walk runs on ``_lattice_run``'s
+    packed kernel, one gather and one cumsum per chunk of at most
+    ``_CHUNK`` steps for any d.  The cost is the sum of the horizons,
     not the largest: 1% more than one run for ``[10**4, 10**6]``."""
     kind = WalkKind(kind)
     if kind not in (WalkKind.SRW, WalkKind.NBRW):

@@ -492,9 +492,9 @@ def sample_path(kind, graph, start, n: int, rng) -> tuple:
         return (start, *[vertex[s] for block in _table_walk(table, n, rng) for s in block])
     path = [start]
     carry = graph.coordinates(start)
-    for offsets in _lattice_offsets(kind, graph, n, rng):
+    for packed in _lattice_offsets(kind, graph, n, rng):
         columns = []
-        for c, off in zip(carry, offsets):
+        for c, off in zip(carry, _unpack(packed, graph.d)):
             lo = int(off.min())
             # one int object per coordinate value, shared by every key
             # that has it, as the scalar walk shares unchanged ones
@@ -522,7 +522,27 @@ def _on_lattice_kernel(kind: WalkKind, graph, start) -> bool:
 
 
 # steps per chunk of the array kernels
-_CHUNK = 1 << 15
+_CHUNK = 1 << 13
+# a packed lattice offset counts _RADIX ** a per step along axis a.  Each
+# axis of a chunk's offsets is at most _CHUNK < _RADIX / 2 in size, so the
+# packing is one-to-one, and below 2^63 for d <= 4, the most ``Lattice``
+# allows
+_BITS = 15
+_RADIX = 1 << _BITS
+
+
+def _pack(offsets) -> int:
+    """One int for a lattice offset, below ``_RADIX / 2`` in size on every axis."""
+    return sum(o << _BITS * a for a, o in enumerate(offsets))
+
+
+def _unpack(packed, d: int) -> list:
+    """The d per-axis offsets of a ``_pack`` value, or of an int64 array
+    of them: biased by ``_RADIX / 2`` on every axis, each axis is one
+    base-``_RADIX`` digit."""
+    half = _RADIX >> 1
+    biased = packed + _pack([half] * d)
+    return [(biased >> _BITS * a & _RADIX - 1) - half for a in range(d)]
 
 
 def _nbrw_chain(u, prev):
@@ -548,8 +568,9 @@ def _nbrw_chain(u, prev):
 def _lattice_offsets(kind: WalkKind, lat: Lattice, n: int, rng):
     """Yield an n-step srw or nbrw walk from an anchor of ``lat``, whose
     pitch is at most ``_CHUNK``, in chunks of whole corridors, at most
-    ``_CHUNK`` steps, each chunk as one int32 array per axis of the
-    offsets from the chunk's start.  Direction 2a is
+    ``_CHUNK`` steps, each chunk as one int64 array of the ``_pack``ed
+    offsets from the chunk's start: one gather from a table of
+    ``±_RADIX ** a`` per direction and one cumsum, for any d.  Direction 2a is
     +e_a and 2a + 1 is -e_a, the order of ``Lattice.neighbors``, and the
     draws are those of the scalar samplers: ``integers(2d)`` per simple
     step at an anchor and ``integers(2)`` at a midpoint of pitch 2, whose
@@ -561,8 +582,7 @@ def _lattice_offsets(kind: WalkKind, lat: Lattice, n: int, rng):
     same draws for any split of a bulk call, so the chunks leave no seam."""
     d, pitch = lat.d, lat.pitch
     two_d = 2 * d
-    # row a: the change of axis a under each direction
-    axis_steps = np.kron(np.eye(d, dtype=np.int32), np.array([1, -1], dtype=np.int32))
+    steps = np.array([s << _BITS * a for a in range(d) for s in (1, -1)], dtype=np.int64)
     prev = -1
     chunk = _CHUNK - _CHUNK % pitch
     for done in range(0, n, chunk):
@@ -580,9 +600,9 @@ def _lattice_offsets(kind: WalkKind, lat: Lattice, n: int, rng):
             if len(dirs) > i0:
                 dirs[i0:] = _nbrw_chain(rng.integers(0, two_d - 1, size=len(dirs) - i0), prev)
                 prev = int(dirs[-1])
-            dirs = np.repeat(dirs, pitch)[:m]
-        # offsets are at most m <= _CHUNK = 2^15 in size, so they fit in int32
-        yield [np.cumsum(axis_steps[a][dirs], dtype=np.int32) for a in range(d)]
+            if pitch > 1:
+                dirs = np.repeat(dirs, pitch)[:m]
+        yield np.cumsum(steps[dirs])
 
 
 def step_distribution(kind, graph, state) -> dict:

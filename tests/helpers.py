@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from nbwalk import NoLegalMove, from_adjacency
+from nbwalk import BirthDeathSpec, InsufficientData, InvalidParameter, NoLegalMove, WeightedMultigraph, from_adjacency
+from nbwalk.errors import is_degree_pair, is_int
 from nbwalk.stats import WalkStatistics
 from nbwalk.walkers import (
     WalkKind,
@@ -223,3 +225,69 @@ def propagate_reference(law, start, record, n, extend, view=None):
         y = rec if view is None else view(rec)
         out[y] = out.get(y, 0) + p
     return out
+
+
+class FrequencyEstimate(NamedTuple):
+    right_fraction: float
+    std_error: float
+    moves: int
+
+
+def move_frequency(traces, phase: Optional[int] = None) -> FrequencyEstimate:
+    """Empirical right-move probability over cursor traces, counting only
+    moves made at positions >= 1 (moves at 0 are forced) and optionally
+    only at positions of the given parity.  The error is binomial."""
+    if phase is not None and not (is_int(phase) and phase in (0, 1)):
+        raise InvalidParameter(f"phase must be None, 0 or 1, got {phase!r}")
+    rights = 0
+    total = 0
+    for tr in traces:
+        pos = 0
+        for mv, after in zip(tr.moves, tr.positions):
+            made_at = pos
+            pos = after
+            if made_at < 1:
+                continue
+            if phase is not None and made_at % 2 != phase:
+                continue
+            total += 1
+            if mv == "R":
+                rights += 1
+    if total == 0:
+        raise InsufficientData("no moves at qualifying positions")
+    f = rights / total
+    se = math.sqrt(f * (1.0 - f) / total)
+    return FrequencyEstimate(f, se, total)
+
+
+def simulate_chain(spec: BirthDeathSpec, n: int, rng) -> list:
+    """Trajectory of n moves from 0, reflecting at 0.  Uses float draws;
+    exact answers come from the rational routines."""
+    if not is_int(n) or n < 0:
+        raise InvalidParameter("step count must be a nonnegative integer")
+    n = int(n)
+    s = len(spec.prefix)
+    length = len(spec.period)
+    # position 0 reads 1.0, above every draw, so it reflects
+    head = [1.0, *map(float, spec.prefix)]
+    period = [float(p) for p in spec.period]
+    out = [0]
+    pos = 0
+    for u in rng.random(n).tolist():
+        p = head[pos] if pos <= s else period[pos % length]
+        pos = pos + 1 if u < p else pos - 1
+        out.append(pos)
+    return out
+
+
+def check_biregular_shape(mg: WeightedMultigraph, k1: int, k2: int) -> bool:
+    """Alternating two-degree test on a multigraph: every vertex has
+    multigraph degree k1 or k2 and every edge joins the two degree
+    classes.  Self-loops fail, as both their ends are in one class; so
+    does k1 <= k2."""
+    if not is_degree_pair(k1, k2):
+        return False
+    deg = {v: mg.mdegree(v) for v in mg.vertices()}
+    if any(d not in (k1, k2) for d in deg.values()):
+        return False
+    return all({deg[e.a], deg[e.b]} == {k1, k2} for e in mg.edges())

@@ -9,7 +9,6 @@ from nbwalk import (
     chain_for_biregular,
     chain_for_regular,
     chain_move_law,
-    check_biregular_shape,
     contract,
     counterexample_graph,
     enumerate_move_distribution,
@@ -30,7 +29,7 @@ from nbwalk import (
 )
 from nbwalk.cli import run
 
-from helpers import complete_bipartite, cursor_erase, k4, rng, theta_graph, truncated_escape
+from helpers import check_biregular_shape, complete_bipartite, cursor_erase, k4, rng, theta_graph, truncated_escape
 
 
 def _check_pair(seq):

@@ -12,10 +12,9 @@ from nbwalk import (
     chain_move_law,
     escape_probability,
     is_transient,
-    simulate_chain,
 )
 
-from helpers import rng, truncated_escape
+from helpers import rng, simulate_chain, truncated_escape
 
 
 def test_chain_for_regular_values():

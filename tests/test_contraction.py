@@ -12,7 +12,6 @@ from nbwalk import (
     WeightedMultigraph,
     biregular_tree,
     chain_for_biregular,
-    check_biregular_shape,
     contract,
     counterexample_graph,
     enumerate_prefix_distribution,
@@ -25,7 +24,7 @@ from nbwalk import (
     subdivide,
 )
 
-from helpers import complete_bipartite, cycle, k4, rng, theta_graph, two_loop_graph
+from helpers import check_biregular_shape, complete_bipartite, cycle, k4, rng, theta_graph, two_loop_graph
 
 
 def test_find_corridors_subdivided_k4():

@@ -23,11 +23,9 @@ from nbwalk import (
     lattice,
     lattice_return_counts,
     monte_carlo,
-    move_frequency,
     regular_tree,
     return_statistics,
     sample_path,
-    simulate_chain,
     subdivide,
     subdivided_lattice,
     total_variation,
@@ -35,14 +33,16 @@ from nbwalk import (
 from nbwalk import stats, walkers
 from nbwalk.graph import WeightedMultigraph
 from nbwalk.stats import _CHUNK, _generic_replica, _lattice_run, _replica, _table_run, _tree_run, replica_seed
-from nbwalk.walkers import _BLOCK, WalkKind, _move_table
+from nbwalk.walkers import _BLOCK, _RADIX, WalkKind, _move_table
 
 from helpers import (
     complete_bipartite,
     cycle,
     k4,
     lattice_run_reference,
+    move_frequency,
     rng,
+    simulate_chain,
     subdivided_starts,
     theta_graph,
     tree_run_reference,
@@ -222,6 +222,44 @@ def test_lattice_run_equals_per_step_reference(d):
                 seed = replica_seed(d, h)
                 fast = _lattice_run(kind, g, start, h, rng(seed))
                 assert fast == lattice_run_reference(kind, g, start, h, rng(seed)), (kind, start, h)
+
+
+class StubDraws:
+    """A generator that hands out a fixed list of draws, in order, to
+    scalar and bulk ``integers`` calls alike."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=np.int64)
+        self.used = 0
+
+    def integers(self, low, high=None, size=None):
+        out = self.draws[self.used : self.used + (size or 1)]
+        assert len(out) == (size or 1) and (out < (low if high is None else high)).all()
+        self.used += len(out)
+        return out if size else int(out[0])
+
+
+@pytest.mark.parametrize(
+    "kind, start, draws, expected",
+    [
+        # _RADIX steps of -e_1, then one +e_2: the last chunk's offset
+        # e_2 packs as the target _RADIX * e_1 does, but is no return
+        (WalkKind.SRW, (0, 0), [1] * _RADIX + [2], (0, None, math.hypot(_RADIX, 1))),
+        (WalkKind.NBRW, (0, 0), [1] + [0] * (_RADIX - 1) + [1], (0, None, math.hypot(_RADIX, 1))),
+        # straight full chunks along the top axis of Z^4: out and back,
+        # whose one return is at the far end of the second chunk, and on
+        (WalkKind.SRW, (0, 0, 0, 0), [6] * _CHUNK + [7] * _CHUNK, (1, 2 * _CHUNK, 0.0)),
+        (WalkKind.SRW, (0, 0, 0, 0), [7] * _CHUNK + [6] * _CHUNK, (1, 2 * _CHUNK, 0.0)),
+        (WalkKind.NBRW, (0, 0, 0, -_CHUNK), [6] * (2 * _CHUNK), (0, None, 2.0 * _CHUNK)),
+    ],
+    ids=["srw-alias", "nbrw-alias", "srw-top-up", "srw-top-down", "nbrw-top-up"],
+)
+def test_lattice_run_on_set_draws_equals_per_step_reference(kind, start, draws, expected):
+    g = lattice(len(start))
+    fast, ref = StubDraws(draws), StubDraws(draws)
+    assert _lattice_run(kind, g, start, len(draws), fast) == expected
+    assert lattice_run_reference(kind, g, start, len(draws), ref) == expected
+    assert fast.used == ref.used == len(draws)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])

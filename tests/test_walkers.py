@@ -5,7 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -42,7 +42,7 @@ from nbwalk import (
 )
 from nbwalk.stats import _generic_replica, _replica, return_statistics
 from nbwalk import walkers
-from nbwalk.walkers import _BLOCK, _CHUNK, _Draws, _walk
+from nbwalk.walkers import _BLOCK, _CHUNK, _Draws, _pack, _unpack, _walk
 
 from helpers import k4, rng, subdivided_starts, theta_graph, two_loop_graph, walk_reference
 from test_golden import CORRIDOR_K4, CUBIC10
@@ -617,6 +617,18 @@ def test_lattice_path_equals_scalar_reference(d, monkeypatch):
                     path = sample_path(kind, g, start, n, fast)
                     assert path == (start, *walk_reference(kind, g, start, n, ref)), (kind, start, n)
                     np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_packed_offsets_round_trip_at_a_full_chunk_on_every_axis(d):
+    # a chunk's offsets reach +-_CHUNK on an axis; every mix of those
+    # extremes fits in an int64 and unpacks to itself, as an int and as
+    # an array entry
+    for signs in product((-1, 0, 1), repeat=d):
+        offsets = [s * _CHUNK for s in signs]
+        packed = _pack(offsets)
+        assert _unpack(packed, d) == offsets
+        assert [int(a[0]) for a in _unpack(np.array([packed], dtype=np.int64), d)] == offsets
 
 
 @pytest.mark.parametrize("kind, d, start", [("srw", 2, (0, 0)), ("nbrw", 4, (3, -2, 40, -1))])
