@@ -262,6 +262,15 @@ ENUMERATE_WRW = (
     "72d9213434dcad96c4ea3735ee425e6557a49344a895d59cd10e100531a83f2c",
 )
 
+# a triangle whose keys need JSON escapes: a non-ASCII letter, a quote and a backslash
+ESCAPED_TRIANGLE = json.dumps({"type": "explicit", "adjacency": {
+    "é": ['a"b', "x\\y"], 'a"b': ["é", "x\\y"], "x\\y": ["é", 'a"b'],
+}})
+ENUMERATE_ESCAPED = (
+    ["--graph", ESCAPED_TRIANGLE, "--walk", "nbrw", "--start", "é", "--m", "3"],
+    "82af7b311220cd59193b80f87ec0ec35754fc44ed212f886ac6537b29571a653",
+)
+
 
 def _start(start):
     return [] if start is None else ["--start", start]
@@ -337,6 +346,15 @@ def test_enumerate_wrw_law_bytes(tmp_path):
     out = tmp_path / "law.json"
     assert run(["enumerate", *argv, "--out", str(out)]) == 0
     assert _sha(out.read_bytes()) == out_sha
+
+
+def test_enumerate_escaped_keys_bytes(tmp_path, capsys):
+    argv, law_sha = ENUMERATE_ESCAPED
+    assert run(["enumerate", *argv]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == law_sha
+    out = tmp_path / "law.json"
+    assert run(["enumerate", *argv, "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == law_sha
 
 
 # the exact oracles' laws: name: (law, sha256 of ``_law_text``); the induced
