@@ -49,6 +49,8 @@ class BirthDeathSpec:
         object.__setattr__(self, "period", period)
 
     def right_prob(self, position: int) -> Fraction:
+        if not is_int(position):
+            raise InvalidParameter(f"position must be an integer, got {position!r}")
         if position < 0:
             raise InvalidParameter("positions are nonnegative")
         if position == 0:

@@ -35,7 +35,7 @@ from .birthdeath import (
 from .contraction import contract, induced_prefix_distribution
 from .erasure import erase_backtracks, erased_prefix_distribution
 from .errors import InvalidInput, InvalidParameter, MalformedGraph, NbwalkError, UnsupportedGraph, UnsupportedStructure
-from .graph import ExplicitGraph, decode_key, encode_key, graph_from_spec
+from .graph import ExplicitGraph, decode_key, encode_key, graph_from_spec, sort_token
 from .stats import monte_carlo, replica_seed, return_statistics, total_variation
 from .walkers import MAX_ENUMERATION_HORIZON, WalkKind, _check_start, enumerate_prefix_distribution, sample_path
 
@@ -218,19 +218,23 @@ def _cmd_contract(args) -> int:
 def _cmd_enumerate(args) -> int:
     _, graph, kind, start = _walk_graph(args)
     dist = enumerate_prefix_distribution(kind, graph, start, args.m)
-    doc = {
-        "horizon": dist.horizon,
-        "short_mass": _fmt_fraction(dist.short_mass),
-        "entries": [
-            {
-                "sequence": [encode_key(v) for v in seq],
-                "p": _fmt_fraction(p),
-                "decimal": float(p),
-            }
-            for seq, p in sorted(dist.entries.items())
-        ],
-    }
-    _publish(args.out, {"": json.dumps(doc, sort_keys=True, indent=2) + "\n"})
+    # the text json.dumps(..., sort_keys=True, indent=2) gives for the
+    # object {"entries", "horizon", "short_mass"}, written directly, since
+    # with an indent json runs its pure-Python encoder: each key is quoted
+    # once by json's string encoder, repr is json's float form, and the
+    # entries go in sort_token order of their vertices
+    verts = sorted({v for seq in dist.entries for v in seq}, key=sort_token)
+    rank = {v: i for i, v in enumerate(verts)}
+    quoted = {v: json.dumps(encode_key(v)) for v in verts}
+    sep = ",\n        "
+    entries = ",\n".join(
+        f'    {{\n      "decimal": {float(p)!r},\n      "p": "{_fmt_fraction(p)}",\n      "sequence": [\n'
+        f"        {sep.join(map(quoted.__getitem__, seq))}\n      ]\n    }}"
+        for seq, p in sorted(dist.entries.items(), key=lambda e: [rank[v] for v in e[0]])
+    )
+    short = _fmt_fraction(dist.short_mass)
+    text = f'{{\n  "entries": [\n{entries}\n  ],\n  "horizon": {dist.horizon},\n  "short_mass": "{short}"\n}}\n'
+    _publish(args.out, {"": text})
     return 0
 
 

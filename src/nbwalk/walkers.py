@@ -92,6 +92,9 @@ class PrefixDistribution:
     short_mass: Fraction = _ZERO
 
     def __post_init__(self):
+        if not is_int(self.horizon) or self.horizon < 0:
+            raise InvalidInput(f"horizon must be an integer >= 0, got {self.horizon!r}")
+        object.__setattr__(self, "horizon", int(self.horizon))
         ent = {}
         for seq, p in self.entries.items():
             p = p if isinstance(p, Fraction) else Fraction(p)
@@ -118,6 +121,8 @@ class PrefixDistribution:
 
     def marginalized(self, m: int) -> "PrefixDistribution":
         """Project to a smaller horizon by truncating every entry."""
+        if not is_int(m):
+            raise InvalidInput(f"cannot marginalize to {m!r}: not an integer")
         if not 0 <= m <= self.horizon:
             raise InvalidInput(f"cannot marginalize horizon {self.horizon} to {m}")
         out: dict = {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -10,6 +11,7 @@ import numpy as np
 
 from nbwalk import BirthDeathSpec, InsufficientData, InvalidParameter, NoLegalMove, WeightedMultigraph, from_adjacency
 from nbwalk.errors import is_degree_pair, is_int
+from nbwalk.graph import encode_key, sort_token
 from nbwalk.stats import WalkStatistics
 from nbwalk.walkers import (
     WalkKind,
@@ -225,6 +227,22 @@ def propagate_reference(law, start, record, n, extend, view=None):
         y = rec if view is None else view(rec)
         out[y] = out.get(y, 0) + p
     return out
+
+
+def enumerate_json_reference(dist) -> str:
+    """The text ``nbwalk enumerate`` writes for a prefix law, built as a
+    document and indented by ``json.dumps``; entries go in ``sort_token``
+    order of their vertices, which is the natural order when the keys are
+    all ints, all strings or all tuples of one of those."""
+    doc = {
+        "horizon": dist.horizon,
+        "short_mass": f"{dist.short_mass.numerator}/{dist.short_mass.denominator}",
+        "entries": [
+            {"sequence": [encode_key(v) for v in seq], "p": f"{p.numerator}/{p.denominator}", "decimal": float(p)}
+            for seq, p in sorted(dist.entries.items(), key=lambda e: [sort_token(v) for v in e[0]])
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 class FrequencyEstimate(NamedTuple):

@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import nbwalk
-from nbwalk import walkers
+from nbwalk import cli, walkers
 from nbwalk.cli import run
+
+from helpers import enumerate_json_reference
+from test_golden import CORRIDOR_K4, COUNTEREXAMPLE, ESCAPED_TRIANGLE, LATTICE2, TREE3
 
 K4_SPEC = json.dumps({"type": "explicit", "adjacency": {"0": [1, 2, 3], "1": [0, 2, 3], "2": [0, 1, 3], "3": [0, 1, 2]}})
 THETA_SPEC = json.dumps(
@@ -99,6 +102,48 @@ def test_enumerate_srw(capsys):
     assert doc["horizon"] == 2
     assert len(doc["entries"]) == 9
     assert all(e["p"] == "1/9" for e in doc["entries"])
+
+
+# (argv, walk): "nbrw-edge" runs edge NBRW on the multigraph that --walk wrw contracts to
+ENUMERATE_TEXT_CASES = {
+    **{f"k4-{walk}-m{m}": (["--graph", K4_SPEC, "--start", "0", "--m", str(m)], walk)
+       for walk in ("srw", "nbrw") for m in range(5)},
+    "counterexample-nbrw-m8": (["--graph", COUNTEREXAMPLE, "--start", "v", "--m", "8"], "nbrw"),
+    "z2-srw-m4": (["--graph", LATTICE2, "--m", "4"], "srw"),
+    "tree3-srw-m3": (["--graph", TREE3, "--start", "()", "--m", "3"], "srw"),
+    "theta-wrw": (["--graph", THETA_SPEC, "--start", "u", "--m", "6"], "wrw"),
+    "theta-nbrw-edge": (["--graph", THETA_SPEC, "--start", "u", "--m", "6"], "nbrw-edge"),
+    "corridor-k4-wrw": (["--graph", CORRIDOR_K4, "--start", "0", "--m", "5"], "wrw"),
+    "corridor-k4-nbrw-edge": (["--graph", CORRIDOR_K4, "--start", "0", "--m", "6"], "nbrw-edge"),
+    "escaped-keys-nbrw": (["--graph", ESCAPED_TRIANGLE, "--start", "é", "--m", "3"], "nbrw"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATE_TEXT_CASES))
+def test_enumerate_writes_the_reference_text(name, monkeypatch, capsys):
+    argv, walk = ENUMERATE_TEXT_CASES[name]
+    laws = []
+
+    def law(kind, graph, start, m):
+        laws.append(walkers.enumerate_prefix_distribution("nbrw" if walk == "nbrw-edge" else kind, graph, start, m))
+        return laws[-1]
+
+    monkeypatch.setattr(cli, "enumerate_prefix_distribution", law)
+    assert run(["enumerate", *argv, "--walk", "wrw" if walk == "nbrw-edge" else walk]) == 0
+    assert capsys.readouterr().out == enumerate_json_reference(laws[0])
+
+
+def test_enumerate_orders_mixed_int_and_string_keys(capsys):
+    spec = json.dumps({"type": "explicit", "adjacency": {"0": ["a", "b"], "a": ["0", "b"], "b": ["0", "a"]}})
+    argv = ["enumerate", "--graph", spec, "--walk", "srw", "--start", "0", "--m", "2"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    # sort_token puts ints before strings
+    assert [e["sequence"] for e in json.loads(out)["entries"]] == [
+        ["0", "a", "0"], ["0", "a", "b"], ["0", "b", "0"], ["0", "b", "a"],
+    ]
+    graph = nbwalk.graph_from_spec(json.loads(spec))
+    assert out == enumerate_json_reference(walkers.enumerate_prefix_distribution("srw", graph, 0, 2))
 
 
 def test_compare_erased(capsys):

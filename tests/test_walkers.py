@@ -22,6 +22,7 @@ from nbwalk import (
     PrefixDistribution,
     WeightedMultigraph,
     biregular_tree,
+    chain_for_regular,
     contract,
     counterexample_graph,
     enumerate_prefix_distribution,
@@ -486,6 +487,29 @@ def test_prefix_distribution_validation():
 def test_law_refusals_name_their_cause(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PrefixDistribution(True, {(0, 1): 1}), InvalidInput, "horizon must be an integer >= 0, got True"),
+        (lambda: PrefixDistribution(1, {(0, 1): 1}).marginalized(True), InvalidInput, "cannot marginalize to True"),
+        (lambda: PrefixDistribution(1, {(0, 1): 1}).marginalized(1.5), InvalidInput, "cannot marginalize to 1.5"),
+        (lambda: chain_for_regular(3).right_prob(True), InvalidParameter, "position must be an integer, got True"),
+        (lambda: chain_for_regular(3).right_prob(1.5), InvalidParameter, "position must be an integer, got 1.5"),
+    ],
+    ids=["horizon-bool", "marginalize-bool", "marginalize-float", "right-prob-bool", "right-prob-float"],
+)
+def test_integer_arguments_refuse_bools_and_floats(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_integer_arguments_take_numpy_integers():
+    law = PrefixDistribution(np.int64(1), {(0, 1): Fraction(1, 3), (0, 2): Fraction(2, 3)})
+    assert type(law.horizon) is int and law.horizon == 1
+    assert law.marginalized(np.int64(0)) == PrefixDistribution(0, {(0,): 1})
+    assert chain_for_regular(3).right_prob(np.int64(2)) == Fraction(2, 3)
 
 
 def _mixed_calls(seed, n):
