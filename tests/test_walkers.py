@@ -493,12 +493,13 @@ def test_law_refusals_name_their_cause(call, error, message):
     "call, error, message",
     [
         (lambda: PrefixDistribution(True, {(0, 1): 1}), InvalidInput, "horizon must be an integer >= 0, got True"),
+        (lambda: PrefixDistribution(-1, {}, 1), InvalidInput, "horizon must be an integer >= 0, got -1"),
         (lambda: PrefixDistribution(1, {(0, 1): 1}).marginalized(True), InvalidInput, "cannot marginalize to True"),
         (lambda: PrefixDistribution(1, {(0, 1): 1}).marginalized(1.5), InvalidInput, "cannot marginalize to 1.5"),
         (lambda: chain_for_regular(3).right_prob(True), InvalidParameter, "position must be an integer, got True"),
         (lambda: chain_for_regular(3).right_prob(1.5), InvalidParameter, "position must be an integer, got 1.5"),
     ],
-    ids=["horizon-bool", "marginalize-bool", "marginalize-float", "right-prob-bool", "right-prob-float"],
+    ids=["horizon-bool", "horizon-negative", "marginalize-bool", "marginalize-float", "right-prob-bool", "right-prob-float"],
 )
 def test_integer_arguments_refuse_bools_and_floats(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
