@@ -52,6 +52,8 @@ LATTICE2 = '{"type":"lattice","d":2}'
 LATTICE1 = '{"type":"lattice","d":1}'
 LATTICE3 = '{"type":"lattice","d":3}'
 TREE3 = '{"type":"regular_tree","k":3}'
+BITREE43 = '{"type":"biregular_tree","k1":4,"k2":3}'
+BITREE32 = '{"type":"biregular_tree","k1":3,"k2":2}'
 SUBLATTICE = '{"type":"subdivided_lattice","d":2,"t":1}'
 SUBLATTICE2_T2 = '{"type":"subdivided_lattice","d":2,"t":2}'
 SUBLATTICE3 = '{"type":"subdivided_lattice","d":3,"t":1}'
@@ -145,6 +147,26 @@ DIAGNOSE = {
         TREE3, "nbrw", "(0)", 2000, 2, 44,
         "5f4014e93aa6caf850d056ef1c495d7754f3949e90185c8a247378f67c4e6cb0",
         "541c2f300622ac9b280173c5f2e6994897a5ae259c8dc24989e723dca4907009",
+    ),
+    # 5,000 steps cross the 4,096-step block of bulk draws.  Some of the
+    # nbrw walks climb toward the root first: from depth 3 they end at
+    # depth 4,997 or 4,999 against 5,003, and from depth 2 of the (3, 2)
+    # tree at 4,998 against 5,002.  That tree's odd levels have one child,
+    # so an nbrw step there draws integers(1), which consumes nothing
+    "bitree43_srw_below_root": (
+        BITREE43, "srw", "(1,0,2)", 5000, 8, 61,
+        "b05d4aa280d57d402fa33278c0a5f7622ad8064586f054a0f40f2b59d317f90a",
+        "673d07abebe38dc56303d1fdbc4e9da5f14b63bf4e6fffaa454a963ae92838b5",
+    ),
+    "bitree43_nbrw_below_root": (
+        BITREE43, "nbrw", "(1,0,2)", 5000, 8, 61,
+        "3d6dde70b95309b0448d4dfcbe8ca78112da261b2e0fc2263a68a1b0099b4343",
+        "e62ba0006d22c1c18aca11e690440aabca1afa77a995dc70082ee569636e0ac0",
+    ),
+    "bitree32_nbrw_below_root": (
+        BITREE32, "nbrw", "(1,0)", 5000, 8, 61,
+        "a9af24e1e11e961ce27e0084049b783318c5294d254d8aa2944a9402937738b4",
+        "b84e493a24bb97143931697e43f55801245485488b09956902fe82b79d338e26",
     ),
     "counterexample_srw": (
         COUNTEREXAMPLE, "srw", "v", 2000, 8, 45,
