@@ -306,17 +306,8 @@ class _Trusted:
 # the cap on draws made at once, which bounds their memory: raw words per
 # _Draws block (an integer draw takes half a word, so n // 2 + 1 words
 # serve most n-step walks whole) and steps per bulk draw in _table_walk
+# and _tree_counts
 _BLOCK = 1 << 12
-
-
-def _draw_source(rng, n: int):
-    """``(source, close)`` for an n-step walk: a ``_Draws`` on a PCG64
-    generator and its ``close``, which leaves the generator in the scalar
-    calls' state, or ``rng`` itself and a no-op on any other."""
-    if type(getattr(rng, "bit_generator", None)) is not np.random.PCG64:
-        return rng, lambda: None
-    draws = _Draws(rng, min(n // 2 + 1, _BLOCK))
-    return draws, draws.close
 
 
 def _walk(kind, graph, start, n: int, rng):
@@ -325,10 +316,10 @@ def _walk(kind, graph, start, n: int, rng):
     step has no history and uses the uniform rule.
 
     The start is the only key checked; later steps look up neighbors
-    without a check.  On a PCG64 generator the draws come from
-    ``_draw_source``, and the generator reaches the state the scalar
-    calls would leave when the walk ends, is closed or raises; do not draw
-    from ``rng`` while the walk is open."""
+    without a check.  On a PCG64 generator the draws come from a
+    ``_Draws``, and the generator reaches the state the scalar calls
+    would leave when the walk ends, is closed or raises; do not draw from
+    ``rng`` while the walk is open."""
     kind = WalkKind(kind)
     mg = _require_kind_graph(kind, graph)
     if n < 1:
@@ -336,7 +327,9 @@ def _walk(kind, graph, start, n: int, rng):
     if not mg:
         graph.neighbors(start)
         graph = _Trusted(graph)
-    rng, close = _draw_source(rng, n)
+    pcg = type(getattr(rng, "bit_generator", None)) is np.random.PCG64
+    if pcg:
+        rng = _Draws(rng, min(n // 2 + 1, _BLOCK))
     i = 0
     try:
         if kind is WalkKind.SRW:
@@ -363,55 +356,54 @@ def _walk(kind, graph, start, n: int, rng):
     except NoLegalMove as exc:
         raise NoLegalMove(f"step {i}: {exc}") from None
     finally:
-        close()
+        if pcg:
+            rng.close()
 
 
 def _tree_counts(kind, tree, start, n: int, rng):
     """``(returns, last, depth)`` of an n-step srw or nbrw walk on a
     ``BiregularTree`` from the vertex ``start``: the steps 1..n at
-    ``start``, the last of them (None if none) and the end depth.  The
-    draws and the generator's end state are ``_walk``'s, but no key is
-    built, so a step costs O(1) at any depth.  The walk keeps its depth,
+    ``start``, the last of them (None if none) and the end depth, at O(1)
+    a step, with no key built.  Step i leaves a depth of parity
+    ``len(start) + i``, so its draw bound, the degree (k1 at even depths,
+    the root included, k2 at odd ones; one less for nbrw after step 0),
+    is known before the walk, and each block of up to ``_BLOCK`` steps is
+    one bulk ``integers`` call, with the scalar calls' draws and end
+    state.  Draw d takes the root to child d and any other vertex up for
+    d = 0 and to child d - 1 otherwise.  srw keeps its depth and
     ``shared``, the number of leading branch indices its key shares with
-    ``start``, and for nbrw ``came``, the neighbor index of the vertex it
-    just left; it is at ``start`` when depth and ``shared`` are both
-    ``len(start)``.  In neighbor order (parent first, then children),
-    draw d takes the root to child d and any other vertex up for d = 0
-    and to child d - 1 otherwise.  nbrw never steps back, so it goes up
-    only along ``start``'s ancestors."""
+    ``start``; it is at ``start`` when both are ``len(start)``.  nbrw never
+    revisits a vertex, so it has no returns; it climbs on its leading run
+    of zero draws, at most to the root, and then only descends."""
     nbrw = WalkKind(kind) is WalkKind.NBRW
     home = depth = shared = len(start)
-    # the draw bound: k1 at even depths, the root included, k2 at odd ones
-    bounds = (tree.k1, tree.k2)
-    came = None
-    returns, last = 0, None
-    source, close = _draw_source(rng, n)
-    integers = source.integers
-    try:
-        for i in range(1, n + 1):
-            if came is None:
-                d = integers(bounds[depth & 1])
-            else:
-                d = integers(bounds[depth & 1] - 1)
-                d += d >= came
+    # _BLOCK is even, so every block has the first one's bounds, but for
+    # nbrw's first step
+    bounds = np.tile((tree.k1, tree.k2), _BLOCK // 2 + 1)[home & 1 :][:_BLOCK] - nbrw
+    first = np.r_[bounds[0] + nbrw, bounds[1:]]
+    returns, last, climb = 0, None, 0
+    for done in range(0, n, _BLOCK):
+        draws = rng.integers(0, (bounds if done else first)[: n - done])
+        if nbrw:
+            # the leading run of zero draws, while no block has ended it
+            if climb == done:
+                down = np.flatnonzero(draws)
+                climb += int(down[0]) if len(down) else len(draws)
+            continue
+        for i, d in enumerate(draws.tolist(), done + 1):
             if depth and not d:
                 depth -= 1
                 if shared > depth:
                     shared = depth
-                if nbrw:
-                    # the child left is start's ancestor, after the parent unless at the root
-                    came = start[depth] + (depth > 0)
             else:
                 if shared == depth < home and d - (depth > 0) == start[depth]:
                     shared += 1
                 depth += 1
-                if nbrw:
-                    came = 0
             if depth == shared == home:
                 returns += 1
                 last = i
-    finally:
-        close()
+    if nbrw:
+        return 0, None, home + n - 2 * min(climb, home)
     return returns, last, depth
 
 

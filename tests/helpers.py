@@ -174,6 +174,48 @@ def tree_run_reference(kind, tree, horizon, rng):
     return WalkStatistics(horizon, returns, last, float(depth))
 
 
+def tree_counts_reference(kind, tree, start, n, rng):
+    """``walkers._tree_counts`` one step at a time, by scalar
+    ``rng.integers`` calls, with no vertex key: the walk keeps its depth,
+    ``shared``, the number of leading branch indices its key shares with
+    ``start``, and for nbrw ``came``, the neighbor index of the vertex it
+    just left.  It is at ``start`` when depth and ``shared`` are both
+    ``len(start)``.  In neighbor order (parent first, then children),
+    draw d takes the root to child d and any other vertex up for d = 0
+    and to child d - 1 otherwise; the draw bound is k1 at even depths,
+    the root included, and k2 at odd ones."""
+    nbrw = WalkKind(kind) is WalkKind.NBRW
+    home = depth = shared = len(start)
+    bounds = (tree.k1, tree.k2)
+    came = None
+    returns = 0
+    last = None
+    for i in range(1, n + 1):
+        if came is None:
+            d = int(rng.integers(bounds[depth & 1]))
+        else:
+            d = int(rng.integers(bounds[depth & 1] - 1))
+            d += d >= came
+        if depth and not d:
+            depth -= 1
+            shared = min(shared, depth)
+            if nbrw:
+                # nbrw never steps back, so it climbs only along start's
+                # ancestors: the child it left is start[depth], after the
+                # parent unless at the root
+                came = start[depth] + (depth > 0)
+        else:
+            if shared == depth < home and d - (depth > 0) == start[depth]:
+                shared += 1
+            depth += 1
+            if nbrw:
+                came = 0
+        if depth == shared == home:
+            returns += 1
+            last = i
+    return WalkStatistics(n, returns, last, float(depth))
+
+
 def walk_reference(kind, graph, start, n, rng):
     """``walkers._walk`` with scalar generator calls and a checked
     neighbor lookup on every step: yields the vertices at steps 1..n."""

@@ -1,7 +1,9 @@
 """Every imported name is used: an ``ast`` scan of the package modules
-(``__init__.py`` re-exports, so it is left out) and of the test files."""
+(``__init__.py`` re-exports, so it is left out) and of the test files.
+Every private name a package module defines is read in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,44 @@ def test_only_walkers_reads_raw_words():
     assert "walkers.py" in [p.name for p in modules]
     readers = {p.name: sorted(_names(ast.parse(p.read_text(), str(p))) & RAW_WORD_NAMES) for p in modules}
     assert {name: found for name, found in readers.items() if found} == {"walkers.py": sorted(RAW_WORD_NAMES)}
+
+
+def _references(node) -> Counter:
+    """How often each name is read, as a name or an attribute, in ``node``."""
+    refs = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+    return refs
+
+
+def _private_definitions(tree):
+    """``(name, node)`` for each private name a module binds at its top
+    level, by ``def``, ``class`` or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_every_private_module_name_is_used():
+    # a private name is the package's own business, so one that no code in
+    # the package reads, outside its own definition, does nothing
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted((ROOT / "src" / "nbwalk").glob("*.py"))}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if refs[name] == _references(node)[name]
+    ]
+    assert unused == []

@@ -45,6 +45,7 @@ from helpers import (
     simulate_chain,
     subdivided_starts,
     theta_graph,
+    tree_counts_reference,
     tree_run_reference,
     two_loop_graph,
     walk_reference,
@@ -318,10 +319,10 @@ def _tree_starts(tree):
 def test_tree_walk_below_the_root_equals_the_scalar_reference(tree):
     # _generic_replica sends every tree walk to walkers._tree_counts, which
     # counts depth and the start's shared prefix where the reference builds
-    # root-path keys; on PCG64 it draws through _Draws, whose block size
-    # depends on n, on MT19937 by scalar calls.  The reference makes scalar
-    # calls, so one walk of the longest horizon, with the generator's state
-    # taken after each horizon's last step, serves every horizon
+    # root-path keys; it makes one bulk draw per block of steps, on any bit
+    # generator.  The reference makes scalar calls, so one walk of the
+    # longest horizon, with the generator's state taken after each
+    # horizon's last step, serves every horizon
     horizons = (0, 1, 2, 1023, 1024, 1025)
     generators = {"pcg64": rng, "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed))}
     for start in _tree_starts(tree):
@@ -352,6 +353,53 @@ def test_long_tree_walk_below_the_root_equals_the_scalar_reference():
     assert want.returns_to_origin > 10
     assert _generic_replica("srw", tree, start, 20_000, fast) == want
     np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
+
+
+@ON_TREES
+def test_key_free_tree_reference_equals_the_key_walk(tree):
+    for start in _tree_starts(tree):
+        for kind in (WalkKind.SRW, WalkKind.NBRW):
+            for n in range(12):
+                key, counts = rng(n), rng(n)
+                want = return_statistics((start, *walk_reference(kind, tree, start, n, key)), start, tree)
+                assert tree_counts_reference(kind, tree, start, n, counts) == want, (start, kind, n)
+                assert counts.bit_generator.state == key.bit_generator.state
+
+
+def _with_spare(gen, spare):
+    """``gen`` holding ``spare`` as the high half kept from its last word."""
+    state = gen.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, spare
+    gen.bit_generator.state = state
+    return gen
+
+
+# a fresh PCG64, one with a spare half pending, and an MT19937, on which
+# _walk makes the scalar calls and the table and tree kernels their bulk calls
+GENERATORS = {
+    "pcg64": rng,
+    "pcg64-spare": lambda seed: _with_spare(rng(seed), int(rng(seed + 10).integers(2**32))),
+    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
+}
+
+
+@pytest.mark.parametrize("gen", sorted(GENERATORS))
+@pytest.mark.parametrize(
+    "tree", [regular_tree(2), biregular_tree(3, 2), biregular_tree(4, 3)], ids=["k2", "k3-2", "k4-3"]
+)
+def test_tree_walk_at_block_seams_equals_the_key_free_reference(tree, gen):
+    # walks that end on either side of one block seam and just past two;
+    # the (3, 2) tree's odd levels have one child, so an nbrw step there
+    # draws integers(1), which consumes nothing
+    make = GENERATORS[gen]
+    for start in (_tree_starts(tree)[0], _tree_starts(tree)[3]):
+        for kind in (WalkKind.SRW, WalkKind.NBRW):
+            for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+                fast, ref = make(n + len(start)), make(n + len(start))
+                row = _generic_replica(kind, tree, start, n, fast)
+                assert row == tree_counts_reference(kind, tree, start, n, ref), (start, kind, n)
+                np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
+                assert fast.integers(2**32, size=3).tolist() == ref.integers(2**32, size=3).tolist()
 
 
 def test_sampled_path_and_generic_replica_make_the_same_draws():
@@ -445,14 +493,6 @@ WRW_TABLE_CASES = _wrw_table_cases()
 # short walks, then walks that cross one, two and many block seams; a
 # step reads one half, or two when Lemire's method rejects the first
 WRW_HORIZONS = (0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK)
-
-
-def _with_spare(gen, spare):
-    """``gen`` holding ``spare`` as the high half kept from its last word."""
-    state = gen.bit_generator.state
-    state["has_uint32"], state["uinteger"] = 1, spare
-    gen.bit_generator.state = state
-    return gen
 
 
 # each case at the default block, then at blocks of 1, 2 and 3, raw words

@@ -47,7 +47,7 @@ from nbwalk.walkers import _BLOCK, _CHUNK, _Draws, _pack, _unpack, _walk
 
 from helpers import k4, rng, subdivided_starts, theta_graph, two_loop_graph, walk_reference
 from test_golden import CORRIDOR_K4, CUBIC10
-from test_stats import WRW_TABLE_CASES, _with_spare
+from test_stats import GENERATORS, WRW_TABLE_CASES
 
 
 def theta_multigraph():
@@ -250,7 +250,7 @@ def test_wrw_refuses_a_draw_bound_above_2_32_before_any_draw():
         wrw_step(mg, "a", gen)
     assert gen.bit_generator.state == before
     # sample_path on PCG64, through _Draws, and on MT19937, through the scalar calls
-    for make in (TABLE_PATH_GENERATORS["pcg64"], TABLE_PATH_GENERATORS["mt19937"]):
+    for make in (GENERATORS["pcg64"], GENERATORS["mt19937"]):
         for n in (1, 30, 5000):
             gen = make(n)
             before = gen.bit_generator.state
@@ -263,7 +263,7 @@ def test_wrw_refuses_a_draw_bound_above_2_32_before_any_draw():
     # a bound of 2**32 is drawn, from a 32-bit half whole, and one of 2**32 + 2 is not
     for r, refused in ((2**31, False), (2**31 + 1, True)):
         mg = WeightedMultigraph("ab", [("a", "b", 1), ("a", "b", r)])
-        for make in TABLE_PATH_GENERATORS.values():
+        for make in GENERATORS.values():
             fast, ref = make(r), make(r)
             if refused:
                 with pytest.raises(LimitExceeded, match=re.escape(f"wrw draw bound {2**32 + 2} at 'a'")):
@@ -778,13 +778,6 @@ def _table_path_cases():
 
 
 TABLE_PATH_CASES = _table_path_cases()
-# a fresh PCG64, one with a spare half pending, and an MT19937, on which
-# _walk makes the scalar calls and the table its bulk calls
-TABLE_PATH_GENERATORS = {
-    "pcg64": rng,
-    "pcg64-spare": lambda seed: _with_spare(rng(seed), int(rng(seed + 10).integers(2**32))),
-    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
-}
 
 
 def _recording_move_table(monkeypatch, budget=None):
@@ -818,7 +811,7 @@ def test_table_path_equals_the_generic_stepper(name, block, monkeypatch):
         calls = _recording_move_table(monkeypatch)
         horizons = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 9000)
     for n in horizons:
-        for gen, make in TABLE_PATH_GENERATORS.items():
+        for gen, make in GENERATORS.items():
             fast, ref = make(n), make(n)
             calls.clear()
             path = sample_path(kind, g, start, n, fast)
@@ -847,7 +840,7 @@ def test_contraction_without_corridors_is_the_identity_pathwise(name, gen):
     g = {"k4": k4, "cubic10": lambda: graph_from_spec(json.loads(CUBIC10)), "two-k4s": _two_k4s}[name]()
     mg, _ = contract(g)
     assert mg.vertices() == g.vertices() and {e.resistance for e in mg.edges()} == {1}
-    make = TABLE_PATH_GENERATORS[gen]
+    make = GENERATORS[gen]
 
     def stepped(kind, graph, start, n, rng):
         return (start, *_walk(kind, graph, start, n, rng))
