@@ -1,6 +1,6 @@
 """Reflected birth-death chains with eventually periodic move
-probabilities: exact transience decisions, escape probabilities, move-law
-enumeration, and trajectory simulation.
+probabilities: exact transience decisions, escape probabilities and
+move-law enumeration.
 
 These chains mirror the cursor of the backtrack-erasure algorithm: the
 erasure of a uniform walk on a k-regular graph moves its cursor right
