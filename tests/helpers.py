@@ -175,15 +175,15 @@ def tree_run_reference(kind, tree, horizon, rng):
 
 
 def tree_counts_reference(kind, tree, start, n, rng):
-    """``walkers._tree_counts`` one step at a time, by scalar
-    ``rng.integers`` calls, with no vertex key: the walk keeps its depth,
-    ``shared``, the number of leading branch indices its key shares with
-    ``start``, and for nbrw ``came``, the neighbor index of the vertex it
-    just left.  It is at ``start`` when depth and ``shared`` are both
-    ``len(start)``.  In neighbor order (parent first, then children),
-    draw d takes the root to child d and any other vertex up for d = 0
-    and to child d - 1 otherwise; the draw bound is k1 at even depths,
-    the root included, and k2 at odd ones."""
+    """The row ``stats._generic_replica`` makes of ``walkers._tree_counts``,
+    one step at a time, by scalar ``rng.integers`` calls, with no vertex
+    key: the walk keeps its depth, ``shared``, the number of leading
+    branch indices its key shares with ``start``, and for nbrw ``came``,
+    the neighbor index of the vertex it just left.  It is at ``start``
+    when depth and ``shared`` are both ``len(start)``.  In neighbor order
+    (parent first, then children), draw d takes the root to child d and
+    any other vertex up for d = 0 and to child d - 1 otherwise; the draw
+    bound is k1 at even depths, the root included, and k2 at odd ones."""
     nbrw = WalkKind(kind) is WalkKind.NBRW
     home = depth = shared = len(start)
     bounds = (tree.k1, tree.k2)

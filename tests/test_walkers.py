@@ -532,7 +532,7 @@ def _mixed_calls(seed, n):
     return calls
 
 
-def test_draw_source_equals_generator_scalar_calls():
+def test_draws_equal_generator_scalar_calls():
     spare_at_end = set()
     for seed in range(20):
         scalar, raw = rng(seed), rng(seed)
