@@ -21,6 +21,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .birthdeath import (
 from .contraction import contract, induced_prefix_distribution
 from .erasure import erase_backtracks, erased_prefix_distribution
 from .errors import InvalidInput, InvalidParameter, MalformedGraph, NbwalkError, UnsupportedGraph, UnsupportedStructure
-from .graph import ExplicitGraph, decode_key, encode_key, graph_from_spec, sort_token
+from .graph import decode_key, encode_key, graph_from_spec, sort_token
 from .stats import monte_carlo, replica_seed, return_statistics, total_variation
 from .walkers import MAX_ENUMERATION_HORIZON, WalkKind, _check_start, enumerate_prefix_distribution, sample_path
 
@@ -111,23 +112,25 @@ def _rng(seed: int):
 
 
 def _publish(out, files: dict, shown=None, announce=True) -> None:
-    """Print ``shown`` (default: the texts of ``files`` in order) without
-    ``--out``; else write each text to ``out`` plus its suffix, staged
-    beside its target and renamed into place once all are written.  A
-    failed write removes what it staged and is a configuration error."""
+    """Print ``shown`` (default: the text chunks of ``files`` in order)
+    without ``--out``; else write each file's chunks, as they come, to
+    ``out`` plus its suffix, staged beside its target and renamed into
+    place once all are written.  A failure removes what it staged; a
+    failed write is a configuration error."""
     if not out:
-        print("".join(files.values()) if shown is None else shown, end="")
+        sys.stdout.writelines(chain.from_iterable(files.values()) if shown is None else shown)
         return
     staged = []
     try:
-        for suffix, text in files.items():
+        for suffix, chunks in files.items():
             target = Path(out + suffix)
             if target.is_dir():
                 # a rename onto it would fail after the other files moved
                 raise InvalidParameter(f"cannot write {target}: it is a directory")
             tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
             staged.append((tmp, target))
-            tmp.write_text(text)
+            with tmp.open("w") as f:
+                f.writelines(chunks)
         for tmp, target in staged:
             tmp.replace(target)
     except OSError as exc:
@@ -150,7 +153,7 @@ def _cmd_walk(args) -> int:
     _, graph, kind, start = _walk_graph(args)
     path = sample_path(kind, graph, start, args.horizon, _rng(args.seed))
     stats = return_statistics(path, start, graph)
-    _publish(args.out, {"": " ".join(_each_once(encode_key, path)) + "\n"}, announce=False)
+    _publish(args.out, {"": [" ".join(_each_once(encode_key, path)), "\n"]}, announce=False)
     doc = {
         "steps": stats.steps,
         "returns": stats.returns_to_origin,
@@ -180,7 +183,7 @@ def _cmd_erase(args) -> int:
         seq = _each_once(decode_key, text.split())
     result = erase_backtracks(seq)
     out = " ".join(_each_once(encode_key, result.output))
-    _publish(args.out, {"": out + "\n" + result.trace.moves + "\n"}, announce=False)
+    _publish(args.out, {"": [out, "\n", result.trace.moves, "\n"]}, announce=False)
     return 0
 
 
@@ -207,11 +210,8 @@ def _cmd_contract(args) -> int:
     doc = mg.to_json_dict()
     doc["max_corridor_length"] = cmap.max_length
     json_text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    csv_lines = ["endpoint_a,endpoint_b,length"]
-    for c in cmap.corridors:
-        csv_lines.append(f"{encode_key(c.a)},{encode_key(c.b)},{c.length}")
-    csv_text = "\n".join(csv_lines) + "\n"
-    _publish(args.out, {".json": json_text, ".csv": csv_text})
+    csv_rows = [f"{encode_key(c.a)},{encode_key(c.b)},{c.length}\n" for c in cmap.corridors]
+    _publish(args.out, {".json": [json_text], ".csv": ["endpoint_a,endpoint_b,length\n", *csv_rows]})
     return 0
 
 
@@ -227,21 +227,20 @@ def _cmd_enumerate(args) -> int:
     rank = {v: i for i, v in enumerate(verts)}
     quoted = {v: json.dumps(encode_key(v)) for v in verts}
     sep = ",\n        "
-    entries = ",\n".join(
-        f'    {{\n      "decimal": {float(p)!r},\n      "p": "{_fmt_fraction(p)}",\n      "sequence": [\n'
+    leads = chain(["    "], repeat(",\n    "))
+    entries = (
+        f'{lead}{{\n      "decimal": {float(p)!r},\n      "p": "{_fmt_fraction(p)}",\n      "sequence": [\n'
         f"        {sep.join(map(quoted.__getitem__, seq))}\n      ]\n    }}"
-        for seq, p in sorted(dist.entries.items(), key=lambda e: [rank[v] for v in e[0]])
+        for lead, (seq, p) in zip(leads, sorted(dist.entries.items(), key=lambda e: [rank[v] for v in e[0]]))
     )
     short = _fmt_fraction(dist.short_mass)
-    text = f'{{\n  "entries": [\n{entries}\n  ],\n  "horizon": {dist.horizon},\n  "short_mass": "{short}"\n}}\n'
-    _publish(args.out, {"": text})
+    tail = f'\n  ],\n  "horizon": {dist.horizon},\n  "short_mass": "{short}"\n}}\n'
+    _publish(args.out, {"": chain(['{\n  "entries": [\n'], entries, [tail])})
     return 0
 
 
 def _cmd_compare(args) -> int:
     _, graph = _graph(args)
-    if not isinstance(graph, ExplicitGraph):
-        raise InvalidParameter("compare needs an explicit graph spec")
     start = _start_vertex(args, graph)
     if args.induced:
         if args.N is not None:
@@ -282,7 +281,7 @@ def _cmd_diagnose(args) -> int:
     }
     report = monte_carlo(kind, graph, start, args.horizon, args.replicas, args.seed, config=echo)
     json_text = report.json_text()
-    _publish(args.out, {".json": json_text, ".csv": report.csv_text()}, shown=json_text)
+    _publish(args.out, {".json": [json_text], ".csv": [report.csv_text()]}, shown=[json_text])
     return 0
 
 

@@ -234,8 +234,8 @@ def _tree_run(kind, tree, horizon, rng) -> WalkStatistics:
 
 
 def _generic_replica(kind, graph, start, horizon, rng) -> WalkStatistics:
-    """A walk that no table or array kernel serves; on a tree, one started
-    below the root, by ``walkers._tree_counts``."""
+    """A walk no move table, lattice kernel or root tree kernel serves: below
+    a tree's root, ``walkers._tree_counts``' bulk draws; else ``walkers._walk``."""
     if isinstance(graph, BiregularTree):
         returns, last, depth = _tree_counts(kind, graph, start, horizon, rng)
         return WalkStatistics(horizon, returns, last, float(depth))

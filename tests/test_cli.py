@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -12,7 +13,10 @@ from nbwalk import cli, walkers
 from nbwalk.cli import run
 
 from helpers import enumerate_json_reference
-from test_golden import CORRIDOR_K4, COUNTEREXAMPLE, ESCAPED_TRIANGLE, LATTICE2, TREE3
+from test_golden import (
+    BITREE43, CORRIDOR_K4, COUNTEREXAMPLE, ESCAPED_TRIANGLE, LATTICE1, LATTICE2, LATTICE3, SUBLATTICE,
+    SUBLATTICE2_T2, TREE3,
+)
 
 K4_SPEC = json.dumps({"type": "explicit", "adjacency": {"0": [1, 2, 3], "1": [0, 2, 3], "2": [0, 1, 3], "3": [0, 1, 2]}})
 THETA_SPEC = json.dumps(
@@ -151,6 +155,50 @@ def test_compare_erased(capsys):
     out = capsys.readouterr().out
     assert "tv(erased N=6" in out
     assert "short mass" in out
+
+
+# K5 with two interior vertices on each edge: from (0,1,1), next to the
+# anchor 0, it has the same rooted universal cover as subdivided Z^2 (t=2)
+# from (1,0), so the two give the same erased and NBRW laws
+K5_SPEC = {"type": "explicit", "adjacency": {i: [j for j in range(5) if j != i] for i in range(5)}}
+SUBDIVIDED_K5 = json.dumps({"type": "subdivided", "base": K5_SPEC, "t": 2})
+
+
+# exact total variations between the erased SRW law and the NBRW law, one
+# graph family at a time: (spec, start, N, m, conditioned tv, unconditioned
+# tv or None).  The conditioned tv is 0 where each level of the rooted
+# universal cover has one degree (Z^d, the trees, a subdivided lattice from
+# an anchor or at t=1) and positive on subdivided Z^2 (t=2) from a corridor
+# vertex; where given, the unconditioned tv is the short mass.
+@pytest.mark.parametrize(
+    "spec, start, N, m, tv_cond, tv",
+    [
+        (LATTICE1, None, 4, 2, "0/1", "3/8"),
+        (LATTICE1, None, 14, 6, "0/1", None),
+        (LATTICE2, None, 8, 3, "0/1", None),
+        (LATTICE2, None, 10, 4, "0/1", "8485/65536"),
+        (LATTICE3, None, 8, 3, "0/1", None),
+        (TREE3, None, 10, 4, "0/1", "5579/19683"),
+        (BITREE43, None, 10, 4, "0/1", "137/648"),
+        (SUBLATTICE, "(1,0)", 8, 3, "0/1", None),
+        (SUBLATTICE2_T2, "(0,0)", 8, 3, "0/1", None),
+        (SUBLATTICE2_T2, "(1,0)", 8, 3, "2/37", None),
+        (SUBLATTICE2_T2, "(1,0)", 10, 4, "45/703", None),
+        (SUBDIVIDED_K5, "(0,1,1)", 8, 3, "2/37", None),
+    ],
+    ids=[
+        "Z1-4-2", "Z1-14-6", "Z2-8-3", "Z2-10-4", "Z3-8-3", "tree3-10-4", "bitree43-10-4", "sublattice-t1-8-3",
+        "sublattice-t2-anchor-8-3", "sublattice-t2-corridor-8-3", "sublattice-t2-corridor-10-4", "subdivided-K5-8-3",
+    ],
+)
+def test_compare_erased_on_every_graph_family(spec, start, N, m, tv_cond, tv, capsys):
+    argv = ["compare", "--graph", spec, "--N", str(N), "--m", str(m)]
+    assert run(argv + ([] if start is None else ["--start", start])) == 0
+    # each line is "<label>: <p>/<q> (<decimal>)"
+    values = dict(line.rsplit(" (", 1)[0].split(": ") for line in capsys.readouterr().out.splitlines())
+    assert values["tv conditional on full prefix"] == tv_cond
+    if tv is not None:
+        assert values[f"tv(erased N={N}, nbrw m={m})"] == values["short mass"] == tv
 
 
 def test_compare_induced(capsys):
@@ -364,7 +412,7 @@ def _walk(*extra):
         ["erase", "--graph", K4_SPEC],
         ["erase", "--tokens", "@" + os.devnull],
         ["chain", "--k", "3", "--k1", "4"],
-        ["compare", "--graph", LINE_SPEC, "--N", "4", "--m", "2"],
+        ["compare", "--graph", LINE_SPEC, "--induced", "--m", "2"],
         ["compare", "--graph", K4_SPEC, "--m", "2"],
         # --N sets only the erased law and --walk only the induced one
         ["compare", "--graph", K4_SPEC, "--induced", "--N", "4", "--m", "2"],
@@ -382,7 +430,7 @@ def _walk(*extra):
         "erase-tokens-and-seed", "erase-tokens-and-start", "erase-stdin-and-seed",
         "erase-tokens-and-horizon", "explicit-empty", "explicit-null-row", "explicit-string-row",
         "graph-missing-file", "graph-not-object", "walk-wrw-not-explicit", "erase-graph-without-seed",
-        "erase-empty-tokens", "chain-k-and-k1", "compare-not-explicit", "compare-without-N",
+        "erase-empty-tokens", "chain-k-and-k1", "compare-induced-not-explicit", "compare-without-N",
         "compare-induced-with-N", "compare-walk-without-induced", "graph-integer-too-long", "start-integer-too-long",
     ],
 )
@@ -420,6 +468,24 @@ def test_csv_target_that_is_a_directory_leaves_no_json(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path / "r")]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
     assert capsys.readouterr().out == ""
+
+
+# a chunk source that fails partway, after the first file is staged: by a
+# failed write (a configuration error) or any other error, such as memory
+# running out while an exact law is formatted
+@pytest.mark.parametrize(
+    "error, raised",
+    [(OSError(errno.ENOSPC, "No space left on device"), nbwalk.InvalidParameter), (MemoryError(), MemoryError)],
+    ids=["write-error", "other-error"],
+)
+def test_chunk_source_that_raises_leaves_no_file(error, raised, tmp_path):
+    def chunks():
+        yield "endpoint_a,endpoint_b,length\n"
+        raise error
+
+    with pytest.raises(raised):
+        cli._publish(str(tmp_path / "r"), {".json": ["{}\n"], ".csv": chunks()})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_exits_zero(capsys):
@@ -489,8 +555,10 @@ def test_graph_spec_read_from_a_file(tmp_path, capsys):
         (["compare", "--graph", PATH3_SPEC, "--start", "a", "--N", "6", "--m", "3"], "'c' has degree 1"),
         # every 4-step walk from the end of the path erases to fewer than 4 vertices
         (["compare", "--graph", PATH4_SPEC, "--start", "a", "--N", "4", "--m", "3"], "no full-length mass"),
+        # a level of Z^3's erasure stacks at N = 9 outgrows walkers.MAX_LEVEL_STATES
+        (["compare", "--graph", LATTICE3, "--N", "9", "--m", "3"], "exceeds the state budget"),
     ],
-    ids=["enumerate-nbrw-dead-end", "compare-nbrw-dead-end", "compare-no-full-prefix"],
+    ids=["enumerate-nbrw-dead-end", "compare-nbrw-dead-end", "compare-no-full-prefix", "compare-state-budget"],
 )
 def test_runtime_failure_exits_1_without_output(argv, message, capsys):
     assert run(argv) == 1

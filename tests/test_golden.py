@@ -276,6 +276,30 @@ COMPARE = {
         ["--graph", _explicit_spec(theta_graph()), "--start", "u", "--induced", "--walk", "nbrw", "--m", "12"],
         "f7a3b4c892249651ec9680cc30c9dfa673b3da47a333e6b047e4165fdc162357",
     ),
+    "lattice1_erased": (
+        ["--graph", LATTICE1, "--N", "4", "--m", "2"],
+        "b471f88118dc48fdb3e1244aea85225f409d0a5c73a9bf03a49753d01574f5cb",
+    ),
+    "lattice2_erased": (
+        ["--graph", LATTICE2, "--N", "10", "--m", "4"],
+        "fac63640a3498dcd77502925dbf74b5bd433a40c09e4a7d0988a23853c3d04e7",
+    ),
+    "tree3_erased": (
+        ["--graph", TREE3, "--N", "10", "--m", "4"],
+        "c77998aeb17ced2d07377f58cb9150e32519fd0490793b02a6f74b512239719b",
+    ),
+    "sublattice2_t2_erased": (
+        ["--graph", SUBLATTICE2_T2, "--start", "(1,0)", "--N", "10", "--m", "4"],
+        "2c1897d3d92a2944fcf13429ae9dad7b0a6e2922bb097f07d55b7907455f1d4a",
+    ),
+}
+# the infinite-family digests above were first taken from the code they pin,
+# so each also names exact values its stdout must print (before the decimal)
+COMPARE_VALUES = {
+    "lattice1_erased": ["tv(erased N=4, nbrw m=2): 3/8", "tv conditional on full prefix: 0/1"],
+    "lattice2_erased": ["tv(erased N=10, nbrw m=4): 8485/65536", "tv conditional on full prefix: 0/1"],
+    "tree3_erased": ["tv(erased N=10, nbrw m=4): 5579/19683", "tv conditional on full prefix: 0/1"],
+    "sublattice2_t2_erased": ["tv conditional on full prefix: 45/703"],
 }
 
 # the exact WRW law on the contracted theta graph: (argv after the subcommand, file sha256)
@@ -360,7 +384,9 @@ def test_uneven_multigraph_report_bytes(walk):
 def test_compare_stdout_bytes(name, capsys):
     argv, stdout_sha = COMPARE[name]
     assert run(["compare", *argv]) == 0
-    assert _sha(capsys.readouterr().out.encode()) == stdout_sha
+    out = capsys.readouterr().out
+    assert _sha(out.encode()) == stdout_sha
+    assert set(COMPARE_VALUES.get(name, ())) <= {line.rsplit(" (", 1)[0] for line in out.splitlines()}
 
 
 def test_enumerate_wrw_law_bytes(tmp_path):
