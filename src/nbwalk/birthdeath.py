@@ -18,7 +18,7 @@ from math import prod
 from operator import mul
 
 from .errors import InvalidParameter, is_degree_pair, is_int
-from .walkers import _propagate
+from .walkers import _fractions, _propagate
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -128,4 +128,4 @@ def chain_move_law(spec: BirthDeathSpec, moves: int) -> dict:
         right = (p, pos + 1, "R")
         return (right,) if p == 1 else (right, (1 - p, pos - 1, "L"))
 
-    return _propagate(law, 0, "", moves, lambda word, move: word + move)
+    return _fractions(*_propagate(law, 0, "", moves, lambda word, move: word + move))

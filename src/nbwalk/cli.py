@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,12 @@ _CONFIG_ERRORS = (
 
 def _fmt_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def _fmt_weight(w: int, den: int) -> str:
+    """``w / den`` as ``_fmt_fraction`` writes it, reduced by the gcd."""
+    g = math.gcd(w, den)
+    return f"{w // g}/{den // g}"
 
 
 def _fmt_rational(x: Fraction) -> str:
@@ -221,20 +229,27 @@ def _cmd_enumerate(args) -> int:
     # the text json.dumps(..., sort_keys=True, indent=2) gives for the
     # object {"entries", "horizon", "short_mass"}, written directly, since
     # with an indent json runs its pure-Python encoder: each key is quoted
-    # once by json's string encoder, repr is json's float form, and the
-    # entries go in sort_token order of their vertices
-    verts = sorted({v for seq in dist.entries for v in seq}, key=sort_token)
+    # once by json's string encoder, and the entries go in sort_token order
+    # of their vertices.  Each probability w / den is written from its
+    # integers: "p" by _fmt_weight, and "decimal" as the repr of the int
+    # true division, which is correctly rounded, so it is the float of the
+    # Fraction
+    den = dist.den
+    verts = sorted({v for seq in dist.weights for v in seq}, key=sort_token)
     rank = {v: i for i, v in enumerate(verts)}
     quoted = {v: json.dumps(encode_key(v)) for v in verts}
+    # every sequence has horizon + 1 vertices, so its ranks read as digits
+    # in base len(verts) order it as its list of ranks would, in one int
+    places = [len(verts) ** i for i in range(dist.horizon, -1, -1)]
+    order = sorted(dist.weights.items(), key=lambda e: sum(map(mul, map(rank.__getitem__, e[0]), places)))
     sep = ",\n        "
     leads = chain(["    "], repeat(",\n    "))
     entries = (
-        f'{lead}{{\n      "decimal": {float(p)!r},\n      "p": "{_fmt_fraction(p)}",\n      "sequence": [\n'
+        f'{lead}{{\n      "decimal": {w / den!r},\n      "p": "{_fmt_weight(w, den)}",\n      "sequence": [\n'
         f"        {sep.join(map(quoted.__getitem__, seq))}\n      ]\n    }}"
-        for lead, (seq, p) in zip(leads, sorted(dist.entries.items(), key=lambda e: [rank[v] for v in e[0]]))
+        for lead, (seq, w) in zip(leads, order)
     )
-    short = _fmt_fraction(dist.short_mass)
-    tail = f'\n  ],\n  "horizon": {dist.horizon},\n  "short_mass": "{short}"\n}}\n'
+    tail = f'\n  ],\n  "horizon": {dist.horizon},\n  "short_mass": "{_fmt_weight(dist.short, den)}"\n}}\n'
     _publish(args.out, {"": chain(['{\n  "entries": [\n'], entries, [tail])})
     return 0
 

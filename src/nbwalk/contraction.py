@@ -227,5 +227,5 @@ def induced_prefix_distribution(
         law, state = partial(_nbrw_anchor_law, g, cmap), (None, start)
     else:
         raise InvalidInput("induced laws are defined for srw and nbrw")
-    entries = _propagate(law, state, (start,), horizon, lambda seq, v: seq + (v,))
-    return PrefixDistribution(horizon, entries)
+    weights, den = _propagate(law, state, (start,), horizon, lambda seq, v: seq + (v,))
+    return PrefixDistribution._from_weights(horizon, weights, 0, den)

@@ -17,16 +17,13 @@ positions are recovered from the move record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate
 from operator import itemgetter
 
 from .errors import InvalidInput
 from .graph import Graph
-from .walkers import PrefixDistribution, WalkKind, _branches, _check_horizon, _propagate
-
-_ZERO = Fraction(0)
+from .walkers import PrefixDistribution, WalkKind, _branches, _check_horizon, _fractions, _propagate
 
 
 @dataclass(frozen=True)
@@ -99,12 +96,12 @@ def erased_prefix_distribution(g: Graph, start, big_n: int, m: int) -> PrefixDis
     m = _check_horizon(m)
     big_n = _check_horizon(big_n, m + 1)
     keep = m + 1
-    law = _propagate(
+    weights, den = _propagate(
         partial(_branches, WalkKind.SRW, g), start, (start,), big_n,
         lambda st, v: _erase_step(st, v)[0], lambda st: st[:keep] if len(st) >= keep else None,
     )
-    short = law.pop(None, _ZERO)
-    return PrefixDistribution(m, law, short)
+    short = weights.pop(None, 0)
+    return PrefixDistribution._from_weights(m, weights, short, den)
 
 
 def _erase_move(record, v):
@@ -118,4 +115,6 @@ def enumerate_move_distribution(g: Graph, start, steps: int) -> dict:
     with ``steps`` steps from ``start``, propagated over (stack, move
     string) pairs."""
     steps = _check_horizon(steps, 1)
-    return _propagate(partial(_branches, WalkKind.SRW, g), start, ((start,), ""), steps, _erase_move, itemgetter(1))
+    return _fractions(
+        *_propagate(partial(_branches, WalkKind.SRW, g), start, ((start,), ""), steps, _erase_move, itemgetter(1))
+    )

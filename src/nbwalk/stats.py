@@ -42,12 +42,12 @@ def total_variation(p: PrefixDistribution, q: PrefixDistribution) -> Fraction:
     the short-output masses compared as one extra outcome."""
     if p.horizon != q.horizon:
         raise InvalidInput(f"horizon mismatch: {p.horizon} vs {q.horizon}")
-    # |p - q| summed in integers over the lcm of both laws' denominators,
-    # with the short mass keyed None, which no prefix can be
-    outcomes = [(*law.entries.items(), (None, law.short_mass)) for law in (p, q)]
-    den = math.lcm(*{x.denominator for items in outcomes for _, x in items})
-    a, b = ({k: x.numerator * (den // x.denominator) for k, x in items} for items in outcomes)
-    acc = sum(abs(w - b.pop(k, 0)) for k, w in a.items()) + sum(b.values())
+    # |p - q| summed in integers, each law's weights rescaled to the lcm of
+    # both denominators; a prefix only q has adds its whole weight
+    den = math.lcm(p.den, q.den)
+    a, b, qw = den // p.den, den // q.den, q.weights
+    acc = abs(p.short * a - q.short * b) + sum(abs(w * a - qw.get(k, 0) * b) for k, w in p.weights.items())
+    acc += b * sum(w for k, w in qw.items() if k not in p.weights)
     return Fraction(acc, 2 * den)
 
 

@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -45,8 +45,6 @@ MAX_ENUMERATION_HORIZON = 14
 # the most (state, record) pairs an exact law may carry into one level before
 # equal pairs merge; path records never merge (Z^2 SRW paths pass it at horizon 11)
 MAX_LEVEL_STATES = 1 << 21
-
-_ZERO = Fraction(0)
 
 
 class WalkKind(str, Enum):
@@ -78,46 +76,82 @@ def is_backtrack_free(seq) -> bool:
     return all(seq[i - 1] != seq[i + 1] for i in range(1, len(seq) - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class PrefixDistribution:
     """Exact distribution over fixed-length vertex-sequence prefixes.
 
-    ``entries`` maps length-(horizon+1) tuples to positive rationals;
-    ``short_mass`` absorbs outcomes that never reached the full length.
-    Together they always sum to exactly 1.
+    The law is held as integers over one denominator ``den``: ``weights``
+    maps length-(horizon+1) tuples to positive ints and ``short`` weighs
+    the outcomes that never reached the full length; together they
+    always sum to exactly ``den``.  ``entries`` and ``short_mass`` are the
+    same law as canonical Fractions, built on first read.  Laws are equal
+    when their probabilities are, whatever their denominators.
     """
 
     horizon: int
-    entries: dict
-    short_mass: Fraction = _ZERO
+    weights: dict
+    short: int
+    den: int
 
-    def __post_init__(self):
-        if not is_int(self.horizon) or self.horizon < 0:
-            raise InvalidInput(f"horizon must be an integer >= 0, got {self.horizon!r}")
-        object.__setattr__(self, "horizon", int(self.horizon))
-        ent = {}
-        for seq, p in self.entries.items():
-            p = p if isinstance(p, Fraction) else Fraction(p)
-            if p.numerator < 0:
+    def __init__(self, horizon, entries: dict, short_mass=0):
+        """The law with probability ``entries[seq]`` per prefix and
+        ``short_mass`` short, each anything ``Fraction`` takes, as weights
+        over the lcm of their denominators."""
+        probs = [p if isinstance(p, Fraction) else Fraction(p) for p in (*entries.values(), short_mass)]
+        den = math.lcm(*{p.denominator for p in probs})
+        *weights, short = (p.numerator * (den // p.denominator) for p in probs)
+        self._hold(horizon, dict(zip(entries, weights)), short, den)
+
+    @classmethod
+    def _from_weights(cls, horizon, weights: dict, short: int, den: int) -> "PrefixDistribution":
+        """The law of ``weights`` and ``short`` over ``den``, the form
+        ``_propagate`` gives, checked as the constructor's input is."""
+        law = cls.__new__(cls)
+        law._hold(horizon, weights, short, den)
+        return law
+
+    def _hold(self, horizon, weights: dict, short: int, den: int) -> None:
+        """Check a law and keep it, with its zero weights dropped."""
+        if not is_int(horizon) or horizon < 0:
+            raise InvalidInput(f"horizon must be an integer >= 0, got {horizon!r}")
+        horizon = int(horizon)
+        size = horizon + 1
+        for seq, w in weights.items():
+            if w < 0:
                 raise InvalidInput("negative probability")
-            if not p.numerator:
-                continue
-            if not isinstance(seq, tuple) or len(seq) != self.horizon + 1:
+            if w and not (isinstance(seq, tuple) and len(seq) == size):
                 raise InvalidInput("prefix length does not match horizon")
-            ent[seq] = p
-        short = self.short_mass if isinstance(self.short_mass, Fraction) else Fraction(self.short_mass)
-        if short.numerator < 0:
+        if short < 0:
             raise InvalidInput("negative short mass")
-        # the exact test sum == 1, in integers over the lcm of the denominators
-        den = math.lcm(short.denominator, *{p.denominator for p in ent.values()})
-        total = sum(p.numerator * (den // p.denominator) for p in ent.values())
-        if total + short.numerator * (den // short.denominator) != den:
+        if sum(weights.values()) + short != den:
             raise InvalidInput("probabilities must sum to exactly 1")
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "short_mass", short)
+        if not all(weights.values()):
+            weights = {seq: w for seq, w in weights.items() if w}
+        for name, value in (("horizon", horizon), ("weights", weights), ("short", short), ("den", den)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def entries(self) -> dict:
+        return _fractions(self.weights, self.den)
+
+    @cached_property
+    def short_mass(self) -> Fraction:
+        return Fraction(self.short, self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, PrefixDistribution):
+            return NotImplemented
+        # w / den == v / other.den, cross-multiplied
+        a, b, theirs = other.den, self.den, other.weights
+        return (
+            self.horizon == other.horizon
+            and self.short * a == other.short * b
+            and self.weights.keys() == theirs.keys()
+            and all(w * a == theirs[seq] * b for seq, w in self.weights.items())
+        )
 
     def prob(self, seq) -> Fraction:
-        return self.entries.get(tuple(seq), _ZERO)
+        return Fraction(self.weights.get(tuple(seq), 0), self.den)
 
     def marginalized(self, m: int) -> "PrefixDistribution":
         """Project to a smaller horizon by truncating every entry."""
@@ -126,19 +160,24 @@ class PrefixDistribution:
         if not 0 <= m <= self.horizon:
             raise InvalidInput(f"cannot marginalize horizon {self.horizon} to {m}")
         out: dict = {}
-        for seq, p in self.entries.items():
+        for seq, w in self.weights.items():
             k = seq[: m + 1]
-            out[k] = out.get(k, _ZERO) + p
-        return PrefixDistribution(m, out, self.short_mass)
+            out[k] = out.get(k, 0) + w
+        return PrefixDistribution._from_weights(m, out, self.short, self.den)
 
     def conditioned(self) -> "PrefixDistribution":
-        """The law given that a full-length prefix was produced."""
-        if self.short_mass == 1:
+        """The law given that a full-length prefix was produced: the same
+        weights over the full-length weight ``den - short``."""
+        if self.short == self.den:
             raise InsufficientData("no full-length mass to condition on")
-        if self.short_mass == 0:
+        if not self.short:
             return self
-        z = 1 - self.short_mass
-        return PrefixDistribution(self.horizon, {s: p / z for s, p in self.entries.items()})
+        return PrefixDistribution._from_weights(self.horizon, self.weights, 0, self.den - self.short)
+
+
+def _fractions(weights: dict, den: int) -> dict:
+    """Each weight over ``den`` as a canonical Fraction, in the same order."""
+    return {y: Fraction(w, den) for y, w in weights.items()}
 
 
 def srw_step(g: Graph, current, rng):
@@ -699,9 +738,12 @@ def _check_horizon(n, least: int = 0) -> int:
     return int(n)
 
 
-def _propagate(law, start, record, n: int, extend, view=None) -> dict:
+def _propagate(law, start, record, n: int, extend, view=None) -> tuple:
     """Exact law of the record, or of ``view(record)`` when a view is
-    given, after n steps of a chain from ``start``.
+    given, after n steps of a chain from ``start``, as ``(weights, den)``:
+    an int weight per outcome, in the order each first appears, over one
+    denominator.  No Fraction is built; callers build them where a law is
+    read.
 
     ``law(state)`` gives ``(p, next state, label)`` triples, as
     ``_branches`` does; it is called once per state, and its triples with
@@ -711,9 +753,8 @@ def _propagate(law, start, record, n: int, extend, view=None) -> dict:
     summed, so paths whose futures cannot differ are expanded once.  This
     is the only place a law is merged.  A level whose pairs could number
     more than ``MAX_LEVEL_STATES`` before merging raises ``LimitExceeded``
-    before it is built.  Weights are ints over one running
-    denominator, which each level multiplies by the lcm of its states'
-    denominators; a Fraction is built only for each output."""
+    before it is built.  The denominator is a running product: each level
+    multiplies it by the lcm of its states' denominators."""
     laws: dict = {}
     level = {(start, record): 1}
     den = 1
@@ -742,7 +783,7 @@ def _propagate(law, start, record, n: int, extend, view=None) -> dict:
         y = rec if view is None else view(rec)
         old = out.get(y)
         out[y] = w if old is None else old + w
-    return {y: Fraction(w, den) for y, w in out.items()}
+    return out, den
 
 
 def enumerate_prefix_distribution(kind, graph, start, m: int) -> PrefixDistribution:
@@ -751,11 +792,11 @@ def enumerate_prefix_distribution(kind, graph, start, m: int) -> PrefixDistribut
     m = _check_horizon(m)
     kind = WalkKind(kind)
     _require_kind_graph(kind, graph)
-    entries = _propagate(
+    weights, den = _propagate(
         partial(_branches, kind, graph),
         (None, start) if kind is WalkKind.NBRW else start,
         (start,),
         m,
         lambda path, v: path + (v,),
     )
-    return PrefixDistribution(m, entries)
+    return PrefixDistribution._from_weights(m, weights, 0, den)

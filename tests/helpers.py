@@ -251,7 +251,9 @@ def walk_reference(kind, graph, start, n, rng):
 def propagate_reference(law, start, record, n, extend, view=None):
     """``walkers._propagate`` with every weight a Fraction: each step
     multiplies and adds Fractions, and the law of the records, or of
-    their views, is summed at the end in the order each first appears."""
+    their views, is summed at the end in the order each first appears.
+    Only then is it put in ``_propagate``'s form, ``(weights, den)``: the
+    Fractions scaled to ints over the lcm of their denominators."""
     laws = {}
     level = {(start, record): Fraction(1)}
     for _ in range(n):
@@ -268,7 +270,8 @@ def propagate_reference(law, start, record, n, extend, view=None):
     for (_, rec), p in level.items():
         y = rec if view is None else view(rec)
         out[y] = out.get(y, 0) + p
-    return out
+    den = math.lcm(*(p.denominator for p in out.values()))
+    return {y: p.numerator * (den // p.denominator) for y, p in out.items()}, den
 
 
 def enumerate_json_reference(dist) -> str:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbwalk import (
+    InsufficientData,
     InvalidInput,
     PrefixDistribution,
     birthdeath,
@@ -116,16 +117,18 @@ def _fraction_tv(p, q):
 
 
 @st.composite
-def _laws(draw, offset):
+def _laws(draw, offset, horizon=1):
     # normalized positive weights, so denominators of every kind, and a
-    # short mass that is zero, a share, or everything when nothing else is
-    keys = draw(st.lists(st.integers(0, 5), unique=True, max_size=6))
+    # short mass that is zero, a share, or everything when nothing else is;
+    # a prefix is 0, k + offset, then horizon - 1 steps in {0, 1}
+    keys = draw(st.lists(st.tuples(st.integers(0, 5), *[st.integers(0, 1)] * (horizon - 1)), unique=True, max_size=6))
     weights = [draw(st.fractions(min_value=Fraction(1, 50), max_value=7, max_denominator=60)) for _ in keys]
     short = Fraction(1)
     if keys:
         short = draw(st.just(Fraction(0)) | st.fractions(min_value=Fraction(1, 40), max_value=3, max_denominator=40))
     total = sum(weights) + short
-    return PrefixDistribution(1, {(0, k + offset): w / total for k, w in zip(keys, weights)}, short / total)
+    entries = {(0, k + offset, *rest): w / total for (k, *rest), w in zip(keys, weights)}
+    return PrefixDistribution(horizon, entries, short / total)
 
 
 @settings(max_examples=100, deadline=None)
@@ -138,6 +141,56 @@ def test_integer_tv_equals_fraction_formula(data):
     assert tv == _fraction_tv(p, q)
     assert type(tv) is Fraction
     assert total_variation(q, p) == tv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_laws(0, horizon=3), st.integers(0, 3))
+def test_weight_form_conditioned_and_marginalized_equal_fraction_formulas(p, m):
+    marginal = {}
+    for seq, x in p.entries.items():
+        marginal[seq[: m + 1]] = marginal.get(seq[: m + 1], 0) + x
+    law = p.marginalized(m)
+    assert (law.horizon, law.entries, law.short_mass) == (m, marginal, p.short_mass)
+    assert list(law.entries) == list(marginal)
+    assert all(type(x) is Fraction for x in (*law.entries.values(), law.short_mass))
+    if p.short_mass == 1:
+        with pytest.raises(InsufficientData):
+            p.conditioned()
+        return
+    law = p.conditioned()
+    z = 1 - p.short_mass
+    assert (law.entries, law.short_mass) == ({seq: x / z for seq, x in p.entries.items()}, 0)
+    assert all(type(x) is Fraction for x in (*law.entries.values(), law.short_mass))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_laws(0), st.integers(2, 9))
+def test_law_equals_itself_rebuilt_over_another_denominator(p, c):
+    # the same law with every weight and the denominator scaled by c
+    scaled = PrefixDistribution._from_weights(p.horizon, {k: c * w for k, w in p.weights.items()}, c * p.short, c * p.den)
+    rebuilt = PrefixDistribution(scaled.horizon, scaled.entries, scaled.short_mass)
+    assert rebuilt.den != scaled.den
+    assert rebuilt == scaled == p
+    assert (scaled.entries, scaled.short_mass) == (p.entries, p.short_mass)
+    # a law with one weight moved to the short mass is another law
+    if p.weights:
+        k = next(iter(p.weights))
+        moved = PrefixDistribution._from_weights(
+            p.horizon, {**scaled.weights, k: scaled.weights[k] - 1}, scaled.short + 1, scaled.den
+        )
+        assert moved != p and p != moved
+
+
+def test_counterexample_tv_equals_fraction_formula():
+    g = counterexample_graph()
+    erased = erased_prefix_distribution(g, "v", 11, 3)
+    nbrw = enumerate_prefix_distribution("nbrw", g, "v", 3)
+    # the oracle's denominator is a running product, not the lcm of its
+    # canonical Fractions'
+    assert PrefixDistribution(3, erased.entries, erased.short_mass).den != erased.den
+    tv = total_variation(erased.conditioned(), nbrw)
+    assert tv == _fraction_tv(erased.conditioned(), nbrw) > 0
+    assert total_variation(erased, nbrw) == _fraction_tv(erased, nbrw)
 
 
 def test_prefix_distribution_refusals_keep_their_messages():
@@ -154,6 +207,11 @@ def test_prefix_distribution_refusals_keep_their_messages():
         PrefixDistribution(1, {(0, 1, 2): Fraction(1)})
     with pytest.raises(InvalidInput, match="^prefix length does not match horizon$"):
         PrefixDistribution(1, {(0, 1): Fraction(1, 2), "02": Fraction(1, 2)})
+    # an oracle's weights go through the same check
+    with pytest.raises(InvalidInput, match="^probabilities must sum to exactly 1$"):
+        PrefixDistribution._from_weights(1, {(0, 1): 2}, 0, 3)
+    with pytest.raises(InvalidInput, match="^negative probability$"):
+        PrefixDistribution._from_weights(1, {(0, 1): 4, (0, 2): -1}, 0, 3)
 
 
 def test_prefix_distribution_drops_zeros_and_takes_ints_and_strings():
