@@ -49,18 +49,14 @@ _CONFIG_ERRORS = (
 )
 
 
-def _fmt_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _fmt_weight(w: int, den: int) -> str:
-    """``w / den`` as ``_fmt_fraction`` writes it, reduced by the gcd."""
+def _fmt_ratio(w: int, den: int) -> str:
+    """``w / den`` in lowest terms, as ``"num/den"``."""
     g = math.gcd(w, den)
     return f"{w // g}/{den // g}"
 
 
 def _fmt_rational(x: Fraction) -> str:
-    return f"{_fmt_fraction(x)} ({float(x):.12g})"
+    return f"{_fmt_ratio(x.numerator, x.denominator)} ({float(x):.12g})"
 
 
 def _graph(args):
@@ -230,10 +226,8 @@ def _cmd_enumerate(args) -> int:
     # object {"entries", "horizon", "short_mass"}, written directly, since
     # with an indent json runs its pure-Python encoder: each key is quoted
     # once by json's string encoder, and the entries go in sort_token order
-    # of their vertices.  Each probability w / den is written from its
-    # integers: "p" by _fmt_weight, and "decimal" as the repr of the int
-    # true division, which is correctly rounded, so it is the float of the
-    # Fraction
+    # of their vertices.  "decimal" is the repr of the int true division
+    # w / den, which is correctly rounded, so it is the float of the Fraction
     den = dist.den
     verts = sorted({v for seq in dist.weights for v in seq}, key=sort_token)
     rank = {v: i for i, v in enumerate(verts)}
@@ -245,11 +239,11 @@ def _cmd_enumerate(args) -> int:
     sep = ",\n        "
     leads = chain(["    "], repeat(",\n    "))
     entries = (
-        f'{lead}{{\n      "decimal": {w / den!r},\n      "p": "{_fmt_weight(w, den)}",\n      "sequence": [\n'
+        f'{lead}{{\n      "decimal": {w / den!r},\n      "p": "{_fmt_ratio(w, den)}",\n      "sequence": [\n'
         f"        {sep.join(map(quoted.__getitem__, seq))}\n      ]\n    }}"
         for lead, (seq, w) in zip(leads, order)
     )
-    tail = f'\n  ],\n  "horizon": {dist.horizon},\n  "short_mass": "{_fmt_weight(dist.short, den)}"\n}}\n'
+    tail = f'\n  ],\n  "horizon": {dist.horizon},\n  "short_mass": "{_fmt_ratio(dist.short, den)}"\n}}\n'
     _publish(args.out, {"": chain(['{\n  "entries": [\n'], entries, [tail])})
     return 0
 

@@ -115,6 +115,5 @@ def enumerate_move_distribution(g: Graph, start, steps: int) -> dict:
     with ``steps`` steps from ``start``, propagated over (stack, move
     string) pairs."""
     steps = _check_horizon(steps, 1)
-    return _fractions(
-        *_propagate(partial(_branches, WalkKind.SRW, g), start, ((start,), ""), steps, _erase_move, itemgetter(1))
-    )
+    law = _propagate(partial(_branches, WalkKind.SRW, g), start, ((start,), ""), steps, _erase_move, itemgetter(1))
+    return _fractions(*law)

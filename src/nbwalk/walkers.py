@@ -143,12 +143,8 @@ class PrefixDistribution:
             return NotImplemented
         # w / den == v / other.den, cross-multiplied
         a, b, theirs = other.den, self.den, other.weights
-        return (
-            self.horizon == other.horizon
-            and self.short * a == other.short * b
-            and self.weights.keys() == theirs.keys()
-            and all(w * a == theirs[seq] * b for seq, w in self.weights.items())
-        )
+        same = self.weights.keys() == theirs.keys() and all(w * a == theirs[k] * b for k, w in self.weights.items())
+        return same and (self.horizon, self.short * a) == (other.horizon, other.short * b)
 
     def prob(self, seq) -> Fraction:
         return Fraction(self.weights.get(tuple(seq), 0), self.den)
