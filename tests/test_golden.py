@@ -14,6 +14,7 @@ one-step laws and so cannot see a change in those laws themselves.
 
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from nbwalk import (
     PrefixDistribution,
     WeightedMultigraph,
+    biregular_tree,
     chain_for_biregular,
     chain_move_law,
     contract,
@@ -28,10 +30,14 @@ from nbwalk import (
     enumerate_move_distribution,
     enumerate_prefix_distribution,
     erased_prefix_distribution,
+    from_adjacency,
     induced_prefix_distribution,
+    lattice,
     monte_carlo,
+    regular_tree,
     sample_path,
     subdivide,
+    subdivided_lattice,
 )
 from nbwalk.cli import run
 from nbwalk.graph import counterexample_graph
@@ -449,6 +455,47 @@ LAWS = {
         "462e83a3f62192b8c2b35bdfb33da8083ae0cf303f76a754c99e5a925c30fef7",
     ),
 }
+
+# the erased law (N = 8, m = 3) and the move law (N = 8) on the families
+# whose stacks the oracles merge by cone type: name: (graph, start,
+# erased sha256, move sha256); the path's start sits next to its leaf 0
+PATH6 = from_adjacency({i: [j for j in (i - 1, i + 1) if 0 <= j < 6] for i in range(6)})
+ERASURE_LAWS = {
+    "lattice2": (
+        lattice(2), (0, 0),
+        "9bfa825530841c5bb3ac8fd0f9b785ec33fd50fd3b61962eb7f84bc363ce751e",
+        "8006b6e49e3cbf7863a1f1fe485056c7faba77d33e4add49f740b5a4a44bce99",
+    ),
+    "sublattice2_t2_corridor": (
+        subdivided_lattice(2, 2), (1, 0),
+        "ce35f8c613e2ae87049dc903def354a08c4270c5c56cdcb55246b59b8df84189",
+        "d470a2d4fbf17a3abe9d1e8de845735a94fd2a4c669e19067d854d7755b12e3a",
+    ),
+    "tree3_below_root": (
+        regular_tree(3), (0, 1),
+        "570691cea07a6f648009915530d5adf753faeae2ac62324f689713a2d0b16188",
+        "96f9fa33efaf43b39e30e74f6c6d9a59f3029ffa4c31928308f0d68ff7db989f",
+    ),
+    "bitree43": (
+        biregular_tree(4, 3), (),
+        "75796f5fde91b65bf78c6ed046812464bc94d4d083da05c5fd60eadaf06d0e5a",
+        "412c0271817c4c97f320b9ae1d4b1b0c4acb1f637a55bcb03da96a3391955af1",
+    ),
+    "k34": (
+        complete_bipartite(3, 4), "a0",
+        "abb492e931df1e886dcf71794f5af0b5c4ebc3e357df96531cd13ddfa426cb02",
+        "412c0271817c4c97f320b9ae1d4b1b0c4acb1f637a55bcb03da96a3391955af1",
+    ),
+    "path6_next_to_leaf": (
+        PATH6, 1,
+        "a8225660a883fb57d901212ab9f9c13670431586880827f6c1de053303a64725",
+        "fef81a9790966e72a71a039a64627c3caff496b1651a4424cc01b09a2b89cb77",
+    ),
+}
+LAWS.update({f"{name}_erased_n8": (partial(erased_prefix_distribution, g, x, 8, 3), sha)
+             for name, (g, x, sha, _) in ERASURE_LAWS.items()})
+LAWS.update({f"{name}_move_law_n8": (partial(enumerate_move_distribution, g, x, 8), sha)
+             for name, (g, x, _, sha) in ERASURE_LAWS.items()})
 
 
 def _law_text(law) -> str:
