@@ -17,7 +17,8 @@ positions are recovered from the move record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
 
@@ -79,41 +80,81 @@ def erase_backtracks_stack(seq) -> tuple:
     return tuple(_erase_stack(seq)[0])
 
 
-def _erase_step(stack: tuple, x):
-    """One step of ``_erase_stack`` on an immutable stack, for the exact
-    oracles: returns the new stack and the move."""
-    if len(stack) >= 2 and stack[-2] == x:
-        return stack[:-1], "L"
-    return stack + (x,), "R"
+def _stack_chain(g: Graph, keep: int):
+    """The erasure stacks of a uniform-neighbor walk on ``g`` as a chain
+    for ``_propagate``: ``(law, step)``, whose state is the stack's top.
+    A stack keeps its first ``keep`` entries as vertices and each entry
+    above them as a tag of its dart's cone type (``Graph.dart_types``,
+    built when a stack first grows past ``keep``).  A type t's top pops
+    with chance 1/deg(t) and pushes each successor type c with chance
+    mult(t, c)/deg(t), so stacks that agree on the prefix and the type
+    sequence merge and the laws are those of the vertex stacks.  A tag is
+    a string with a space, which no vertex key is (``canon_key``); unlike
+    a private object, the garbage collector does not track it."""
+    of = successors = None
+    tags: dict = {}
+    cones: dict = {}
+
+    def tag(t):
+        if t not in tags:
+            tags[t] = f"cone {len(tags)}"
+            cones[tags[t]] = t
+        return tags[t]
+
+    def law(top):
+        t = cones.get(top)
+        if t is None:
+            return _branches(WalkKind.SRW, g, top)
+        succ = successors(t)
+        deg = 1 + sum(k for _, k in succ)
+        return ((Fraction(1, deg), None, None), *((Fraction(k, deg), None, tag(c)) for c, k in succ))
+
+    def step(stack, x):
+        # above the prefix, x is None for a pop or the pushed tag
+        nonlocal of, successors
+        if len(stack) > keep:
+            return stack[:-1] if x is None else stack + (x,)
+        if len(stack) > 1 and stack[-2] == x:
+            return stack[:-1]
+        if len(stack) < keep:
+            return stack + (x,)
+        if of is None:
+            of, successors = g.dart_types()
+        return stack + (tag(of(stack[-1], x)),)
+
+    return law, step
 
 
 def erased_prefix_distribution(g: Graph, start, big_n: int, m: int) -> PrefixDistribution:
     """Exact law of the first m+1 entries of the erased output of a
     uniform-neighbor walk of length ``big_n`` from ``start``.  The law is
-    propagated over erasure stacks, whose top is the walk's vertex, so
-    walks that reach the same stack are merged.  Outputs that come out
-    shorter than m+1 accumulate in ``short_mass``."""
+    propagated over erasure stacks whose entries above the first m+1 are
+    cone types (``_stack_chain``), so walks that reach the same prefix and
+    type sequence are merged.  Outputs that come out shorter than m+1
+    accumulate in ``short_mass``."""
     m = _check_horizon(m)
     big_n = _check_horizon(big_n, m + 1)
     keep = m + 1
+    law, step = _stack_chain(g, keep)
     weights, den = _propagate(
-        partial(_branches, WalkKind.SRW, g), start, (start,), big_n,
-        lambda st, v: _erase_step(st, v)[0], lambda st: st[:keep] if len(st) >= keep else None,
+        law, start, (start,), big_n, step, lambda st: st[:keep] if len(st) >= keep else None, itemgetter(-1)
     )
     short = weights.pop(None, 0)
     return PrefixDistribution._from_weights(m, weights, short, den)
 
 
-def _erase_move(record, v):
-    stack, moves = record
-    stack, move = _erase_step(stack, v)
-    return stack, moves + move
-
-
 def enumerate_move_distribution(g: Graph, start, steps: int) -> dict:
     """Exact law of the erasure move string of a uniform-neighbor walk
     with ``steps`` steps from ``start``, propagated over (stack, move
-    string) pairs."""
+    string) pairs whose stacks keep the start and the cone types above it
+    (``_stack_chain``)."""
     steps = _check_horizon(steps, 1)
-    law = _propagate(partial(_branches, WalkKind.SRW, g), start, ((start,), ""), steps, _erase_move, itemgetter(1))
-    return _fractions(*law)
+    law, step = _stack_chain(g, 1)
+
+    # a record is (top, stack, moves), so that its state is read in C
+    def move(record, x):
+        _, stack, moves = record
+        after = step(stack, x)
+        return after[-1], after, moves + ("R" if len(after) > len(stack) else "L")
+
+    return _fractions(*_propagate(law, start, (start, (start,), ""), steps, move, itemgetter(2), itemgetter(0)))

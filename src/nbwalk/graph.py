@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, cycle
 from typing import Iterable, Mapping, Sequence
@@ -89,6 +90,18 @@ class Graph:
     def neighbors(self, v) -> tuple:
         raise NotImplementedError
 
+    def dart_types(self) -> tuple:
+        """The darts' cone types as ``(of, successors)``.  Darts u -> v whose
+        subtrees of the universal cover beyond v are isomorphic share a type
+        (Nagnibeda & Woess, "Random walks on trees with finitely many cone
+        types", J. Theoret. Probab. 15, 2002).  ``of(u, v)`` is a dart's type,
+        for keys the graph's own lookups gave, unchecked; ``successors(t)``
+        is the multiset of the types of the darts v -> w, w != u, as
+        ``(type, count)`` pairs.  Here each dart is its own type; the
+        families override it with finitely many."""
+        nbrs = self.neighbors
+        return (lambda u, v: (u, v)), lambda t: [((t[1], w), 1) for w in nbrs(t[1]) if w != t[0]]
+
     def degree(self, v) -> int:
         return len(self.neighbors(v))
 
@@ -155,6 +168,17 @@ class Lattice(Graph):
                 out.append(self._out(tuple(w)))
         return tuple(out)
 
+    def dart_types(self) -> tuple:
+        """Type j: the dart's head is j steps short of the next anchor
+        ahead, 0 at an anchor, so 0 is the only type at pitch 1.  Along the
+        one axis where u and v differ, that is ``(u - v) * v`` mod the pitch."""
+        d, pitch = self.d, self.pitch
+
+        def of(u, v):
+            return (u - v) * v % pitch if d == 1 else sum((a - b) * b for a, b in zip(u, v)) % pitch
+
+        return of, lambda j: ((j - 1, 1),) if j else ((pitch - 1, 2 * d - 1),)
+
     def displacement(self, v, origin):
         return math.dist(self.coordinates(v), self.coordinates(origin))
 
@@ -205,6 +229,13 @@ class BiregularTree(Graph):
             return tuple((j,) for j in range(self.k1))
         child_count = (self.k2 if len(v) % 2 else self.k1) - 1
         return (v[:-1],) + tuple(v + (j,) for j in range(child_count))
+
+    def dart_types(self) -> tuple:
+        """Type p: the parity of the dart's head's depth.  Every neighbor
+        of a vertex has the other parity, and its degree is k1 at even
+        depths and k2 at odd ones."""
+        k = (self.k1, self.k2)
+        return (lambda u, v: len(v) & 1), lambda p: ((1 - p, k[p] - 1),)
 
     def displacement(self, v, origin):
         """Depth of ``v`` from the root.  ``origin`` is ignored, so a walk
@@ -275,6 +306,18 @@ class ExplicitGraph(Graph):
             return self._adj[v]
         except KeyError:
             raise InvalidParameter(f"unknown vertex {v!r}") from None
+
+    def dart_types(self) -> tuple:
+        """Colour refinement on darts: it starts from the head degree and
+        splits each class by the multiset of its darts' successors' classes
+        until no class splits."""
+        ahead = {(u, v): [(v, w) for w in self._adj[v] if w != u] for u in self._verts for v in self._adj[u]}
+        colour, count = {d: len(a) for d, a in ahead.items()}, 0
+        while count < len(set(colour.values())):
+            count, ids = len(set(colour.values())), {}
+            colour = {d: ids.setdefault((colour[d], tuple(sorted(map(colour.get, a)))), len(ids)) for d, a in ahead.items()}
+        successors = {colour[d]: tuple(Counter(map(colour.get, a)).items()) for d, a in ahead.items()}
+        return (lambda u, v: colour[u, v]), successors.__getitem__
 
     def edges(self) -> tuple:
         out = []

@@ -734,7 +734,7 @@ def _check_horizon(n, least: int = 0) -> int:
     return int(n)
 
 
-def _propagate(law, start, record, n: int, extend, view=None) -> tuple:
+def _propagate(law, start, record, n: int, extend, view=None, state_of=None) -> tuple:
     """Exact law of the record, or of ``view(record)`` when a view is
     given, after n steps of a chain from ``start``, as ``(weights, den)``:
     an int weight per outcome, in the order each first appears, over one
@@ -744,7 +744,10 @@ def _propagate(law, start, record, n: int, extend, view=None) -> tuple:
     ``law(state)`` gives ``(p, next state, label)`` triples, as
     ``_branches`` does; it is called once per state, and its triples with
     the same next state and label are summed then.  ``extend(record,
-    label)`` is the record after one step.  The law of ``(state, record)``
+    label)`` is the record after one step, and when ``state_of`` is given,
+    the next state is ``state_of`` of that record, not the triple's: a
+    chain whose step depends on more than its state, such as an erasure
+    stack's pop, names it so.  The law of ``(state, record)``
     pairs is carried forward one level per step and equal pairs are
     summed, so paths whose futures cannot differ are expanded once.  This
     is the only place a law is merged.  A level whose pairs could number
@@ -769,7 +772,8 @@ def _propagate(law, start, record, n: int, extend, view=None) -> tuple:
         nxt_level: dict = {}
         for (state, rec), w in level.items():
             for num, (nxt, label) in scaled[state]:
-                key = (nxt, extend(rec, label))
+                after = extend(rec, label)
+                key = (nxt if state_of is None else state_of(after), after)
                 old = nxt_level.get(key)
                 nxt_level[key] = w * num if old is None else old + w * num
         level = nxt_level

@@ -71,6 +71,25 @@ def complete_bipartite(m: int, n: int):
     return from_adjacency(adj)
 
 
+def path_graph(n: int):
+    return from_adjacency({i: [j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)})
+
+
+def random_graph(seed: int, n: int = 7):
+    """G(n, 1/2) on 0..n-1 drawn from ``seed``, with the edge 0-1 forced
+    and a vertex "leaf" hung on 0, so that the degrees differ."""
+    r = rng(seed)
+    adj = {i: [] for i in range(n)}
+    adj["leaf"] = [0]
+    adj[0].append("leaf")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) == (0, 1) or r.random() < 0.5:
+                adj[i].append(j)
+                adj[j].append(i)
+    return from_adjacency(adj)
+
+
 def truncated_escape(spec, m: int = 200) -> float:
     """Escape probability via the truncated absorbing chain on {0..M}:
     absorb at 0 and at M, solve the interior linear system numerically,
@@ -248,7 +267,7 @@ def walk_reference(kind, graph, start, n, rng):
         raise NoLegalMove(f"step {i}: {exc}") from None
 
 
-def propagate_reference(law, start, record, n, extend, view=None):
+def propagate_reference(law, start, record, n, extend, view=None, state_of=None):
     """``walkers._propagate`` with every weight a Fraction: each step
     multiplies and adds Fractions, and the law of the records, or of
     their views, is summed at the end in the order each first appears.
@@ -263,7 +282,8 @@ def propagate_reference(law, start, record, n, extend, view=None):
             if triples is None:
                 triples = laws[state] = law(state)
             for p, nxt, label in triples:
-                key = (nxt, extend(rec, label))
+                after = extend(rec, label)
+                key = (nxt if state_of is None else state_of(after), after)
                 nxt_level[key] = nxt_level.get(key, 0) + prob * p
         level = nxt_level
     out = {}

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 from nbwalk import (
+    biregular_tree,
     chain_for_biregular,
     chain_for_regular,
     chain_move_law,
@@ -28,6 +29,7 @@ from nbwalk import (
     total_variation,
 )
 from nbwalk.cli import run
+from nbwalk.walkers import MAX_ENUMERATION_HORIZON
 
 from helpers import check_biregular_shape, complete_bipartite, cursor_erase, k4, rng, theta_graph, truncated_escape
 
@@ -84,6 +86,24 @@ def test_criterion_2_biregular_move_law():
     for g, start, chain in cases:
         assert enumerate_move_distribution(g, start, 10) == chain_move_law(chain, 10)
     print(f"criterion 2 (biregular): PASS  K_3,4 and subdivided K4 move laws exact, {time.time() - t0:.1f}s")
+
+
+def test_criterion_2_move_law_at_the_horizon_guard():
+    # the move law merges erasure stacks by cone type, so it reaches the
+    # guard N = 14 on finite graphs and on infinite ones, from any start
+    t0 = time.time()
+    n = MAX_ENUMERATION_HORIZON
+    cases = [
+        (k4(), 0, chain_for_regular(3)),
+        (regular_tree(3), (), chain_for_regular(3)),
+        (regular_tree(3), (0, 1), chain_for_regular(3)),
+        (lattice(2), (0, 0), chain_for_regular(4)),
+        (complete_bipartite(3, 4), "a0", chain_for_biregular(4, 3)),
+        (biregular_tree(4, 3), (), chain_for_biregular(4, 3)),
+    ]
+    for g, start, chain in cases:
+        assert enumerate_move_distribution(g, start, n) == chain_move_law(chain, n)
+    print(f"criterion 2 (N = {n}): PASS  K4, trees, Z^2 and K_3,4 move laws exact, {time.time() - t0:.1f}s")
 
 
 def test_criterion_3_erased_prefix_convergence():

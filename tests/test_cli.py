@@ -178,6 +178,7 @@ SUBDIVIDED_K5 = json.dumps({"type": "subdivided", "base": K5_SPEC, "t": 2})
         (LATTICE2, None, 8, 3, "0/1", None),
         (LATTICE2, None, 10, 4, "0/1", "8485/65536"),
         (LATTICE3, None, 8, 3, "0/1", None),
+        (LATTICE3, None, 14, 3, "0/1", None),
         (TREE3, None, 10, 4, "0/1", "5579/19683"),
         (BITREE43, None, 10, 4, "0/1", "137/648"),
         (SUBLATTICE, "(1,0)", 8, 3, "0/1", None),
@@ -187,7 +188,7 @@ SUBDIVIDED_K5 = json.dumps({"type": "subdivided", "base": K5_SPEC, "t": 2})
         (SUBDIVIDED_K5, "(0,1,1)", 8, 3, "2/37", None),
     ],
     ids=[
-        "Z1-4-2", "Z1-14-6", "Z2-8-3", "Z2-10-4", "Z3-8-3", "tree3-10-4", "bitree43-10-4", "sublattice-t1-8-3",
+        "Z1-4-2", "Z1-14-6", "Z2-8-3", "Z2-10-4", "Z3-8-3", "Z3-14-3", "tree3-10-4", "bitree43-10-4", "sublattice-t1-8-3",
         "sublattice-t2-anchor-8-3", "sublattice-t2-corridor-8-3", "sublattice-t2-corridor-10-4", "subdivided-K5-8-3",
     ],
 )
@@ -555,8 +556,9 @@ def test_graph_spec_read_from_a_file(tmp_path, capsys):
         (["compare", "--graph", PATH3_SPEC, "--start", "a", "--N", "6", "--m", "3"], "'c' has degree 1"),
         # every 4-step walk from the end of the path erases to fewer than 4 vertices
         (["compare", "--graph", PATH4_SPEC, "--start", "a", "--N", "4", "--m", "3"], "no full-length mass"),
-        # a level of Z^3's erasure stacks at N = 9 outgrows walkers.MAX_LEVEL_STATES
-        (["compare", "--graph", LATTICE3, "--N", "9", "--m", "3"], "exceeds the state budget"),
+        # Z^3's erasure stacks keep their first m + 1 = 9 entries as vertices,
+        # so a level at N = 9 outgrows walkers.MAX_LEVEL_STATES
+        (["compare", "--graph", LATTICE3, "--N", "9", "--m", "8"], "exceeds the state budget"),
     ],
     ids=["enumerate-nbrw-dead-end", "compare-nbrw-dead-end", "compare-no-full-prefix", "compare-state-budget"],
 )

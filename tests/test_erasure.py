@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbwalk import (
+    Graph,
     InvalidInput,
     LimitExceeded,
     PrefixDistribution,
+    biregular_tree,
     chain_for_regular,
     chain_move_law,
     counterexample_graph,
@@ -17,13 +19,16 @@ from nbwalk import (
     erase_backtracks_stack,
     erased_prefix_distribution,
     is_backtrack_free,
+    lattice,
+    regular_tree,
     sample_path,
+    subdivided_lattice,
     total_variation,
 )
 
-from nbwalk.erasure import _erase_stack, _erase_step
+from nbwalk.erasure import _erase_stack, _stack_chain
 
-from helpers import cursor_erase, k4, rng
+from helpers import complete_bipartite, cursor_erase, k4, path_graph, random_graph, rng
 
 
 def test_single_backtrack():
@@ -68,11 +73,14 @@ def _check_invariants(seq):
     # the two formulations agree, output and move record alike
     assert res.output == erase_backtracks_stack(seq) == tuple(out2)
     assert res.trace.moves == "".join(moves2)
-    # the immutable step the exact oracles propagate folds to the same result
+    # the stack step the exact oracles propagate, with every entry kept a
+    # vertex, folds to the same result
+    _, step = _stack_chain(None, len(seq))
     stack, moves3 = (seq[0],), ""
     for x in seq[1:]:
-        stack, move = _erase_step(stack, x)
-        moves3 += move
+        after = step(stack, x)
+        moves3 += "R" if len(after) > len(stack) else "L"
+        stack = after
     assert (list(stack), moves3) == (out2, "".join(moves2))
     assert is_backtrack_free(res.output)
     assert len(res.output) % 2 == len(seq) % 2
@@ -191,11 +199,37 @@ def test_move_law_not_iid_on_counterexample():
     assert gap / 2 > Fraction(1, 1000)
 
 
-@pytest.mark.parametrize("graph, start", [(k4(), 0), (counterexample_graph(), "v")], ids=["k4", "counterexample"])
-def test_merged_oracles_equal_pushforward_of_srw_paths(graph, start):
+class _Plain(Graph):
+    """A graph seen only through ``neighbors``, so its darts take
+    ``Graph.dart_types``, one type per dart."""
+
+    def __init__(self, g):
+        self.neighbors = g.neighbors
+
+
+# name: (graph, start, largest N); the merged stacks hold cone types from
+# refinement (explicit graphs), from the closed forms (lattices, trees)
+# and one per dart (_Plain)
+PUSHFORWARD = {
+    "k4": (k4(), 0, 8),
+    "counterexample": (counterexample_graph(), "v", 8),
+    "lattice2": (lattice(2), (0, 0), 6),
+    "sublattice2_t2_corridor": (subdivided_lattice(2, 2), (1, 0), 6),
+    "tree3_below_root": (regular_tree(3), (0, 1), 6),
+    "bitree43": (biregular_tree(4, 3), (), 6),
+    "k34": (complete_bipartite(3, 4), "a0", 6),
+    "path6_next_to_leaf": (path_graph(6), 1, 6),
+    "plain_counterexample": (_Plain(counterexample_graph()), "v", 6),
+    **{f"random{seed}": (random_graph(seed), 0 if seed < 5 else "leaf", 6) for seed in range(1, 7)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUSHFORWARD))
+def test_merged_oracles_equal_pushforward_of_srw_paths(name):
     # the prefix law keeps every path apart, so erasing each path and
     # summing checks the oracles that merge walks by erasure stack
-    for big_n in range(1, 9):
+    graph, start, top = PUSHFORWARD[name]
+    for big_n in range(1, top + 1):
         paths = enumerate_prefix_distribution("srw", graph, start, big_n).entries
         moves: dict = {}
         for path, p in paths.items():

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbwalk import (
+    Graph,
     InvalidParameter,
     Lattice,
     MalformedGraph,
@@ -24,7 +26,7 @@ from nbwalk import (
 )
 from nbwalk.graph import canon_key, sort_token
 
-from helpers import k4, rng, triangle
+from helpers import complete_bipartite, k4, random_graph, rng, triangle
 
 
 def test_lattice_1d_neighbors():
@@ -392,3 +394,105 @@ def test_displacements():
     assert biregular_tree(4, 3).displacement((1,), (1,)) == 1.0
     assert k4().displacement(2, 0) == 1.0
     assert k4().displacement(0, 0) == 0.0
+
+
+def _darts_near(g, start, depth):
+    """The darts within ``depth`` steps of ``start``, by keys from ``g``'s lookups."""
+    seen, frontier, darts = {start}, [start], []
+    for _ in range(depth):
+        nxt = []
+        for u in frontier:
+            for v in g.neighbors(u):
+                darts.append((u, v))
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return darts
+
+
+K5 = from_adjacency({i: [j for j in range(5) if j != i] for i in range(5)})
+
+
+@pytest.mark.parametrize(
+    "g, start, depth",
+    [
+        (k4(), 0, 2), (counterexample_graph(), "v", 3), (random_graph(3), 0, 3), (K5, 0, 2),
+        (subdivide(K5, 2), 0, 4), (lattice(1), 0, 3), (lattice(3), (0, 0, 0), 2),
+        (subdivided_lattice(1, 2), 0, 7), (subdivided_lattice(2, 3), (0, 0), 9), (subdivided_lattice(2, 2), (1, 0), 7),
+        (regular_tree(3), (), 4), (biregular_tree(4, 3), (0, 1), 5),
+    ],
+    ids=["k4", "counterexample", "random3", "k5", "k5t2", "lattice1", "lattice3", "lattice1t2", "lattice2t3",
+         "lattice2t2-corridor", "tree3", "tree43-below-root"],
+)
+def test_dart_types_hold_dart_by_dart(g, start, depth):
+    # every dart's head degree and successors' types are its type's, for
+    # the families' types and for one type per dart alike
+    for of, successors in (g.dart_types(), Graph.dart_types(g)):
+        for u, v in _darts_near(g, start, depth):
+            assert Counter(of(v, w) for w in g.neighbors(v) if w != u) == dict(successors(of(u, v)))
+
+
+def test_dart_type_counts_and_closed_form_values():
+    def count(g):
+        of = g.dart_types()[0]
+        return len({of(*d) for d in _darts_near(g, g.default_start(), 99)})
+
+    assert count(k4()) == count(K5) == 1
+    assert count(counterexample_graph()) == 4
+    assert count(subdivide(K5, 2)) == 3
+    of, successors = subdivided_lattice(2, 2).dart_types()
+    assert [of((0, 0), (1, 0)), of((1, 0), (2, 0)), of((2, 0), (3, 0)), of((2, 0), (1, 0))] == [2, 1, 0, 1]
+    assert [successors(0), successors(1), successors(2)] == [((2, 3),), ((0, 1),), ((1, 1),)]
+    of = subdivided_lattice(1, 2).dart_types()[0]
+    assert [of(0, 1), of(1, 0), of(-1, -2), of(-2, -3)] == [2, 0, 1, 0]
+    of, successors = lattice(3).dart_types()
+    assert (of((0, 0, 0), (0, -1, 0)), successors(0)) == (0, ((0, 5),))
+    of, successors = biregular_tree(4, 3).dart_types()
+    assert [of((), (0,)), of((0,), ()), of((0,), (0, 1))] == [1, 0, 0]
+    assert (successors(0), successors(1)) == (((1, 3),), ((0, 2),))
+
+
+def _union_classes(*systems):
+    """Colour refinement on the disjoint union of finite type systems,
+    each ``(successors, types)``: the class of each ``(system, type)``.
+    Two types share a class exactly when their cones are isomorphic."""
+    nodes = [(i, t) for i, (_, ts) in enumerate(systems) for t in ts]
+    succ = {(i, t): [(i, c) for c, k in systems[i][0](t) for _ in range(k)] for i, t in nodes}
+    colour, count = {node: len(succ[node]) for node in nodes}, 0
+    while True:
+        ids: dict = {}
+        colour = {node: ids.setdefault((colour[node], tuple(sorted(colour[c] for c in succ[node]))), len(ids)) for node in nodes}
+        if len(ids) == count:
+            return colour
+        count = len(ids)
+
+
+@pytest.mark.parametrize(
+    "closed, types, stand_in, darts",
+    [
+        (lattice(2), range(1), K5, [(((0, 0), (1, 0)), (0, 1))]),
+        *[
+            (subdivided_lattice(2, t), range(t + 1), subdivide(K5, t),
+             [(((0, 0), (1, 0)), (0, (0, 1, 1))), (((t, 0), (t + 1, 0)), ((0, 1, t), 1))])
+            for t in (1, 2, 3)
+        ],
+        *[
+            (biregular_tree(k1, k2), (0, 1), complete_bipartite(k2, k1), [(((), (0,)), ("a0", "b0")), (((0,), ()), ("b0", "a0"))])
+            for k1, k2 in ((4, 3), (3, 2), (5, 2))
+        ],
+        (regular_tree(3), (0, 1), k4(), [(((), (0,)), (0, 1))]),
+    ],
+    ids=["lattice2-k5", "lattice2t1-k5t1", "lattice2t2-k5t2", "lattice2t3-k5t3", "tree43-k34", "tree32-k23", "tree52-k25",
+         "tree3-k4"],
+)
+def test_closed_form_dart_types_match_refinement_on_a_stand_in(closed, types, stand_in, darts):
+    # the stand-in's universal cover is the closed form's, so refinement
+    # on both type systems at once puts their types in the same classes,
+    # and corresponding darts in one class
+    (mine, my_successors), (theirs, their_successors) = closed.dart_types(), stand_in.dart_types()
+    refined = {theirs(u, v) for u in stand_in.vertices() for v in stand_in.neighbors(u)}
+    colour = _union_classes((my_successors, types), (their_successors, refined))
+    assert {colour[0, t] for t in types} == {colour[1, t] for t in refined}
+    for a, b in darts:
+        assert colour[0, mine(*a)] == colour[1, theirs(*b)]

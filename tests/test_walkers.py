@@ -429,12 +429,15 @@ def test_exact_laws_refuse_a_level_over_the_state_budget(monkeypatch):
     assert len(enumerate_prefix_distribution("srw", k4(), 0, 3).entries) == 27
     with pytest.raises(LimitExceeded, match="state budget"):
         enumerate_prefix_distribution("srw", k4(), 0, 4)
-    # erasure stacks merge: 3 steps leave 12 non-backtracking stacks and 3
-    # of length 2, so the fourth level is bounded by 15 * 3, not 3^4
-    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 44)
+    # erasure stacks merge, and above their first m + 1 = 3 entries they
+    # hold K4's one cone type, whose law is a pop and a push (2 successors):
+    # 2 steps leave (0,) and 6 stacks (0, w, x), so the third level is
+    # bounded by 7 * 3; 3 steps leave 3 stacks (0, w) and 6 stacks
+    # (0, w, x, type), so the fourth by 3 * 3 + 6 * 2.  Both are 21, not 3^4
+    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 20)
     with pytest.raises(LimitExceeded, match="state budget"):
         erased_prefix_distribution(k4(), 0, 4, 2)
-    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 45)
+    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 21)
     assert erased_prefix_distribution(k4(), 0, 4, 2).short_mass > 0
 
 
