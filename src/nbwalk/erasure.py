@@ -82,24 +82,20 @@ def erase_backtracks_stack(seq) -> tuple:
 
 def _stack_chain(g: Graph, keep: int):
     """The erasure stacks of a uniform-neighbor walk on ``g`` as a chain
-    for ``_propagate``: ``(law, step)``, whose state is the stack's top.
-    A stack keeps its first ``keep`` entries as vertices and each entry
-    above them as a tag of its dart's cone type (``Graph.dart_types``,
-    built when a stack first grows past ``keep``).  A type t's top pops
-    with chance 1/deg(t) and pushes each successor type c with chance
-    mult(t, c)/deg(t), so stacks that agree on the prefix and the type
-    sequence merge and the laws are those of the vertex stacks.  A tag is
-    a string with a space, which no vertex key is (``canon_key``); unlike
-    a private object, the garbage collector does not track it."""
+    for ``_propagate``, ``(law, step)``, whose state is the stack's top.
+    The first ``keep`` entries stay vertices; each entry above them is a
+    tag of its dart's cone type (``Graph.dart_types``, built when a stack
+    first grows past ``keep``), and a type t's top pops with chance
+    1/deg(t) and pushes each successor type c with chance mult(t, c)/deg(t).
+    A tag is a string with a space, which no vertex key is (``canon_key``)
+    and which, unlike a private object, the garbage collector does not
+    track."""
     of = successors = None
-    tags: dict = {}
     cones: dict = {}
 
     def tag(t):
-        if t not in tags:
-            tags[t] = f"cone {len(tags)}"
-            cones[tags[t]] = t
-        return tags[t]
+        cones[x := f"cone {t}"] = t
+        return x
 
     def law(top):
         t = cones.get(top)

@@ -95,12 +95,10 @@ class Graph:
         subtrees of the universal cover beyond v are isomorphic share a type
         (Nagnibeda & Woess, "Random walks on trees with finitely many cone
         types", J. Theoret. Probab. 15, 2002).  ``of(u, v)`` is a dart's type,
-        for keys the graph's own lookups gave, unchecked; ``successors(t)``
-        is the multiset of the types of the darts v -> w, w != u, as
-        ``(type, count)`` pairs.  Here each dart is its own type; the
-        families override it with finitely many."""
-        nbrs = self.neighbors
-        return (lambda u, v: (u, v)), lambda t: [((t[1], w), 1) for w in nbrs(t[1]) if w != t[0]]
+        an int, for keys the graph's own lookups gave, unchecked;
+        ``successors(t)`` is the multiset of the types of the darts v -> w,
+        w != u, as ``(type, count)`` pairs.  The erasure laws read it."""
+        raise NotImplementedError
 
     def degree(self, v) -> int:
         return len(self.neighbors(v))

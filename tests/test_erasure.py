@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbwalk import (
-    Graph,
     InvalidInput,
     LimitExceeded,
     PrefixDistribution,
@@ -199,17 +198,8 @@ def test_move_law_not_iid_on_counterexample():
     assert gap / 2 > Fraction(1, 1000)
 
 
-class _Plain(Graph):
-    """A graph seen only through ``neighbors``, so its darts take
-    ``Graph.dart_types``, one type per dart."""
-
-    def __init__(self, g):
-        self.neighbors = g.neighbors
-
-
 # name: (graph, start, largest N); the merged stacks hold cone types from
-# refinement (explicit graphs), from the closed forms (lattices, trees)
-# and one per dart (_Plain)
+# refinement (explicit graphs) and from the closed forms (lattices, trees)
 PUSHFORWARD = {
     "k4": (k4(), 0, 8),
     "counterexample": (counterexample_graph(), "v", 8),
@@ -219,7 +209,6 @@ PUSHFORWARD = {
     "bitree43": (biregular_tree(4, 3), (), 6),
     "k34": (complete_bipartite(3, 4), "a0", 6),
     "path6_next_to_leaf": (path_graph(6), 1, 6),
-    "plain_counterexample": (_Plain(counterexample_graph()), "v", 6),
     **{f"random{seed}": (random_graph(seed), 0 if seed < 5 else "leaf", 6) for seed in range(1, 7)},
 }
 
