@@ -30,7 +30,6 @@ from nbwalk import (
     enumerate_move_distribution,
     enumerate_prefix_distribution,
     erased_prefix_distribution,
-    from_adjacency,
     induced_prefix_distribution,
     lattice,
     monte_carlo,
@@ -42,7 +41,7 @@ from nbwalk import (
 from nbwalk.cli import run
 from nbwalk.graph import counterexample_graph
 
-from helpers import complete_bipartite, k4, theta_graph, two_loop_graph
+from helpers import complete_bipartite, k4, path_graph, theta_graph, two_loop_graph
 
 
 def _explicit_spec(g) -> str:
@@ -459,7 +458,6 @@ LAWS = {
 # the erased law (N = 8, m = 3) and the move law (N = 8) on the families
 # whose stacks the oracles merge by cone type: name: (graph, start,
 # erased sha256, move sha256); the path's start sits next to its leaf 0
-PATH6 = from_adjacency({i: [j for j in (i - 1, i + 1) if 0 <= j < 6] for i in range(6)})
 ERASURE_LAWS = {
     "lattice2": (
         lattice(2), (0, 0),
@@ -487,7 +485,7 @@ ERASURE_LAWS = {
         "412c0271817c4c97f320b9ae1d4b1b0c4acb1f637a55bcb03da96a3391955af1",
     ),
     "path6_next_to_leaf": (
-        PATH6, 1,
+        path_graph(6), 1,
         "a8225660a883fb57d901212ab9f9c13670431586880827f6c1de053303a64725",
         "fef81a9790966e72a71a039a64627c3caff496b1651a4424cc01b09a2b89cb77",
     ),
