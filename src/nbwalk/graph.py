@@ -26,6 +26,8 @@ _BAD_STR = re.compile(r"[\s(),]")
 # an atom of key text, and the JSON array brackets of its parentheses
 _ATOM = re.compile(r"[^(),]+")
 _BRACKETS = str.maketrans("()", "[]")
+# dart visits ``ExplicitGraph.dart_types`` spends on colour refinement
+REFINEMENT_BUDGET = 1 << 17
 
 
 def canon_key(value):
@@ -95,7 +97,8 @@ class Graph:
         subtrees of the universal cover beyond v are isomorphic share a type
         (Nagnibeda & Woess, "Random walks on trees with finitely many cone
         types", J. Theoret. Probab. 15, 2002).  ``of(u, v)`` is a dart's type,
-        an int, for keys the graph's own lookups gave, unchecked;
+        an int, or the dart itself where each dart is its own type, for keys
+        the graph's own lookups gave, unchecked;
         ``successors(t)`` is the multiset of the types of the darts v -> w,
         w != u, as ``(type, count)`` pairs.  The erasure laws read it."""
         raise NotImplementedError
@@ -308,14 +311,48 @@ class ExplicitGraph(Graph):
     def dart_types(self) -> tuple:
         """Colour refinement on darts: it starts from the head degree and
         splits each class by the multiset of its darts' successors' classes
-        until no class splits."""
-        ahead = {(u, v): [(v, w) for w in self._adj[v] if w != u] for u in self._verts for v in self._adj[u]}
-        colour, count = {d: len(a) for d, a in ahead.items()}, 0
-        while count < len(set(colour.values())):
-            count, ids = len(set(colour.values())), {}
-            colour = {d: ids.setdefault((colour[d], tuple(sorted(map(colour.get, a)))), len(ids)) for d, a in ahead.items()}
-        successors = {colour[d]: tuple(Counter(map(colour.get, a)).items()) for d, a in ahead.items()}
-        return (lambda u, v: colour[u, v]), successors.__getitem__
+        until no class splits.  A round sorts the classes of the darts out of
+        each vertex v once; the successors of a dart u -> v are those less
+        the class of v -> u, so a round visits each dart once.  When the
+        rounds would visit more than ``REFINEMENT_BUDGET`` darts, as on a long
+        path, a type is the dart ``(u, v)`` itself, which merges what a stack
+        of vertices merges and no more."""
+        adj = self._adj
+        per_dart = (lambda u, v: (u, v)), lambda uv: tuple(((uv[1], w), 1) for w in adj[uv[1]] if w != uv[0])
+        return self._refine() or per_dart
+
+    def _refine(self):
+        adj = self._adj
+        if sum(map(len, adj.values())) > REFINEMENT_BUDGET:
+            return None
+        darts = [(u, v) for u in self._verts for v in adj[u]]
+        number = {d: k for k, d in enumerate(darts)}
+        out = [[number[v, w] for w in adj[v]] for v in self._verts]
+        back = [[number[w, v] for w in adj[v]] for v in self._verts]
+        colour = [len(adj[v]) for _, v in darts]
+        count, work = len(set(colour)), 0
+        while (work := work + len(darts)) <= REFINEMENT_BUDGET:
+            # a dart's new class is its successors' classes alone: they refine
+            # the last round's, which gave the dart its last class
+            new, bags = [0] * len(darts), {}
+            for o, b in zip(out, back):
+                have, less = sorted(map(colour.__getitem__, o)), {}
+                for j, k in zip(o, b):
+                    c = colour[j]
+                    if c not in less:
+                        i = have.index(c)
+                        less[c] = bags.setdefault((*have[:i], *have[i + 1:]), len(bags))
+                    new[k] = less[c]
+            if len(bags) == count:
+                some = dict(zip(colour, darts))
+
+                def successors(t):
+                    u, v = some[t]
+                    return tuple(sorted(Counter(colour[number[v, w]] for w in adj[v] if w != u).items()))
+
+                return (lambda u, v: colour[number[u, v]]), successors
+            count, colour = len(bags), new
+        return None
 
     def edges(self) -> tuple:
         out = []

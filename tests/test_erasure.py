@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nbwalk import (
+    ExplicitGraph,
     InvalidInput,
     LimitExceeded,
     PrefixDistribution,
@@ -24,7 +25,7 @@ from nbwalk import (
     subdivided_lattice,
     total_variation,
 )
-
+from nbwalk import graph as graph_module
 from nbwalk.erasure import _erase_stack, _stack_chain
 
 from helpers import complete_bipartite, cursor_erase, k4, path_graph, random_graph, rng
@@ -235,3 +236,18 @@ def test_merged_oracles_equal_pushforward_of_srw_paths(name):
                 else:
                     short += p
             assert erased_prefix_distribution(graph, start, big_n, m) == PrefixDistribution(m, erased, short)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (g, _, _) in PUSHFORWARD.items() if isinstance(g, ExplicitGraph)))
+def test_oracles_keep_their_laws_when_refinement_is_over_budget(name, monkeypatch):
+    # past the budget each dart is its own type, which merges what a stack
+    # of vertices merges, so the laws are those of refined types
+    graph, start, top = PUSHFORWARD[name]
+    top = min(top, 6)
+    laws = [(enumerate_move_distribution(graph, start, n), erased_prefix_distribution(graph, start, n, n // 2))
+            for n in range(1, top + 1)]
+    monkeypatch.setattr(graph_module, "REFINEMENT_BUDGET", 0)
+    dart = start, graph.neighbors(start)[0]
+    assert graph.dart_types()[0](*dart) == dart
+    assert laws == [(enumerate_move_distribution(graph, start, n), erased_prefix_distribution(graph, start, n, n // 2))
+                    for n in range(1, top + 1)]

@@ -23,6 +23,7 @@ from nbwalk import (
     subdivide,
     subdivided_lattice,
 )
+from nbwalk import graph as graph_module
 from nbwalk.graph import canon_key, sort_token
 
 from helpers import complete_bipartite, k4, random_graph, rng, triangle
@@ -450,6 +451,39 @@ def test_dart_type_counts_and_closed_form_values():
     of, successors = biregular_tree(4, 3).dart_types()
     assert [of((), (0,)), of((0,), ()), of((0,), (0, 1))] == [1, 0, 0]
     assert (successors(0), successors(1)) == (((1, 3),), ((0, 2),))
+
+
+def _dart_classes(g):
+    """The darts of ``g`` grouped by colour refinement from the head
+    degree, each dart's successors listed in full."""
+    ahead = {(u, v): [(v, w) for w in g.neighbors(v) if w != u] for u in g.vertices() for v in g.neighbors(u)}
+    colour, count = {d: len(a) for d, a in ahead.items()}, 0
+    while count < len(set(colour.values())):
+        count, ids = len(set(colour.values())), {}
+        colour = {d: ids.setdefault((colour[d], tuple(sorted(map(colour.get, a)))), len(ids)) for d, a in ahead.items()}
+    return {frozenset(d for d in ahead if colour[d] == c) for c in set(colour.values())}
+
+
+@pytest.mark.parametrize(
+    "g", [k4(), counterexample_graph(), subdivide(K5, 2), subdivide(counterexample_graph(), 3), complete_bipartite(3, 4),
+          *(random_graph(seed, 9) for seed in range(1, 9))],
+    ids=["k4", "counterexample", "k5t2", "counterexample-t3", "k34", *(f"random{seed}" for seed in range(1, 9))],
+)
+def test_refinement_by_vertex_counts_gives_the_dart_classes(g):
+    of, darts = g.dart_types()[0], [(u, v) for u in g.vertices() for v in g.neighbors(u)]
+    assert _dart_classes(g) == {frozenset(d for d in darts if of(*d) == t) for t in map(of, *zip(*darts))}
+
+
+def test_refinement_over_its_budget_makes_each_dart_its_own_type(monkeypatch):
+    # a path of 12 vertices has 22 darts and splits its classes in 9 rounds,
+    # then a 10th round finds no split
+    g = from_adjacency({i: [j for j in (i - 1, i + 1) if 0 <= j < 12] for i in range(12)})
+    monkeypatch.setattr(graph_module, "REFINEMENT_BUDGET", 220)
+    of = g.dart_types()[0]
+    assert of(5, 6) == of(6, 5) != of(4, 5) and isinstance(of(5, 6), int)
+    monkeypatch.setattr(graph_module, "REFINEMENT_BUDGET", 219)
+    of, successors = g.dart_types()
+    assert (of(5, 6), successors((5, 6)), successors((1, 0))) == ((5, 6), (((6, 7), 1),), ())
 
 
 def _union_classes(*systems):
