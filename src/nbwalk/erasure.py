@@ -108,11 +108,12 @@ def _stack_chain(g: Graph, keep: int):
     def step(stack, x):
         # above the prefix, x is None for a pop or the pushed tag
         nonlocal of, successors
-        if len(stack) > keep:
+        n = len(stack)
+        if n > keep:
             return stack[:-1] if x is None else stack + (x,)
-        if len(stack) > 1 and stack[-2] == x:
+        if n > 1 and stack[-2] == x:
             return stack[:-1]
-        if len(stack) < keep:
+        if n < keep:
             return stack + (x,)
         if of is None:
             of, successors = g.dart_types()

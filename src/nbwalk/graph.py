@@ -178,7 +178,7 @@ class Lattice(Graph):
         def of(u, v):
             return (u - v) * v % pitch if d == 1 else sum((a - b) * b for a, b in zip(u, v)) % pitch
 
-        return of, lambda j: ((j - 1, 1),) if j else ((pitch - 1, 2 * d - 1),)
+        return (of if pitch > 1 else lambda u, v: 0), lambda j: ((j - 1, 1),) if j else ((pitch - 1, 2 * d - 1),)
 
     def displacement(self, v, origin):
         return math.dist(self.coordinates(v), self.coordinates(origin))
