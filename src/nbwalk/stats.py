@@ -179,19 +179,28 @@ def _replica(kind, graph, start, horizon, rng) -> WalkStatistics:
 
 def _table_run(table, horizon, rng) -> WalkStatistics:
     """A walk through a ``walkers._move_table`` table, drawn by
-    ``walkers._table_walk``, with each block's home hits counted at once.
-    The displacement is 0 or 1, as on every finite graph."""
-    home = table[3]
+    ``walkers._table_walk``: each block's k-step entries give their home
+    hits and last hit by one gather from ``table.hits``, and the states
+    stepped one at a time by one gather from ``table.home``.  The
+    displacement is 0 or 1, as on every finite graph."""
     if not horizon:
         return WalkStatistics(0, 0, None, 0.0)
+    home, hits, k = table.home, table.hits, table.k
     returns, last, done = 0, None, 0
-    for block in _table_walk(table, horizon, rng):
-        hits = np.flatnonzero(home[np.fromiter(block, np.intp, len(block))])
-        if len(hits):
-            returns += len(hits)
-            last = done + int(hits[-1]) + 1
-        done += len(block)
-    return WalkStatistics(horizon, returns, last, 0.0 if home[block[-1]] else 1.0)
+    for entries, states in _table_walk(table, horizon, rng):
+        if len(entries):
+            h = hits[entries]
+            at = np.flatnonzero(h[:, 1])
+            if len(at):
+                returns += int(h[:, 0].sum())
+                last = done + int(at[-1]) * k + int(h[at[-1], 1])
+            done += len(entries) * k
+        at = np.flatnonzero(home[np.fromiter(states, np.intp, len(states))])
+        if len(at):
+            returns += len(at)
+            last = done + int(at[-1]) + 1
+        done += len(states)
+    return WalkStatistics(horizon, returns, last, 0.0 if last == horizon else 1.0)
 
 
 def _tree_run(kind, tree, horizon, rng) -> WalkStatistics:

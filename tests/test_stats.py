@@ -33,7 +33,7 @@ from nbwalk import (
 from nbwalk import stats, walkers
 from nbwalk.graph import WeightedMultigraph
 from nbwalk.stats import _CHUNK, _generic_replica, _lattice_run, _replica, _table_run, _tree_run, replica_seed
-from nbwalk.walkers import _BLOCK, _RADIX, WalkKind, _move_table
+from nbwalk.walkers import _BLOCK, _JUMP_ENTRIES, _RADIX, WalkKind, _move_table
 
 from helpers import (
     complete_bipartite,
@@ -451,22 +451,42 @@ def _table_cases():
 TABLE_CASES = _table_cases()
 # short walks, the first block's seams, and a walk across many blocks
 TABLE_HORIZONS = (0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK + 5)
+# the generators of the tree tests, and a spare half 0, which Lemire's
+# method rejects for every bound above 1
+TABLE_GENERATORS = {**GENERATORS, "pcg64-spare0": lambda seed: _with_spare(rng(seed), 0)}
+# each case at the default block, then at blocks of 1, 2 and 3
+TABLE_BLOCKS = [pytest.param(name, None, id=name) for name in sorted(TABLE_CASES)] + [
+    pytest.param(name, block, id=f"{name}-block{block}") for block in (1, 2, 3) for name in sorted(TABLE_CASES)
+]
 
 
-@pytest.mark.parametrize("name", sorted(TABLE_CASES))
-def test_move_table_run_equals_the_generic_stepper_and_the_scalar_reference(name):
+@pytest.mark.parametrize("name, block", TABLE_BLOCKS)
+def test_move_table_run_equals_the_generic_stepper_and_the_scalar_reference(name, block, monkeypatch):
     # c5's non-backtracking bound is 1, which draws nothing; the two-loop
-    # multigraph has loops and theta parallel edges
+    # multigraph has loops and theta parallel edges.  The walk takes k draws
+    # per k-step entry, so the horizons around k and 2k end a walk shorter
+    # than one entry, on an entry's seam and one step past it; blocks of 1,
+    # 2 and 3 steps, raw words for the stepper and draws for the table, are
+    # shorter than most k and leave len % k draws in every block
     kind, g, start = TABLE_CASES[name]
     table = _move_table(kind, g, start, 10**9)
     assert table is not None
-    for h in TABLE_HORIZONS:
-        for seed in range(3):
-            fast, slow, ref = rng(seed), rng(seed), rng(seed)
+    k = table.k
+    horizons = {0, 1, 2, 3, k - 1, k, k + 1, 2 * k + 1}
+    if block:
+        monkeypatch.setattr("nbwalk.walkers._BLOCK", block)
+    else:
+        horizons.update(TABLE_HORIZONS)
+    for h in sorted(horizons):
+        for seed, (gen, make) in enumerate(sorted(TABLE_GENERATORS.items())):
+            fast, slow, ref = make(seed), make(seed), make(seed)
             row = _table_run(table, h, fast)
-            assert row == _generic_replica(kind, g, start, h, slow), (h, seed)
+            assert row == _generic_replica(kind, g, start, h, slow), (h, gen)
             assert row == return_statistics(chain((start,), walk_reference(kind, g, start, h, ref)), start, g)
-            assert fast.bit_generator.state == slow.bit_generator.state == ref.bit_generator.state, (h, seed)
+            np.testing.assert_equal(fast.bit_generator.state, slow.bit_generator.state)
+            np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
+            # and the draws after the walk agree
+            assert fast.integers(7, size=5).tolist() == ref.integers(7, size=5).tolist(), (h, gen)
 
 
 def _wrw_table_cases():
@@ -524,6 +544,40 @@ def test_wrw_table_run_equals_the_generic_stepper_and_the_scalar_reference(name,
             assert fast.bit_generator.state == slow.bit_generator.state == ref.bit_generator.state, (h, seed)
             # and the draws after the walk agree
             assert fast.integers(7, size=5).tolist() == ref.integers(7, size=5).tolist()
+
+
+K_STEP_CASES = {**TABLE_CASES, **{f"{name}-wrw": (WalkKind.WRW, g, s) for name, (g, s) in WRW_TABLE_CASES.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(K_STEP_CASES))
+def test_k_step_table_equals_k_row_lookups(name):
+    # every entry of every state, at a budget that leaves one step, one that
+    # affords two, and no budget; c5-nbrw and one-edge-r1-wrw have bound 1,
+    # where B**k never passes the cap, and must still build
+    kind, g, start = K_STEP_CASES[name]
+    rows = _move_table(kind, g, start, 10**9).rows
+    size, bound = len(rows), len(rows[0])
+    for budget in (size * bound, size * max(bound, 2) ** 2, 10**9):
+        table = _move_table(kind, g, start, budget)
+        k, cap = table.k, min(budget, _JUMP_ENTRIES)
+        assert table.rows == rows and k >= 1, budget
+        # k is the largest whose S * max(B, 2)**k entries fit
+        assert size * max(bound, 2) ** (k + 1) > cap, budget
+        if k == 1:
+            assert (table.jump, table.hits, table.spans) == ([], None, None)
+            continue
+        assert size * max(bound, 2) ** k <= cap and table.hits.shape == (size * bound**k, 2)
+        for s in range(size):
+            for i in range(bound**k):
+                cur, path, visits, last = s, [], 0, 0
+                for j in range(1, k + 1):
+                    cur = rows[cur][i // bound ** (j - 1) % bound]
+                    path.append(cur)
+                    if table.vertex[cur] == start:
+                        visits, last = visits + 1, j
+                e = s * bound**k + i
+                assert table.jump[s][i] == cur and table.spans[:, e].tolist() == path, (budget, s, i)
+                assert table.hits[e].tolist() == [visits, last], (budget, s, i)
 
 
 def test_monte_carlo_takes_the_move_table_on_regular_graphs_only(monkeypatch):
