@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
 from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
-from .walkers import _move_table, _pack, _require_kind_graph, _table_walk, _tree_counts, _unpack, _walk
+from .walkers import _jump_table, _move_table, _pack, _require_kind_graph, _table_walk, _tree_counts, _unpack, _walk
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -155,7 +155,7 @@ def monte_carlo(
     if table is None:
         run = partial(_replica, kind, graph, start, horizon)
     else:
-        run = partial(_table_run, table, horizon)
+        run = partial(_table_run, _jump_table(table, horizon, replicas), horizon)
     rows = tuple(run(np.random.default_rng(replica_seed(master_seed, i))) for i in range(replicas))
     if config is None:
         config = {
@@ -179,28 +179,20 @@ def _replica(kind, graph, start, horizon, rng) -> WalkStatistics:
 
 def _table_run(table, horizon, rng) -> WalkStatistics:
     """A walk through a ``walkers._move_table`` table, drawn by
-    ``walkers._table_walk``: each block's k-step entries give their home
-    hits and last hit by one gather from ``table.hits``, and the states
-    stepped one at a time by one gather from ``table.home``.  The
-    displacement is 0 or 1, as on every finite graph."""
+    ``walkers._table_walk``, with each block's home hits counted at once.
+    The displacement is 0 or 1, as on every finite graph."""
+    home, k = table.home, table.k
     if not horizon:
         return WalkStatistics(0, 0, None, 0.0)
-    home, hits, k = table.home, table.hits, table.k
     returns, last, done = 0, None, 0
-    for entries, states in _table_walk(table, horizon, rng):
-        if len(entries):
-            h = hits[entries]
-            at = np.flatnonzero(h[:, 1])
-            if len(at):
-                returns += int(h[:, 0].sum())
-                last = done + int(at[-1]) * k + int(h[at[-1], 1])
-            done += len(entries) * k
-        at = np.flatnonzero(home[np.fromiter(states, np.intp, len(states))])
-        if len(at):
-            returns += len(at)
-            last = done + int(at[-1]) + 1
-        done += len(states)
-    return WalkStatistics(horizon, returns, last, 0.0 if last == horizon else 1.0)
+    for block in _table_walk(table, horizon, rng):
+        # the one-step loop yields lists, the k-step loop arrays
+        hits = np.flatnonzero(home[np.fromiter(block, np.intp, len(block)) if k == 1 else block])
+        if len(hits):
+            returns += len(hits)
+            last = done + int(hits[-1]) + 1
+        done += len(block)
+    return WalkStatistics(horizon, returns, last, 0.0 if home[block[-1]] else 1.0)
 
 
 def _tree_run(kind, tree, horizon, rng) -> WalkStatistics:

@@ -449,11 +449,14 @@ class _Fixed(int):
         return self
 
 
-# the most entries of a k-step move table; _move_table takes the largest k
-# whose table fits this and the walk's budget.  The table is built on every
+# the most entries of a k-step move table.  The table is built on every
 # monte_carlo and sample_path call, and at 2**15 entries its build (about
 # 1 ms on a 2-vCPU host) cost a third of what it saved on 3 x 20,000 steps
 _JUMP_ENTRIES = 1 << 12
+# the shortest walk that takes a k-step table.  The build and the k-step
+# loop's extra numpy calls per block cost about 15 us on a 2-vCPU host,
+# which walks of 2,000 steps on K4 and on cubic graphs just earn back
+_JUMP_STEPS = 1 << 11
 
 
 class _MoveTable(NamedTuple):
@@ -461,19 +464,17 @@ class _MoveTable(NamedTuple):
     takes the first step to ``first[d]`` and state s to ``rows[s][d]``, and
     s sits at ``vertex[s]``, which ``home[s]`` says is the start.  Entry
     ``e = s * B**k + i`` of the k-step table is state s followed by the
-    draws d_1..d_k with ``i = sum(d_j * B**(j - 1))``: ``spans[:, e]`` are
-    the k states they pass, ``jump[s][i]`` is the last of them, and
-    ``hits[e]`` the number of them at home and the step of the last one (0
-    if none).  At k = 1 the walk reads ``rows`` alone, ``jump`` is
-    empty, and ``hits`` and ``spans`` are None."""
+    draws d_1..d_k with ``i = sum(d_j * B**(j - 1))``: ``spans[e]`` are
+    the k states they pass, and ``jump[s][i]`` is the last of them.  At
+    k = 1 the walk reads ``rows`` alone, ``jump`` is empty and ``spans``
+    is None."""
 
     first: list
     rows: list
-    vertex: np.ndarray
+    vertex: list
     home: np.ndarray
     k: int
     jump: list
-    hits: np.ndarray
     spans: np.ndarray
 
 
@@ -482,28 +483,24 @@ def _move_table(kind, graph, start, budget: int):
     state has the same draw bound, as a ``_MoveTable``; row entry d of a
     state is the state the sampler moves to on draw d.  The bound is the
     degree for srw, one less for nbrw after its first step, and ``mdegree
-    * L`` for wrw.  The k-step table is composed from the rows by numpy,
-    with no further sampler calls, for the largest k whose S * B**k entries
-    fit both ``budget`` and ``_JUMP_ENTRIES``; k counts B as at least 2, so
-    a bound-1 table, which draws nothing, gets a finite k too.  Refuses a
-    kind and graph that do not match, as ``_walk`` does; then None, with
-    ``start`` not looked up, on a lattice or a tree, on a graph whose
-    degrees differ, for a bound below 1 and for more than ``budget``
-    one-step entries."""
+    * L`` for wrw.  The table has k = 1; ``_jump_table`` adds a k-step
+    table.  Refuses a kind and graph that do not match, as ``_walk`` does;
+    then None, with ``start`` not looked up, on a lattice or a tree, on a
+    graph whose degrees differ, for a bound below 1 and for more than
+    ``budget`` entries."""
     kind = WalkKind(kind)
     mg = _require_kind_graph(kind, graph)
     if not (mg or isinstance(graph, ExplicitGraph)):
         return None
     degree = graph.mdegree if mg else graph.degree
     vertices = graph.vertices()
-    deg = degree(vertices[0])
+    k = degree(vertices[0])
     nbrw = kind is WalkKind.NBRW
     # the first step's bound; nbrw's later steps exclude the arriving half-edge
-    width = deg * graph.resistance_lcm if kind is WalkKind.WRW else deg
-    bound = deg - 1 if nbrw else width
+    width = k * graph.resistance_lcm if kind is WalkKind.WRW else k
+    bound = k - 1 if nbrw else width
     # a state is a vertex for srw and wrw and a dart, one per half-edge, for nbrw
-    size = len(vertices) * (deg if nbrw else 1)
-    if bound < 1 or size * bound > budget or any(degree(v) != deg for v in vertices):
+    if bound < 1 or len(vertices) * (k if nbrw else 1) * bound > budget or any(degree(v) != k for v in vertices):
         return None
     if not nbrw:
         states = vertex = vertices
@@ -519,56 +516,67 @@ def _move_table(kind, graph, start, budget: int):
     index = {s: i for i, s in enumerate(states)}
     first_row = [index[step(first, _Fixed(d))] for d in range(width)]
     rows = [[index[step(s, _Fixed(d))] for d in range(bound)] for s in states]
-    home = np.array([v == start for v in vertex])
+    return _MoveTable(first_row, rows, vertex, np.array([v == start for v in vertex]), 1, [], None)
+
+
+def _jump_table(table, n: int, walks: int = 1):
+    """``table`` with the k-step table for ``walks`` walks of n steps,
+    composed from its rows by numpy, with no further sampler calls.  k is
+    the largest whose S * B**k entries, S states of bound B, fit both
+    ``walks * n // 8``, the share of the steps ``sample_path`` gives a
+    one-step table, and ``_JUMP_ENTRIES``; k counts B as at least 2, so a
+    bound-1 table, which draws nothing, gets a finite k too.  Walks shorter
+    than ``_JUMP_STEPS`` keep k = 1."""
+    rows = table.rows
+    size, bound = len(rows), len(rows[0])
+    budget = min(walks * n // 8, _JUMP_ENTRIES) if n >= _JUMP_STEPS else 0
     k = 1
-    while size * max(bound, 2) ** (k + 1) <= min(budget, _JUMP_ENTRIES):
+    while size * max(bound, 2) ** (k + 1) <= budget:
         k += 1
-    jump, hits, spans = [], None, None
-    if k > 1:
-        # ends[s, i] is the state j steps after s on the draws of i mod B**j,
-        # which is step j of every entry whose index ends in those j digits
-        moves = ends = np.array(rows)
-        spans = np.empty((k, size, bound**k), np.intp)
-        for j in range(1, k + 1):
-            if j > 1:
-                # a new last draw d is the digit of B**(j - 1), so its axis goes first
-                ends = moves[ends].transpose(0, 2, 1).reshape(size, -1)
-            spans[j - 1].reshape(size, -1, bound**j)[:] = ends[:, None]
-        spans = spans.reshape(k, -1)
-        at = home[spans]
-        jump, hits = ends.tolist(), np.stack((at.sum(0), (at * np.arange(1, k + 1)[:, None]).max(0)), axis=1)
-    return _MoveTable(first_row, rows, np.fromiter(vertex, object, size), home, k, jump, hits, spans)
+    if k == 1:
+        return table
+    # ends[s, i] is the state j steps after s on the draws of i mod B**j,
+    # which is step j of every entry whose index ends in those j digits
+    moves = ends = np.array(rows)
+    spans = np.empty((size, bound**k, k), np.intp)
+    for j in range(1, k + 1):
+        if j > 1:
+            # a new last draw d is the digit of B**(j - 1), so its axis goes first
+            ends = moves[ends].transpose(0, 2, 1).reshape(size, -1)
+        spans[..., j - 1].reshape(size, -1, bound**j)[:] = ends[:, None]
+    return table._replace(k=k, jump=ends.tolist(), spans=spans.reshape(-1, k))
 
 
 def _table_walk(table, n: int, rng):
-    """Yield steps 1..n of a ``_move_table`` walk in blocks ``(entries,
-    states)``: the first step by a scalar ``rng.integers(len(first))``,
-    then blocks of up to ``_BLOCK`` steps by bulk draws, which numpy makes
-    as the scalar calls would, leaving the generator in the same state.
-    At k = 1 a block is all states, one row lookup per draw.  Otherwise
-    each k draws of a block make one k-step entry, an index into
-    ``table.hits`` and ``table.spans`` (``table.jump`` is looked up once
-    per entry), and the block's last ``len % k`` draws are stepped one at
-    a time; ``entries`` is an array, and ``states`` the list of the states
-    after those draws.  This is the one table loop for every walk kind, on
-    any bit generator."""
-    first, rows, k, jump = table.first, table.rows, table.k, table.jump
+    """Yield the states at steps 1..n of a ``_move_table`` walk in blocks:
+    the first step by a scalar ``rng.integers(len(first))``, then blocks of
+    up to ``_BLOCK`` steps by bulk draws, which numpy makes as the scalar
+    calls would, leaving the generator in the same state.  At k = 1 a
+    block is a list, one row lookup per draw.  Otherwise it is an intp
+    array: each k draws make one k-step entry, ``table.jump`` is looked up
+    once per entry, and one gather from ``table.spans`` gives the block's
+    states; the block's last entry may hold fewer than k draws.  This is
+    the one table loop for every walk kind, on any bit generator."""
+    first, rows, k, jump, spans = table.first, table.rows, table.k, table.jump, table.spans
     s = first[int(rng.integers(len(first)))]
-    yield (), [s]
+    yield [s]
     bound = len(rows[0])
     if k == 1:
         for done in range(1, n, _BLOCK):
             draws = rng.integers(0, bound, size=min(_BLOCK, n - done)).tolist()
-            yield (), [s := rows[s][d] for d in draws]
+            yield [s := rows[s][d] for d in draws]
         return
     stride, digits = bound**k, bound ** np.arange(k)
     for done in range(1, n, _BLOCK):
         draws = rng.integers(0, bound, size=min(_BLOCK, n - done))
-        m = len(draws) // k
-        index = draws[: m * k].reshape(m, k) @ digits
-        # the state before each k draws, and after the last, which m drops
-        starts = [s, *[s := jump[s][i] for i in index.tolist()]]
-        yield np.fromiter(starts, np.intp, m) * stride + index, [s := rows[s][d] for d in draws[m * k :].tolist()]
+        # the last entry's missing draws count as 0, which leaves the states
+        # of its drawn ones as they are
+        index = np.concatenate((draws, np.zeros(-len(draws) % k, draws.dtype))).reshape(-1, k) @ digits
+        # the state before each entry
+        starts = [s, *[s := jump[s][i] for i in index[:-1].tolist()]]
+        states = spans[np.fromiter(starts, np.intp, len(index)) * stride + index].ravel()[: len(draws)]
+        s = int(states[-1])
+        yield states
 
 
 def sample_path(kind, graph, start, n: int, rng) -> tuple:
@@ -577,10 +585,8 @@ def sample_path(kind, graph, start, n: int, rng) -> tuple:
     the uniform rule.  Where ``_on_lattice_kernel`` holds, the path is
     drawn in bulk by ``_lattice_offsets``, and it is read off ``_table_walk``
     where ``_move_table`` builds a table within n // 8 entries, with the
-    scalar samplers' draws and end state: each block's states come from
-    one gather of the k-step entries' spans, and its vertices from one
-    gather of ``vertex``.  A 0-step path is ``(start,)``, start
-    unchecked."""
+    scalar samplers' draws and end state.  A 0-step path is ``(start,)``,
+    start unchecked."""
     if not is_int(n) or n < 0:
         raise InvalidInput("path length must be a nonnegative integer")
     kind, n = WalkKind(kind), int(n)
@@ -588,11 +594,13 @@ def sample_path(kind, graph, start, n: int, rng) -> tuple:
         table = _move_table(kind, graph, start, n // 8)
         if table is None:
             return (start, *_walk(kind, graph, start, n, rng))
-        vertex, spans, path = table.vertex, table.spans, [start]
-        for entries, states in _table_walk(table, n, rng):
-            if len(entries):
-                path += vertex[spans[:, entries].T.ravel()].tolist()
-            path += vertex[np.fromiter(states, np.intp, len(states))].tolist()
+        table = _jump_table(table, n)
+        vertex, path = table.vertex, [start]
+        if table.k > 1:
+            vertex = np.fromiter(vertex, object, len(vertex))
+        for block in _table_walk(table, n, rng):
+            # a list of states maps faster in Python, an array by one gather
+            path += [vertex[s] for s in block] if table.k == 1 else vertex[block].tolist()
         return tuple(path)
     path = [start]
     carry = graph.coordinates(start)

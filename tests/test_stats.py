@@ -33,7 +33,7 @@ from nbwalk import (
 from nbwalk import stats, walkers
 from nbwalk.graph import WeightedMultigraph
 from nbwalk.stats import _CHUNK, _generic_replica, _lattice_run, _replica, _table_run, _tree_run, replica_seed
-from nbwalk.walkers import _BLOCK, _JUMP_ENTRIES, _RADIX, WalkKind, _move_table
+from nbwalk.walkers import _BLOCK, _JUMP_ENTRIES, _JUMP_STEPS, _RADIX, WalkKind, _jump_table, _move_table
 
 from helpers import (
     complete_bipartite,
@@ -463,14 +463,17 @@ TABLE_BLOCKS = [pytest.param(name, None, id=name) for name in sorted(TABLE_CASES
 @pytest.mark.parametrize("name, block", TABLE_BLOCKS)
 def test_move_table_run_equals_the_generic_stepper_and_the_scalar_reference(name, block, monkeypatch):
     # c5's non-backtracking bound is 1, which draws nothing; the two-loop
-    # multigraph has loops and theta parallel edges.  The walk takes k draws
-    # per k-step entry, so the horizons around k and 2k end a walk shorter
-    # than one entry, on an entry's seam and one step past it; blocks of 1,
-    # 2 and 3 steps, raw words for the stepper and draws for the table, are
-    # shorter than most k and leave len % k draws in every block
+    # multigraph has loops and theta parallel edges.  Each case runs its
+    # one-step table and its k-step table of the largest k under the cap,
+    # which takes k draws per entry, so the horizons around k and 2k end a
+    # walk shorter than one entry, on an entry's seam and one step past it;
+    # blocks of 1, 2 and 3 steps, raw words for the stepper and draws for
+    # the table, are shorter than most k and leave len % k draws in every
+    # block
     kind, g, start = TABLE_CASES[name]
-    table = _move_table(kind, g, start, 10**9)
-    assert table is not None
+    one = _move_table(kind, g, start, 10**9)
+    assert one is not None and one.k == 1
+    table = _jump_table(one, 10**9)
     k = table.k
     horizons = {0, 1, 2, 3, k - 1, k, k + 1, 2 * k + 1}
     if block:
@@ -478,15 +481,20 @@ def test_move_table_run_equals_the_generic_stepper_and_the_scalar_reference(name
     else:
         horizons.update(TABLE_HORIZONS)
     for h in sorted(horizons):
-        for seed, (gen, make) in enumerate(sorted(TABLE_GENERATORS.items())):
-            fast, slow, ref = make(seed), make(seed), make(seed)
-            row = _table_run(table, h, fast)
-            assert row == _generic_replica(kind, g, start, h, slow), (h, gen)
-            assert row == return_statistics(chain((start,), walk_reference(kind, g, start, h, ref)), start, g)
-            np.testing.assert_equal(fast.bit_generator.state, slow.bit_generator.state)
-            np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
-            # and the draws after the walk agree
-            assert fast.integers(7, size=5).tolist() == ref.integers(7, size=5).tolist(), (h, gen)
+        for i, (gen, make) in enumerate(sorted(TABLE_GENERATORS.items())):
+            # fresh PCG64 at seeds 0-2 at the default block, as before the other generators
+            for seed in range(3) if gen == "pcg64" and block is None else (i,):
+                slow, ref = make(seed), make(seed)
+                want = _generic_replica(kind, g, start, h, slow)
+                assert want == return_statistics(chain((start,), walk_reference(kind, g, start, h, ref)), start, g)
+                np.testing.assert_equal(slow.bit_generator.state, ref.bit_generator.state)
+                state, after = ref.bit_generator.state, ref.integers(7, size=5).tolist()
+                for t in (one, table):
+                    fast = make(seed)
+                    assert _table_run(t, h, fast) == want, (h, gen, seed, t.k)
+                    np.testing.assert_equal(fast.bit_generator.state, state)
+                    # and the draws after the walk agree
+                    assert fast.integers(7, size=5).tolist() == after, (h, gen, seed, t.k)
 
 
 def _wrw_table_cases():
@@ -530,20 +538,26 @@ def test_wrw_table_run_equals_the_generic_stepper_and_the_scalar_reference(name,
     if block:
         monkeypatch.setattr("nbwalk.walkers._BLOCK", block)
         horizons = range(40)
-    table = _move_table(WalkKind.WRW, g, start, 10**9)
-    assert table is not None
+    one = _move_table(WalkKind.WRW, g, start, 10**9)
+    assert one is not None
     # a fresh generator, one whose spare half was left by an earlier draw,
     # and one whose spare half 0 Lemire's method rejects for every bound above 1
     starts = [lambda s: rng(s), lambda s: _with_spare(rng(s), int(rng(s + 10).integers(2**32))), lambda s: _with_spare(rng(s), 0)]
+    # the one-step table, and the k-step table of the largest k under the cap
+    jumped = _jump_table(one, 10**9)
     for h in horizons:
         for seed, make in enumerate(starts):
-            fast, slow, ref = make(seed), make(seed), make(seed)
-            row = _table_run(table, h, fast)
-            assert row == _generic_replica(WalkKind.WRW, g, start, h, slow), (h, seed)
-            assert row == return_statistics(chain((start,), walk_reference("wrw", g, start, h, ref)), start, g)
-            assert fast.bit_generator.state == slow.bit_generator.state == ref.bit_generator.state, (h, seed)
-            # and the draws after the walk agree
-            assert fast.integers(7, size=5).tolist() == ref.integers(7, size=5).tolist()
+            slow, ref = make(seed), make(seed)
+            want = _generic_replica(WalkKind.WRW, g, start, h, slow)
+            assert want == return_statistics(chain((start,), walk_reference("wrw", g, start, h, ref)), start, g)
+            assert slow.bit_generator.state == ref.bit_generator.state, (h, seed)
+            state, after = ref.bit_generator.state, ref.integers(7, size=5).tolist()
+            for table in (one, jumped) if jumped.k > 1 else (one,):
+                fast = make(seed)
+                assert _table_run(table, h, fast) == want, (h, seed, table.k)
+                assert fast.bit_generator.state == state, (h, seed, table.k)
+                # and the draws after the walk agree
+                assert fast.integers(7, size=5).tolist() == after, (h, seed, table.k)
 
 
 K_STEP_CASES = {**TABLE_CASES, **{f"{name}-wrw": (WalkKind.WRW, g, s) for name, (g, s) in WRW_TABLE_CASES.items()}}
@@ -551,33 +565,55 @@ K_STEP_CASES = {**TABLE_CASES, **{f"{name}-wrw": (WalkKind.WRW, g, s) for name, 
 
 @pytest.mark.parametrize("name", sorted(K_STEP_CASES))
 def test_k_step_table_equals_k_row_lookups(name):
-    # every entry of every state, at a budget that leaves one step, one that
-    # affords two, and no budget; c5-nbrw and one-edge-r1-wrw have bound 1,
-    # where B**k never passes the cap, and must still build
+    # every entry of every state, for a walk too short for any k-step
+    # table, one whose eighth leaves one step or affords two, and no limit
+    # but the cap; c5-nbrw and one-edge-r1-wrw have bound 1, where B**k
+    # never passes the cap, and must still build
     kind, g, start = K_STEP_CASES[name]
-    rows = _move_table(kind, g, start, 10**9).rows
+    one = _move_table(kind, g, start, 10**9)
+    rows = one.rows
     size, bound = len(rows), len(rows[0])
-    for budget in (size * bound, size * max(bound, 2) ** 2, 10**9):
-        table = _move_table(kind, g, start, budget)
-        k, cap = table.k, min(budget, _JUMP_ENTRIES)
-        assert table.rows == rows and k >= 1, budget
+    two = -(-8 * size * max(bound, 2) ** 2 // _JUMP_STEPS)
+    for n, walks in ((_JUMP_STEPS - 1, 10**9), (_JUMP_STEPS, 1), (_JUMP_STEPS, two), (10**9, 1)):
+        table = _jump_table(one, n, walks)
+        k, cap = table.k, min(walks * n // 8, _JUMP_ENTRIES) if n >= _JUMP_STEPS else 0
+        assert table[:4] == one[:4] and k >= 1, (n, walks)
         # k is the largest whose S * max(B, 2)**k entries fit
-        assert size * max(bound, 2) ** (k + 1) > cap, budget
+        assert size * max(bound, 2) ** (k + 1) > cap, (n, walks)
         if k == 1:
-            assert (table.jump, table.hits, table.spans) == ([], None, None)
+            assert table is one
             continue
-        assert size * max(bound, 2) ** k <= cap and table.hits.shape == (size * bound**k, 2)
+        assert size * max(bound, 2) ** k <= cap and table.spans.shape == (size * bound**k, k)
         for s in range(size):
             for i in range(bound**k):
-                cur, path, visits, last = s, [], 0, 0
+                cur, path = s, []
                 for j in range(1, k + 1):
                     cur = rows[cur][i // bound ** (j - 1) % bound]
                     path.append(cur)
-                    if table.vertex[cur] == start:
-                        visits, last = visits + 1, j
-                e = s * bound**k + i
-                assert table.jump[s][i] == cur and table.spans[:, e].tolist() == path, (budget, s, i)
-                assert table.hits[e].tolist() == [visits, last], (budget, s, i)
+                assert table.jump[s][i] == cur and table.spans[s * bound**k + i].tolist() == path, (n, s, i)
+
+
+def test_table_walks_take_a_k_step_table_from_jump_steps(monkeypatch):
+    # a walk shorter than _JUMP_STEPS keeps the one-step loop; a longer one
+    # takes the largest k whose table fits an eighth of all the steps
+    # served, here K4's srw table of 4 * 3**k entries
+    ks = []
+    table_walk = walkers._table_walk
+
+    def recording(table, n, rng):
+        ks.append(table.k)
+        return table_walk(table, n, rng)
+
+    monkeypatch.setattr(walkers, "_table_walk", recording)
+    monkeypatch.setattr(stats, "_table_walk", recording)
+    for n, k in ((_JUMP_STEPS - 1, 1), (_JUMP_STEPS, 3), (8 * 4 * 3**5, 5)):
+        ks.clear()
+        sample_path("srw", k4(), 0, n, rng(1))
+        assert ks == [k], n
+    for horizon, replicas, k in ((_JUMP_STEPS - 1, 10, 1), (_JUMP_STEPS, 4, 5)):
+        ks.clear()
+        monte_carlo("srw", k4(), 0, horizon, replicas, 1)
+        assert ks == [k] * replicas, (horizon, replicas)
 
 
 def test_monte_carlo_takes_the_move_table_on_regular_graphs_only(monkeypatch):
