@@ -475,26 +475,29 @@ def test_move_table_run_equals_the_generic_stepper_and_the_scalar_reference(name
     assert one is not None and one.k == 1
     table = _jump_table(one, 10**9)
     k = table.k
-    horizons = {0, 1, 2, 3, k - 1, k, k + 1, 2 * k + 1}
+    short = {0, 1, 2, 3, k - 1, k, k + 1, 2 * k + 1}
     if block:
         monkeypatch.setattr("nbwalk.walkers._BLOCK", block)
-    else:
-        horizons.update(TABLE_HORIZONS)
-    for h in sorted(horizons):
-        for i, (gen, make) in enumerate(sorted(TABLE_GENERATORS.items())):
-            # fresh PCG64 at seeds 0-2 at the default block, as before the other generators
-            for seed in range(3) if gen == "pcg64" and block is None else (i,):
-                slow, ref = make(seed), make(seed)
-                want = _generic_replica(kind, g, start, h, slow)
-                assert want == return_statistics(chain((start,), walk_reference(kind, g, start, h, ref)), start, g)
-                np.testing.assert_equal(slow.bit_generator.state, ref.bit_generator.state)
-                state, after = ref.bit_generator.state, ref.integers(7, size=5).tolist()
-                for t in (one, table):
-                    fast = make(seed)
-                    assert _table_run(t, h, fast) == want, (h, gen, seed, t.k)
-                    np.testing.assert_equal(fast.bit_generator.state, state)
-                    # and the draws after the walk agree
-                    assert fast.integers(7, size=5).tolist() == after, (h, gen, seed, t.k)
+    for i, (gen, make) in enumerate(sorted(TABLE_GENERATORS.items())):
+        # fresh PCG64 at seeds 0-2 and every horizon at the default block;
+        # each other generator, and every one at the short blocks, at one
+        # seed and the horizons around k
+        if gen == "pcg64" and block is None:
+            runs = [(h, seed) for h in sorted(short.union(TABLE_HORIZONS)) for seed in range(3)]
+        else:
+            runs = [(h, i) for h in sorted(short)]
+        for h, seed in runs:
+            slow, ref = make(seed), make(seed)
+            want = _generic_replica(kind, g, start, h, slow)
+            assert want == return_statistics(chain((start,), walk_reference(kind, g, start, h, ref)), start, g)
+            np.testing.assert_equal(slow.bit_generator.state, ref.bit_generator.state)
+            state, after = ref.bit_generator.state, ref.integers(7, size=5).tolist()
+            for t in (one, table):
+                fast = make(seed)
+                assert _table_run(t, h, fast) == want, (h, gen, seed, t.k)
+                np.testing.assert_equal(fast.bit_generator.state, state)
+                # and the draws after the walk agree
+                assert fast.integers(7, size=5).tolist() == after, (h, gen, seed, t.k)
 
 
 def _wrw_table_cases():
