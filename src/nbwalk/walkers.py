@@ -527,9 +527,11 @@ def _jump_table(table, n: int, walks: int = 1):
     one-step table, and ``_JUMP_ENTRIES``; k counts B as at least 2, so a
     bound-1 table, which draws nothing, gets a finite k too.  Walks shorter
     than ``_JUMP_STEPS`` keep k = 1."""
+    if n < _JUMP_STEPS:
+        return table
     rows = table.rows
     size, bound = len(rows), len(rows[0])
-    budget = min(walks * n // 8, _JUMP_ENTRIES) if n >= _JUMP_STEPS else 0
+    budget = min(walks * n // 8, _JUMP_ENTRIES)
     k = 1
     while size * max(bound, 2) ** (k + 1) <= budget:
         k += 1
@@ -595,12 +597,13 @@ def sample_path(kind, graph, start, n: int, rng) -> tuple:
         if table is None:
             return (start, *_walk(kind, graph, start, n, rng))
         table = _jump_table(table, n)
-        vertex, path = table.vertex, [start]
-        if table.k > 1:
-            vertex = np.fromiter(vertex, object, len(vertex))
+        vertex = table.vertex
+        if table.k == 1:
+            return (start, *[vertex[s] for block in _table_walk(table, n, rng) for s in block])
+        # a k-step block is an array, whose vertices one gather reads
+        vertex, path = np.fromiter(vertex, object, len(vertex)), [start]
         for block in _table_walk(table, n, rng):
-            # a list of states maps faster in Python, an array by one gather
-            path += [vertex[s] for s in block] if table.k == 1 else vertex[block].tolist()
+            path += vertex[block].tolist()
         return tuple(path)
     path = [start]
     carry = graph.coordinates(start)
