@@ -226,7 +226,7 @@ def nbrw_step_edge(mg: WeightedMultigraph, arrival: HalfEdgeState, rng) -> HalfE
     return HalfEdgeState(eid, 1 - end)
 
 
-# the largest bound that numpy draws from one 32-bit half, as _Draws does
+# the largest bound that numpy draws from one 32-bit output, as _Draws does
 _MAX_DRAW_BOUND = 1 << 32
 
 
@@ -271,60 +271,44 @@ def _require_kind_graph(kind, graph):
 
 
 class _Draws:
-    """The scalar draws of a PCG64 ``numpy.random.Generator``, made from its
-    raw 64-bit outputs read ``block`` at a time.  ``integers(k)``, for k
-    up to 2**32, returns what ``rng.integers(k)`` would, by numpy's rule:
-    it takes 32-bit halves, low half first, and keeps the spare high half
-    across calls; it maps a half x to ``x * k >> 32`` and draws again while
-    the low 32 bits of ``x * k`` fall below ``2**32 % k`` (Lemire's
-    method), and draws nothing when k is 1.  ``close()`` leaves the
-    generator in the state those scalar calls would have left; until then
-    it is ahead of it."""
+    """The scalar draws of a ``numpy.random.Generator``, on any bit
+    generator, made from its 32-bit outputs read ``block`` at a time by
+    ``integers(0, 2**32, size=block)``, which numpy makes as one
+    ``next_uint32`` per output.  ``integers(k)``, for k up to 2**32,
+    returns what ``rng.integers(k)`` would, by numpy's rule: it maps an
+    output x to ``x * k >> 32`` and draws again while the low 32 bits of
+    ``x * k`` fall below ``2**32 % k`` (Lemire's method), and draws
+    nothing when k is 1.  ``close()`` leaves the generator in the state
+    those scalar calls would have left; until then it is ahead of it."""
 
     def __init__(self, rng, block: int):
-        self._bg = rng.bit_generator
-        state = self._bg.state
-        self._has = state["has_uint32"]
-        self._spare = state["uinteger"]
+        self._rng = rng
         self._block = block
-        self._words = []
+        self._state = None
+        self._outputs = []
         self._used = 0
-
-    def _word(self) -> int:
-        i = self._used
-        if i == len(self._words):
-            self._words = self._bg.random_raw(self._block).tolist()
-            i = 0
-        self._used = i + 1
-        return self._words[i]
 
     def integers(self, k: int) -> int:
         if k == 1:
             return 0
         while True:
-            if self._has:
-                self._has = 0
-                x = self._spare
-            else:
-                w = self._word()
-                self._has = 1
-                self._spare = w >> 32
-                x = w & 0xFFFFFFFF
-            m = x * k
+            i = self._used
+            if i == len(self._outputs):
+                self._state = self._rng.bit_generator.state
+                self._outputs = self._rng.integers(0, 1 << 32, size=self._block).tolist()
+                i = 0
+            self._used = i + 1
+            m = self._outputs[i] * k
             low = m & 0xFFFFFFFF
             if low >= k or low >= 0x100000000 % k:
                 return m >> 32
 
     def close(self):
-        # back over the raw words read ahead; PCG64 has period 2**128, and
-        # advance() takes any delta below it
-        self._bg.advance(-(len(self._words) - self._used) % (1 << 128))
-        # advance() clears the spare half; numpy keeps the last one even
-        # when it is used up, so both fields are put back
-        state = self._bg.state
-        state["has_uint32"] = self._has
-        state["uinteger"] = self._spare
-        self._bg.state = state
+        # outputs drawn but not used are put back: the state before their
+        # block, then the used ones drawn again
+        if self._used < len(self._outputs):
+            self._rng.bit_generator.state = self._state
+            self._rng.integers(0, 1 << 32, size=self._used)
 
 
 class _Trusted:
@@ -338,10 +322,8 @@ class _Trusted:
         self.neighbors = getattr(graph, "_adjacent", graph.neighbors)
 
 
-# the cap on draws made at once, which bounds their memory: raw words per
-# _Draws block (an integer draw takes half a word, so n // 2 + 1 words
-# serve most n-step walks whole) and steps per bulk draw in _table_walk
-# and _tree_counts
+# the cap on draws made at once, which bounds their memory: 32-bit outputs
+# per _Draws block and steps per bulk draw in _table_walk and _tree_counts
 _BLOCK = 1 << 12
 
 
@@ -351,10 +333,12 @@ def _walk(kind, graph, start, n: int, rng):
     step has no history and uses the uniform rule.
 
     The start is the only key checked; later steps look up neighbors
-    without a check.  On a PCG64 generator the draws come from a
-    ``_Draws``, and the generator reaches the state the scalar calls
-    would leave when the walk ends, is closed or raises; do not draw from
-    ``rng`` while the walk is open."""
+    without a check.  The draws come from a ``_Draws`` of ``min(n,
+    _BLOCK)`` outputs a block, so a walk of up to ``_BLOCK`` steps with no
+    bound-1 step and no rejected output uses every output it draws, and
+    its close puts none back.  The generator reaches the state the scalar
+    calls would leave when the walk ends, is closed or raises; do not draw
+    from ``rng`` while the walk is open."""
     kind = WalkKind(kind)
     mg = _require_kind_graph(kind, graph)
     if n < 1:
@@ -362,9 +346,7 @@ def _walk(kind, graph, start, n: int, rng):
     if not mg:
         graph.neighbors(start)
         graph = _Trusted(graph)
-    pcg = type(getattr(rng, "bit_generator", None)) is np.random.PCG64
-    if pcg:
-        rng = _Draws(rng, min(n // 2 + 1, _BLOCK))
+    rng = _Draws(rng, min(n, _BLOCK))
     i = 0
     try:
         if kind is WalkKind.SRW:
@@ -391,8 +373,7 @@ def _walk(kind, graph, start, n: int, rng):
     except NoLegalMove as exc:
         raise NoLegalMove(f"step {i}: {exc}") from None
     finally:
-        if pcg:
-            rng.close()
+        rng.close()
 
 
 def _tree_counts(kind, tree, start, n: int, rng):

@@ -33,8 +33,10 @@ def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
 
 
-# numpy's raw-word rule: PCG64's raw outputs and the spare half its state keeps
-RAW_WORD_NAMES = {"random_raw", "has_uint32", "uinteger"}
+# numpy's raw-word rule: PCG64's raw outputs, the spare half its state
+# keeps and the jump back over words read ahead; the package reads numpy's
+# 32-bit outputs through ``Generator.integers`` instead
+RAW_WORD_NAMES = {"random_raw", "has_uint32", "uinteger", "advance"}
 
 
 def _names(tree) -> set:
@@ -54,7 +56,7 @@ def test_only_walkers_reads_raw_words():
     modules = sorted((ROOT / "src" / "nbwalk").glob("*.py"))
     assert "walkers.py" in [p.name for p in modules]
     readers = {p.name: sorted(_names(ast.parse(p.read_text(), str(p))) & RAW_WORD_NAMES) for p in modules}
-    assert {name: found for name, found in readers.items() if found} == {"walkers.py": sorted(RAW_WORD_NAMES)}
+    assert {name: found for name, found in readers.items() if found} == {}
 
 
 def _references(node) -> Counter:

@@ -343,7 +343,7 @@ def test_tree_walk_below_the_root_equals_the_scalar_reference(tree):
 
 
 def test_long_tree_walk_below_the_root_equals_the_scalar_reference():
-    # across many blocks of raw words; on the 2-regular tree the walk stays
+    # across many blocks of draws; on the 2-regular tree the walk stays
     # shallow, so the reference's O(depth) keys stay cheap, and it comes
     # back to its start often
     tree = regular_tree(2)
@@ -374,8 +374,9 @@ def _with_spare(gen, spare):
     return gen
 
 
-# a fresh PCG64, one with a spare half pending, and an MT19937, on which
-# _walk makes the scalar calls and the table and tree kernels their bulk calls
+# a fresh PCG64, one with a spare half pending, and an MT19937, whose
+# 32-bit outputs _walk reads in blocks and the table and tree kernels in
+# their bulk calls
 GENERATORS = {
     "pcg64": rng,
     "pcg64-spare": lambda seed: _with_spare(rng(seed), int(rng(seed + 10).integers(2**32))),
@@ -467,8 +468,8 @@ def test_move_table_run_equals_the_generic_stepper_and_the_scalar_reference(name
     # one-step table and its k-step table of the largest k under the cap,
     # which takes k draws per entry, so the horizons around k and 2k end a
     # walk shorter than one entry, on an entry's seam and one step past it;
-    # blocks of 1, 2 and 3 steps, raw words for the stepper and draws for
-    # the table, are shorter than most k and leave len % k draws in every
+    # blocks of 1, 2 and 3 steps, 32-bit outputs for the stepper and draws
+    # for the table, are shorter than most k and leave len % k draws in every
     # block
     kind, g, start = TABLE_CASES[name]
     one = _move_table(kind, g, start, 10**9)
@@ -522,12 +523,12 @@ def _wrw_table_cases():
 
 WRW_TABLE_CASES = _wrw_table_cases()
 # short walks, then walks that cross one, two and many block seams; a
-# step reads one half, or two when Lemire's method rejects the first
+# step reads one 32-bit output, or two when Lemire's method rejects the first
 WRW_HORIZONS = (0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK)
 
 
-# each case at the default block, then at blocks of 1, 2 and 3, raw words
-# for the stepper and steps for the table, where every short walk meets
+# each case at the default block, then at blocks of 1, 2 and 3, 32-bit
+# outputs for the stepper and steps for the table, where every short walk meets
 # block seams, with and without a spare half pending
 WRW_BLOCKS = [pytest.param(name, None, id=name) for name in sorted(WRW_TABLE_CASES)] + [
     pytest.param(name, block, id=f"{name}-block{block}") for block in (1, 2, 3) for name in sorted(WRW_TABLE_CASES)

@@ -49,6 +49,15 @@ from helpers import k4, rng, subdivided_starts, theta_graph, two_loop_graph, wal
 from test_golden import CORRIDOR_K4, CUBIC10
 from test_stats import GENERATORS, WRW_TABLE_CASES
 
+# the generators of the stats tests and the other bit generators numpy ships
+ALL_GENERATORS = {
+    **GENERATORS,
+    **{
+        bg.__name__.lower(): partial(lambda bg, seed: np.random.Generator(bg(seed)), bg)
+        for bg in (np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+    },
+}
+
 
 def theta_multigraph():
     mg, _ = contract(theta_graph())
@@ -249,7 +258,7 @@ def test_wrw_refuses_a_draw_bound_above_2_32_before_any_draw():
     with pytest.raises(LimitExceeded, match=message):
         wrw_step(mg, "a", gen)
     assert gen.bit_generator.state == before
-    # sample_path on PCG64, through _Draws, and on MT19937, through the scalar calls
+    # sample_path through _Draws, on PCG64 and on MT19937
     for make in (GENERATORS["pcg64"], GENERATORS["mt19937"]):
         for n in (1, 30, 5000):
             gen = make(n)
@@ -517,17 +526,19 @@ def test_integer_arguments_take_numpy_integers():
 
 
 def _mixed_calls(seed, n):
-    """n draw bounds: small ones, one that rejects about half its draws,
-    random ones below 2**32 and 2**32 itself, which takes a half whole,
-    interleaved."""
+    """n draw bounds: small ones, 1 among them, two that reject about half
+    and a quarter of their draws, random ones below 2**32 and 2**32
+    itself, which takes an output whole, interleaved."""
     pick = random.Random(seed)
     calls = []
     for _ in range(n):
         r = pick.random()
         if r < 0.5:
             calls.append(pick.randint(1, 7))
-        elif r < 0.65:
+        elif r < 0.6:
             calls.append(2**31 + 1)
+        elif r < 0.7:
+            calls.append(3 * 2**30)
         elif r < 0.8:
             calls.append(pick.randrange(1, 2**32))
         else:
@@ -551,6 +562,19 @@ def test_draws_equal_generator_scalar_calls():
         assert raw.bit_generator.state == scalar.bit_generator.state
         spare_at_end.add(raw.bit_generator.state["has_uint32"])
     assert spare_at_end == {0, 1}
+    # every bit generator, fresh PCG64 and PCG64 with a spare half pending
+    # among them, at blocks of 1, 2 and 3 outputs, where every call meets a
+    # seam, and at one block that the calls leave part used
+    for name, make in sorted(ALL_GENERATORS.items()):
+        for block in (1, 2, 3, 1000):
+            scalar, drawn = make(block), make(block)
+            draws = _Draws(drawn, block)
+            for k in _mixed_calls(block, 600):
+                assert draws.integers(k) == scalar.integers(k), (name, block, k)
+            draws.close()
+            np.testing.assert_equal(drawn.bit_generator.state, scalar.bit_generator.state)
+            # and the draws after them agree
+            assert drawn.integers(2**32, size=3).tolist() == scalar.integers(2**32, size=3).tolist(), (name, block)
 
 
 def _reference_cases():
@@ -580,7 +604,7 @@ def test_walk_equals_scalar_reference(kind, g, start):
     # tree keys are root paths, which sample_path builds and the reference
     # checks on every step, so on trees both cost O(depth) a step and stop
     # at 1025 steps (_generic_replica's tree walker builds no key); the
-    # longest walk reads a few blocks of raw words
+    # longest walk reads a few blocks of 32-bit outputs
     horizons = (0, 1, 1023, 1024, 1025)
     if not isinstance(g, BiregularTree):
         horizons += (5000, 4 * _BLOCK + 3)
@@ -606,16 +630,34 @@ def test_walk_leaves_the_scalar_state_when_closed_early_or_raising():
             assert list(islice(walk, k)) == list(islice(walk_reference(kind, g, start, 1000, ref), k))
             walk.close()
             assert fast.bit_generator.state == ref.bit_generator.state, (kind, k)
-    # NBRW on a path graph runs into the far end after a few steps
+    # NBRW on a path graph runs into the far end after a few steps, on
+    # PCG64 at six seeds and on every bit generator at one
     path = from_adjacency({i: [j for j in (i - 1, i + 1) if 0 <= j < 6] for i in range(6)})
-    for seed in range(6):
-        fast, ref = rng(seed), rng(seed)
+    for make, seed in [(rng, seed) for seed in range(6)] + [(make, 3) for make in ALL_GENERATORS.values()]:
+        fast, ref = make(seed), make(seed)
         with pytest.raises(NoLegalMove, match="step") as got:
             sample_path("nbrw", path, 2, 50, fast)
         with pytest.raises(NoLegalMove) as want:
             tuple(walk_reference("nbrw", path, 2, 50, ref))
         assert str(got.value) == str(want.value)
-        assert fast.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
+    # on every bit generator, closed early, and NBRW on subdivided K4,
+    # whose steps from a degree-2 vertex draw integers(1), which is
+    # nothing, so a whole walk leaves outputs of its block unused
+    k4_1 = subdivide(k4(), 1)
+    for name, make in sorted(ALL_GENERATORS.items()):
+        for kind, g, start, n, k in [
+            ("srw", k4(), 0, 1000, 7),
+            ("wrw", mg, mg.default_start(), 1000, 100),
+            ("nbrw", k4_1, 0, 30, 30),
+            ("nbrw", k4_1, (0, 1, 1), 31, 30),
+        ]:
+            fast, ref = make(k), make(k)
+            walk = _walk(kind, g, start, n, fast)
+            assert list(islice(walk, k)) == list(islice(walk_reference(kind, g, start, n, ref), k)), (name, kind)
+            walk.close()
+            np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
+            assert fast.integers(2**32, size=3).tolist() == ref.integers(2**32, size=3).tolist(), (name, kind)
 
 
 def test_walk_on_another_bit_generator_uses_the_scalar_calls():
@@ -625,6 +667,24 @@ def test_walk_on_another_bit_generator_uses_the_scalar_calls():
         assert sample_path(kind, g, start, 700, fast) == (start, *walk_reference(kind, g, start, 700, ref))
         assert fast.bit_generator.state["state"]["pos"] == ref.bit_generator.state["state"]["pos"]
         assert (fast.bit_generator.state["state"]["key"] == ref.bit_generator.state["state"]["key"]).all()
+    # every bit generator takes _Draws: the counterexample's SRW and NBRW
+    # on subdivided K4, which leaves outputs unused, at one block and
+    # across block seams, and a tree path, whose keys cost O(depth) a step
+    long = (5, 700, _BLOCK + 9)
+    cases = [
+        ("srw", counterexample_graph(), "v", long),
+        ("nbrw", subdivide(k4(), 1), 0, long),
+        ("nbrw", regular_tree(3), (0,), (5, 700)),
+    ]
+    for name, make in sorted(ALL_GENERATORS.items()):
+        for kind, g, start, horizons in cases:
+            for n in horizons:
+                fast, ref = make(n), make(n)
+                assert sample_path(kind, g, start, n, fast) == (start, *walk_reference(kind, g, start, n, ref)), (
+                    name, kind, n
+                )
+                np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
+                assert fast.integers(2**32, size=3).tolist() == ref.integers(2**32, size=3).tolist(), (name, kind, n)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
