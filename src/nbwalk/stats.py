@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
 from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
-from .walkers import _jump_table, _move_table, _pack, _require_kind_graph, _table_walk, _tree_counts, _unpack, _walk
+from .walkers import _move_table, _pack, _require_kind_graph, _table_walk, _tree_counts, _unpack, _walk
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -151,11 +151,11 @@ def monte_carlo(
     replicas, horizon, master_seed = int(replicas), int(horizon), int(master_seed)
     _require_kind_graph(kind, graph)
     _check_start(graph, start)
-    table = _move_table(kind, graph, start, replicas * horizon)
+    table = _move_table(kind, graph, start, horizon, replicas)
     if table is None:
         run = partial(_replica, kind, graph, start, horizon)
     else:
-        run = partial(_table_run, _jump_table(table, horizon, replicas), horizon)
+        run = partial(_table_run, table, horizon)
     rows = tuple(run(np.random.default_rng(replica_seed(master_seed, i))) for i in range(replicas))
     if config is None:
         config = {

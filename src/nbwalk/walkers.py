@@ -430,6 +430,11 @@ class _Fixed(int):
         return self
 
 
+# the fewest steps per entry, over all walks of a call, that take a move
+# table.  Its build makes one sampler call per entry, at 1-2 times the cost
+# of a stepper step, so on a 2-vCPU host tables paid back from about 2 steps
+# an entry, vertex nbrw's from about 3
+_TABLE_SHARE = 2
 # the most entries of a k-step move table.  The table is built on every
 # monte_carlo and sample_path call, and at 2**15 entries its build (about
 # 1 ms on a 2-vCPU host) cost a third of what it saved on 3 x 20,000 steps
@@ -441,7 +446,8 @@ _JUMP_STEPS = 1 << 11
 
 
 class _MoveTable(NamedTuple):
-    """A ``_move_table`` over numbered states, of one draw bound B: draw d
+    """A ``_move_table`` over numbered states, of one draw bound B, with
+    the k that ``_move_table`` chose for the walks it serves: draw d
     takes the first step to ``first[d]`` and state s to ``rows[s][d]``, and
     s sits at ``vertex[s]``, which ``home[s]`` says is the start.  Entry
     ``e = s * B**k + i`` of the k-step table is state s followed by the
@@ -459,29 +465,35 @@ class _MoveTable(NamedTuple):
     spans: np.ndarray
 
 
-def _move_table(kind, graph, start, budget: int):
-    """The moves of a walk from ``start`` on a finite graph where every
-    state has the same draw bound, as a ``_MoveTable``; row entry d of a
-    state is the state the sampler moves to on draw d.  The bound is the
-    degree for srw, one less for nbrw after its first step, and ``mdegree
-    * L`` for wrw.  The table has k = 1; ``_jump_table`` adds a k-step
-    table.  Refuses a kind and graph that do not match, as ``_walk`` does;
-    then None, with ``start`` not looked up, on a lattice or a tree, on a
-    graph whose degrees differ, for a bound below 1 and for more than
-    ``budget`` entries."""
+def _move_table(kind, graph, start, n: int, walks: int = 1):
+    """The moves of ``walks`` walks of n steps from ``start`` on a finite
+    graph where every state has the same draw bound, as a ``_MoveTable``;
+    row entry d of a state is the state the sampler moves to on draw d.
+    The bound B is the degree for srw, one less for nbrw after its first
+    step, and ``mdegree * L`` for wrw.  The table is built when the walks'
+    ``walks * n`` steps give each of its S * B entries ``_TABLE_SHARE``
+    steps.  Its k is the largest whose S * B**k entries fit both ``walks *
+    n // 8`` and ``_JUMP_ENTRIES``, counting B as at least 2, so a bound-1
+    table, which draws nothing, gets a finite k too; walks shorter than
+    ``_JUMP_STEPS`` keep k = 1.  The k-step table is composed from the rows
+    by numpy, with no further sampler calls.  Refuses a kind and graph that
+    do not match, as ``_walk`` does; then None, with ``start`` not looked
+    up, on a lattice or a tree, on a graph whose degrees differ, for a
+    bound below 1 and for too few steps."""
     kind = WalkKind(kind)
     mg = _require_kind_graph(kind, graph)
     if not (mg or isinstance(graph, ExplicitGraph)):
         return None
     degree = graph.mdegree if mg else graph.degree
     vertices = graph.vertices()
-    k = degree(vertices[0])
+    deg = degree(vertices[0])
     nbrw = kind is WalkKind.NBRW
     # the first step's bound; nbrw's later steps exclude the arriving half-edge
-    width = k * graph.resistance_lcm if kind is WalkKind.WRW else k
-    bound = k - 1 if nbrw else width
+    width = deg * graph.resistance_lcm if kind is WalkKind.WRW else deg
+    bound = deg - 1 if nbrw else width
     # a state is a vertex for srw and wrw and a dart, one per half-edge, for nbrw
-    if bound < 1 or len(vertices) * (k if nbrw else 1) * bound > budget or any(degree(v) != k for v in vertices):
+    size = len(vertices) * (deg if nbrw else 1)
+    if bound < 1 or size * bound * _TABLE_SHARE > walks * n or any(degree(v) != deg for v in vertices):
         return None
     if not nbrw:
         states = vertex = vertices
@@ -497,37 +509,22 @@ def _move_table(kind, graph, start, budget: int):
     index = {s: i for i, s in enumerate(states)}
     first_row = [index[step(first, _Fixed(d))] for d in range(width)]
     rows = [[index[step(s, _Fixed(d))] for d in range(bound)] for s in states]
-    return _MoveTable(first_row, rows, vertex, np.array([v == start for v in vertex]), 1, [], None)
-
-
-def _jump_table(table, n: int, walks: int = 1):
-    """``table`` with the k-step table for ``walks`` walks of n steps,
-    composed from its rows by numpy, with no further sampler calls.  k is
-    the largest whose S * B**k entries, S states of bound B, fit both
-    ``walks * n // 8``, the share of the steps ``sample_path`` gives a
-    one-step table, and ``_JUMP_ENTRIES``; k counts B as at least 2, so a
-    bound-1 table, which draws nothing, gets a finite k too.  Walks shorter
-    than ``_JUMP_STEPS`` keep k = 1."""
-    if n < _JUMP_STEPS:
-        return table
-    rows = table.rows
-    size, bound = len(rows), len(rows[0])
-    budget = min(walks * n // 8, _JUMP_ENTRIES)
-    k = 1
+    budget = min(walks * n // 8, _JUMP_ENTRIES) if n >= _JUMP_STEPS else 0
+    k, jump, spans = 1, [], None
     while size * max(bound, 2) ** (k + 1) <= budget:
         k += 1
-    if k == 1:
-        return table
-    # ends[s, i] is the state j steps after s on the draws of i mod B**j,
-    # which is step j of every entry whose index ends in those j digits
-    moves = ends = np.array(rows)
-    spans = np.empty((size, bound**k, k), np.intp)
-    for j in range(1, k + 1):
-        if j > 1:
-            # a new last draw d is the digit of B**(j - 1), so its axis goes first
-            ends = moves[ends].transpose(0, 2, 1).reshape(size, -1)
-        spans[..., j - 1].reshape(size, -1, bound**j)[:] = ends[:, None]
-    return table._replace(k=k, jump=ends.tolist(), spans=spans.reshape(-1, k))
+    if k > 1:
+        # ends[s, i] is the state j steps after s on the draws of i mod B**j,
+        # which is step j of every entry whose index ends in those j digits
+        moves = ends = np.array(rows)
+        spans = np.empty((size, bound**k, k), np.intp)
+        for j in range(1, k + 1):
+            if j > 1:
+                # a new last draw d is the digit of B**(j - 1), so its axis goes first
+                ends = moves[ends].transpose(0, 2, 1).reshape(size, -1)
+            spans[..., j - 1].reshape(size, -1, bound**j)[:] = ends[:, None]
+        jump, spans = ends.tolist(), spans.reshape(-1, k)
+    return _MoveTable(first_row, rows, vertex, np.array([v == start for v in vertex]), k, jump, spans)
 
 
 def _table_walk(table, n: int, rng):
@@ -567,17 +564,16 @@ def sample_path(kind, graph, start, n: int, rng) -> tuple:
     from the kernel for ``kind``.  The first non-backtracking step uses
     the uniform rule.  Where ``_on_lattice_kernel`` holds, the path is
     drawn in bulk by ``_lattice_offsets``, and it is read off ``_table_walk``
-    where ``_move_table`` builds a table within n // 8 entries, with the
+    where ``_move_table`` builds a table for an n-step walk, with the
     scalar samplers' draws and end state.  A 0-step path is ``(start,)``,
     start unchecked."""
     if not is_int(n) or n < 0:
         raise InvalidInput("path length must be a nonnegative integer")
     kind, n = WalkKind(kind), int(n)
     if not n or not _on_lattice_kernel(kind, graph, start):
-        table = _move_table(kind, graph, start, n // 8)
+        table = _move_table(kind, graph, start, n)
         if table is None:
             return (start, *_walk(kind, graph, start, n, rng))
-        table = _jump_table(table, n)
         vertex = table.vertex
         if table.k == 1:
             return (start, *[vertex[s] for block in _table_walk(table, n, rng) for s in block])

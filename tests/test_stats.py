@@ -33,7 +33,7 @@ from nbwalk import (
 from nbwalk import stats, walkers
 from nbwalk.graph import WeightedMultigraph
 from nbwalk.stats import _CHUNK, _generic_replica, _lattice_run, _replica, _table_run, _tree_run, replica_seed
-from nbwalk.walkers import _BLOCK, _JUMP_ENTRIES, _JUMP_STEPS, _RADIX, WalkKind, _jump_table, _move_table
+from nbwalk.walkers import _BLOCK, _JUMP_ENTRIES, _JUMP_STEPS, _RADIX, _TABLE_SHARE, WalkKind, _move_table
 
 from helpers import (
     complete_bipartite,
@@ -472,9 +472,9 @@ def test_move_table_run_equals_the_generic_stepper_and_the_scalar_reference(name
     # for the table, are shorter than most k and leave len % k draws in every
     # block
     kind, g, start = TABLE_CASES[name]
-    one = _move_table(kind, g, start, 10**9)
+    one = _move_table(kind, g, start, _JUMP_STEPS - 1, 10**9)
     assert one is not None and one.k == 1
-    table = _jump_table(one, 10**9)
+    table = _move_table(kind, g, start, 10**9)
     k = table.k
     short = {0, 1, 2, 3, k - 1, k, k + 1, 2 * k + 1}
     if block:
@@ -542,13 +542,13 @@ def test_wrw_table_run_equals_the_generic_stepper_and_the_scalar_reference(name,
     if block:
         monkeypatch.setattr("nbwalk.walkers._BLOCK", block)
         horizons = range(40)
-    one = _move_table(WalkKind.WRW, g, start, 10**9)
-    assert one is not None
+    one = _move_table(WalkKind.WRW, g, start, _JUMP_STEPS - 1, 10**9)
+    assert one is not None and one.k == 1
     # a fresh generator, one whose spare half was left by an earlier draw,
     # and one whose spare half 0 Lemire's method rejects for every bound above 1
     starts = [lambda s: rng(s), lambda s: _with_spare(rng(s), int(rng(s + 10).integers(2**32))), lambda s: _with_spare(rng(s), 0)]
     # the one-step table, and the k-step table of the largest k under the cap
-    jumped = _jump_table(one, 10**9)
+    jumped = _move_table(WalkKind.WRW, g, start, 10**9)
     for h in horizons:
         for seed, make in enumerate(starts):
             slow, ref = make(seed), make(seed)
@@ -574,18 +574,18 @@ def test_k_step_table_equals_k_row_lookups(name):
     # but the cap; c5-nbrw and one-edge-r1-wrw have bound 1, where B**k
     # never passes the cap, and must still build
     kind, g, start = K_STEP_CASES[name]
-    one = _move_table(kind, g, start, 10**9)
+    one = _move_table(kind, g, start, _JUMP_STEPS - 1, 10**9)
     rows = one.rows
     size, bound = len(rows), len(rows[0])
     two = -(-8 * size * max(bound, 2) ** 2 // _JUMP_STEPS)
     for n, walks in ((_JUMP_STEPS - 1, 10**9), (_JUMP_STEPS, 1), (_JUMP_STEPS, two), (10**9, 1)):
-        table = _jump_table(one, n, walks)
+        table = _move_table(kind, g, start, n, walks)
         k, cap = table.k, min(walks * n // 8, _JUMP_ENTRIES) if n >= _JUMP_STEPS else 0
-        assert table[:4] == one[:4] and k >= 1, (n, walks)
+        assert table[:3] == one[:3] and np.array_equal(table.home, one.home) and k >= 1, (n, walks)
         # k is the largest whose S * max(B, 2)**k entries fit
         assert size * max(bound, 2) ** (k + 1) > cap, (n, walks)
         if k == 1:
-            assert table is one
+            assert table.jump == [] and table.spans is None, (n, walks)
             continue
         assert size * max(bound, 2) ** k <= cap and table.spans.shape == (size * bound**k, k)
         for s in range(size):
@@ -636,7 +636,8 @@ def test_monte_carlo_takes_the_move_table_on_regular_graphs_only(monkeypatch):
     theta, _ = contract(theta_graph())
     # the table's sampler calls: the first row's k, then states x bound,
     # whatever the replica count; wrw's k and bound are mdegree * L, here
-    # 3 * lcm(1, 2, 3) = 18
+    # 3 * lcm(1, 2, 3) = 18.  The horizon gives each entry of the largest
+    # table, wrw's 2 * 18, _TABLE_SHARE steps
     table_cases = [
         ("srw", k4(), 0, "srw_step", 3 + 4 * 3),
         ("nbrw", k4(), 0, "nbrw_step", 3 + 12 * 2),
@@ -646,9 +647,10 @@ def test_monte_carlo_takes_the_move_table_on_regular_graphs_only(monkeypatch):
     for kind, g, start, sampler, size in table_cases:
         for replicas in (1, 7):
             calls.clear()
-            monte_carlo(kind, g, start, 50, replicas, 3)
+            monte_carlo(kind, g, start, 36 * _TABLE_SHARE, replicas, 3)
             assert calls[sampler] == size and calls["generic"] == 0, (kind, replicas)
-    # non-regular graphs and multigraphs, and tables over replicas x horizon entries
+    # non-regular graphs and multigraphs, and tables whose entries get fewer
+    # than _TABLE_SHARE of the replicas x horizon steps
     uneven = WeightedMultigraph("uvw", [("u", "v", 1), ("v", "w", 2), ("v", "v", 3)])
     generic_cases = [
         ("srw", counterexample_graph(), "v", 50, 2),
@@ -658,16 +660,77 @@ def test_monte_carlo_takes_the_move_table_on_regular_graphs_only(monkeypatch):
         ("wrw", uneven, "v", 50, 2),
         ("wrw", theta, "u", 2, 2),
         ("srw", cycle(10_000), 0, 3, 1),
-        ("srw", k4(), 0, 11, 1),
+        ("srw", k4(), 0, 12 * _TABLE_SHARE - 1, 1),
     ]
     for kind, g, start, horizon, replicas in generic_cases:
         calls.clear()
-        assert _move_table(WalkKind(kind), g, start, replicas * horizon) is None
+        assert _move_table(WalkKind(kind), g, start, horizon, replicas) is None
         monte_carlo(kind, g, start, horizon, replicas, 3)
         assert calls["generic"] == replicas, (kind, start)
     calls.clear()
-    monte_carlo("srw", k4(), 0, 12, 1, 3)
+    monte_carlo("srw", k4(), 0, 12 * _TABLE_SHARE, 1, 3)
     assert calls["generic"] == 0
+
+
+def _edge_cases():
+    cubic10 = graph_from_spec(json.loads(CUBIC10))
+    theta, _ = contract(theta_graph())
+    # (kind, graph, start, S * B): states times draw bound
+    return {
+        "k4-srw": (WalkKind.SRW, k4(), 0, 4 * 3),
+        "k4-nbrw": (WalkKind.NBRW, k4(), 0, 12 * 2),
+        "cubic10-srw": (WalkKind.SRW, cubic10, 7, 10 * 3),
+        "cubic10-nbrw": (WalkKind.NBRW, cubic10, 7, 30 * 2),
+        # both vertices of multigraph degree 3; wrw's bound is 3 * lcm(1, 2, 3)
+        "theta-edge-nbrw": (WalkKind.NBRW, theta, "u", 6 * 2),
+        "theta-wrw": (WalkKind.WRW, theta, "u", 2 * 18),
+    }
+
+
+EDGE_CASES = _edge_cases()
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_table_walks_start_where_each_entry_gets_table_share_steps(name, monkeypatch):
+    # a walk of S * B * _TABLE_SHARE - 1 steps in all takes the stepper and
+    # one of S * B * _TABLE_SHARE the table, in sample_path and in
+    # monte_carlo at 1 and 3 replicas (whose horizons give 3 replicas the
+    # fewest total steps on each side of the edge); on both sides the paths,
+    # the rows and the generators' end states are the other route's
+    kind, g, start, entries = EDGE_CASES[name]
+    edge = entries * _TABLE_SHARE
+    forced = _move_table(kind, g, start, edge - 1, 10**9)
+    assert len(forced.rows) * len(forced.rows[0]) == entries and forced.k == 1
+    tables = []
+    table_walk = walkers._table_walk
+
+    def recording(table, n, rng):
+        tables.append(table.rows)
+        return table_walk(table, n, rng)
+
+    monkeypatch.setattr(walkers, "_table_walk", recording)
+    monkeypatch.setattr(stats, "_table_walk", recording)
+    for n in (edge - 1, edge):
+        built = n == edge
+        assert (_move_table(kind, g, start, n) is not None) == built, n
+        fast, ref = rng(n), rng(n)
+        tables.clear()
+        path = sample_path(kind, g, start, n, fast)
+        assert tables == ([forced.rows] if built else []), n
+        assert path == (start, *walkers._walk(kind, g, start, n, ref)), n
+        np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
+    for replicas in (1, 3):
+        for horizon in (-(-edge // replicas) - 1, -(-edge // replicas)):
+            built = replicas * horizon >= edge
+            assert (_move_table(kind, g, start, horizon, replicas) is not None) == built, (replicas, horizon)
+            tables.clear()
+            report = monte_carlo(kind, g, start, horizon, replicas, 5)
+            assert tables == ([forced.rows] * replicas if built else []), (replicas, horizon)
+            for i, row in enumerate(report.rows):
+                seed = replica_seed(5, i)
+                slow, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert row == _generic_replica(kind, g, start, horizon, slow) == _table_run(forced, horizon, fast)
+                np.testing.assert_equal(slow.bit_generator.state, fast.bit_generator.state)
 
 
 def test_lattice_return_counts_monotone_and_seeded():

@@ -43,7 +43,7 @@ from nbwalk import (
 )
 from nbwalk.stats import _generic_replica, _replica, return_statistics
 from nbwalk import walkers
-from nbwalk.walkers import _BLOCK, _CHUNK, _Draws, _pack, _unpack, _walk
+from nbwalk.walkers import _BLOCK, _CHUNK, _TABLE_SHARE, _Draws, _pack, _unpack, _walk
 
 from helpers import k4, rng, subdivided_starts, theta_graph, two_loop_graph, walk_reference
 from test_golden import CORRIDOR_K4, CUBIC10
@@ -843,15 +843,15 @@ def _table_path_cases():
 TABLE_PATH_CASES = _table_path_cases()
 
 
-def _recording_move_table(monkeypatch, budget=None):
-    """Patch ``walkers._move_table`` to record ``(budget, built)`` per call,
-    building with ``budget`` in place of the caller's when one is given."""
+def _recording_move_table(monkeypatch, walks=None):
+    """Patch ``walkers._move_table`` to record ``(n, walks, built)`` per
+    call, building with ``walks`` in place of the caller's when one is given."""
     calls = []
     move_table = walkers._move_table
 
-    def recording(kind, graph, start, asked):
-        table = move_table(kind, graph, start, asked if budget is None else budget)
-        calls.append((asked, table is not None))
+    def recording(kind, graph, start, n, asked=1):
+        table = move_table(kind, graph, start, n, asked if walks is None else walks)
+        calls.append((n, asked, table is not None))
         return table
 
     monkeypatch.setattr(walkers, "_move_table", recording)
@@ -867,10 +867,11 @@ def test_table_path_equals_the_generic_stepper(name, block, monkeypatch):
     if block:
         # every short walk meets block seams; the table is built whatever its size
         monkeypatch.setattr(walkers, "_BLOCK", block)
-        calls = _recording_move_table(monkeypatch, budget=10**9)
+        calls = _recording_move_table(monkeypatch, walks=10**9)
         horizons = range(1, 41)
     else:
-        # the first block's seams and two blocks, each table within n // 8 entries
+        # the first block's seams and two blocks, each giving every entry
+        # _TABLE_SHARE steps
         calls = _recording_move_table(monkeypatch)
         horizons = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 9000)
     for n in horizons:
@@ -879,7 +880,7 @@ def test_table_path_equals_the_generic_stepper(name, block, monkeypatch):
             calls.clear()
             path = sample_path(kind, g, start, n, fast)
             # every kind reads its table on every generator, once it fits
-            assert calls == [(n // 8, entries <= (10**9 if block else n // 8))], (n, gen)
+            assert calls == [(n, 1, bool(block) or entries * _TABLE_SHARE <= n)], (n, gen)
             assert path == (start, *_walk(kind, g, start, n, ref)), (n, gen)
             np.testing.assert_equal(fast.bit_generator.state, ref.bit_generator.state)
             assert fast.integers(2**32, size=3).tolist() == ref.integers(2**32, size=3).tolist(), (n, gen)
@@ -931,23 +932,26 @@ def test_sample_path_takes_the_generic_stepper_without_a_table(monkeypatch):
 
     monkeypatch.setattr(walkers, "_walk", counting)
     mg, _ = contract(subdivide(theta_graph(), 1))
-    # (kind, graph, start, steps, the (budget, built) of each _move_table call)
+    # (kind, graph, start, steps, the (n, walks, built) of each _move_table call)
+    e = _TABLE_SHARE
     cases = [
-        # 30 steps afford 3 entries, and K4's srw table has 12
-        ("srw", k4(), 0, 30, [(3, False)]),
-        ("srw", k4(), 0, 95, [(11, False)]),
-        ("srw", k4(), 0, 96, [(12, True)]),
-        ("nbrw", k4(), 0, 191, [(23, False)]),
-        ("nbrw", k4(), 0, 192, [(24, True)]),
+        # K4's srw table has 12 entries and its nbrw table 24; a walk takes
+        # one from _TABLE_SHARE steps an entry
+        ("srw", k4(), 0, 12 * e - 1, [(12 * e - 1, 1, False)]),
+        ("srw", k4(), 0, 12 * e, [(12 * e, 1, True)]),
+        ("nbrw", k4(), 0, 24 * e - 1, [(24 * e - 1, 1, False)]),
+        ("nbrw", k4(), 0, 24 * e, [(24 * e, 1, True)]),
+        # criterion 1's 30-step K4 srw walks, 2.5 steps an entry
+        ("srw", k4(), 0, 30, [(30, 1, True)]),
         # degrees 2 and 3
-        ("srw", counterexample_graph(), "v", 5000, [(625, False)]),
-        ("nbrw", counterexample_graph(), "v", 5000, [(625, False)]),
+        ("srw", counterexample_graph(), "v", 5000, [(5000, 1, False)]),
+        ("nbrw", counterexample_graph(), "v", 5000, [(5000, 1, False)]),
         # K2's srw draws integers(1), which draws nothing
-        ("srw", from_adjacency({0: [1], 1: [0]}), 0, 5000, [(625, True)]),
+        ("srw", from_adjacency({0: [1], 1: [0]}), 0, 5000, [(5000, 1, True)]),
         # a wrw walk on a regular multigraph reads a table; lattices and trees get none
-        ("wrw", mg, mg.default_start(), 5000, [(625, True)]),
-        ("srw", subdivided_lattice(2, 2), (1, 0), 5000, [(625, False)]),
-        ("srw", regular_tree(3), (0,), 5000, [(625, False)]),
+        ("wrw", mg, mg.default_start(), 5000, [(5000, 1, True)]),
+        ("srw", subdivided_lattice(2, 2), (1, 0), 5000, [(5000, 1, False)]),
+        ("srw", regular_tree(3), (0,), 5000, [(5000, 1, False)]),
     ]
     for kind, g, start, n, want in cases:
         calls.clear()
@@ -956,7 +960,7 @@ def test_sample_path_takes_the_generic_stepper_without_a_table(monkeypatch):
         assert sample_path(kind, g, start, n, fast) == (start, *walk(kind, g, start, n, ref)), (kind, start)
         assert fast.bit_generator.state == ref.bit_generator.state
         assert calls == want, (kind, start)
-        assert stepped == ([] if want and want[0][1] else [kind]), (kind, start)
+        assert stepped == ([] if want and want[0][2] else [kind]), (kind, start)
 
 
 def _k2():
