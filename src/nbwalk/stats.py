@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, Lattice, encode_key
 from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
-from .walkers import _move_table, _pack, _require_kind_graph, _table_walk, _tree_counts, _unpack, _walk
+from .walkers import _move_table, _pack, _table_walk, _tree_counts, _unpack, _walk
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -149,9 +149,9 @@ def monte_carlo(
     if not is_int(master_seed) or not 0 <= master_seed <= _MASK64:
         raise InvalidParameter("master seed must be an integer in [0, 2**64)")
     replicas, horizon, master_seed = int(replicas), int(horizon), int(master_seed)
-    _require_kind_graph(kind, graph)
-    _check_start(graph, start)
+    # the table refuses a kind that does not run on the graph, before the start
     table = _move_table(kind, graph, start, horizon, replicas)
+    _check_start(graph, start)
     if table is None:
         run = partial(_replica, kind, graph, start, horizon)
     else:

@@ -259,6 +259,7 @@ def _check_start(graph, start):
 
 
 def _require_kind_graph(kind, graph):
+    """``(WalkKind(kind), mg)``, mg whether ``graph`` is a multigraph; refuses a kind the graph does not run."""
     kind = WalkKind(kind)
     mg = isinstance(graph, WeightedMultigraph)
     if mg and kind is WalkKind.SRW:
@@ -267,7 +268,7 @@ def _require_kind_graph(kind, graph):
         raise InvalidInput("wrw needs a weighted multigraph")
     if not mg and not isinstance(graph, Graph):
         raise InvalidInput(f"not a graph: {graph!r}")
-    return mg
+    return kind, mg
 
 
 class _Draws:
@@ -322,9 +323,10 @@ class _Trusted:
         self.neighbors = getattr(graph, "_adjacent", graph.neighbors)
 
 
-# the cap on draws made at once, which bounds their memory: 32-bit outputs
-# per _Draws block and steps per bulk draw in _table_walk and _tree_counts
-_BLOCK = 1 << 12
+# the most steps, or 32-bit outputs, that one bulk numpy call resolves, which
+# bounds their memory: a _Draws block, a _table_walk or _tree_counts block,
+# and a chunk of the lattice and tree kernels
+_CHUNK = 1 << 13
 
 
 def _walk(kind, graph, start, n: int, rng):
@@ -334,19 +336,18 @@ def _walk(kind, graph, start, n: int, rng):
 
     The start is the only key checked; later steps look up neighbors
     without a check.  The draws come from a ``_Draws`` of ``min(n,
-    _BLOCK)`` outputs a block, so a walk of up to ``_BLOCK`` steps with no
+    _CHUNK)`` outputs a block, so a walk of up to ``_CHUNK`` steps with no
     bound-1 step and no rejected output uses every output it draws, and
     its close puts none back.  The generator reaches the state the scalar
     calls would leave when the walk ends, is closed or raises; do not draw
     from ``rng`` while the walk is open."""
-    kind = WalkKind(kind)
-    mg = _require_kind_graph(kind, graph)
+    kind, mg = _require_kind_graph(kind, graph)
     if n < 1:
         return
     if not mg:
         graph.neighbors(start)
         graph = _Trusted(graph)
-    rng = _Draws(rng, min(n, _BLOCK))
+    rng = _Draws(rng, min(n, _CHUNK))
     i = 0
     try:
         if kind is WalkKind.SRW:
@@ -383,7 +384,7 @@ def _tree_counts(kind, tree, start, n: int, rng):
     a step, with no key built.  Step i leaves a depth of parity
     ``len(start) + i``, so its draw bound, the degree (k1 at even depths,
     the root included, k2 at odd ones; one less for nbrw after step 0),
-    is known before the walk, and each block of up to ``_BLOCK`` steps is
+    is known before the walk, and each block of up to ``_CHUNK`` steps is
     one bulk ``integers`` call, with the scalar calls' draws and end
     state.  Draw d takes the root to child d and any other vertex up for
     d = 0 and to child d - 1 otherwise.  srw keeps its depth and
@@ -393,12 +394,12 @@ def _tree_counts(kind, tree, start, n: int, rng):
     of zero draws, at most to the root, and then only descends."""
     nbrw = WalkKind(kind) is WalkKind.NBRW
     home = depth = shared = len(start)
-    # _BLOCK is even, so every block has the first one's bounds, but for
+    # _CHUNK is even, so every block has the first one's bounds, but for
     # nbrw's first step
-    bounds = np.tile((tree.k1, tree.k2), _BLOCK // 2 + 1)[home & 1 :][:_BLOCK] - nbrw
+    bounds = np.tile((tree.k1, tree.k2), _CHUNK // 2 + 1)[home & 1 :][:_CHUNK] - nbrw
     first = np.r_[bounds[0] + nbrw, bounds[1:]]
     returns, last, climb = 0, None, 0
-    for done in range(0, n, _BLOCK):
+    for done in range(0, n, _CHUNK):
         draws = rng.integers(0, (bounds if done else first)[: n - done])
         if nbrw:
             # the leading run of zero draws, while no block has ended it
@@ -480,8 +481,7 @@ def _move_table(kind, graph, start, n: int, walks: int = 1):
     do not match, as ``_walk`` does; then None, with ``start`` not looked
     up, on a lattice or a tree, on a graph whose degrees differ, for a
     bound below 1 and for too few steps."""
-    kind = WalkKind(kind)
-    mg = _require_kind_graph(kind, graph)
+    kind, mg = _require_kind_graph(kind, graph)
     if not (mg or isinstance(graph, ExplicitGraph)):
         return None
     degree = graph.mdegree if mg else graph.degree
@@ -530,7 +530,7 @@ def _move_table(kind, graph, start, n: int, walks: int = 1):
 def _table_walk(table, n: int, rng):
     """Yield the states at steps 1..n of a ``_move_table`` walk in blocks:
     the first step by a scalar ``rng.integers(len(first))``, then blocks of
-    up to ``_BLOCK`` steps by bulk draws, which numpy makes as the scalar
+    up to ``_CHUNK`` steps by bulk draws, which numpy makes as the scalar
     calls would, leaving the generator in the same state.  At k = 1 a
     block is a list, one row lookup per draw.  Otherwise it is an intp
     array: each k draws make one k-step entry, ``table.jump`` is looked up
@@ -542,13 +542,13 @@ def _table_walk(table, n: int, rng):
     yield [s]
     bound = len(rows[0])
     if k == 1:
-        for done in range(1, n, _BLOCK):
-            draws = rng.integers(0, bound, size=min(_BLOCK, n - done)).tolist()
+        for done in range(1, n, _CHUNK):
+            draws = rng.integers(0, bound, size=min(_CHUNK, n - done)).tolist()
             yield [s := rows[s][d] for d in draws]
         return
     stride, digits = bound**k, bound ** np.arange(k)
-    for done in range(1, n, _BLOCK):
-        draws = rng.integers(0, bound, size=min(_BLOCK, n - done))
+    for done in range(1, n, _CHUNK):
+        draws = rng.integers(0, bound, size=min(_CHUNK, n - done))
         # the last entry's missing draws count as 0, which leaves the states
         # of its drawn ones as they are
         index = np.concatenate((draws, np.zeros(-len(draws) % k, draws.dtype))).reshape(-1, k) @ digits
@@ -613,8 +613,6 @@ def _on_lattice_kernel(kind: WalkKind, graph, start) -> bool:
     return not any(c % pitch for c in graph.coordinates(start))
 
 
-# steps per chunk of the array kernels
-_CHUNK = 1 << 13
 # a packed lattice offset counts _RADIX ** a per step along axis a.  Each
 # axis of a chunk's offsets is at most _CHUNK < _RADIX / 2 in size, so the
 # packing is one-to-one, and below 2^63 for d <= 4, the most ``Lattice``
@@ -718,9 +716,9 @@ def _branches(kind, graph, state) -> tuple:
 def _law(kind, graph):
     """The body of ``kind``'s one-step law on ``graph``: from a state it
     gives ``(p, target, next state, vertex)`` for each target."""
-    kind = WalkKind(kind)
+    kind, mg = _require_kind_graph(kind, graph)
     # srw runs only on a plain graph and wrw only on a multigraph
-    if _require_kind_graph(kind, graph):
+    if mg:
         return _wrw_law if kind is WalkKind.WRW else _nbrw_edge_law
     return _srw_law if kind is WalkKind.SRW else _nbrw_law
 
@@ -850,8 +848,7 @@ def enumerate_prefix_distribution(kind, graph, start, m: int) -> PrefixDistribut
     """Exact rational law of the first m+1 vertices, by propagating the
     kernel's law over vertex paths.  Horizons above 14 are refused."""
     m = _check_horizon(m)
-    kind = WalkKind(kind)
-    _require_kind_graph(kind, graph)
+    kind, _ = _require_kind_graph(kind, graph)
     weights, den = _propagate(
         partial(_branches, kind, graph),
         (None, start) if kind is WalkKind.NBRW else start,

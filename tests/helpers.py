@@ -238,8 +238,7 @@ def tree_counts_reference(kind, tree, start, n, rng):
 def walk_reference(kind, graph, start, n, rng):
     """``walkers._walk`` with scalar generator calls and a checked
     neighbor lookup on every step: yields the vertices at steps 1..n."""
-    kind = WalkKind(kind)
-    mg = _require_kind_graph(kind, graph)
+    kind, mg = _require_kind_graph(kind, graph)
     i = 0
     try:
         if kind is WalkKind.SRW:

@@ -1,7 +1,10 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbwalk import (
     InvalidInput,
@@ -87,6 +90,39 @@ def test_edge_and_vertex_conservation():
         for c in cmap.corridors:
             assert all(sub.degree(x) == 2 for x in c.interior)
             assert sub.degree(c.a) != 2 and sub.degree(c.b) != 2
+
+
+@st.composite
+def _graphs_with_anchors(draw):
+    """A simple, connected graph of minimum degree 2 with an anchor: a
+    cycle through 1-4 base vertices and 1-4 more base edges, loops and
+    parallel edges among them, each edge subdivided enough to be simple."""
+    base = draw(st.integers(1, 4))
+    ends = st.integers(0, base - 1)
+    pairs = [(i, (i + 1) % base) for i in range(base)]
+    pairs += draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=4))
+    adjacency = {v: [] for v in range(base)}
+    seen = set()
+    for a, b in pairs:
+        # a loop needs two interior vertices and a repeated pair one
+        least = 2 if a == b else int(frozenset((a, b)) in seen)
+        seen.add(frozenset((a, b)))
+        fresh = len(adjacency)
+        path = [a, *range(fresh, fresh + draw(st.integers(least, least + 3))), b]
+        for v, w in zip(path, path[1:]):
+            adjacency.setdefault(v, []).append(w)
+            adjacency.setdefault(w, []).append(v)
+    return from_adjacency(adjacency)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs_with_anchors())
+def test_corridors_cover_each_edge_once_and_end_at_the_anchors(g):
+    corridors = find_corridors(g)
+    covered = Counter(frozenset(e) for c in corridors for e in zip((c.a, *c.interior), (*c.interior, c.b)))
+    assert covered == Counter(frozenset(e) for e in g.edges())
+    _, cmap = contract(g)
+    assert cmap.anchors == {v for v in g.vertices() if g.degree(v) != 2}
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])

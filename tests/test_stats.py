@@ -33,7 +33,7 @@ from nbwalk import (
 from nbwalk import stats, walkers
 from nbwalk.graph import WeightedMultigraph
 from nbwalk.stats import _CHUNK, _generic_replica, _lattice_run, _replica, _table_run, _tree_run, replica_seed
-from nbwalk.walkers import _BLOCK, _JUMP_ENTRIES, _JUMP_STEPS, _RADIX, _TABLE_SHARE, WalkKind, _move_table
+from nbwalk.walkers import _JUMP_ENTRIES, _JUMP_STEPS, _RADIX, _TABLE_SHARE, WalkKind, _move_table
 
 from helpers import (
     complete_bipartite,
@@ -187,9 +187,14 @@ def test_monte_carlo_refuses_a_start_the_graph_does_not_have_at_every_horizon():
         for horizon in (0, 1, 50):
             with pytest.raises(InvalidParameter):
                 monte_carlo(kind, g, start, horizon, 1, 0)
-    # the kind and graph are checked before the start
+    # the kind and graph are checked before the start, on graphs that take
+    # the move table and on graphs that do not
     with pytest.raises(InvalidInput):
         monte_carlo("wrw", lattice(2), "nowhere", 0, 1, 0)
+    for kind, g, start in [("srw", mg, "nowhere"), ("wrw", k4(), 99)]:
+        for horizon in (0, 1, 50):
+            with pytest.raises(InvalidInput):
+                monte_carlo(kind, g, start, horizon, 1, 0)
 
 
 def test_fast_lattice_agrees_with_generic_kernels():
@@ -395,7 +400,7 @@ def test_tree_walk_at_block_seams_equals_the_key_free_reference(tree, gen):
     make = GENERATORS[gen]
     for start in (_tree_starts(tree)[0], _tree_starts(tree)[3]):
         for kind in (WalkKind.SRW, WalkKind.NBRW):
-            for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+            for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
                 fast, ref = make(n + len(start)), make(n + len(start))
                 row = _generic_replica(kind, tree, start, n, fast)
                 assert row == tree_counts_reference(kind, tree, start, n, ref), (start, kind, n)
@@ -451,7 +456,7 @@ def _table_cases():
 
 TABLE_CASES = _table_cases()
 # short walks, the first block's seams, and a walk across many blocks
-TABLE_HORIZONS = (0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, _CHUNK + 5)
+TABLE_HORIZONS = (0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 5)
 # the generators of the tree tests, and a spare half 0, which Lemire's
 # method rejects for every bound above 1
 TABLE_GENERATORS = {**GENERATORS, "pcg64-spare0": lambda seed: _with_spare(rng(seed), 0)}
@@ -478,7 +483,7 @@ def test_move_table_run_equals_the_generic_stepper_and_the_scalar_reference(name
     k = table.k
     short = {0, 1, 2, 3, k - 1, k, k + 1, 2 * k + 1}
     if block:
-        monkeypatch.setattr("nbwalk.walkers._BLOCK", block)
+        monkeypatch.setattr("nbwalk.walkers._CHUNK", block)
     for i, (gen, make) in enumerate(sorted(TABLE_GENERATORS.items())):
         # fresh PCG64 at seeds 0-2 and every horizon at the default block;
         # each other generator, and every one at the short blocks, at one
@@ -524,7 +529,7 @@ def _wrw_table_cases():
 WRW_TABLE_CASES = _wrw_table_cases()
 # short walks, then walks that cross one, two and many block seams; a
 # step reads one 32-bit output, or two when Lemire's method rejects the first
-WRW_HORIZONS = (0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK)
+WRW_HORIZONS = (0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK)
 
 
 # each case at the default block, then at blocks of 1, 2 and 3, 32-bit
@@ -540,7 +545,7 @@ def test_wrw_table_run_equals_the_generic_stepper_and_the_scalar_reference(name,
     g, start = WRW_TABLE_CASES[name]
     horizons = WRW_HORIZONS
     if block:
-        monkeypatch.setattr("nbwalk.walkers._BLOCK", block)
+        monkeypatch.setattr("nbwalk.walkers._CHUNK", block)
         horizons = range(40)
     one = _move_table(WalkKind.WRW, g, start, _JUMP_STEPS - 1, 10**9)
     assert one is not None and one.k == 1

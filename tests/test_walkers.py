@@ -43,7 +43,7 @@ from nbwalk import (
 )
 from nbwalk.stats import _generic_replica, _replica, return_statistics
 from nbwalk import walkers
-from nbwalk.walkers import _BLOCK, _CHUNK, _TABLE_SHARE, _Draws, _pack, _unpack, _walk
+from nbwalk.walkers import _CHUNK, _TABLE_SHARE, _Draws, _pack, _unpack, _walk
 
 from helpers import k4, rng, subdivided_starts, theta_graph, two_loop_graph, walk_reference
 from test_golden import CORRIDOR_K4, CUBIC10
@@ -607,7 +607,7 @@ def test_walk_equals_scalar_reference(kind, g, start):
     # longest walk reads a few blocks of 32-bit outputs
     horizons = (0, 1, 1023, 1024, 1025)
     if not isinstance(g, BiregularTree):
-        horizons += (5000, 4 * _BLOCK + 3)
+        horizons += (5000, 4 * _CHUNK + 3)
     # each generator runs two walks, so the second starts with whatever
     # spare half the first left
     for n in horizons:
@@ -670,7 +670,7 @@ def test_walk_on_another_bit_generator_uses_the_scalar_calls():
     # every bit generator takes _Draws: the counterexample's SRW and NBRW
     # on subdivided K4, which leaves outputs unused, at one block and
     # across block seams, and a tree path, whose keys cost O(depth) a step
-    long = (5, 700, _BLOCK + 9)
+    long = (5, 700, _CHUNK + 9)
     cases = [
         ("srw", counterexample_graph(), "v", long),
         ("nbrw", subdivide(k4(), 1), 0, long),
@@ -866,14 +866,14 @@ def test_table_path_equals_the_generic_stepper(name, block, monkeypatch):
     entries = len(rows) * len(rows[0])
     if block:
         # every short walk meets block seams; the table is built whatever its size
-        monkeypatch.setattr(walkers, "_BLOCK", block)
+        monkeypatch.setattr(walkers, "_CHUNK", block)
         calls = _recording_move_table(monkeypatch, walks=10**9)
         horizons = range(1, 41)
     else:
         # the first block's seams and two blocks, each giving every entry
         # _TABLE_SHARE steps
         calls = _recording_move_table(monkeypatch)
-        horizons = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 9000)
+        horizons = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 9000)
     for n in horizons:
         for gen, make in GENERATORS.items():
             fast, ref = make(n), make(n)
