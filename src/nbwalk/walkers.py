@@ -344,9 +344,8 @@ def _walk(kind, graph, start, n: int, rng):
     kind, mg = _require_kind_graph(kind, graph)
     if n < 1:
         return
-    if not mg:
-        graph.neighbors(start)
-        graph = _Trusted(graph)
+    _check_start(graph, start)
+    graph = graph if mg else _Trusted(graph)
     rng = _Draws(rng, min(n, _CHUNK))
     i = 0
     try:
@@ -473,14 +472,16 @@ def _move_table(kind, graph, start, n: int, walks: int = 1):
     The bound B is the degree for srw, one less for nbrw after its first
     step, and ``mdegree * L`` for wrw.  The table is built when the walks'
     ``walks * n`` steps give each of its S * B entries ``_TABLE_SHARE``
-    steps.  Its k is the largest whose S * B**k entries fit both ``walks *
-    n // 8`` and ``_JUMP_ENTRIES``, counting B as at least 2, so a bound-1
-    table, which draws nothing, gets a finite k too; walks shorter than
-    ``_JUMP_STEPS`` keep k = 1.  The k-step table is composed from the rows
-    by numpy, with no further sampler calls.  Refuses a kind and graph that
-    do not match, as ``_walk`` does; then None, with ``start`` not looked
-    up, on a lattice or a tree, on a graph whose degrees differ, for a
-    bound below 1 and for too few steps."""
+    steps, by one sampler call an entry once the start is looked up.  The
+    first step reads the start's row, but nbrw's, with no history, reads a
+    first row of one entry per neighbor.  Its k is the largest whose
+    S * B**k entries fit ``walks * n // 8`` and ``_JUMP_ENTRIES``, counting
+    B as at least 2, so a bound-1 table, which draws nothing, gets a finite
+    k too; walks shorter than ``_JUMP_STEPS`` keep k = 1.  The k-step table
+    is composed from the rows by numpy, with no further sampler calls.
+    Refuses a kind and graph that do not match, as ``_walk`` does; then
+    None, with ``start`` not looked up, on a lattice or a tree, on a graph
+    whose degrees differ, for a bound below 1 and for too few steps."""
     kind, mg = _require_kind_graph(kind, graph)
     if not (mg or isinstance(graph, ExplicitGraph)):
         return None
@@ -488,9 +489,8 @@ def _move_table(kind, graph, start, n: int, walks: int = 1):
     vertices = graph.vertices()
     deg = degree(vertices[0])
     nbrw = kind is WalkKind.NBRW
-    # the first step's bound; nbrw's later steps exclude the arriving half-edge
-    width = deg * graph.resistance_lcm if kind is WalkKind.WRW else deg
-    bound = deg - 1 if nbrw else width
+    # nbrw's steps after the first exclude the arriving half-edge
+    bound = deg * graph.resistance_lcm if kind is WalkKind.WRW else deg - nbrw
     # a state is a vertex for srw and wrw and a dart, one per half-edge, for nbrw
     size = len(vertices) * (deg if nbrw else 1)
     if bound < 1 or size * bound * _TABLE_SHARE > walks * n or any(degree(v) != deg for v in vertices):
@@ -499,16 +499,16 @@ def _move_table(kind, graph, start, n: int, walks: int = 1):
         states = vertex = vertices
         # a wrw move leaves the walker at its half-edge's end head_end
         step = (lambda v, rng: graph.endpoint(*wrw_step(graph, v, rng)[:2])) if mg else partial(srw_step, graph)
-        first = start
     elif mg:
         states = [HalfEdgeState(e.edge_id, end) for e in graph.edges() for end in (0, 1)]
-        vertex, step, first = [graph.endpoint(*s) for s in states], partial(nbrw_step_edge, graph), (None, start)
+        vertex, step = [graph.endpoint(*s) for s in states], partial(nbrw_step_edge, graph)
     else:
         states = [(v, w) for v in vertices for w in graph.neighbors(v)]
-        vertex, step, first = [w for _, w in states], lambda s, rng: (s[1], nbrw_step(graph, *s, rng)), (None, start)
+        vertex, step = [w for _, w in states], lambda s, rng: (s[1], nbrw_step(graph, *s, rng))
     index = {s: i for i, s in enumerate(states)}
-    first_row = [index[step(first, _Fixed(d))] for d in range(width)]
+    _check_start(graph, start)
     rows = [[index[step(s, _Fixed(d))] for d in range(bound)] for s in states]
+    first = [index[step((None, start), _Fixed(d))] for d in range(deg)] if nbrw else rows[index[start]]
     budget = min(walks * n // 8, _JUMP_ENTRIES) if n >= _JUMP_STEPS else 0
     k, jump, spans = 1, [], None
     while size * max(bound, 2) ** (k + 1) <= budget:
@@ -524,7 +524,7 @@ def _move_table(kind, graph, start, n: int, walks: int = 1):
                 ends = moves[ends].transpose(0, 2, 1).reshape(size, -1)
             spans[..., j - 1].reshape(size, -1, bound**j)[:] = ends[:, None]
         jump, spans = ends.tolist(), spans.reshape(-1, k)
-    return _MoveTable(first_row, rows, vertex, np.array([v == start for v in vertex]), k, jump, spans)
+    return _MoveTable(first, rows, vertex, np.array([v == start for v in vertex]), k, jump, spans)
 
 
 def _table_walk(table, n: int, rng):

@@ -455,8 +455,8 @@ def _table_cases():
 
 
 TABLE_CASES = _table_cases()
-# short walks, the first block's seams, and a walk across many blocks
-TABLE_HORIZONS = (0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 5)
+# short walks, the first block's seams, and walks across one and two seams
+TABLE_HORIZONS = (0, 1, 2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 5, 2 * _CHUNK + 5)
 # the generators of the tree tests, and a spare half 0, which Lemire's
 # method rejects for every bound above 1
 TABLE_GENERATORS = {**GENERATORS, "pcg64-spare0": lambda seed: _with_spare(rng(seed), 0)}
@@ -639,15 +639,17 @@ def test_monte_carlo_takes_the_move_table_on_regular_graphs_only(monkeypatch):
         monkeypatch.setattr(walkers, name, counting(getattr(walkers, name), name))
     monkeypatch.setattr(stats, "_generic_replica", counting(_generic_replica, "generic"))
     theta, _ = contract(theta_graph())
-    # the table's sampler calls: the first row's k, then states x bound,
-    # whatever the replica count; wrw's k and bound are mdegree * L, here
-    # 3 * lcm(1, 2, 3) = 18.  The horizon gives each entry of the largest
-    # table, wrw's 2 * 18, _TABLE_SHARE steps
+    # the table's sampler calls, whatever the replica count: states x
+    # bound, and for nbrw, whose first step has no history, the degree more
+    # for its first row; srw and wrw read their first step from the start's
+    # row.  wrw's bound is mdegree * L, here 3 * lcm(1, 2, 3) = 18.  The
+    # horizon gives each entry of the largest table, wrw's 2 * 18,
+    # _TABLE_SHARE steps
     table_cases = [
-        ("srw", k4(), 0, "srw_step", 3 + 4 * 3),
+        ("srw", k4(), 0, "srw_step", 4 * 3),
         ("nbrw", k4(), 0, "nbrw_step", 3 + 12 * 2),
         ("nbrw", theta, "u", "nbrw_step_edge", 3 + 6 * 2),
-        ("wrw", theta, "u", "wrw_step", 18 + 2 * 18),
+        ("wrw", theta, "u", "wrw_step", 2 * 18),
     ]
     for kind, g, start, sampler, size in table_cases:
         for replicas in (1, 7):

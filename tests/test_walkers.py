@@ -862,8 +862,15 @@ def _recording_move_table(monkeypatch, walks=None):
 @pytest.mark.parametrize("name", sorted(TABLE_PATH_CASES))
 def test_table_path_equals_the_generic_stepper(name, block, monkeypatch):
     kind, g, start = TABLE_PATH_CASES[name]
-    rows = walkers._move_table(walkers.WalkKind(kind), g, start, 10**9)[1]
+    table = walkers._move_table(walkers.WalkKind(kind), g, start, 10**9)
+    rows = table.rows
     entries = len(rows) * len(rows[0])
+    # srw and wrw read the first step off the start's row; nbrw's first
+    # step, with no history, has a first row of one entry per neighbor
+    if kind == "nbrw":
+        assert len(table.first) == (g.mdegree if isinstance(g, WeightedMultigraph) else g.degree)(start)
+    else:
+        assert table.first == rows[table.vertex.index(start)]
     if block:
         # every short walk meets block seams; the table is built whatever its size
         monkeypatch.setattr(walkers, "_CHUNK", block)
