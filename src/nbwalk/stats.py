@@ -139,8 +139,8 @@ def monte_carlo(
     config: Optional[dict] = None,
 ) -> ExperimentReport:
     """Independent seeded replicas of one walk experiment, run in order in
-    one thread.  Replica i draws from a generator seeded by
-    ``replica_seed(master_seed, i)``."""
+    one thread on the kernel ``_replica`` chooses for them.  Replica i
+    draws from a generator seeded by ``replica_seed(master_seed, i)``."""
     kind = WalkKind(kind)
     if not is_int(replicas) or replicas < 1:
         raise InvalidParameter("need at least one replica")
@@ -149,13 +149,7 @@ def monte_carlo(
     if not is_int(master_seed) or not 0 <= master_seed <= _MASK64:
         raise InvalidParameter("master seed must be an integer in [0, 2**64)")
     replicas, horizon, master_seed = int(replicas), int(horizon), int(master_seed)
-    # the table refuses a kind that does not run on the graph, before the start
-    table = _move_table(kind, graph, start, horizon, replicas)
-    _check_start(graph, start)
-    if table is None:
-        run = partial(_replica, kind, graph, start, horizon)
-    else:
-        run = partial(_table_run, table, horizon)
+    run = _replica(kind, graph, start, horizon, replicas)
     rows = tuple(run(np.random.default_rng(replica_seed(master_seed, i))) for i in range(replicas))
     if config is None:
         config = {
@@ -167,14 +161,20 @@ def monte_carlo(
     return ExperimentReport(dict(config), master_seed, rows, _aggregate(rows))
 
 
-def _replica(kind, graph, start, horizon, rng) -> WalkStatistics:
+def _replica(kind, graph, start, horizon, walks=1):
+    """The kernel of each of ``walks`` walks, a function of its generator,
+    chosen once; ``_move_table`` refuses a wrong kind and looks a table's start up."""
+    kind = WalkKind(kind)
+    table = _move_table(kind, graph, start, horizon, walks)
+    if table is not None:
+        return partial(_table_run, table, horizon)
+    _check_start(graph, start)
     if _on_lattice_kernel(kind, graph, start):
-        returns, last, disp = _lattice_run(kind, graph, start, horizon, rng)
-        return WalkStatistics(horizon, returns, last, disp)
-    # monte_carlo has refused wrw on a tree, which is not a multigraph
+        return lambda rng: WalkStatistics(horizon, *_lattice_run(kind, graph, start, horizon, rng))
+    # _move_table has refused wrw on a tree, which is not a multigraph
     if isinstance(graph, BiregularTree) and start == ():
-        return _tree_run(kind, graph, horizon, rng)
-    return _generic_replica(kind, graph, start, horizon, rng)
+        return partial(_tree_run, kind, graph, horizon)
+    return partial(_generic_replica, kind, graph, start, horizon)
 
 
 def _table_run(table, horizon, rng) -> WalkStatistics:

@@ -206,14 +206,14 @@ def test_fast_lattice_agrees_with_generic_kernels():
         for kind in (WalkKind.SRW, WalkKind.NBRW):
             for i in range(20):
                 seed = replica_seed(5, i)
-                fast = _replica(kind, g, start, 3000, rng(seed))
+                fast = _replica(kind, g, start, 3000)(rng(seed))
                 slow = _generic_replica(kind, g, start, 3000, rng(seed))
                 assert fast == slow, (d, kind, i)
     # one walk per kind across a chunk boundary
     g = lattice(3)
     for kind in (WalkKind.SRW, WalkKind.NBRW):
         seed = replica_seed(6, 0)
-        assert _replica(kind, g, (0, 0, 0), _CHUNK + 5, rng(seed)) == _generic_replica(
+        assert _replica(kind, g, (0, 0, 0), _CHUNK + 5)(rng(seed)) == _generic_replica(
             kind, g, (0, 0, 0), _CHUNK + 5, rng(seed)
         ), kind
 
@@ -283,7 +283,7 @@ def test_subdivided_lattice_replica_equals_generic(d, t, monkeypatch):
             for make in (np.random.PCG64, np.random.MT19937):
                 fast, slow = np.random.Generator(make(d + 4 * t)), np.random.Generator(make(d + 4 * t))
                 for n in horizons:
-                    row = _replica(kind, g, start, n, fast)
+                    row = _replica(kind, g, start, n)(fast)
                     assert row == _generic_replica(kind, g, start, n, slow), (kind, start, n)
                     np.testing.assert_equal(fast.bit_generator.state, slow.bit_generator.state)
 
@@ -293,7 +293,7 @@ def test_subdivided_lattice_replica_at_full_chunks_equals_generic(kind, d, t):
     g = subdivided_lattice(d, t)
     for start in subdivided_starts(g)[:2]:
         fast, slow = rng(d), rng(d)
-        assert _replica(kind, g, start, _CHUNK + 5, fast) == _generic_replica(kind, g, start, _CHUNK + 5, slow)
+        assert _replica(kind, g, start, _CHUNK + 5)(fast) == _generic_replica(kind, g, start, _CHUNK + 5, slow)
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
@@ -430,7 +430,8 @@ def test_tree_displacement_is_depth_from_the_root():
 
 def test_fast_tree_agrees_with_generic_kernels():
     g = regular_tree(3)
-    fast = [_replica(WalkKind.SRW, g, (), 120, rng(replica_seed(7, i))) for i in range(400)]
+    run = _replica(WalkKind.SRW, g, (), 120)
+    fast = [run(rng(replica_seed(7, i))) for i in range(400)]
     slow = [_generic_replica(WalkKind.SRW, g, (), 120, rng(replica_seed(8, i))) for i in range(400)]
     f1 = sum(1 for r in fast if r.returns_to_origin > 0) / 400
     f2 = sum(1 for r in slow if r.returns_to_origin > 0) / 400
@@ -439,7 +440,7 @@ def test_fast_tree_agrees_with_generic_kernels():
     m1 = sum(r.end_displacement for r in fast) / 400
     m2 = sum(r.end_displacement for r in slow) / 400
     assert abs(m1 - m2) < 4.0
-    nb = _replica(WalkKind.NBRW, g, (), 50, rng(1))
+    nb = _replica(WalkKind.NBRW, g, (), 50)(rng(1))
     assert nb.returns_to_origin == 0 and nb.end_displacement == 50.0
 
 
@@ -677,6 +678,53 @@ def test_monte_carlo_takes_the_move_table_on_regular_graphs_only(monkeypatch):
     calls.clear()
     monte_carlo("srw", k4(), 0, 12 * _TABLE_SHARE, 1, 3)
     assert calls["generic"] == 0
+
+
+def test_replica_chooses_one_kernel_per_call(monkeypatch):
+    ran = []
+    for name in ("_table_run", "_lattice_run", "_tree_run", "_generic_replica"):
+        kernel = getattr(stats, name)
+        monkeypatch.setattr(stats, name, lambda *a, kernel=kernel, name=name: ran.append(name) or kernel(*a))
+    lat2, sub1, sub2 = lattice(2), subdivided_lattice(2, 1), subdivided_lattice(2, 2)
+    # (kind, graph, start, horizon, walks, the one kernel the walk runs on)
+    cases = [
+        ("srw", k4(), 0, 100, 3, "_table_run"),
+        ("srw", lat2, lat2.default_start(), 100, 1, "_lattice_run"),
+        ("srw", sub1, subdivided_starts(sub1)[1], 100, 1, "_lattice_run"),
+        ("srw", regular_tree(3), (), 100, 1, "_tree_run"),
+        ("srw", regular_tree(3), (0,), 100, 1, "_generic_replica"),
+        ("srw", counterexample_graph(), "v", 100, 1, "_generic_replica"),
+        ("srw", sub2, subdivided_starts(sub2)[1], 100, 1, "_generic_replica"),
+        ("srw", k4(), 0, 5, 1, "_generic_replica"),
+    ]
+    for kind, g, start, horizon, walks, kernel in cases:
+        run = _replica(kind, g, start, horizon, walks)
+        ran.clear()
+        run(rng(0))
+        run(rng(1))
+        assert ran == [kernel, kernel], (g, start, horizon)
+    calls = Counter()
+    replica = stats._replica
+    monkeypatch.setattr(stats, "_replica", lambda *a: calls.update(["replica"]) or replica(*a))
+    for g, start in ((k4(), 0), (lat2, lat2.default_start()), (regular_tree(3), ())):
+        for replicas in (1, 5):
+            calls.clear()
+            monte_carlo("srw", g, start, 100, replicas, 3)
+            assert calls["replica"] == 1, (g, replicas)
+
+
+def test_monte_carlo_looks_its_start_up_once(monkeypatch):
+    looked = []
+    check = walkers._check_start
+    monkeypatch.setattr(walkers, "_check_start", lambda g, start: looked.append(start) or check(g, start))
+    monkeypatch.setattr(stats, "_check_start", walkers._check_start)
+    lat2 = lattice(2)
+    # the table's build looks the start up, so monte_carlo does not again
+    assert _move_table(WalkKind.SRW, k4(), 0, 100, 3) is not None
+    for g, start in ((k4(), 0), (lat2, lat2.default_start()), (regular_tree(3), ())):
+        looked.clear()
+        monte_carlo("srw", g, start, 100, 3, 1)
+        assert looked == [start], g
 
 
 def _edge_cases():

@@ -788,7 +788,7 @@ def test_subdivided_lattice_with_corridors_longer_than_a_chunk_stays_generic(mon
             assert not walkers._on_lattice_kernel(kind, g, start)
             fast, slow, path, ref = rng(5), rng(5), rng(5), rng(5)
             for n in (0, 1, 4, 13):
-                assert _replica(kind, g, start, n, fast) == _generic_replica(kind, g, start, n, slow), (kind, start, n)
+                assert _replica(kind, g, start, n)(fast) == _generic_replica(kind, g, start, n, slow), (kind, start, n)
                 assert sample_path(kind, g, start, n, path) == (start, *walk_reference(kind, g, start, n, ref))
                 assert fast.bit_generator.state == slow.bit_generator.state == path.bit_generator.state
                 assert path.bit_generator.state == ref.bit_generator.state
