@@ -75,7 +75,6 @@ from .contraction import (
 from .stats import (
     ExperimentReport,
     WalkStatistics,
-    lattice_return_counts,
     monte_carlo,
     replica_seed,
     return_statistics,

@@ -305,7 +305,7 @@ class ExplicitGraph(Graph):
     def neighbors(self, v):
         try:
             return self._adj[v]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable key
             raise InvalidParameter(f"unknown vertex {v!r}") from None
 
     def dart_types(self) -> tuple:
@@ -494,7 +494,7 @@ class WeightedMultigraph:
         with both ends."""
         try:
             return self._half[v]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable key
             raise InvalidParameter(f"unknown vertex {v!r}") from None
 
     def mdegree(self, v) -> int:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInput, InvalidParameter, is_int
-from .graph import BiregularTree, Lattice, encode_key
+from .graph import BiregularTree, encode_key
 from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
 from .walkers import _move_table, _pack, _table_walk, _tree_counts, _unpack, _walk
 
@@ -140,7 +140,9 @@ def monte_carlo(
 ) -> ExperimentReport:
     """Independent seeded replicas of one walk experiment, run in order in
     one thread on the kernel ``_replica`` chooses for them.  Replica i
-    draws from a generator seeded by ``replica_seed(master_seed, i)``."""
+    draws from a generator seeded by ``replica_seed(master_seed, i)``, and
+    on every kernel its walk to a horizon is the start of its walk to any
+    longer one, so rows at two horizons pair on the same path."""
     kind = WalkKind(kind)
     if not is_int(replicas) or replicas < 1:
         raise InvalidParameter("need at least one replica")
@@ -270,25 +272,3 @@ def _lattice_run(kind, lat, start, horizon, rng):
     disp = math.sqrt(sum((c - o) ** 2 for c, o in zip(carry, origin)))
     return returns, last, disp
 
-
-def lattice_return_counts(kind, d, horizons, replicas, master_seed) -> dict:
-    """Per-replica return counts of the lattice walk from the origin, read
-    off at each requested horizon.  Each horizon is one ``monte_carlo``
-    run; replica i's walk to h is the start of its walk to any longer
-    horizon, since ``_lattice_offsets`` makes the same draws for any split
-    of a bulk call, so the counts pair across horizons on the same path, a
-    low-variance growth diagnostic.  Each walk runs on ``_lattice_run``'s
-    packed kernel, one gather and one cumsum per chunk of at most
-    ``_CHUNK`` steps for any d.  The cost is the sum of the horizons,
-    not the largest: 1% more than one run for ``[10**4, 10**6]``."""
-    kind = WalkKind(kind)
-    if kind not in (WalkKind.SRW, WalkKind.NBRW):
-        raise InvalidParameter("lattice return counts are defined for srw and nbrw")
-    horizons = set(horizons)
-    if not horizons or not all(is_int(h) and h >= 1 for h in horizons):
-        raise InvalidParameter("horizons must be integers >= 1")
-    lat = Lattice(d)
-    return {
-        h: [r.returns_to_origin for r in monte_carlo(kind, lat, lat.default_start(), h, replicas, master_seed).rows]
-        for h in sorted(int(h) for h in horizons)
-    }

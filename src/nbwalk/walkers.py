@@ -52,6 +52,10 @@ class WalkKind(str, Enum):
     NBRW = "nbrw"
     WRW = "wrw"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidInput(f"unknown walk kind {value!r}")
+
 
 class HalfEdgeState(NamedTuple):
     """Walk state on a multigraph: the edge instance just traversed and

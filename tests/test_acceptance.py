@@ -21,7 +21,6 @@ from nbwalk import (
     is_backtrack_free,
     is_transient,
     lattice,
-    lattice_return_counts,
     monte_carlo,
     regular_tree,
     sample_path,
@@ -244,8 +243,8 @@ def test_criterion_8_lattice_diagnostics():
     # the two horizons give the one-sided test its power
     growth = {}
     for kind, seed in (("srw", 301), ("nbrw", 302)):
-        counts = lattice_return_counts(kind, 2, [10**4, 10**6], 100, seed)
-        diffs = [b - a for a, b in zip(counts[10**4], counts[10**6])]
+        short, long = (monte_carlo(kind, lattice(2), (0, 0), h, 100, seed).rows for h in (10**4, 10**6))
+        diffs = [b.returns_to_origin - a.returns_to_origin for a, b in zip(short, long)]
         mean = sum(diffs) / len(diffs)
         var = sum((d - mean) ** 2 for d in diffs) / (len(diffs) - 1)
         se = math.sqrt(var / len(diffs))

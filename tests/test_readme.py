@@ -1,11 +1,14 @@
-"""Every ``nbwalk`` command in the README's example block runs and exits 0."""
+"""Every ``nbwalk`` command in the README's example block runs and exits 0,
+and every name of the package the README cites exists."""
 
 import io
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import nbwalk
 from nbwalk.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -46,3 +49,19 @@ def test_readme_example_runs(argv, stdin, tmp_path, monkeypatch):
     if stdin is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     assert run(argv) == 0
+
+
+def _cited():
+    """Each whole backticked dotted name whose head is ``nbwalk`` or a name
+    in it, such as `stats._replica`, `nbwalk.graph` or `Graph.dart_types`."""
+    names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README.read_text()))
+    return sorted(n for n in names if n.split(".")[0] == "nbwalk" or hasattr(nbwalk, n.split(".")[0]))
+
+
+@pytest.mark.parametrize("name", _cited())
+def test_readme_cites_a_name_that_exists(name):
+    head, *rest = name.split(".")
+    obj = nbwalk if head == "nbwalk" else getattr(nbwalk, head)
+    for part in rest:
+        assert hasattr(obj, part), name
+        obj = getattr(obj, part)

@@ -21,7 +21,6 @@ from nbwalk import (
     erase_backtracks,
     graph_from_spec,
     lattice,
-    lattice_return_counts,
     monte_carlo,
     regular_tree,
     return_statistics,
@@ -154,7 +153,7 @@ def test_monte_carlo_aggregates_recomputable():
 
 
 def test_monte_carlo_refuses_bools_and_takes_numpy_integers():
-    for horizon, replicas in [(True, 3), (10, True)]:
+    for horizon, replicas in [(True, 3), (10, True), (-1, 3), (10.7, 3), (10, 0), (10, -3), (10, 2.5)]:
         with pytest.raises(InvalidParameter):
             monte_carlo("srw", k4(), 0, horizon, replicas, 1)
     for seed in [True, -1, 2**64, 2**70, 1.0]:
@@ -164,7 +163,9 @@ def test_monte_carlo_refuses_bools_and_takes_numpy_integers():
     wide = monte_carlo("srw", k4(), 0, 300, 3, np.int64(5))
     assert (wide.json_text(), wide.csv_text()) == (plain.json_text(), plain.csv_text())
     assert type(wide.master_seed) is int
-    assert monte_carlo("srw", k4(), 0, 10, 1, 2**64 - 1).master_seed == 2**64 - 1
+    top = monte_carlo("nbrw", lattice(2), (0, 0), 10, 1, 2**64 - 1)
+    assert top.master_seed == 2**64 - 1
+    assert monte_carlo("nbrw", lattice(2), (0, 0), 10, 1, np.uint64(2**64 - 1)).rows == top.rows
     # the generic kernel and both fast paths write the same bytes
     for g, start in [(k4(), 0), (lattice(2), (0, 0)), (regular_tree(3), ())]:
         plain = monte_carlo("srw", g, start, 300, 3, 9)
@@ -182,6 +183,9 @@ def test_monte_carlo_refuses_a_start_the_graph_does_not_have_at_every_horizon():
         ("srw", regular_tree(3), (9,)),
         ("nbrw", regular_tree(3), (0, 5)),
         ("wrw", mg, "nowhere"),
+        # an unhashable key is no vertex, on the stepper and on the table
+        ("srw", k4(), [0]),
+        ("wrw", mg, [0]),
     ]
     for kind, g, start in cases:
         for horizon in (0, 1, 50):
@@ -788,57 +792,47 @@ def test_table_walks_start_where_each_entry_gets_table_share_steps(name, monkeyp
                 np.testing.assert_equal(slow.bit_generator.state, fast.bit_generator.state)
 
 
-def test_lattice_return_counts_monotone_and_seeded():
-    counts = lattice_return_counts("srw", 2, [500, 2000], 25, 31337)
-    assert set(counts) == {500, 2000}
-    assert all(a <= b for a, b in zip(counts[500], counts[2000]))
-    again = lattice_return_counts("srw", 2, [500, 2000], 25, 31337)
-    assert again == counts
-    # numpy integers, e.g. horizons from np.geomspace(...).astype(int)
-    assert lattice_return_counts("srw", 2, np.array([500, 2000]), np.int64(25), 31337) == counts
-
-
-def test_lattice_return_counts_checks_the_master_seed_as_monte_carlo_does():
-    for seed in [True, -1, 2**64, 1.0]:
-        with pytest.raises(InvalidParameter, match="master seed"):
-            lattice_return_counts("srw", 2, [10], 2, seed)
-    plain = lattice_return_counts("srw", 2, [10, 50], 3, 5)
-    assert lattice_return_counts("srw", 2, [10, 50], 3, np.int64(5)) == plain
-    top = lattice_return_counts("nbrw", 2, [10], 1, 2**64 - 1)
-    assert lattice_return_counts("nbrw", 2, [10], 1, np.uint64(2**64 - 1)) == top
-
-
-def test_lattice_return_counts_at_the_top_horizon_equal_the_plain_run():
+def test_monte_carlo_at_chunk_seam_horizons_equals_the_plain_run():
     # horizons off chunk boundaries and on them, each against the per-step walk
     marks = [1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 3, 2 * _CHUNK, 2 * _CHUNK + 5]
     for kind in (WalkKind.SRW, WalkKind.NBRW):
-        counts = lattice_return_counts(kind, 2, marks, 4, 99)
         for h in marks:
-            for i in range(4):
-                returns, _, _ = lattice_run_reference(kind, lattice(2), (0, 0), h, rng(replica_seed(99, i)))
-                assert counts[h][i] == returns, (kind, h, i)
+            rows = monte_carlo(kind, lattice(2), (0, 0), h, 4, 99).rows
+            for i, row in enumerate(rows):
+                want = lattice_run_reference(kind, lattice(2), (0, 0), h, rng(replica_seed(99, i)))
+                assert (row.returns_to_origin, row.last_return_time) == want[:2], (kind, h, i)
 
 
 @pytest.mark.parametrize(
-    "horizons, replicas",
+    "kind, graph, start, replicas, table",
     [
-        ([10], 0),
-        ([10], -3),
-        ([10], 2.5),
-        ([10.7], 2),
-        ([0, 10], 2),
-        ([], 2),
-        ([10, "20"], 2),
-        ([10], True),
-        ([True, 10], 2),
+        ("srw", lambda: lattice(2), (0, 0), 4, None),
+        ("nbrw", lambda: lattice(2), (0, 0), 4, None),
+        # the stepper at 5 steps, a k = 5 table at the longer horizon
+        ("srw", k4, 0, 1, 5),
+        ("srw", counterexample_graph, "v", 4, None),
+        ("nbrw", counterexample_graph, "v", 4, None),
+        ("srw", lambda: regular_tree(3), (), 4, None),
+        ("srw", lambda: regular_tree(3), (0,), 4, None),
+        ("wrw", lambda: contract(theta_graph())[0], None, 4, 2),
     ],
+    ids=["z2-srw", "z2-nbrw", "k4-srw", "counterexample-srw", "counterexample-nbrw", "tree-root", "tree-below-root",
+         "theta-wrw"],
 )
-def test_lattice_return_counts_rejects_bad_inputs(horizons, replicas):
-    with pytest.raises(InvalidParameter):
-        lattice_return_counts("srw", 2, horizons, replicas, 1)
-    # only srw and nbrw have a lattice walk; wrw must not run the nbrw one
-    with pytest.raises(InvalidParameter):
-        lattice_return_counts("wrw", 2, [1000], 3, 5)
+def test_monte_carlo_rows_pair_across_horizons(kind, graph, start, replicas, table):
+    # replica i's walk to h is the start of its walk to h', on every kernel;
+    # table is the k of the longer walk's move table, None if it has none
+    g = graph()
+    start = g.default_start() if start is None else start
+    short, long = 5, _CHUNK + 5
+    assert _move_table(kind, g, start, short, replicas) is None
+    assert getattr(_move_table(kind, g, start, long, replicas), "k", None) == table
+    a = monte_carlo(kind, g, start, short, replicas, 31337).rows
+    b = monte_carlo(kind, g, start, long, replicas, 31337).rows
+    for i, (x, y) in enumerate(zip(a, b, strict=True)):
+        assert x.returns_to_origin <= y.returns_to_origin, i
+        if y.last_return_time is None or y.last_return_time <= short:
+            assert (x.returns_to_origin, x.last_return_time) == (y.returns_to_origin, y.last_return_time), i
 
 
 def test_move_frequency_regular_tree_coupling():

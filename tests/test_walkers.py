@@ -29,8 +29,10 @@ from nbwalk import (
     erased_prefix_distribution,
     from_adjacency,
     graph_from_spec,
+    induced_prefix_distribution,
     is_backtrack_free,
     lattice,
+    monte_carlo,
     nbrw_step,
     nbrw_step_edge,
     regular_tree,
@@ -985,7 +987,7 @@ def _k2():
         ("srw", theta_multigraph, "nowhere", InvalidInput, "srw runs on a plain graph, not a multigraph"),
         ("nbrw", _k2, 0, NoLegalMove, "step 2: vertex 1 has degree 1, only move is back"),
         ("nbrw", counterexample_graph, "nowhere", InvalidParameter, "unknown vertex 'nowhere'"),
-        ("srw", k4, [0], TypeError, "unhashable type: 'list'"),
+        ("srw", k4, [0], InvalidParameter, "unknown vertex [0]"),
         ("wrw", theta_multigraph, "nowhere", InvalidParameter, "unknown vertex 'nowhere'"),
         ("wrw", k4, 0, InvalidInput, "wrw needs a weighted multigraph"),
     ],
@@ -1002,3 +1004,21 @@ def test_sample_path_refuses_as_the_generic_stepper(kind, graph, start, error, m
         tuple(_walk(kind, g, start, n, ref))
     assert str(got.value) == str(want.value) == message
     assert fast.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kind: monte_carlo(kind, k4(), 0, 10, 1, 0),
+        lambda kind: sample_path(kind, k4(), 0, 10, rng(0)),
+        lambda kind: enumerate_prefix_distribution(kind, k4(), 0, 2),
+        lambda kind: step_distribution(kind, k4(), 0),
+        lambda kind: induced_prefix_distribution(k4(), kind, 0, 2),
+    ],
+    ids=["monte_carlo", "sample_path", "enumerate_prefix_distribution", "step_distribution",
+         "induced_prefix_distribution"],
+)
+def test_an_unknown_walk_kind_is_invalid_input(call):
+    for kind in ("xyz", "SRW", None):
+        with pytest.raises(InvalidInput, match=f"unknown walk kind {kind!r}"):
+            call(kind)
