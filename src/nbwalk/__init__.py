@@ -2,6 +2,8 @@
 non-backtracking walks, reflected birth-death chains, degree-2 corridor
 contraction to weighted multigraphs, and exact enumeration oracles."""
 
+from importlib import import_module
+
 from .errors import (
     InsufficientData,
     InvalidInput,
@@ -33,18 +35,17 @@ from .graph import (
     subdivide,
     subdivided_lattice,
 )
-from .walkers import (
+from .laws import (
     HalfEdgeState,
     PrefixDistribution,
     WalkKind,
     WrwMove,
     enumerate_prefix_distribution,
-    is_backtrack_free,
     nbrw_step,
     nbrw_step_edge,
-    sample_path,
     srw_step,
     step_distribution,
+    total_variation,
     wrw_step,
 )
 from .erasure import (
@@ -72,13 +73,23 @@ from .contraction import (
     induced_prefix_distribution,
     induced_walk,
 )
-from .stats import (
-    ExperimentReport,
-    WalkStatistics,
-    monte_carlo,
-    replica_seed,
-    return_statistics,
-    total_variation,
-)
+
+# the Monte Carlo side, which loads numpy, is imported on first use (PEP 562)
+_LAZY = {
+    "walkers": ("is_backtrack_free", "sample_path"),
+    "stats": ("ExperimentReport", "WalkStatistics", "monte_carlo", "replica_seed", "return_statistics"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _HOME.get(name, name)
+    if module not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f".{module}", __name__)
+    if module != name:
+        value = globals()[name] = getattr(value, name)
+    return value
+
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from math import prod
 from operator import mul
 
 from .errors import InvalidParameter, is_degree_pair, is_int
-from .walkers import _fractions, _propagate
+from .laws import _fractions, _propagate
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)

@@ -26,8 +26,6 @@ from itertools import chain, repeat
 from operator import mul
 from pathlib import Path
 
-import numpy as np
-
 from .birthdeath import (
     _period_ratio_product,
     chain_for_biregular,
@@ -39,8 +37,7 @@ from .contraction import contract, induced_prefix_distribution
 from .erasure import erase_backtracks, erased_prefix_distribution
 from .errors import InvalidInput, InvalidParameter, MalformedGraph, NbwalkError, UnsupportedGraph, UnsupportedStructure
 from .graph import decode_key, encode_key, graph_from_spec, sort_token
-from .stats import monte_carlo, replica_seed, return_statistics, total_variation
-from .walkers import MAX_ENUMERATION_HORIZON, WalkKind, _check_start, enumerate_prefix_distribution, sample_path
+from .laws import MAX_ENUMERATION_HORIZON, WalkKind, _check_start, enumerate_prefix_distribution, total_variation
 
 # errors that refuse the configuration, including its input files (exit
 # 2); every other NbwalkError is a runtime failure (exit 1)
@@ -111,8 +108,21 @@ _HORIZON = _int_range(0, MAX_ENUMERATION_HORIZON + 1)
 _HORIZON_HELP = f"at most {MAX_ENUMERATION_HORIZON}, the enumeration guard"
 
 
+# numpy, stats and walkers load only in the commands that sample: walk,
+# erase --graph and diagnose
 def _rng(seed: int):
+    import numpy as np
+
+    from .stats import replica_seed
+
     return np.random.default_rng(replica_seed(seed, 0))
+
+
+def sample_path(kind, graph, start, n: int, rng) -> tuple:
+    """``walkers.sample_path``, with ``walkers`` imported on the first call."""
+    from .walkers import sample_path
+
+    return sample_path(kind, graph, start, n, rng)
 
 
 def _publish(out, files: dict, shown=None, announce=True) -> None:
@@ -154,6 +164,8 @@ def _each_once(fn, items) -> list:
 
 
 def _cmd_walk(args) -> int:
+    from .stats import return_statistics
+
     _, graph, kind, start = _walk_graph(args)
     path = sample_path(kind, graph, start, args.horizon, _rng(args.seed))
     stats = return_statistics(path, start, graph)
@@ -277,6 +289,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from .stats import monte_carlo
+
     spec, graph, kind, start = _walk_graph(args)
     # the config echo describes the experiment, not how it was run
     echo = {

@@ -18,7 +18,7 @@ from functools import partial
 
 from .errors import InvalidInput, UnsupportedGraph, UnsupportedStructure
 from .graph import ExplicitGraph, WeightedMultigraph, sort_token
-from .walkers import PrefixDistribution, WalkKind, _branches, _check_horizon, _propagate
+from .laws import PrefixDistribution, WalkKind, _branches, _check_horizon, _propagate
 
 
 @dataclass(frozen=True)

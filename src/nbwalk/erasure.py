@@ -24,7 +24,7 @@ from operator import itemgetter
 
 from .errors import InvalidInput
 from .graph import Graph
-from .walkers import PrefixDistribution, WalkKind, _branches, _check_horizon, _fractions, _propagate
+from .laws import PrefixDistribution, WalkKind, _branches, _check_horizon, _check_start, _fractions, _propagate
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,7 @@ def erased_prefix_distribution(g: Graph, start, big_n: int, m: int) -> PrefixDis
     accumulate in ``short_mass``."""
     m = _check_horizon(m)
     big_n = _check_horizon(big_n, m + 1)
+    _check_start(g, start)
     keep = m + 1
     law, step = _stack_chain(g, keep)
     weights, den = _propagate(
@@ -146,6 +147,7 @@ def enumerate_move_distribution(g: Graph, start, steps: int) -> dict:
     string) pairs whose stacks keep the start and the cone types above it
     (``_stack_chain``)."""
     steps = _check_horizon(steps, 1)
+    _check_start(g, start)
     law, step = _stack_chain(g, 1)
 
     # a record is (top, stack, moves), so that its state is read in C

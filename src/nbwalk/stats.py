@@ -1,5 +1,4 @@
-"""Distribution distances, return-time statistics, and the seeded
-Monte Carlo harness.
+"""Return-time statistics and the seeded Monte Carlo harness.
 
 Replica streams are derived from the master seed with a SplitMix64
 finalizer (documented in the README); aggregation is a fold over rows in
@@ -11,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import chain
 from typing import Optional
@@ -20,8 +18,9 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidParameter, is_int
 from .graph import BiregularTree, encode_key
-from .walkers import _CHUNK, PrefixDistribution, WalkKind, _check_start, _lattice_offsets, _on_lattice_kernel
-from .walkers import _move_table, _pack, _table_walk, _tree_counts, _unpack, _walk
+from .laws import WalkKind, _check_start
+from .walkers import _CHUNK, _lattice_offsets, _move_table, _on_lattice_kernel, _pack, _table_walk, _tree_counts
+from .walkers import _unpack, _walk
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -35,20 +34,6 @@ def replica_seed(master_seed: int, replica_index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def total_variation(p: PrefixDistribution, q: PrefixDistribution) -> Fraction:
-    """Half the L1 gap between two prefix laws on the same horizon, with
-    the short-output masses compared as one extra outcome."""
-    if p.horizon != q.horizon:
-        raise InvalidInput(f"horizon mismatch: {p.horizon} vs {q.horizon}")
-    # |p - q| summed in integers, each law's weights rescaled to the lcm of
-    # both denominators; a prefix only q has adds its whole weight
-    den = math.lcm(p.den, q.den)
-    a, b, qw = den // p.den, den // q.den, q.weights
-    acc = abs(p.short * a - q.short * b) + sum(abs(w * a - qw.get(k, 0) * b) for k, w in p.weights.items())
-    acc += b * sum(w for k, w in qw.items() if k not in p.weights)
-    return Fraction(acc, 2 * den)
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,7 @@ def walk_reference(kind, graph, start, n, rng):
 
 
 def propagate_reference(law, start, record, n, extend, view=None, state_of=None):
-    """``walkers._propagate`` with every weight a Fraction: each step
+    """``laws._propagate`` with every weight a Fraction: each step
     multiplies and adds Fractions, and the law of the records, or of
     their views, is summed at the end in the order each first appears.
     Only then is it put in ``_propagate``'s form, ``(weights, den)``: the

@@ -28,7 +28,7 @@ from nbwalk import (
     total_variation,
 )
 from nbwalk.cli import run
-from nbwalk.walkers import MAX_ENUMERATION_HORIZON
+from nbwalk.laws import MAX_ENUMERATION_HORIZON
 
 from helpers import check_biregular_shape, complete_bipartite, cursor_erase, k4, rng, theta_graph, truncated_escape
 

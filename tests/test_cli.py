@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import nbwalk
-from nbwalk import cli, walkers
+from nbwalk import cli
 from nbwalk.cli import run
 
 from helpers import enumerate_json_reference
@@ -129,7 +129,7 @@ def test_enumerate_writes_the_reference_text(name, monkeypatch, capsys):
     laws = []
 
     def law(kind, graph, start, m):
-        laws.append(walkers.enumerate_prefix_distribution("nbrw" if walk == "nbrw-edge" else kind, graph, start, m))
+        laws.append(nbwalk.laws.enumerate_prefix_distribution("nbrw" if walk == "nbrw-edge" else kind, graph, start, m))
         return laws[-1]
 
     monkeypatch.setattr(cli, "enumerate_prefix_distribution", law)
@@ -147,7 +147,7 @@ def test_enumerate_orders_mixed_int_and_string_keys(capsys):
         ["0", "a", "0"], ["0", "a", "b"], ["0", "b", "0"], ["0", "b", "a"],
     ]
     graph = nbwalk.graph_from_spec(json.loads(spec))
-    assert out == enumerate_json_reference(walkers.enumerate_prefix_distribution("srw", graph, 0, 2))
+    assert out == enumerate_json_reference(nbwalk.laws.enumerate_prefix_distribution("srw", graph, 0, 2))
 
 
 def test_compare_erased(capsys):
@@ -496,12 +496,12 @@ def test_help_exits_zero(capsys):
 
 def test_exact_law_over_the_state_budget_exits_1_without_files(tmp_path, capsys, monkeypatch):
     # Z^2 srw paths never merge: horizon 3 carries 4^3 states into its last level
-    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 63)
+    monkeypatch.setattr(nbwalk.laws, "MAX_LEVEL_STATES", 63)
     argv = ["enumerate", "--graph", json.dumps({"type": "lattice", "d": 2}), "--walk", "srw", "--m", "3"]
     assert run(argv + ["--out", str(tmp_path / "law")]) == 1
     assert list(tmp_path.iterdir()) == []
     assert "state budget" in capsys.readouterr().err
-    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 64)
+    monkeypatch.setattr(nbwalk.laws, "MAX_LEVEL_STATES", 64)
     assert run(argv + ["--out", str(tmp_path / "law")]) == 0
 
 
@@ -557,7 +557,7 @@ def test_graph_spec_read_from_a_file(tmp_path, capsys):
         # every 4-step walk from the end of the path erases to fewer than 4 vertices
         (["compare", "--graph", PATH4_SPEC, "--start", "a", "--N", "4", "--m", "3"], "no full-length mass"),
         # Z^3's erasure stacks keep their first m + 1 = 9 entries as vertices,
-        # so a level at N = 9 outgrows walkers.MAX_LEVEL_STATES
+        # so a level at N = 9 outgrows laws.MAX_LEVEL_STATES
         (["compare", "--graph", LATTICE3, "--N", "9", "--m", "8"], "exceeds the state budget"),
     ],
     ids=["enumerate-nbrw-dead-end", "compare-nbrw-dead-end", "compare-no-full-prefix", "compare-state-budget"],

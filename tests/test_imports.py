@@ -1,8 +1,13 @@
 """Every imported name is used: an ``ast`` scan of the package modules
 (``__init__.py`` re-exports, so it is left out) and of the test files.
-Every private name a package module defines is read in the package."""
+Every private name a package module defines is read in the package, and
+only the commands that sample load numpy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -98,3 +103,48 @@ def test_every_private_module_name_is_used():
         if refs[name] == _references(node)[name]
     ]
     assert unused == []
+
+
+# in a fresh interpreter: import the exact side's modules, run each command
+# by cli.run, print whether numpy is loaded, run ``then`` and print it again
+_PROBE = """
+import json, sys
+import nbwalk.birthdeath, nbwalk.contraction, nbwalk.erasure, nbwalk.laws
+from nbwalk.cli import run
+for argv in json.loads(sys.argv[1]):
+    assert run(argv) == 0, argv
+print("numpy" in sys.modules)
+exec(sys.argv[2])
+print("numpy" in sys.modules)
+"""
+
+
+def _numpy_loaded(cwd, commands, then="") -> list:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-c", _PROBE, json.dumps(commands), then]
+    out = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=120, check=True).stdout
+    return [line == "True" for line in out.splitlines()[-2:]]
+
+
+def test_only_the_commands_that_sample_load_numpy(tmp_path):
+    (tmp_path / "tokens").write_text("a b a c\n")
+    k4 = json.dumps({"type": "explicit", "adjacency": {v: [w for w in range(4) if w != v] for v in range(4)}})
+    sub_k4 = json.dumps({"type": "subdivided", "base": json.loads(k4), "t": 1})
+    exact = [
+        ["compare", "--graph", json.dumps({"type": "counterexample"}), "--start", "v", "--N", "6", "--m", "2"],
+        ["enumerate", "--graph", k4, "--walk", "nbrw", "--start", "0", "--m", "2"],
+        ["chain", "--k", "3"],
+        ["contract", "--graph", sub_k4],
+        ["erase", "--tokens", "@tokens"],
+    ]
+    # a bare import resolves the Monte Carlo names, and loads numpy, on first use
+    names = ("monte_carlo", "sample_path", "is_backtrack_free", "stats", "walkers")
+    lazy = f"import nbwalk\nfor name in {names}: getattr(nbwalk, name)"
+    assert _numpy_loaded(tmp_path, exact, lazy) == [False, True]
+    walk = ["--graph", k4, "--start", "0", "--horizon", "10", "--seed", "1"]
+    for command in (
+        ["diagnose", *walk, "--walk", "srw", "--replicas", "2"],
+        ["walk", *walk, "--walk", "srw"],
+        ["erase", *walk],
+    ):
+        assert _numpy_loaded(tmp_path, [command]) == [True, True], command[0]

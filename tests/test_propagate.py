@@ -1,36 +1,35 @@
 """The exact oracles against the Fraction propagator.
 
-``walkers._propagate`` carries integer weights over one common
+``laws._propagate`` carries integer weights over one common
 denominator.  Each oracle here is run twice, once as it is and once with
 ``_propagate`` replaced by ``helpers.propagate_reference``, which does
 every step in Fractions; the two laws must be equal, hold canonical
 Fractions and list their outcomes in the same order.
 """
 
+import pkgutil
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nbwalk
 from nbwalk import (
     InsufficientData,
     InvalidInput,
     PrefixDistribution,
-    birthdeath,
     chain_for_biregular,
     chain_for_regular,
     chain_move_law,
     contract,
-    contraction,
     enumerate_move_distribution,
     enumerate_prefix_distribution,
     erased_prefix_distribution,
-    erasure,
     induced_prefix_distribution,
     subdivide,
     total_variation,
-    walkers,
 )
 from nbwalk.graph import counterexample_graph
 
@@ -44,6 +43,19 @@ GRAPHS = {
     "subdivided_k4": (subdivide(k4(), 1), 0),
 }
 
+# every package module that binds ``_propagate``, by defining or importing
+# it, and so calls it by that name
+PROPAGATING = [
+    module
+    for info in pkgutil.iter_modules(nbwalk.__path__)
+    if "_propagate" in vars(module := import_module(f"nbwalk.{info.name}"))
+]
+
+
+def test_the_swap_reaches_every_exact_law():
+    names = {module.__name__ for module in PROPAGATING}
+    assert names >= {"nbwalk.laws", "nbwalk.erasure", "nbwalk.contraction", "nbwalk.birthdeath"}
+
 
 def _against_reference(monkeypatch, oracle, horizons):
     """Run ``oracle(h)`` for each horizon with both propagators and check
@@ -51,7 +63,7 @@ def _against_reference(monkeypatch, oracle, horizons):
     for h in horizons:
         fast = oracle(h)
         with monkeypatch.context() as m:
-            for module in (walkers, erasure, contraction, birthdeath):
+            for module in PROPAGATING:
                 m.setattr(module, "_propagate", propagate_reference)
             ref = oracle(h)
         if isinstance(fast, PrefixDistribution):

@@ -25,6 +25,7 @@ from nbwalk import (
     chain_for_regular,
     contract,
     counterexample_graph,
+    enumerate_move_distribution,
     enumerate_prefix_distribution,
     erased_prefix_distribution,
     from_adjacency,
@@ -44,7 +45,7 @@ from nbwalk import (
     wrw_step,
 )
 from nbwalk.stats import _generic_replica, _replica, return_statistics
-from nbwalk import walkers
+from nbwalk import laws, walkers
 from nbwalk.walkers import _CHUNK, _TABLE_SHARE, _Draws, _pack, _unpack, _walk
 
 from helpers import k4, rng, subdivided_starts, theta_graph, two_loop_graph, walk_reference
@@ -246,7 +247,7 @@ def test_each_sampler_over_all_its_draws_is_its_exact_law(name):
     g = EXACT_SAMPLER_GRAPHS[name]
     for kind, state, sampler, bound in _samplers(g):
         counts = Counter(sampler(walkers._Fixed(d)) for d in range(bound))
-        want = {target: p * bound for p, target, _, _ in walkers._law(kind, g)(g, state)}
+        want = {target: p * bound for p, target, _, _ in laws._law(kind, g)(g, state)}
         assert all(c.denominator == 1 for c in want.values()), (kind, state)
         assert counts == want, (kind, state)
 
@@ -436,7 +437,7 @@ def test_enumerate_horizon_guard():
 def test_exact_laws_refuse_a_level_over_the_state_budget(monkeypatch):
     # the bound is each state's entries times its successors, before merging:
     # K4 srw paths from 0 reach 3^3 = 27 records after 3 steps
-    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 27)
+    monkeypatch.setattr(laws, "MAX_LEVEL_STATES", 27)
     assert len(enumerate_prefix_distribution("srw", k4(), 0, 3).entries) == 27
     with pytest.raises(LimitExceeded, match="state budget"):
         enumerate_prefix_distribution("srw", k4(), 0, 4)
@@ -445,10 +446,10 @@ def test_exact_laws_refuse_a_level_over_the_state_budget(monkeypatch):
     # 2 steps leave (0,) and 6 stacks (0, w, x), so the third level is
     # bounded by 7 * 3; 3 steps leave 3 stacks (0, w) and 6 stacks
     # (0, w, x, type), so the fourth by 3 * 3 + 6 * 2.  Both are 21, not 3^4
-    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 20)
+    monkeypatch.setattr(laws, "MAX_LEVEL_STATES", 20)
     with pytest.raises(LimitExceeded, match="state budget"):
         erased_prefix_distribution(k4(), 0, 4, 2)
-    monkeypatch.setattr(walkers, "MAX_LEVEL_STATES", 21)
+    monkeypatch.setattr(laws, "MAX_LEVEL_STATES", 21)
     assert erased_prefix_distribution(k4(), 0, 4, 2).short_mass > 0
 
 
@@ -813,6 +814,31 @@ def test_invalid_start_raises_only_when_a_step_is_taken():
         assert sample_path(kind, g, start, 0, rng(0)) == (start,)
         with pytest.raises(InvalidParameter):
             sample_path(kind, g, start, 1, rng(0))
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda g, start, n: enumerate_prefix_distribution("srw", g, start, n),
+        lambda g, start, n: erased_prefix_distribution(g, start, n + 1, n),
+        lambda g, start, n: enumerate_move_distribution(g, start, n),
+    ],
+    ids=["prefix", "erased_prefix", "move"],
+)
+@pytest.mark.parametrize(
+    "graph, start",
+    [(k4, [0]), (k4, 9), (partial(lattice, 2), [0, 0]), (partial(lattice, 2), (1,))],
+    ids=["k4-unhashable", "k4-unknown", "lattice-unhashable", "lattice-unknown"],
+)
+@pytest.mark.parametrize("n", [1, 3])
+def test_an_exact_law_that_takes_a_step_refuses_a_start_the_graph_lacks(law, graph, start, n):
+    with pytest.raises(InvalidParameter):
+        law(graph(), start, n)
+
+
+def test_a_zero_step_prefix_law_leaves_the_start_unchecked():
+    # as a 0-step sample_path does
+    assert enumerate_prefix_distribution("srw", k4(), 9, 0).entries == {(9,): 1}
 
 
 @pytest.mark.parametrize("kind", ["srw", "nbrw"])
