@@ -18,7 +18,7 @@ from functools import partial
 
 from .errors import InvalidInput, UnsupportedGraph, UnsupportedStructure
 from .graph import ExplicitGraph, WeightedMultigraph, sort_token
-from .laws import PrefixDistribution, WalkKind, _branches, _check_horizon, _propagate
+from .laws import PrefixDistribution, WalkKind, _branches, _check_horizon, _check_start, _propagate
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def induced_prefix_distribution(
     kind = WalkKind(kind)
     if cmap is None:
         _, cmap = contract(g)
-    if start not in cmap.anchors:
+    if _check_start(g, start) not in cmap.anchors:
         raise InvalidInput("start must be an anchor")
     horizon = _check_horizon(horizon)
     if kind is WalkKind.SRW:

@@ -46,7 +46,7 @@ class InvalidInput(NbwalkError):
 
 
 class LimitExceeded(NbwalkError):
-    """An exact law's horizon or level size is beyond its guard."""
+    """An exact law or a weighted-walk draw is beyond its budget."""
 
 
 class InsufficientData(NbwalkError):

@@ -36,10 +36,10 @@ from typing import NamedTuple
 from .errors import InsufficientData, InvalidInput, InvalidState, LimitExceeded, NoLegalMove, is_int
 from .graph import Graph, WeightedMultigraph
 
-MAX_ENUMERATION_HORIZON = 14
-# the most (state, record) pairs an exact law may carry into one level before
-# equal pairs merge; path records never merge (Z^2 SRW paths pass it at horizon 11)
-MAX_LEVEL_STATES = 1 << 21
+# the most (state, record) pairs an exact law may expand over all its levels,
+# counted before equal pairs merge; path records never merge (Z^2 SRW paths
+# pass it at horizon 11)
+MAX_STATES = 1 << 21
 
 
 class WalkKind(str, Enum):
@@ -367,11 +367,9 @@ def _nbrw_state(state):
 
 def _check_horizon(n, least: int = 0) -> int:
     """``n`` as an int; refuses a horizon that is not an integer of at
-    least ``least``, or one above the exhaustive-search guard."""
+    least ``least``."""
     if not is_int(n) or n < least:
         raise InvalidInput(f"horizon must be an integer >= {least}")
-    if n > MAX_ENUMERATION_HORIZON:
-        raise LimitExceeded(f"horizon {n} exceeds the enumeration guard {MAX_ENUMERATION_HORIZON}")
     return int(n)
 
 
@@ -391,13 +389,15 @@ def _propagate(law, start, record, n: int, extend, view=None, state_of=None) -> 
     stack's pop, names it so.  The law of ``(state, record)``
     pairs is carried forward one level per step and equal pairs are
     summed, so paths whose futures cannot differ are expanded once.  This
-    is the only place a law is merged.  A level whose pairs could number
-    more than ``MAX_LEVEL_STATES`` before merging raises ``LimitExceeded``
-    before it is built.  The denominator is a running product: each level
-    multiplies it by the lcm of its states' denominators."""
+    is the only place a law is merged.  Each level's pairs are counted
+    before merging, and a level that would take the law's count over
+    ``MAX_STATES`` raises ``LimitExceeded`` before it is built, so the one
+    budget bounds a law's time as well as its memory.  The denominator is
+    a running product: each level multiplies it by the lcm of its states'
+    denominators."""
     laws: dict = {}
     level = {(start, record): 1}
-    den = 1
+    den, spent = 1, 0
     for _ in range(n):
         states = Counter(map(itemgetter(0), level))
         for state in states:
@@ -405,9 +405,9 @@ def _propagate(law, start, record, n: int, extend, view=None, state_of=None) -> 
                 merged = laws[state] = {}
                 for p, nxt, label in law(state):
                     merged[nxt, label] = merged.get((nxt, label), 0) + p
-        bound = sum(c * len(laws[s]) for s, c in states.items())
-        if bound > MAX_LEVEL_STATES:
-            raise LimitExceeded(f"a level of up to {bound} states exceeds the state budget {MAX_LEVEL_STATES}")
+        spent += sum(c * len(laws[s]) for s, c in states.items())
+        if spent > MAX_STATES:
+            raise LimitExceeded(f"a law of at least {spent} pairs exceeds the state budget {MAX_STATES}")
         lcm = math.lcm(*{p.denominator for s in states for p in laws[s].values()})
         scaled = {s: [(p.numerator * (lcm // p.denominator), succ) for succ, p in laws[s].items()] for s in states}
         nxt_level: dict = {}
@@ -429,8 +429,8 @@ def _propagate(law, start, record, n: int, extend, view=None, state_of=None) -> 
 
 def enumerate_prefix_distribution(kind, graph, start, m: int) -> PrefixDistribution:
     """Exact rational law of the first m+1 vertices, by propagating the
-    kernel's law over vertex paths.  Horizons above 14 are refused, and
-    the start is looked up when a step is taken, as ``sample_path`` does."""
+    kernel's law over vertex paths.  The start is looked up when a step
+    is taken, as ``sample_path`` does."""
     m = _check_horizon(m)
     kind, _ = _require_kind_graph(kind, graph)
     if m:

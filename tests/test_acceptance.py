@@ -28,7 +28,6 @@ from nbwalk import (
     total_variation,
 )
 from nbwalk.cli import run
-from nbwalk.laws import MAX_ENUMERATION_HORIZON
 
 from helpers import check_biregular_shape, complete_bipartite, cursor_erase, k4, rng, theta_graph, truncated_escape
 
@@ -88,10 +87,10 @@ def test_criterion_2_biregular_move_law():
 
 
 def test_criterion_2_move_law_at_the_horizon_guard():
-    # the move law merges erasure stacks by cone type, so it reaches the
-    # guard N = 14 on finite graphs and on infinite ones, from any start
+    # the move law merges erasure stacks by cone type, so it reaches
+    # N = 14 on finite graphs and on infinite ones, from any start
     t0 = time.time()
-    n = MAX_ENUMERATION_HORIZON
+    n = 14
     cases = [
         (k4(), 0, chain_for_regular(3)),
         (regular_tree(3), (), chain_for_regular(3)),

@@ -388,10 +388,6 @@ def _walk(*extra):
         ["compare", "--graph", K4_SPEC, "--start", "0", "--N", "3", "--m", "3"],
         ["compare", "--graph", THETA_SPEC, "--start", "p1", "--induced", "--m", "2"],
         ["compare", "--graph", TRIANGLE_SPEC, "--induced", "--m", "2"],
-        # horizons above the enumeration guard of 14
-        ["enumerate", "--graph", K4_SPEC, "--walk", "srw", "--m", "15"],
-        ["compare", "--graph", K4_SPEC, "--start", "0", "--N", "15", "--m", "3"],
-        ["compare", "--graph", THETA_SPEC, "--start", "u", "--induced", "--m", "15"],
         ["contract", "--graph", TRIANGLE_SPEC],
         ["contract", "--graph", LINE_SPEC],
         ["erase", "--tokens", "@no-such-file.tokens"],
@@ -425,8 +421,7 @@ def _walk(*extra):
     ids=[
         "diagnose-horizon", "replicas", "start", "jobs", "seed-negative", "seed-2**64",
         "walk-horizon", "walk-seed", "compare-m-not-below-N", "compare-induced-start-not-anchor",
-        "compare-induced-no-anchor", "enumerate-m-above-guard", "compare-N-above-guard",
-        "compare-induced-m-above-guard", "contract-no-anchor", "contract-not-explicit",
+        "compare-induced-no-anchor", "contract-no-anchor", "contract-not-explicit",
         "erase-missing-tokens", "erase-tokens-without-at", "erase-tokens-and-graph",
         "erase-tokens-and-seed", "erase-tokens-and-start", "erase-stdin-and-seed",
         "erase-tokens-and-horizon", "explicit-empty", "explicit-null-row", "explicit-string-row",
@@ -495,14 +490,28 @@ def test_help_exits_zero(capsys):
 
 
 def test_exact_law_over_the_state_budget_exits_1_without_files(tmp_path, capsys, monkeypatch):
-    # Z^2 srw paths never merge: horizon 3 carries 4^3 states into its last level
-    monkeypatch.setattr(nbwalk.laws, "MAX_LEVEL_STATES", 63)
+    # Z^2 srw paths never merge: horizon 3 expands 4 + 16 + 64 pairs
+    monkeypatch.setattr(nbwalk.laws, "MAX_STATES", 83)
     argv = ["enumerate", "--graph", json.dumps({"type": "lattice", "d": 2}), "--walk", "srw", "--m", "3"]
     assert run(argv + ["--out", str(tmp_path / "law")]) == 1
     assert list(tmp_path.iterdir()) == []
     assert "state budget" in capsys.readouterr().err
-    monkeypatch.setattr(nbwalk.laws, "MAX_LEVEL_STATES", 64)
+    monkeypatch.setattr(nbwalk.laws, "MAX_STATES", 84)
     assert run(argv + ["--out", str(tmp_path / "law")]) == 0
+
+
+# no horizon is refused as such: past 14, these laws stay within the state budget
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--graph", K4_SPEC, "--start", "0", "--N", "15", "--m", "3"],
+        ["compare", "--graph", THETA_SPEC, "--start", "u", "--induced", "--m", "15"],
+    ],
+    ids=["compare-N-15", "compare-induced-m-15"],
+)
+def test_exact_laws_past_horizon_14_exit_0(argv, capsys):
+    assert run(argv) == 0
+    assert "tv" in capsys.readouterr().out
 
 
 def test_wrw_over_the_draw_budget_exits_1_without_files(tmp_path, capsys):
@@ -557,10 +566,15 @@ def test_graph_spec_read_from_a_file(tmp_path, capsys):
         # every 4-step walk from the end of the path erases to fewer than 4 vertices
         (["compare", "--graph", PATH4_SPEC, "--start", "a", "--N", "4", "--m", "3"], "no full-length mass"),
         # Z^3's erasure stacks keep their first m + 1 = 9 entries as vertices,
-        # so a level at N = 9 outgrows laws.MAX_LEVEL_STATES
+        # so the law outgrows laws.MAX_STATES by N = 9
         (["compare", "--graph", LATTICE3, "--N", "9", "--m", "8"], "exceeds the state budget"),
+        # K4 srw paths never merge: 3 + 9 + ... + 3^13 pairs pass the budget at horizon 13
+        (["enumerate", "--graph", K4_SPEC, "--walk", "srw", "--m", "15"], "exceeds the state budget"),
     ],
-    ids=["enumerate-nbrw-dead-end", "compare-nbrw-dead-end", "compare-no-full-prefix", "compare-state-budget"],
+    ids=[
+        "enumerate-nbrw-dead-end", "compare-nbrw-dead-end", "compare-no-full-prefix", "compare-state-budget",
+        "enumerate-state-budget",
+    ],
 )
 def test_runtime_failure_exits_1_without_output(argv, message, capsys):
     assert run(argv) == 1

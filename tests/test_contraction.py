@@ -26,6 +26,7 @@ from nbwalk import (
     sample_path,
     subdivide,
 )
+from nbwalk import laws
 
 from helpers import check_biregular_shape, complete_bipartite, cycle, k4, rng, theta_graph, two_loop_graph
 
@@ -273,8 +274,15 @@ def test_degree_pair_rule_is_shared():
 
 def test_induced_prefix_requires_anchor():
     g = theta_graph()
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="start must be an anchor"):
         induced_prefix_distribution(g, "srw", "p1", 2)
+
+
+@pytest.mark.parametrize("start", [[0], "x"], ids=["unhashable", "unknown"])
+@pytest.mark.parametrize("kind", ["srw", "nbrw"])
+def test_induced_prefix_refuses_a_start_the_graph_lacks(kind, start):
+    with pytest.raises(InvalidParameter, match="unknown vertex"):
+        induced_prefix_distribution(theta_graph(), kind, start, 2)
 
 
 def test_induced_prefix_takes_srw_or_nbrw():
@@ -282,11 +290,13 @@ def test_induced_prefix_takes_srw_or_nbrw():
         induced_prefix_distribution(theta_graph(), "wrw", "u", 2)
 
 
-def test_induced_prefix_guards_caller_input():
+def test_induced_prefix_guards_caller_input(monkeypatch):
     g = theta_graph()
     _, cmap = contract(g)
+    # no horizon is refused as such; a law over the state budget is
+    monkeypatch.setattr(laws, "MAX_STATES", 20)
     for kind in ("srw", "nbrw"):
-        with pytest.raises(LimitExceeded):
+        with pytest.raises(LimitExceeded, match="state budget"):
             induced_prefix_distribution(g, kind, "u", 15, cmap)
     # a map that drops the two longer corridors: its entrances name
     # corridors it no longer has

@@ -26,6 +26,7 @@ from nbwalk import (
     total_variation,
 )
 from nbwalk import graph as graph_module
+from nbwalk import laws
 from nbwalk.erasure import _erase_stack, _stack_chain
 
 from helpers import complete_bipartite, cursor_erase, k4, path_graph, random_graph, rng
@@ -159,12 +160,32 @@ def test_erased_mass_conserved():
     assert dist.short_mass > 0
 
 
-def test_erased_guards():
+def test_erased_guards(monkeypatch):
     g = k4()
     with pytest.raises(InvalidInput):
         erased_prefix_distribution(g, 0, 3, 3)
-    with pytest.raises(LimitExceeded):
+    # no horizon is refused as such; a law over the state budget is
+    monkeypatch.setattr(laws, "MAX_STATES", 20)
+    with pytest.raises(LimitExceeded, match="state budget"):
         erased_prefix_distribution(g, 0, 15, 3)
+
+
+# conditioned on a full-length prefix, the erased law at N = 30 is the
+# non-backtracking law on regular graphs
+@pytest.mark.parametrize(
+    "graph, start", [(k4(), 0), (lattice(3), (0, 0, 0)), (regular_tree(3), ())], ids=["k4", "lattice3", "tree3"]
+)
+def test_erased_law_is_nbrw_at_horizon_30_on_regular_graphs(graph, start):
+    erased = erased_prefix_distribution(graph, start, 30, 3)
+    assert total_variation(erased.conditioned(), enumerate_prefix_distribution("nbrw", graph, start, 3)) == 0
+
+
+def test_erased_law_keeps_moving_from_nbrw_past_horizon_14_on_the_counterexample():
+    # the conditioned distance rises with N toward its limit, about 0.085 at m = 3
+    g = counterexample_graph()
+    nbrw = enumerate_prefix_distribution("nbrw", g, "v", 3)
+    tvs = [total_variation(erased_prefix_distribution(g, "v", n, 3).conditioned(), nbrw) for n in (14, 24, 30)]
+    assert Fraction(5, 100) < tvs[0] < tvs[1] < tvs[2]
 
 
 def test_move_distribution_two_steps():
@@ -180,8 +201,9 @@ def test_move_distribution_matches_chain_small():
         assert enumerate_move_distribution(g, 0, n) == chain_move_law(chain_for_regular(3), n)
 
 
-def test_move_distribution_guard():
-    with pytest.raises(LimitExceeded):
+def test_move_distribution_guard(monkeypatch):
+    monkeypatch.setattr(laws, "MAX_STATES", 20)
+    with pytest.raises(LimitExceeded, match="state budget"):
         enumerate_move_distribution(k4(), 0, 15)
 
 

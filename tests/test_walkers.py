@@ -23,6 +23,7 @@ from nbwalk import (
     WeightedMultigraph,
     biregular_tree,
     chain_for_regular,
+    chain_move_law,
     contract,
     counterexample_graph,
     enumerate_move_distribution,
@@ -429,28 +430,29 @@ def test_enumerate_consistency_under_marginalization():
         assert big.marginalized(3) == small
 
 
-def test_enumerate_horizon_guard():
-    with pytest.raises(LimitExceeded):
-        enumerate_prefix_distribution("srw", k4(), 0, 15)
+# each exact law with the (state, record) pairs it expands over all its
+# levels, counted before equal pairs merge: K4 srw paths from 0 number 3,
+# 9 and 27 after 1, 2 and 3 steps; erasure stacks merge by cone type, so
+# the erased law at N = 4 expands 54, not the 3 + 9 + 27 + 81 paths; and
+# the birth-death words from 0 expand 1, 2, 3 and 6 (0 only moves right)
+BUDGETED_LAWS = {
+    "prefix": (lambda: enumerate_prefix_distribution("srw", k4(), 0, 3), 3 + 9 + 27),
+    "erased": (lambda: erased_prefix_distribution(k4(), 0, 4, 2), 54),
+    "move": (lambda: enumerate_move_distribution(k4(), 0, 4), 16),
+    "induced-srw": (lambda: induced_prefix_distribution(theta_graph(), "srw", "u", 3), 14),
+    "induced-nbrw": (lambda: induced_prefix_distribution(theta_graph(), "nbrw", "u", 3), 15),
+    "chain": (lambda: chain_move_law(chain_for_regular(3), 4), 1 + 2 + 3 + 6),
+}
 
 
-def test_exact_laws_refuse_a_level_over_the_state_budget(monkeypatch):
-    # the bound is each state's entries times its successors, before merging:
-    # K4 srw paths from 0 reach 3^3 = 27 records after 3 steps
-    monkeypatch.setattr(laws, "MAX_LEVEL_STATES", 27)
-    assert len(enumerate_prefix_distribution("srw", k4(), 0, 3).entries) == 27
-    with pytest.raises(LimitExceeded, match="state budget"):
-        enumerate_prefix_distribution("srw", k4(), 0, 4)
-    # erasure stacks merge, and above their first m + 1 = 3 entries they
-    # hold K4's one cone type, whose law is a pop and a push (2 successors):
-    # 2 steps leave (0,) and 6 stacks (0, w, x), so the third level is
-    # bounded by 7 * 3; 3 steps leave 3 stacks (0, w) and 6 stacks
-    # (0, w, x, type), so the fourth by 3 * 3 + 6 * 2.  Both are 21, not 3^4
-    monkeypatch.setattr(laws, "MAX_LEVEL_STATES", 20)
-    with pytest.raises(LimitExceeded, match="state budget"):
-        erased_prefix_distribution(k4(), 0, 4, 2)
-    monkeypatch.setattr(laws, "MAX_LEVEL_STATES", 21)
-    assert erased_prefix_distribution(k4(), 0, 4, 2).short_mass > 0
+@pytest.mark.parametrize("name", BUDGETED_LAWS)
+def test_exact_laws_refuse_a_law_over_the_state_budget(name, monkeypatch):
+    law, pairs = BUDGETED_LAWS[name]
+    monkeypatch.setattr(laws, "MAX_STATES", pairs - 1)
+    with pytest.raises(LimitExceeded, match=f"at least {pairs} pairs exceeds the state budget {pairs - 1}"):
+        law()
+    monkeypatch.setattr(laws, "MAX_STATES", pairs)
+    law()
 
 
 def test_prefix_distribution_validation():
