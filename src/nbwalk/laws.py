@@ -36,10 +36,10 @@ from typing import NamedTuple
 from .errors import InsufficientData, InvalidInput, InvalidState, LimitExceeded, NoLegalMove, is_int
 from .graph import Graph, WeightedMultigraph
 
-# the most (state, record) pairs an exact law may expand over all its levels,
-# counted before equal pairs merge; path records never merge (Z^2 SRW paths
-# pass it at horizon 11)
-MAX_STATES = 1 << 21
+# the most an exact law may charge: each (state, record) pair of level k,
+# counted before equal pairs merge, costs k, about the entries of its
+# record (Z^2 SRW paths pass it at horizon 11)
+MAX_STATES = 1 << 24
 
 
 class WalkKind(str, Enum):
@@ -389,8 +389,9 @@ def _propagate(law, start, record, n: int, extend, view=None, state_of=None) -> 
     stack's pop, names it so.  The law of ``(state, record)``
     pairs is carried forward one level per step and equal pairs are
     summed, so paths whose futures cannot differ are expanded once.  This
-    is the only place a law is merged.  Each level's pairs are counted
-    before merging, and a level that would take the law's count over
+    is the only place a law is merged.  A pair of level k is charged k, as
+    records and weights grow about one entry a step, a vertex key counted
+    as one, and a level that would take the law's charge over
     ``MAX_STATES`` raises ``LimitExceeded`` before it is built, so the one
     budget bounds a law's time as well as its memory.  The denominator is
     a running product: each level multiplies it by the lcm of its states'
@@ -398,16 +399,16 @@ def _propagate(law, start, record, n: int, extend, view=None, state_of=None) -> 
     laws: dict = {}
     level = {(start, record): 1}
     den, spent = 1, 0
-    for _ in range(n):
+    for k in range(1, n + 1):
         states = Counter(map(itemgetter(0), level))
         for state in states:
             if state not in laws:
                 merged = laws[state] = {}
                 for p, nxt, label in law(state):
                     merged[nxt, label] = merged.get((nxt, label), 0) + p
-        spent += sum(c * len(laws[s]) for s, c in states.items())
+        spent += k * sum(c * len(laws[s]) for s, c in states.items())
         if spent > MAX_STATES:
-            raise LimitExceeded(f"a law of at least {spent} pairs exceeds the state budget {MAX_STATES}")
+            raise LimitExceeded(f"a law charged at least {spent} exceeds the state budget {MAX_STATES}")
         lcm = math.lcm(*{p.denominator for s in states for p in laws[s].values()})
         scaled = {s: [(p.numerator * (lcm // p.denominator), succ) for succ, p in laws[s].items()] for s in states}
         nxt_level: dict = {}

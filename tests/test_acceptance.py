@@ -86,7 +86,7 @@ def test_criterion_2_biregular_move_law():
     print(f"criterion 2 (biregular): PASS  K_3,4 and subdivided K4 move laws exact, {time.time() - t0:.1f}s")
 
 
-def test_criterion_2_move_law_at_the_horizon_guard():
+def test_criterion_2_move_law_at_horizon_14():
     # the move law merges erasure stacks by cone type, so it reaches
     # N = 14 on finite graphs and on infinite ones, from any start
     t0 = time.time()

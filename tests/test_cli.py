@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -490,13 +491,13 @@ def test_help_exits_zero(capsys):
 
 
 def test_exact_law_over_the_state_budget_exits_1_without_files(tmp_path, capsys, monkeypatch):
-    # Z^2 srw paths never merge: horizon 3 expands 4 + 16 + 64 pairs
-    monkeypatch.setattr(nbwalk.laws, "MAX_STATES", 83)
+    # Z^2 srw paths never merge: horizon 3 charges 4 + 2 * 16 + 3 * 64
+    monkeypatch.setattr(nbwalk.laws, "MAX_STATES", 227)
     argv = ["enumerate", "--graph", json.dumps({"type": "lattice", "d": 2}), "--walk", "srw", "--m", "3"]
     assert run(argv + ["--out", str(tmp_path / "law")]) == 1
     assert list(tmp_path.iterdir()) == []
     assert "state budget" in capsys.readouterr().err
-    monkeypatch.setattr(nbwalk.laws, "MAX_STATES", 84)
+    monkeypatch.setattr(nbwalk.laws, "MAX_STATES", 228)
     assert run(argv + ["--out", str(tmp_path / "law")]) == 0
 
 
@@ -568,19 +569,27 @@ def test_graph_spec_read_from_a_file(tmp_path, capsys):
         # Z^3's erasure stacks keep their first m + 1 = 9 entries as vertices,
         # so the law outgrows laws.MAX_STATES by N = 9
         (["compare", "--graph", LATTICE3, "--N", "9", "--m", "8"], "exceeds the state budget"),
-        # K4 srw paths never merge: 3 + 9 + ... + 3^13 pairs pass the budget at horizon 13
-        (["enumerate", "--graph", K4_SPEC, "--walk", "srw", "--m", "15"], "exceeds the state budget"),
     ],
-    ids=[
-        "enumerate-nbrw-dead-end", "compare-nbrw-dead-end", "compare-no-full-prefix", "compare-state-budget",
-        "enumerate-state-budget",
-    ],
+    ids=["enumerate-nbrw-dead-end", "compare-nbrw-dead-end", "compare-no-full-prefix", "compare-state-budget"],
 )
 def test_runtime_failure_exits_1_without_output(argv, message, capsys):
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+# NBRW on Z^1 or on a triangle is deterministic after its first step: two
+# paths a level, each a step longer, so a pair of level k is charged k and
+# the law is refused at level 4,096, long before its horizon
+@pytest.mark.parametrize("graph", [json.dumps({"type": "lattice", "d": 1}), TRIANGLE_SPEC], ids=["z1", "triangle"])
+def test_narrow_law_over_the_state_budget_exits_1_within_seconds(graph, tmp_path, capsys):
+    t0 = time.perf_counter()
+    argv = ["enumerate", "--graph", graph, "--walk", "nbrw", "--m", "1000000", "--out", str(tmp_path / "law")]
+    assert run(argv) == 1
+    assert time.perf_counter() - t0 < 5
+    assert list(tmp_path.iterdir()) == []
+    assert f"charged at least {4096 * 4097} exceeds the state budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

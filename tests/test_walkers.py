@@ -430,28 +430,29 @@ def test_enumerate_consistency_under_marginalization():
         assert big.marginalized(3) == small
 
 
-# each exact law with the (state, record) pairs it expands over all its
-# levels, counted before equal pairs merge: K4 srw paths from 0 number 3,
-# 9 and 27 after 1, 2 and 3 steps; erasure stacks merge by cone type, so
-# the erased law at N = 4 expands 54, not the 3 + 9 + 27 + 81 paths; and
-# the birth-death words from 0 expand 1, 2, 3 and 6 (0 only moves right)
+# each exact law with its charge: every (state, record) pair of level k,
+# counted before equal pairs merge, costs k.  K4 srw paths from 0 number
+# 3, 9 and 27 after 1, 2 and 3 steps; erasure stacks merge by cone type,
+# so the erased law at N = 4 expands 3, 9, 21 and 21 pairs, not the
+# 3 + 9 + 27 + 81 paths; and the birth-death words from 0 number 1, 2, 3
+# and 6 (0 only moves right)
 BUDGETED_LAWS = {
-    "prefix": (lambda: enumerate_prefix_distribution("srw", k4(), 0, 3), 3 + 9 + 27),
-    "erased": (lambda: erased_prefix_distribution(k4(), 0, 4, 2), 54),
-    "move": (lambda: enumerate_move_distribution(k4(), 0, 4), 16),
-    "induced-srw": (lambda: induced_prefix_distribution(theta_graph(), "srw", "u", 3), 14),
-    "induced-nbrw": (lambda: induced_prefix_distribution(theta_graph(), "nbrw", "u", 3), 15),
-    "chain": (lambda: chain_move_law(chain_for_regular(3), 4), 1 + 2 + 3 + 6),
+    "prefix": (lambda: enumerate_prefix_distribution("srw", k4(), 0, 3), 3 + 2 * 9 + 3 * 27),
+    "erased": (lambda: erased_prefix_distribution(k4(), 0, 4, 2), 3 + 2 * 9 + 3 * 21 + 4 * 21),
+    "move": (lambda: enumerate_move_distribution(k4(), 0, 4), 46),
+    "induced-srw": (lambda: induced_prefix_distribution(theta_graph(), "srw", "u", 3), 34),
+    "induced-nbrw": (lambda: induced_prefix_distribution(theta_graph(), "nbrw", "u", 3), 33),
+    "chain": (lambda: chain_move_law(chain_for_regular(3), 4), 1 + 2 * 2 + 3 * 3 + 4 * 6),
 }
 
 
 @pytest.mark.parametrize("name", BUDGETED_LAWS)
 def test_exact_laws_refuse_a_law_over_the_state_budget(name, monkeypatch):
-    law, pairs = BUDGETED_LAWS[name]
-    monkeypatch.setattr(laws, "MAX_STATES", pairs - 1)
-    with pytest.raises(LimitExceeded, match=f"at least {pairs} pairs exceeds the state budget {pairs - 1}"):
+    law, charge = BUDGETED_LAWS[name]
+    monkeypatch.setattr(laws, "MAX_STATES", charge - 1)
+    with pytest.raises(LimitExceeded, match=f"charged at least {charge} exceeds the state budget {charge - 1}"):
         law()
-    monkeypatch.setattr(laws, "MAX_STATES", pairs)
+    monkeypatch.setattr(laws, "MAX_STATES", charge)
     law()
 
 
