@@ -22,22 +22,39 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from importlib import import_module
 from itertools import chain, repeat
 from operator import mul
 from pathlib import Path
 
-from .birthdeath import (
-    _period_ratio_product,
-    chain_for_biregular,
-    chain_for_regular,
-    escape_probability,
-    is_transient,
-)
-from .contraction import contract, induced_prefix_distribution
-from .erasure import erase_backtracks, erased_prefix_distribution
 from .errors import InvalidInput, InvalidParameter, MalformedGraph, NbwalkError, UnsupportedGraph, UnsupportedStructure
 from .graph import decode_key, encode_key, graph_from_spec, sort_token
-from .laws import WalkKind, _check_start, enumerate_prefix_distribution, total_variation
+
+
+def _lazy(module: str, name: str):
+    """A stand-in for the function ``name`` of ``module``.  Its first call
+    imports the module and, unless the name here was rebound meanwhile,
+    puts the function in its own place.  So each command loads only the
+    modules it runs, and the handlers still look each name up as a global
+    of this module, where ``benchmarks/tracing.py`` patches it."""
+
+    def forward(*args, **kwargs):
+        fn = getattr(import_module(module, __package__), name)
+        if globals()[name] is forward:
+            globals()[name] = fn
+        return fn(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    return forward
+
+
+contract = _lazy(".contraction", "contract")
+induced_prefix_distribution = _lazy(".contraction", "induced_prefix_distribution")
+erase_backtracks = _lazy(".erasure", "erase_backtracks")
+erased_prefix_distribution = _lazy(".erasure", "erased_prefix_distribution")
+enumerate_prefix_distribution = _lazy(".laws", "enumerate_prefix_distribution")
+total_variation = _lazy(".laws", "total_variation")
+sample_path = _lazy(".walkers", "sample_path")
 
 # errors that refuse the configuration, including its input files (exit
 # 2); every other NbwalkError is a runtime failure (exit 1)
@@ -75,12 +92,16 @@ def _graph(args):
 
 
 def _start_vertex(args, graph):
+    from .laws import _check_start
+
     return _check_start(graph, graph.default_start() if args.start is None else decode_key(args.start))
 
 
 def _walk_graph(args):
     """Spec, graph, walk kind and start vertex of ``walk``, ``enumerate``
     and ``diagnose``; a wrw walk runs on the contracted multigraph."""
+    from .laws import WalkKind
+
     spec, graph = _graph(args)
     kind = WalkKind(args.walk)
     if kind is WalkKind.WRW:
@@ -106,20 +127,13 @@ _SEED = _int_range(0, 1 << 64)
 
 
 # numpy, stats and walkers load only in the commands that sample: walk,
-# erase --graph and diagnose
+# erase --graph and diagnose (sample_path above imports walkers)
 def _rng(seed: int):
     import numpy as np
 
     from .stats import replica_seed
 
     return np.random.default_rng(replica_seed(seed, 0))
-
-
-def sample_path(kind, graph, start, n: int, rng) -> tuple:
-    """``walkers.sample_path``, with ``walkers`` imported on the first call."""
-    from .walkers import sample_path
-
-    return sample_path(kind, graph, start, n, rng)
 
 
 def _publish(out, files: dict, shown=None, announce=True) -> None:
@@ -178,6 +192,8 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_erase(args) -> int:
+    from .laws import WalkKind
+
     if args.graph is not None and args.tokens is not None:
         raise InvalidParameter("give either --tokens or --graph, not both")
     if args.graph is None and (args.seed is not None or args.start is not None or args.horizon is not None):
@@ -201,6 +217,14 @@ def _cmd_erase(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    from .birthdeath import (
+        _period_ratio_product,
+        chain_for_biregular,
+        chain_for_regular,
+        escape_probability,
+        is_transient,
+    )
+
     if args.k is not None:
         if args.k1 is not None or args.k2 is not None:
             raise InvalidParameter("give either --k or --k1/--k2, not both")
@@ -258,6 +282,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .laws import WalkKind
+
     _, graph = _graph(args)
     start = _start_vertex(args, graph)
     if args.induced:
@@ -310,6 +336,8 @@ def _add_graph_flags(p, start=True, walk=False):
     if start:
         p.add_argument("--start", help="start vertex key (default: family origin)")
     if walk:
+        from .laws import WalkKind
+
         p.add_argument("--walk", required=True, choices=[k.value for k in WalkKind])
 
 

@@ -55,23 +55,36 @@ def erase_backtracks(seq) -> ErasureResult:
     return ErasureResult(tuple(stack), CursorTrace("".join(moves)), len(moves) + 1)
 
 
+class _Floor:
+    """The entry under the first element of the erasure stack, which
+    equals nothing, so that no push or pop checks the stack's height."""
+
+    def __eq__(self, other):
+        return False
+
+
+_FLOOR = _Floor()
+
+
 def _erase_stack(seq):
     """Single pass over any iterable: push each element, or pop the top
     when the element equals the one underneath it.  Returns the stack and
     the move record, R per push and L per pop; an empty input is refused."""
     items = iter(seq)
     try:
-        st = [next(items)]
+        st = [_FLOOR, next(items)]
     except StopIteration:
         raise InvalidInput("cannot erase an empty sequence") from None
     moves = []
+    push, pop, move = st.append, st.pop, moves.append
     for x in items:
-        if len(st) >= 2 and st[-2] == x:
-            st.pop()
-            moves.append("L")
+        if st[-2] == x:
+            pop()
+            move("L")
         else:
-            st.append(x)
-            moves.append("R")
+            push(x)
+            move("R")
+    del st[0]
     return st, moves
 
 

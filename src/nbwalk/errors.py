@@ -2,6 +2,12 @@
 
 import numbers
 
+# the exception types, which the package re-exports
+__all__ = [
+    "NbwalkError", "InvalidParameter", "MalformedGraph", "UnsupportedGraph", "UnsupportedStructure", "NoLegalMove",
+    "InvalidState", "InvalidInput", "LimitExceeded", "InsufficientData",
+]
+
 
 def is_int(x) -> bool:
     """Any integer type, numpy's included, but not a bool."""

@@ -447,7 +447,11 @@ def _lattice_offsets(kind: WalkKind, lat: Lattice, n: int, rng):
             if prev < 0:
                 prev = dirs[0] = int(rng.integers(two_d))
                 i0 = 1
-            if len(dirs) > i0:
+            if two_d == 2:
+                # Z^1 leaves one legal move, whose integers(1) draws
+                # nothing: the walk goes on in its first direction
+                dirs[i0:] = prev
+            elif len(dirs) > i0:
                 dirs[i0:] = _nbrw_chain(rng.integers(0, two_d - 1, size=len(dirs) - i0), prev)
                 prev = int(dirs[-1])
             if pitch > 1:

@@ -1,9 +1,11 @@
 """Every imported name is used: an ``ast`` scan of the package modules
 (``__init__.py`` re-exports, so it is left out) and of the test files.
-Every private name a package module defines is read in the package, and
-only the commands that sample load numpy."""
+Every private name a package module defines is read in the package, the
+package lists the names it resolves on first use, each command loads
+only the modules it runs, and only the commands that sample load numpy."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +14,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import nbwalk
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in (ROOT / "src" / "nbwalk").glob("*.py") if p.name != "__init__.py")
@@ -105,25 +109,36 @@ def test_every_private_module_name_is_used():
     assert unused == []
 
 
-# in a fresh interpreter: import the exact side's modules, run each command
-# by cli.run, print whether numpy is loaded, run ``then`` and print it again
+# in a fresh interpreter: run ``first``, then import nbwalk.cli and run
+# each command by cli.run, printing a line of the sorted nbwalk modules
+# loaded after each of these steps; then print whether numpy is loaded, run ``then`` and
+# print it again
 _PROBE = """
 import json, sys
-import nbwalk.birthdeath, nbwalk.contraction, nbwalk.erasure, nbwalk.laws
+def loaded():
+    print("loaded", *sorted(m for m in sys.modules if m.partition(".")[0] == "nbwalk"))
+exec(sys.argv[3])
+loaded()
 from nbwalk.cli import run
+loaded()
 for argv in json.loads(sys.argv[1]):
     assert run(argv) == 0, argv
+    loaded()
 print("numpy" in sys.modules)
 exec(sys.argv[2])
 print("numpy" in sys.modules)
 """
+EXACT_SIDE = "import nbwalk.birthdeath, nbwalk.contraction, nbwalk.erasure, nbwalk.laws"
+
+
+def _probe(cwd, commands, then="", first=EXACT_SIDE) -> list:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-c", _PROBE, json.dumps(commands), then, first]
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=120, check=True).stdout
 
 
 def _numpy_loaded(cwd, commands, then="") -> list:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    argv = [sys.executable, "-c", _PROBE, json.dumps(commands), then]
-    out = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=120, check=True).stdout
-    return [line == "True" for line in out.splitlines()[-2:]]
+    return [line == "True" for line in _probe(cwd, commands, then).splitlines()[-2:]]
 
 
 def test_only_the_commands_that_sample_load_numpy(tmp_path):
@@ -148,3 +163,79 @@ def test_only_the_commands_that_sample_load_numpy(tmp_path):
         ["erase", *walk],
     ):
         assert _numpy_loaded(tmp_path, [command]) == [True, True], command[0]
+
+
+# the 57 names the package imported eagerly before every module but errors
+# became lazy, and the 7 of the Monte Carlo side that were lazy already
+PACKAGE_NAMES = {
+    "errors": (
+        "InsufficientData", "InvalidInput", "InvalidParameter", "InvalidState", "LimitExceeded", "MalformedGraph",
+        "NbwalkError", "NoLegalMove", "UnsupportedGraph", "UnsupportedStructure",
+    ),
+    "graph": (
+        "BiregularTree", "ExplicitGraph", "Graph", "Lattice", "MultiEdge", "RegularTree", "WeightedMultigraph",
+        "biregular_tree", "counterexample_graph", "decode_key", "encode_key", "from_adjacency", "graph_from_spec",
+        "lattice", "regular_tree", "subdivide", "subdivided_lattice",
+    ),
+    "laws": (
+        "HalfEdgeState", "PrefixDistribution", "WalkKind", "WrwMove", "enumerate_prefix_distribution", "nbrw_step",
+        "nbrw_step_edge", "srw_step", "step_distribution", "total_variation", "wrw_step",
+    ),
+    "erasure": (
+        "CursorTrace", "ErasureResult", "enumerate_move_distribution", "erase_backtracks", "erase_backtracks_stack",
+        "erased_prefix_distribution",
+    ),
+    "birthdeath": (
+        "BirthDeathSpec", "chain_for_biregular", "chain_for_regular", "chain_move_law", "escape_probability",
+        "is_transient",
+    ),
+    "contraction": (
+        "ContractionMap", "Corridor", "InducedWalk", "contract", "find_corridors", "induced_prefix_distribution",
+        "induced_walk",
+    ),
+    "walkers": ("is_backtrack_free", "sample_path"),
+    "stats": ("ExperimentReport", "WalkStatistics", "monte_carlo", "replica_seed", "return_statistics"),
+}
+
+
+def test_the_package_lists_every_name_it_resolves():
+    home = {name: module for module, names in PACKAGE_NAMES.items() for name in names}
+    assert len(home) == 57 + 7
+    assert sorted(nbwalk.__all__) == sorted(home)
+    assert set(home) <= set(dir(nbwalk))
+    star = {}
+    exec("from nbwalk import *", star)
+    assert set(star) - {"__builtins__"} == set(home)
+    for name, module in home.items():
+        obj = getattr(importlib.import_module(f"nbwalk.{module}"), name)
+        assert star[name] is getattr(nbwalk, name) is obj, name
+        assert obj.__module__ == f"nbwalk.{module}", name
+
+
+K4 = json.dumps({"type": "explicit", "adjacency": {v: [w for w in range(4) if w != v] for v in range(4)}})
+SUB_K4 = json.dumps({"type": "subdivided", "base": json.loads(K4), "t": 1})
+# (argv, the modules running it adds to those of ``import nbwalk.cli``)
+COMMAND_MODULES = {
+    "chain": (["chain", "--k", "3"], {"birthdeath", "laws"}),
+    "erase --tokens": (["erase", "--tokens", "@tokens"], {"erasure", "laws"}),
+    "compare": (
+        ["compare", "--graph", json.dumps({"type": "counterexample"}), "--start", "v", "--N", "6", "--m", "2"],
+        {"erasure", "laws"},
+    ),
+    "compare --induced": (
+        ["compare", "--graph", SUB_K4, "--start", "0", "--m", "2", "--induced"], {"contraction", "laws"}
+    ),
+    "contract": (["contract", "--graph", SUB_K4], {"contraction", "laws"}),
+    "enumerate": (["enumerate", "--graph", K4, "--walk", "nbrw", "--start", "0", "--m", "2"], {"laws"}),
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(name, tmp_path):
+    (tmp_path / "tokens").write_text("a b a c\n")
+    argv, added = COMMAND_MODULES[name]
+    lines = _probe(tmp_path, [argv], first="import nbwalk").splitlines()
+    bare, cli, ran = (set(line.split()[1:]) for line in lines if line.startswith("loaded "))
+    assert bare == {"nbwalk", "nbwalk.errors"}
+    assert cli == bare | {"nbwalk.graph", "nbwalk.cli"}
+    assert ran == cli | {f"nbwalk.{module}" for module in added}
