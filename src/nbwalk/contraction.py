@@ -53,20 +53,12 @@ class ContractionMap:
         return max(c.length for c in self.corridors)
 
 
-def _canonical_corridor(a, b, interior):
-    if a == b:
-        rev = tuple(reversed(interior))
-        best = min(tuple(interior), rev, key=lambda seq: tuple(sort_token(x) for x in seq))
-        return Corridor(a, b, best)
-    if sort_token(b) < sort_token(a):
-        return Corridor(b, a, tuple(reversed(interior)))
-    return Corridor(a, b, tuple(interior))
-
-
 def find_corridors(g: ExplicitGraph) -> list:
     """All maximal corridors of a finite connected graph with minimum
     degree 2 and at least one anchor, sorted by endpoints so ids are
-    stable across runs."""
+    stable across runs.  Anchors and neighbors are read in key order and
+    each walk marks its far entrance, so a corridor is walked once, from
+    its least anchor (a loop from the lesser of its first steps)."""
     if not isinstance(g, ExplicitGraph):
         raise UnsupportedGraph("corridor discovery needs an explicit finite graph")
     verts = g.vertices()
@@ -78,21 +70,20 @@ def find_corridors(g: ExplicitGraph) -> list:
     anchors = {v for v in verts if g.degree(v) != 2}
     if not anchors:
         raise UnsupportedStructure("every vertex has degree 2: a cycle with no anchor")
-    found = {}
+    corridors, walked = [], set()
     for a in sorted(anchors, key=sort_token):
         for first in g.neighbors(a):
+            if (a, first) in walked:
+                continue
             prev, cur = a, first
             interior = []
             while cur not in anchors:
                 interior.append(cur)
                 n1, n2 = g.neighbors(cur)
                 prev, cur = cur, (n2 if n1 == prev else n1)
-            c = _canonical_corridor(a, cur, interior)
-            found[(c.a, c.b, c.interior)] = c
-    return sorted(
-        found.values(),
-        key=lambda c: (sort_token(c.a), sort_token(c.b), tuple(sort_token(x) for x in c.interior)),
-    )
+            walked.add((cur, prev))
+            corridors.append(Corridor(a, cur, tuple(interior)))
+    return sorted(corridors, key=lambda c: sort_token((c.a, c.b, c.interior)))
 
 
 def contract(g: ExplicitGraph):

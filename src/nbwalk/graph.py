@@ -282,19 +282,21 @@ class ExplicitGraph(Graph):
             if not isinstance(ns, (list, tuple)):
                 raise MalformedGraph(f"adjacency row of {cv!r} is not a list")
             adj[cv] = [canon_key(w) for w in ns]
+        # each row as a set, so the symmetry check is linear in the rows
+        seen = {}
         for v, ns in adj.items():
-            seen = set()
+            row = seen[v] = set()
             for w in ns:
                 if w == v:
                     raise MalformedGraph(f"self-loop at {v!r}")
-                if w in seen:
+                if w in row:
                     raise MalformedGraph(f"duplicate edge {v!r}-{w!r}")
                 if w not in adj:
                     raise MalformedGraph(f"vertex {w!r} has no adjacency row")
-                seen.add(w)
+                row.add(w)
         for v, ns in adj.items():
             for w in ns:
-                if v not in adj[w]:
+                if v not in seen[w]:
                     raise MalformedGraph(f"asymmetric edge {v!r}-{w!r}")
         self._adj = {v: tuple(sorted(ns, key=sort_token)) for v, ns in adj.items()}
         self._verts = tuple(sorted(adj, key=sort_token))

@@ -135,10 +135,7 @@ class PrefixDistribution:
     def __eq__(self, other):
         if not isinstance(other, PrefixDistribution):
             return NotImplemented
-        # w / den == v / other.den, cross-multiplied
-        a, b, theirs = other.den, self.den, other.weights
-        same = self.weights.keys() == theirs.keys() and all(w * a == theirs[k] * b for k, w in self.weights.items())
-        return same and (self.horizon, self.short * a) == (other.horizon, other.short * b)
+        return self.horizon == other.horizon and total_variation(self, other) == 0
 
     def prob(self, seq) -> Fraction:
         return Fraction(self.weights.get(tuple(seq), 0), self.den)

@@ -27,6 +27,7 @@ from nbwalk import (
     subdivide,
 )
 from nbwalk import laws
+from nbwalk.graph import sort_token
 
 from helpers import check_biregular_shape, complete_bipartite, cycle, k4, rng, theta_graph, two_loop_graph
 
@@ -124,6 +125,30 @@ def test_corridors_cover_each_edge_once_and_end_at_the_anchors(g):
     assert covered == Counter(frozenset(e) for e in g.edges())
     _, cmap = contract(g)
     assert cmap.anchors == {v for v in g.vertices() if g.degree(v) != 2}
+    _check_canonical_form(corridors, cmap)
+
+
+@pytest.mark.parametrize("make", [theta_graph, two_loop_graph])
+def test_corridors_of_string_keyed_graphs_are_canonical(make):
+    g = make()
+    _, cmap = contract(g)
+    _check_canonical_form(find_corridors(g), cmap)
+
+
+def _check_canonical_form(corridors, cmap):
+    """A corridor runs from its lesser anchor, a loop from its lesser first
+    step, the list is in key order, and the map's entrances send each
+    corridor's two first steps to its two ends."""
+    for c in corridors:
+        assert sort_token(c.a) <= sort_token(c.b)
+        if c.a == c.b:
+            assert tuple(map(sort_token, c.interior)) <= tuple(map(sort_token, c.interior[::-1]))
+    assert corridors == sorted(corridors, key=lambda c: sort_token((c.a, c.b, c.interior)))
+    assert list(cmap.corridors) == corridors
+    for idx, c in enumerate(corridors):
+        path = (c.a, *c.interior, c.b)
+        assert cmap.entrances[path[:2]] == (idx, 0)
+        assert cmap.entrances[path[:-3:-1]] == (idx, 1)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])

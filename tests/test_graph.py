@@ -1,4 +1,5 @@
 import re
+import time
 from collections import Counter
 
 import numpy as np
@@ -212,6 +213,18 @@ def test_from_adjacency_validation():
         with pytest.raises(MalformedGraph):
             from_adjacency(adjacency)
     assert from_adjacency({0: (1,), 1: [0]}).neighbors(0) == (1,)
+
+
+def test_star_builds_in_time_linear_in_its_rows():
+    # the symmetry check looks each reverse edge up in a set, not a list:
+    # a 50,000-leaf star took 13-20 s when it scanned the hub's row
+    leaves = range(1, 50_001)
+    t0 = time.perf_counter()
+    g = from_adjacency({0: list(leaves), **{v: [0] for v in leaves}})
+    assert time.perf_counter() - t0 < 5
+    assert g.degree(0) == 50_000
+    with pytest.raises(MalformedGraph, match="asymmetric edge 0-50000"):
+        from_adjacency({0: list(leaves), **{v: [0] for v in leaves[:-1]}, 50_000: [1]})
 
 
 def test_subdivide_k4_census():
