@@ -28,7 +28,7 @@ from operator import mul
 from pathlib import Path
 
 from .errors import InvalidInput, InvalidParameter, MalformedGraph, NbwalkError, UnsupportedGraph, UnsupportedStructure
-from .graph import decode_key, encode_key, graph_from_spec, sort_token
+from .graph import _each_once, decode_key, encode_key, encode_path, graph_from_spec, sort_token
 
 
 def _lazy(module: str, name: str):
@@ -167,20 +167,13 @@ def _publish(out, files: dict, shown=None, announce=True) -> None:
         print("wrote " + " and ".join(out + suffix for suffix in files))
 
 
-def _each_once(fn, items) -> list:
-    """``[fn(x) for x in items]`` with one call per distinct item, made in
-    order of first appearance, so that a refusal names the first bad one."""
-    values = {x: fn(x) for x in dict.fromkeys(items)}
-    return [values[x] for x in items]
-
-
 def _cmd_walk(args) -> int:
     from .stats import return_statistics
 
     _, graph, kind, start = _walk_graph(args)
     path = sample_path(kind, graph, start, args.horizon, _rng(args.seed))
     stats = return_statistics(path, start, graph)
-    _publish(args.out, {"": [" ".join(_each_once(encode_key, path)), "\n"]}, announce=False)
+    _publish(args.out, {"": [encode_path(path, graph), "\n"]}, announce=False)
     doc = {
         "steps": stats.steps,
         "returns": stats.returns_to_origin,
@@ -209,10 +202,9 @@ def _cmd_erase(args) -> int:
         if args.tokens is not None and not args.tokens.startswith("@"):
             raise InvalidParameter(f"--tokens takes @file, got {args.tokens!r}")
         text = Path(args.tokens[1:]).read_text() if args.tokens else sys.stdin.read()
-        seq = _each_once(decode_key, text.split())
+        graph, seq = None, _each_once(decode_key, text.split())
     result = erase_backtracks(seq)
-    out = " ".join(_each_once(encode_key, result.output))
-    _publish(args.out, {"": [out, "\n", result.trace.moves, "\n"]}, announce=False)
+    _publish(args.out, {"": [encode_path(result.output, graph), "\n", result.trace.moves, "\n"]}, announce=False)
     return 0
 
 

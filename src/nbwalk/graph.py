@@ -72,6 +72,29 @@ def encode_key(key) -> str:
     return "(" + ",".join(map(encode_key, key)) + ")"
 
 
+def _each_once(fn, items) -> list:
+    """``[fn(x) for x in items]`` with one call per distinct item, made in
+    order of first appearance, so that a refusal names the first bad one.
+    ``items`` is a sequence, read twice."""
+    distinct = dict.fromkeys(items)
+    value = dict(zip(distinct, map(fn, distinct)))
+    return list(map(value.__getitem__, items))
+
+
+def encode_path(keys, graph=None) -> str:
+    """``" ".join(map(encode_key, keys))`` for a sequence of keys of
+    ``graph``, as its lookups give them.  A ``Lattice``'s keys are ints at
+    d = 1 and d-tuples of ints otherwise, so there each key is written by
+    ``str`` or by one ``%`` format fixed by d; any other sequence is
+    encoded once per distinct key."""
+    if not isinstance(graph, Lattice):
+        return " ".join(_each_once(encode_key, keys))
+    if graph.d == 1:
+        return " ".join(map(str, keys))
+    key = "(" + ",".join(["%d"] * graph.d) + ")"
+    return " ".join(map(key.__mod__, keys))
+
+
 def decode_key(text: str):
     """Parse the text form produced by ``encode_key``: each atom is read as
     a JSON string and each parenthesized list as a JSON array, and the

@@ -348,10 +348,10 @@ def sample_path(kind, graph, start, n: int, rng) -> tuple:
         columns = []
         for c, off in zip(carry, _unpack(packed, graph.d)):
             lo = int(off.min())
-            # one int object per coordinate value, shared by every key
-            # that has it, as the scalar walk shares unchanged ones
-            values = list(range(c + lo, c + int(off.max()) + 1))
-            columns.append([values[i] for i in (off - lo).tolist()])
+            # one int object per coordinate value of the chunk, shared by
+            # every key of the chunk that has it, read by one gather
+            values = np.fromiter(range(c + lo, c + int(off.max()) + 1), object)
+            columns.append(values[off - lo].tolist())
         path.extend(columns[0] if graph.d == 1 else zip(*columns))
         carry = [col[-1] for col in columns]
     return tuple(path)

@@ -7,10 +7,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nbwalk
-from nbwalk import cli
+from nbwalk import cli, decode_key, encode_key, erase_backtracks, graph_from_spec, replica_seed, sample_path
 from nbwalk.cli import run
 
 from helpers import enumerate_json_reference
@@ -223,6 +224,39 @@ def test_walk_wrw_contracts_explicit(capsys):
     assert run(["walk", "--graph", THETA_SPEC, "--walk", "wrw", "--start", "u", "--horizon", "9", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines[0].split()) == 10
+
+
+# lattices whose keys walk and erase write with one format: (spec, start), each
+# start an anchor with coordinates past +-256, where ints stop being shared
+BULK_TEXT = {
+    "z1": ('{"type":"lattice","d":1}', "-300"),
+    "z3": ('{"type":"lattice","d":3}', "(257,-300,1000)"),
+    "z4": ('{"type":"lattice","d":4}', "(-257,300,-1000,1)"),
+    "sub2_t1": ('{"type":"subdivided_lattice","d":2,"t":1}', "(300,-258)"),
+    "sub3_t2": ('{"type":"subdivided_lattice","d":3,"t":2}', "(300,-261,999)"),
+}
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 8191, 8192, 8193])
+@pytest.mark.parametrize("name", sorted(BULK_TEXT))
+def test_walk_and_erase_write_the_text_of_each_key(name, horizon, tmp_path, capsys):
+    """The token files equal the text that encode_key gives key by key, on
+    paths that end inside, at and past the end of a lattice chunk."""
+    spec, start = BULK_TEXT[name]
+    graph, key, seed = graph_from_spec(json.loads(spec)), decode_key(start), 7 + horizon
+
+    def path(kind):
+        return sample_path(kind, graph, key, horizon, np.random.default_rng(replica_seed(seed, 0)))
+
+    argv = ["--graph", spec, "--start", start, "--horizon", str(horizon), "--seed", str(seed), "--out"]
+    for kind in ("srw", "nbrw"):
+        out = tmp_path / f"{kind}.txt"
+        assert run(["walk", "--walk", kind, *argv, str(out)]) == 0
+        assert out.read_bytes() == (" ".join(map(encode_key, path(kind))) + "\n").encode()
+    erased = erase_backtracks(path("srw"))
+    out = tmp_path / "erased.txt"
+    assert run(["erase", *argv, str(out)]) == 0
+    assert out.read_bytes() == f"{' '.join(map(encode_key, erased.output))}\n{erased.trace.moves}\n".encode()
 
 
 def test_diagnose_writes_files(tmp_path):

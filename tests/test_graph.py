@@ -14,6 +14,7 @@ from nbwalk import (
     UnsupportedGraph,
     WeightedMultigraph,
     biregular_tree,
+    contract,
     counterexample_graph,
     decode_key,
     encode_key,
@@ -21,13 +22,14 @@ from nbwalk import (
     graph_from_spec,
     lattice,
     regular_tree,
+    sample_path,
     subdivide,
     subdivided_lattice,
 )
 from nbwalk import graph as graph_module
-from nbwalk.graph import canon_key, sort_token
+from nbwalk.graph import canon_key, encode_path, sort_token
 
-from helpers import complete_bipartite, k4, random_graph, rng, triangle
+from helpers import complete_bipartite, k4, random_graph, rng, theta_graph, triangle
 
 
 def test_lattice_1d_neighbors():
@@ -306,6 +308,60 @@ _KEYS = st.recursive(
 @given(_KEYS)
 def test_decode_inverts_encode(key):
     assert decode_key(encode_key(key)) == key
+
+
+def _check_encode_path(keys, graph):
+    one_by_one = [encode_key(k) for k in keys]
+    text = encode_path(keys, graph)
+    assert text == " ".join(one_by_one)
+    assert (text.split(" ") if keys else []) == one_by_one
+
+
+def _lattice_start(g, far):
+    """An anchor of ``g`` with coordinates of both signs, past +-256 when
+    ``far``, where ints stop being shared by the interpreter."""
+    vec = [(-1) ** a * g.pitch * (300 + a if far else a) for a in range(g.d)]
+    return vec[0] if g.d == 1 else tuple(vec)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lattice_paths_encode_in_bulk_as_key_by_key(d, t):
+    g = subdivided_lattice(d, t)
+    for far in (False, True):
+        start = _lattice_start(g, far)
+        for kind, seed in (("srw", d), ("nbrw", 10 + d)):
+            path = sample_path(kind, g, start, 600, rng(seed + t))
+            # repeats, in and out of order, and the keys of a corridor point
+            keys = (*path, *path[::-3], path[0], path[0], *g.neighbors(start), *g.neighbors(g.neighbors(start)[-1]))
+            if far:
+                assert max(max(map(abs, g.coordinates(k))) for k in keys) > 256
+            _check_encode_path(keys, g)
+            _check_encode_path(keys[:1], g)
+    _check_encode_path((), g)
+
+
+def test_other_keys_encode_in_bulk_as_key_by_key():
+    nested = [((1, "a"), -3, ("b", (2,))), (), ((),), "x", -300, 300, (0, (), "y"), ("x", "y", 3)]
+    tree = regular_tree(3)
+    # the root's key () at the start, again later and twice in a row
+    tree_path = (*sample_path("srw", tree, (), 300, rng(1)), (), ())
+    mg, _ = contract(theta_graph())
+    sub = subdivide(k4(), 2)
+    cases = [
+        (nested * 3, None),
+        (["v", "x", "v", "v", "a"], None),
+        (sample_path("srw", counterexample_graph(), "v", 300, rng(2)), counterexample_graph()),
+        (tree_path, tree),
+        ((*tree_path, (), (), (0, 1, 1)), biregular_tree(3, 2)),
+        (sample_path("nbrw", mg, "u", 300, rng(3)), mg),
+        (mg.vertices() * 4, mg),
+        (sample_path("srw", sub, 0, 300, rng(4)), sub),
+    ]
+    for keys, g in cases:
+        _check_encode_path(keys, g)
+        _check_encode_path(keys, None)
+    _check_encode_path((), None)
 
 
 # any text, and text over the characters that key text gives a meaning to

@@ -735,6 +735,16 @@ def test_lattice_path_at_full_chunks_equals_scalar_reference(kind, d, start):
     assert fast.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("kind", ["srw", "nbrw"])
+def test_lattice_path_keeps_one_int_object_per_coordinate_value_in_a_chunk(kind):
+    # past +-256 equal ints are one object only where the walk shares them
+    path = sample_path(kind, lattice(2), (1000, -1000), 2 * _CHUNK + 5, rng(5))
+    for lo in range(1, len(path), _CHUNK):
+        for axis in (0, 1):
+            values = [key[axis] for key in path[lo : lo + _CHUNK]]
+            assert len({id(v) for v in values}) == len(set(values)), (lo, axis)
+
+
 @pytest.mark.parametrize("t", [1, 2, 3])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_subdivided_lattice_path_equals_scalar_reference(d, t, monkeypatch):
